@@ -1,9 +1,16 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_p), p an odd prime >= 5.
 
-Every element is stored as a vector of p-1 exact rationals giving its
-coordinates over the power basis 1, zeta, ..., zeta^(p-2).  The relation
-1 + zeta + ... + zeta^(p-1) = 0 eliminates zeta^(p-1), so equal field
-elements always have identical coordinate vectors and `==` is decidable.
+Every element is stored as p-1 integer coordinates over one shared positive
+denominator: x = (a_0 + a_1 zeta + ... + a_(p-2) zeta^(p-2)) / den.  The
+relation 1 + zeta + ... + zeta^(p-1) = 0 eliminates zeta^(p-1), and every
+element is kept reduced so that gcd(a_0, ..., a_(p-2), den) = 1 (zero has
+den = 1).  Equal field elements therefore have identical coordinates, `==`
+is decidable, and the integral elements Z[zeta_p] are exactly those with
+den = 1.  Ring operations and the Galois action run on plain ints.
+
+Inverses need no polynomial gcd: for integral y the product adj(y) of the
+conjugates sigma_j(y), j = 2..p-1, satisfies y * adj(y) = N(y), the rational
+norm, so 1/y = adj(y) / N(y).
 
 No floating point appears anywhere in this module.  The distinguished
 element h = 1 - zeta generates the unique prime above p; h-adic valuations
@@ -32,8 +39,6 @@ __all__ = [
 #: Marker returned by :func:`h_valuation` for the zero element.
 INFINITE = math.inf
 
-_ZERO = Fraction(0)
-
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test, adequate for the small primes used here."""
@@ -58,29 +63,73 @@ def _check_order(p: int) -> int:
     return p
 
 
+def _fold(acc: list) -> list:
+    """Reduce p coefficients over 1, t, ..., t^(p-1) to the p-1 basis
+    coordinates, using zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
+    top = acc.pop()
+    return [a - top for a in acc] if top else acc
+
+
+def _int_mul(p: int, a, b) -> list:
+    """Product of two integral elements given by coordinates: an integer
+    convolution modulo t^p - 1, then one fold of the top coefficient."""
+    acc = [0] * p
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            k = i + j
+            if k >= p:
+                k -= p
+            acc[k] += ai * bj
+    return _fold(acc)
+
+
+def _int_galois(p: int, a, j: int) -> list:
+    """Coordinates of sigma_j(a) for sigma_j: zeta -> zeta^j, j a unit mod p."""
+    acc = [0] * p
+    for i, ai in enumerate(a):
+        if ai:
+            acc[(i * j) % p] += ai
+    return _fold(acc)
+
+
 class CycNum:
-    """A number in Q(zeta_p) with exact rational power-basis coordinates.
+    """A number in Q(zeta_p): integer power-basis coordinates `num` over a
+    positive denominator `den`, reduced so that their gcd is 1.
 
     Supports +, -, *, /, ** with other CycNum of the same order and with
     plain integers or Fractions.  Instances are treated as immutable.
     """
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, coeffs=()) -> None:
         _check_order(p)
-        vec = [Fraction(x) for x in coeffs]
+        vec = [x if isinstance(x, int) else Fraction(x) for x in coeffs]
         if len(vec) > p:
             raise ValueError(f"at most {p} coefficients allowed for order {p}")
-        vec.extend([_ZERO] * (p - len(vec)))
-        top = vec[p - 1]
-        if top:
-            # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-            vec = [x - top for x in vec[: p - 1]]
-        else:
-            vec = vec[: p - 1]
+        den = math.lcm(*(x.denominator for x in vec))
+        acc = [x.numerator * (den // x.denominator) for x in vec]
+        acc.extend([0] * (p - len(acc)))
+        self._set(p, _fold(acc), den)
+
+    def _set(self, p: int, num: list, den: int) -> None:
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [a // g for a in num]
+                den //= g
         self.p = p
-        self.coeffs = tuple(vec)
+        self.num = tuple(num)
+        self.den = den
+
+    @classmethod
+    def _reduced(cls, p: int, num: list, den: int) -> "CycNum":
+        """Build from p-1 integer coordinates over den > 0, cancelling the gcd."""
+        x = object.__new__(cls)
+        x._set(p, num, den)
+        return x
 
     # -- constructors ------------------------------------------------------
 
@@ -90,21 +139,26 @@ class CycNum:
 
     # -- predicates --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
+
     def is_integral(self) -> bool:
         """True when every power-basis coordinate is a rational integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         """Return the element as a Fraction, or raise if it is irrational."""
         if not self.is_rational():
             raise ArithmeticError(f"element is not rational: {self!r}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def coeff_sum(self) -> Fraction:
-        return sum(self.coeffs, _ZERO)
+        return Fraction(sum(self.num), self.den)
 
     # -- ring / field operations -------------------------------------------
 
@@ -119,11 +173,16 @@ class CycNum:
             return CycNum.scalar(self.p, other)
         return None
 
+    def _add(self, o: "CycNum", sign: int) -> "CycNum":
+        da, db = self.den, o.den
+        num = [a * db + sign * b * da for a, b in zip(self.num, o.num)]
+        return CycNum._reduced(self.p, num, da * db)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.p, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._add(o, 1)
 
     __radd__ = __add__
 
@@ -131,7 +190,7 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.p, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._add(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -140,25 +199,14 @@ class CycNum:
         return o - self
 
     def __neg__(self):
-        return CycNum(self.p, [-a for a in self.coeffs])
+        return CycNum._reduced(self.p, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         p = self.p
-        acc = [_ZERO] * p
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(o.coeffs):
-                if not bj:
-                    continue
-                k = i + j
-                if k >= p:
-                    k -= p
-                acc[k] += ai * bj
-        return CycNum(p, acc)
+        return CycNum._reduced(p, _int_mul(p, self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -194,13 +242,16 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        # Equal to a rational value means hashing like that value.
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.p, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
         terms = []
@@ -231,64 +282,44 @@ def monomial(p: int, k: int) -> CycNum:
     return CycNum(p, vec)
 
 
-# -- inverse via extended Euclid vs the p-th cyclotomic polynomial -----------
+def _primitive_root(p: int) -> int:
+    """The least generator g of the units mod p, so sigma_g generates Gal."""
+    factors = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
-def _poly_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _adjugate_norm(p: int, a) -> tuple[list, int]:
+    """For integral y with coordinates a, return (adj(y), N(y)) where adj(y)
+    is the product of the conjugates sigma_j(y), j = 2..p-1, and N(y) the
+    rational integer y * adj(y).  Multiplying back certifies the pair.
 
-
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    q = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(a) >= len(b) and a:
-        f = a[-1] / lead
-        k = len(a) - len(b)
-        q[k] = f
-        for i, bi in enumerate(b):
-            a[k + i] -= f * bi
-        _poly_trim(a)
-    return _poly_trim(q), a
+    With P_m = prod_{i<m} sigma_g^i(y), adj(y) = sigma_g(P_(p-2)), and P is
+    built by doubling, P_2m = P_m * sigma_g^m(P_m) and P_(m+1) = y * sigma_g(P_m),
+    in O(log p) products instead of p - 3.
+    """
+    g = _primitive_root(p)
+    acc, m = list(a), 1
+    for bit in bin(p - 2)[3:]:
+        acc = _int_mul(p, acc, _int_galois(p, acc, pow(g, m, p)))
+        m *= 2
+        if bit == "1":
+            acc = _int_mul(p, a, _int_galois(p, acc, g))
+            m += 1
+    adj = _int_galois(p, acc, g)
+    prod = _int_mul(p, a, adj)
+    if any(prod[1:]):
+        raise ArithmeticError("product of all conjugates is not rational")
+    return adj, prod[0]
 
 
 def inv(x: CycNum) -> CycNum:
-    """Multiplicative inverse, by extended Euclid against 1 + t + ... + t^(p-1)."""
+    """Multiplicative inverse: (num/den)^-1 = den * adj(num) / N(num)."""
     if not x:
         raise ZeroDivisionError("inverse of zero in a cyclotomic field")
     p = x.p
-    modulus = [Fraction(1)] * p
-    r0, r1 = modulus, _poly_trim(list(x.coeffs))
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    # r0 is a nonzero constant: the modulus is irreducible over Q.
-    if len(r0) != 1:
-        raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-    g = r0[0]
-    return CycNum(p, [t / g for t in t0])
+    # N(num) > 0: the conjugates pair off as complex conjugates.
+    adj, n = _adjugate_norm(p, x.num)
+    return CycNum._reduced(p, [x.den * a for a in adj], n)
 
 
 def galois(x: CycNum, j: int) -> CycNum:
@@ -297,19 +328,13 @@ def galois(x: CycNum, j: int) -> CycNum:
     jj = j % p
     if jj == 0:
         raise ValueError(f"galois index must be invertible mod {p}, got {j}")
-    acc = [_ZERO] * p
-    for i, ci in enumerate(x.coeffs):
-        if ci:
-            acc[(i * jj) % p] += ci
-    return CycNum(p, acc)
+    return CycNum._reduced(p, _int_galois(p, x.num, jj), x.den)
 
 
 def norm(x: CycNum) -> Fraction:
     """Field norm: the product of all p-1 Galois conjugates.  Always rational."""
-    acc = CycNum.scalar(x.p, 1)
-    for j in range(1, x.p):
-        acc = acc * galois(x, j)
-    return acc.as_rational()
+    p = x.p
+    return Fraction(_adjugate_norm(p, x.num)[1], x.den ** (p - 1))
 
 
 def quantum_int(p: int, n: int) -> CycNum:
@@ -347,7 +372,7 @@ def h_valuation(x: CycNum):
     ih = _inv_h(p)
     v = 0
     cur = x
-    while int(cur.coeff_sum()) % p == 0:
+    while sum(cur.num) % p == 0:
         cur = cur * ih
         if not cur.is_integral():
             raise ArithmeticError("exact division by 1 - zeta produced a non-integral result")

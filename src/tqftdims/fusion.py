@@ -171,6 +171,10 @@ def even_basis_permutation(p: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def _is_integral(x) -> bool:
+    return x.is_integral() if isinstance(x, CycNum) else x.denominator == 1
+
+
 @dataclass(frozen=True)
 class FusionMatrix:
     """A d x d matrix; entries[j][i] is row j, column i."""
@@ -233,12 +237,18 @@ class FusionMatrix:
         )
 
     def det(self):
-        """Fraction-free (Bareiss) determinant; exact over Q or Q(zeta_p)."""
+        """Fraction-free (Bareiss) determinant; exact over Q or Q(zeta_p).
+
+        Each step divides by the previous pivot, inverted once per step.  The
+        quotients are minors of the input, so integral input must keep every
+        quotient integral; a quotient that is not raises ArithmeticError.
+        """
         n = self.size
         mat = [
             [e if isinstance(e, CycNum) else Fraction(e) for e in row]
             for row in self.entries
         ]
+        integral = all(_is_integral(e) for row in mat for e in row)
         sign = 1
         prev = None
         for k in range(n - 1):
@@ -252,10 +262,15 @@ class FusionMatrix:
                     zero = mat[k][k] * 0
                     return zero
             pivot = mat[k][k]
+            prev_inv = None if prev is None else 1 / prev
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
                     num = pivot * mat[i][j] - mat[i][k] * mat[k][j]
-                    mat[i][j] = num / prev if prev is not None else num
+                    if prev_inv is not None:
+                        num = num * prev_inv
+                        if integral and not _is_integral(num):
+                            raise ArithmeticError("Bareiss quotient left the ring of integers")
+                    mat[i][j] = num
             prev = pivot
         return mat[n - 1][n - 1] * sign
 

@@ -74,6 +74,20 @@ def test_scalar_coercion_and_rationals():
         y.as_rational()
 
 
+def test_hash_agrees_with_equality():
+    assert CycNum.scalar(7, 3) == 3
+    assert len({CycNum.scalar(7, 3), 3}) == 1
+    assert hash(CycNum.scalar(7, Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert hash(CycNum(5, [0, 0, 0, 0, 1])) == hash(monomial(5, 4))
+
+
+def test_repr_lists_rational_coordinates():
+    x = CycNum(7, [Fraction(3, 2), Fraction(-1, 2), 0, 5])
+    assert repr(x) == "CycNum(7: 3/2 + -1/2*z + 5*z^3)"
+    assert repr(CycNum.scalar(5, 0)) == "CycNum(5: 0)"
+    assert repr(monomial(5, 1) + monomial(5, 2)) == "CycNum(5: z + z^2)"
+
+
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
         root_of_unity(5) + root_of_unity(7)

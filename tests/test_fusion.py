@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqftdims import cyclotomic
 from tqftdims.cyclotomic import CycNum, galois, h_valuation, monomial, norm
 from tqftdims.fusion import (
     FusionElement,
@@ -237,12 +238,23 @@ def test_hopf_vandermonde_first_row():
             assert h.entries[0][j] == want
 
 
-@pytest.mark.parametrize("p,val", [(5, 1), (7, 3), (11, 10)])
+@pytest.mark.parametrize(
+    "p,val", [(5, 1), (7, 3), (11, 10), (13, 15), (17, 28), (19, 36), (23, 55)]
+)
 def test_hopf_certificate_valuation(p, val):
     cert = hopf_certificate(p)
     d = (p - 1) // 2
     assert cert.valuation == val == d * (d - 1) // 2
     assert cert.unit_norm in (1, -1)
+
+
+def test_bareiss_rejects_non_integral_quotient(monkeypatch):
+    # A wrong inverse of the previous pivot makes some quotient of the
+    # integral Hopf matrix non-integral, which Bareiss must refuse.
+    true_inv = cyclotomic.inv
+    monkeypatch.setattr(cyclotomic, "inv", lambda x: true_inv(x) * Fraction(1, 3))
+    with pytest.raises(ArithmeticError, match="Bareiss"):
+        hopf_vandermonde(11).det()
 
 
 def test_hopf_determinant_valuation_directly():
