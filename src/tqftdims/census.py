@@ -13,6 +13,19 @@ even sum, |i - j| <= k <= i + j, and i + j + k <= 2p - 4.  Smallness bounds
 every loop color by (p-3)/2.  The far end u_g has degree two and is modeled
 with a phantom color-0 edge, which pins a_g to the incoming chain color.
 
+Every walk here reads its ranges from one table, built per call from the
+vertex inequalities: for each incoming chain color x, the stick colors a
+that admit a next chain color, with that color's range lo..hi.
+
+The loop half-color b_i constrains nothing outside its own vertex, and it
+ranges over 0..d-1-a_i.  So count_parities walks only the (a, e)
+skeletons, with a_g pinned to the last chain color, and counts each
+skeleton with weight prod(d - a_i); the cost stays exponential in g, but in
+the number of skeletons rather than colorings.  Nothing is memoized across
+subtrees: caching on (level, chain color, parity) would rebuild the
+transfer recursion, and the census would stop being an independent check
+on it.
+
 This module is the independent oracle: it never uses the transfer
 recursion, fusion matrices, or any closed form beyond reading off ranges
 from the defining inequalities.
@@ -91,6 +104,25 @@ def parity(coloring: Coloring, c: int) -> Parity:
     return Parity.EVEN if (c + sum(coloring.a)) % 2 == 0 else Parity.ODD
 
 
+def _moves(tree: LollipopTree) -> list[list[tuple[int, int, int]]]:
+    """Admissibility table: moves[x] lists (a, lo, hi) for every stick
+    half-color a at a vertex entered by chain half-color x, where lo..hi is
+    the nonempty range of outgoing chain half-colors e that make
+    (2x, 2a, 2e) admissible."""
+    d = tree.d
+    top = tree.p - 2
+    table = []
+    for x in range(d):
+        row = []
+        for a in range(d):
+            lo = abs(x - a)
+            hi = min(x + a, top - x - a, d - 1)
+            if lo <= hi:
+                row.append((a, lo, hi))
+        table.append(row)
+    return table
+
+
 def enumerate_colorings(p: int, g: int, c: int):
     """Yield every small admissible coloring, in lexicographic order.
 
@@ -98,7 +130,7 @@ def enumerate_colorings(p: int, g: int, c: int):
     """
     tree = LollipopTree(p, g, c)
     d = tree.d
-    top = p - 2
+    moves = _moves(tree)
     a_buf = [0] * g
     b_buf = [0] * g
     e_buf = [0] * (g - 1)
@@ -112,12 +144,8 @@ def enumerate_colorings(p: int, g: int, c: int):
                 b_buf[i] = b
                 yield Coloring(tuple(a_buf), tuple(b_buf), tuple(e_buf))
             return
-        for a in range(d):
+        for a, lo, hi in moves[x]:
             a_buf[i] = a
-            lo = abs(x - a)
-            hi = min(x + a, top - x - a, d - 1)
-            if lo > hi:
-                continue
             for b in range(d - a):
                 b_buf[i] = b
                 for e in range(lo, hi + 1):
@@ -127,33 +155,59 @@ def enumerate_colorings(p: int, g: int, c: int):
     yield from walk(0, c)
 
 
-def count_parities(p: int, g: int, c: int) -> tuple[int, int]:
-    """Return (even_count, odd_count) by walking the full coloring tree.
+def _records(p: int, g: int, c: int):
+    """Yield coloring_record(col, c) for every col of enumerate_colorings,
+    in the same order, built from prefix strings carried down the walk.
 
-    Same search as enumerate_colorings, with counters instead of objects.
+    ab holds "a_1,b_1,...,a_i,b_i," and es holds "e_1,...,e_i,"; each record
+    is one f-string at the leaf.
     """
     tree = LollipopTree(p, g, c)
     d = tree.d
-    top = p - 2
+    moves = _moves(tree)
+    head = f"{g};{c};"
+    # parity()'s convention: (g, c) = (2, 0) is even outright.
+    names = ("even", "even") if (g, c) == (2, 0) else ("even", "odd")
+
+    def walk(i: int, x: int, ab: str, es: str, par: int):
+        if i == g - 1:
+            pre = f"{head}{ab}{x},"
+            tail = f";{es[:-1]};{names[(par + x) & 1]}"
+            for b in range(d - x):
+                yield f"{pre}{b}{tail}"
+            return
+        for a, lo, hi in moves[x]:
+            nxt = (par + a) & 1
+            for b in range(d - a):
+                ab_b = f"{ab}{a},{b},"
+                for e in range(lo, hi + 1):
+                    yield from walk(i + 1, e, ab_b, f"{es}{e},", nxt)
+
+    yield from walk(0, c, "", "", c & 1)
+
+
+def count_parities(p: int, g: int, c: int) -> tuple[int, int]:
+    """Return (even_count, odd_count) of the small admissible colorings.
+
+    Walks the (a, e) skeletons only and counts each with weight
+    prod(d - a_i), the number of its loop choices b.
+    """
+    tree = LollipopTree(p, g, c)
+    d = tree.d
+    moves = _moves(tree)
     counts = [0, 0]
 
-    def walk(i: int, x: int, par: int) -> None:
+    def walk(i: int, x: int, par: int, weight: int) -> None:
         if i == g - 1:
-            fin = (par + x) & 1
-            for _b in range(d - x):
-                counts[fin] += 1
+            counts[(par + x) & 1] += weight * (d - x)
             return
-        for a in range(d):
-            lo = abs(x - a)
-            hi = min(x + a, top - x - a, d - 1)
-            if lo > hi:
-                continue
+        for a, lo, hi in moves[x]:
             nxt = (par + a) & 1
-            for _b in range(d - a):
-                for e in range(lo, hi + 1):
-                    walk(i + 1, e, nxt)
+            w = weight * (d - a)
+            for e in range(lo, hi + 1):
+                walk(i + 1, e, nxt, w)
 
-    walk(0, c, c & 1)
+    walk(0, c, c & 1, 1)
     # (g, c) = (2, 0): with a_1 = a_2 forced, every coloring is even.
     if (g, c) == (2, 0) and counts[1]:
         raise ArithmeticError("odd coloring found where the parity convention forbids it")

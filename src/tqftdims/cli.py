@@ -8,8 +8,9 @@ Subcommands:
   hopf        twist Vandermonde determinant valuation and unit certificate
   quadruple   the four p=5 counts (even/odd at trunk colors 0 and 2) per genus
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 refused
-by the census size guard.  All exact output is deterministic; the optional
+Exit codes: 0 success, 1 verification failure (including an internal
+ArithmeticError, reported as one line), 2 invalid input, 3 refused by the
+census size guard.  All exact output is deterministic; the optional
 float columns are display-only and never influence exit codes.
 """
 
@@ -151,8 +152,8 @@ def _cmd_census(ns) -> int:
         return EXIT_GUARD
     if ns.list:
         print("g;c;ab;e;parity")
-        for coloring in census.enumerate_colorings(tree.p, tree.g, tree.c):
-            print(census.coloring_record(coloring, tree.c))
+        for record in census._records(tree.p, tree.g, tree.c):
+            print(record)
         return EXIT_OK
     fe, fo = census.count_parities(tree.p, tree.g, tree.c)
     if cfg.fmt == "text":
@@ -452,6 +453,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        # An exact invariant failed inside the program (a census parity
+        # invariant, a non-integral Bareiss quotient, a route disagreement):
+        # a verification failure, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

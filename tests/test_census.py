@@ -17,6 +17,7 @@ from tqftdims.census import (
     Coloring,
     LollipopTree,
     Parity,
+    _records,
     beta_eta_bruteforce,
     beta_eta_closed,
     coloring_record,
@@ -106,6 +107,12 @@ def test_frozen_small_counts():
     assert count_parities(5, 2, 1) == (4, 1)
     assert count_parities(5, 3, 0) == (14, 1)
     assert count_parities(7, 2, 0) == (14, 0)
+    # benchmark sizes, frozen from a walk that visited one coloring at a time
+    assert count_parities(13, 5, 0) == (5441072, 4983693)
+    assert count_parities(11, 5, 2) == (2571866, 2493920)
+    assert count_parities(17, 4, 3) == (5311680, 5172662)
+    assert count_parities(7, 6, 1) == (81640, 74425)
+    assert count_parities(5, 8, 0) == (4861, 3264)
 
 
 def test_enumeration_agrees_with_counting():
@@ -189,6 +196,8 @@ def test_invalid_inputs_rejected():
         beta_eta_closed(5, 0, 2)
     with pytest.raises(ValueError):
         list(enumerate_colorings(5, 2, 5))
+    with pytest.raises(ValueError):
+        list(_records(5, 2, 5))
 
 
 def test_coloring_record_format():
@@ -196,6 +205,13 @@ def test_coloring_record_format():
     assert coloring_record(col, 1) == "2;1;1,0,0,1;1;even"
     one = Coloring((0,), (1,), ())
     assert coloring_record(one, 0) == "1;0;0,1;;even"
+
+
+@pytest.mark.parametrize("p,g", [(5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2)])
+def test_record_stream_matches_reference(p, g):
+    for c in range((p - 1) // 2):
+        expected = [coloring_record(col, c) for col in enumerate_colorings(p, g, c)]
+        assert list(_records(p, g, c)) == expected
 
 
 def test_state_estimate_growth():
@@ -223,3 +239,19 @@ def test_census_totals_are_symmetric_functions_property(g, c):
     # even + odd and even - odd both stay nonnegative with even >= odd
     fe, fo = count_parities(7, g, c)
     assert fe >= fo >= 0
+
+
+@given(
+    p=st.sampled_from([5, 7, 11]),
+    g=st.integers(min_value=1, max_value=3),
+    c=st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_counting_walk_matches_enumeration_property(p, g, c):
+    # count_parities weights skeletons by their loop choices; the
+    # enumeration visits every coloring, so the two walks check each other
+    if c <= (p - 3) // 2:
+        tally = [0, 0]
+        for col in enumerate_colorings(p, g, c):
+            tally[parity(col, c) is Parity.ODD] += 1
+        assert tuple(tally) == count_parities(p, g, c)

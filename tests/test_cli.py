@@ -1,15 +1,18 @@
 """CLI contract: output shapes, exit codes, byte determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from tqftdims import census
 from tqftdims.cli import (
     EXIT_GUARD,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY,
     Config,
     UsageError,
     delta_float,
@@ -91,6 +94,37 @@ def test_census_counts_and_stream():
     ]
     res = run_cli("census", "--p", "5", "--g", "1", "--c", "0", "--list")
     assert len(res.stdout.splitlines()) == 3  # header + two colorings
+
+
+@pytest.mark.parametrize(
+    "p,g,c,digest,lines",
+    [
+        (11, 3, 2, "e2387e4bc64c54e3421fd2f7de28c1f7c2d1f7a91b3d3eb94edd5d96f26892c7", 4236),
+        (7, 4, 1, "43d2d96c4e855d5c81fad4566782aba47872c867b78ad2624dcd95a9ac78d4fc", 1814),
+        (5, 2, 0, "796403b1d0c5bab35aaac7fb7866a8d2bf64faff8540d73e6bf796034d944a48", 6),
+    ],
+)
+def test_census_list_bytes_frozen(p, g, c, digest, lines):
+    # sha256 of the --list stdout, frozen from the one-Coloring-per-record
+    # stream (enumerate_colorings plus coloring_record)
+    res = run_cli("census", "--p", str(p), "--g", str(g), "--c", str(c), "--list", binary=True)
+    assert res.returncode == EXIT_OK
+    assert res.stdout.count(b"\n") == lines
+    assert hashlib.sha256(res.stdout).hexdigest() == digest
+
+
+def test_internal_arithmetic_error_exits_1(monkeypatch, capsys):
+    def broken(p, g, c):
+        raise ArithmeticError("odd coloring found where the parity convention forbids it")
+
+    monkeypatch.setattr(census, "count_parities", broken)
+    assert main(["census", "--p", "5", "--g", "2", "--c", "0"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: odd coloring found where the parity convention forbids it"
+    ]
+    assert "Traceback" not in captured.err
 
 
 def test_census_csv_row():
