@@ -10,29 +10,8 @@ Example:
 """
 
 import argparse
-from fractions import Fraction
 
-from tqftdims.polylab import BiPoly, conjecture_scan, interpolate_delta
-
-
-def _quotient_by_base(poly: BiPoly):
-    """Divide a P-only polynomial by P(P^2 - 1)/24; None if not divisible."""
-    deg = poly.degree_in_p()
-    num = [poly.coefficient(i, 0) for i in range(deg + 1)]
-    den = [Fraction(0), Fraction(-1, 24), Fraction(0), Fraction(1, 24)]
-    quo = [Fraction(0)] * max(deg - 2, 0)
-    while num and not num[-1]:
-        num.pop()
-    while len(num) >= len(den):
-        f = num[-1] / den[-1]
-        quo[len(num) - len(den)] = f
-        for i, dv in enumerate(den):
-            num[len(num) - len(den) + i] -= f * dv
-        while num and not num[-1]:
-            num.pop()
-    if num:
-        return None
-    return BiPoly({(i, 0): q for i, q in enumerate(quo) if q})
+from tqftdims.polylab import conjecture_scan
 
 
 def main() -> int:
@@ -48,8 +27,7 @@ def main() -> int:
             f"base_divisible={scan.base_specialization_divisible}"
         )
         if scan.base_specialization_divisible:
-            quo = _quotient_by_base(interpolate_delta(g).subs_c(0))
-            print(f"      quotient at C=0: {quo.canonical_str()}")
+            print(f"      quotient at C=0: {scan.base_quotient.canonical_str()}")
     return 0
 
 

@@ -36,12 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cyclotomic import is_prime
+from .cyclotomic import _check_prime
 
 __all__ = [
     "Coloring",
     "LollipopTree",
     "Parity",
+    "STATE_GUARD",
     "beta_eta_bruteforce",
     "beta_eta_closed",
     "coloring_record",
@@ -66,8 +67,7 @@ class LollipopTree:
     c: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.p < 5:
-            raise ValueError(f"p must be a prime >= 5, got {self.p}")
+        _check_prime(self.p)
         if self.g < 1:
             raise ValueError(f"genus must be >= 1, got {self.g}")
         if not 0 <= self.c <= self.d - 1:
@@ -242,9 +242,7 @@ def beta_eta_closed(p: int, c1: int, c2: int) -> tuple[int, int]:
 
 
 def _check_pair(p: int, c1: int, c2: int) -> int:
-    if not is_prime(p) or p < 5:
-        raise ValueError(f"p must be a prime >= 5, got {p}")
-    d = (p - 1) // 2
+    d = (_check_prime(p) - 1) // 2
     for c in (c1, c2):
         if not 0 <= c <= d - 1:
             raise ValueError(f"half-color must lie in 0..{d - 1} for p={p}, got {c}")
@@ -256,6 +254,10 @@ def coloring_record(coloring: Coloring, c: int) -> str:
     ab = ",".join(str(v) for pair in zip(coloring.a, coloring.b) for v in pair)
     es = ",".join(str(v) for v in coloring.e)
     return f"{coloring.g};{c};{ab};{es};{parity(coloring, c).value}"
+
+
+#: state_estimate above which `census` refuses and verify lowers its genus.
+STATE_GUARD = 10**9
 
 
 def state_estimate(p: int, g: int) -> int:

@@ -56,10 +56,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _check_order(p: int) -> int:
+@lru_cache(maxsize=None, typed=True)
+def _check_prime(p: int) -> int:
+    """Return p if it is an int prime >= 5, else raise ValueError.  Cached, as
+    the recursion validates p per kernel entry; typed, so 5.0 is refused;
+    private, so a tracer that wraps public names counts it in the caller."""
     if not isinstance(p, int) or p < 5 or not is_prime(p):
-        raise ValueError(f"cyclotomic order must be a prime >= 5, got {p!r}")
+        raise ValueError(f"p must be a prime >= 5, got {p}")
     return p
 
 
@@ -105,7 +108,7 @@ class CycNum:
     __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, coeffs=()) -> None:
-        _check_order(p)
+        _check_prime(p)
         vec = [x if isinstance(x, int) else Fraction(x) for x in coeffs]
         if len(vec) > p:
             raise ValueError(f"at most {p} coefficients allowed for order {p}")
@@ -270,13 +273,12 @@ class CycNum:
 
 def root_of_unity(p: int) -> CycNum:
     """The primitive p-th root of unity zeta_p as a field element."""
-    _check_order(p)
     return monomial(p, 1)
 
 
 def monomial(p: int, k: int) -> CycNum:
     """zeta_p^k for any integer k, reduced to canonical form."""
-    _check_order(p)
+    _check_prime(p)
     vec = [0] * p
     vec[k % p] = 1
     return CycNum(p, vec)
@@ -343,7 +345,7 @@ def quantum_int(p: int, n: int) -> CycNum:
     Computed from the telescoped sum q^(n-1) + q^(n-3) + ... + q^(1-n), so the
     result is visibly integral.  [n] is a unit of Z[zeta_p] for 1 <= n <= p-1.
     """
-    _check_order(p)
+    _check_prime(p)
     if n < 0:
         raise ValueError("quantum integer index must be >= 0")
     vec = [0] * p

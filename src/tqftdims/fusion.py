@@ -22,10 +22,10 @@ from functools import lru_cache
 from .cyclotomic import (
     INFINITE,
     CycNum,
+    _check_prime,
     galois,
     h_valuation,
     inv,
-    is_prime,
     monomial,
     norm,
     quantum_int,
@@ -54,9 +54,7 @@ __all__ = [
 
 
 def _rank(p: int) -> int:
-    if not is_prime(p) or p < 5:
-        raise ValueError(f"p must be a prime >= 5, got {p}")
-    return (p - 1) // 2
+    return (_check_prime(p) - 1) // 2
 
 
 def _mul_by_z(p: int, vec):

@@ -663,25 +663,31 @@ def leading_term_report(g: int) -> dict[str, bool]:
 
 @dataclass(frozen=True)
 class ConjectureScan:
-    """Observed patterns in the signed-count polynomial for one genus."""
+    """Observed patterns in the signed-count polynomial for one genus;
+    base_quotient is its C = 0 specialization over P(P^2 - 1)/24, or None."""
 
     g: int
     no_positive_even_p_powers: bool
     base_specialization_divisible: bool
+    base_quotient: BiPoly | None
 
 
-def _uni_divisible(num: list[Fraction], den: list[Fraction]) -> bool:
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    while num and len(num) >= len(den):
-        f = num[-1] / den[-1]
-        k = len(num) - len(den)
-        for i, dv in enumerate(den):
+#: P(P^2 - 1)/24 as ascending coefficients in P.
+_BASE = (_ZERO, Fraction(-1, 24), _ZERO, Fraction(1, 24))
+
+
+def _base_quotient(poly: BiPoly) -> BiPoly | None:
+    """poly / (P(P^2 - 1)/24) for poly in P alone; None if not divisible."""
+    num = [poly.coefficient(i, 0) for i in range(poly.degree_in_p() + 1)]
+    quo = [_ZERO] * max(len(num) - len(_BASE) + 1, 0)
+    for k in reversed(range(len(quo))):
+        f = num[k + len(_BASE) - 1] / _BASE[-1]
+        quo[k] = f
+        for i, dv in enumerate(_BASE):
             num[k + i] -= f * dv
-        while num and not num[-1]:
-            num.pop()
-    return not num
+    if any(num):
+        return None
+    return BiPoly({(i, 0): q for i, q in enumerate(quo) if q})
 
 
 def conjecture_scan(g: int) -> ConjectureScan:
@@ -694,9 +700,5 @@ def conjecture_scan(g: int) -> ConjectureScan:
         raise ValueError("scan needs g >= 2")
     dpoly = interpolate_delta(g)
     pat1 = all(i == 0 or i % 2 == 1 for (i, _j) in dpoly.monomials())
-    at0 = dpoly.subs_c(0)
-    deg = at0.degree_in_p()
-    num = [at0.coefficient(i, 0) for i in range(deg + 1)]
-    den = [_ZERO, Fraction(-1, 24), _ZERO, Fraction(1, 24)]
-    pat2 = _uni_divisible(num, den)
-    return ConjectureScan(g, pat1, pat2)
+    quo = _base_quotient(dpoly.subs_c(0))
+    return ConjectureScan(g, pat1, quo is not None, quo)

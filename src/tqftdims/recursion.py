@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .census import beta_eta_closed
-from .cyclotomic import is_prime
+from .cyclotomic import _check_prime
 
 __all__ = ["DimTable", "delta_direct", "delta_split", "dim_table"]
 
@@ -81,8 +81,7 @@ class DimTable:
 @lru_cache(maxsize=None)
 def dim_table(p: int, gmax: int) -> DimTable:
     """Build the count table for prime p up to genus gmax."""
-    if not is_prime(p) or p < 5:
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+    _check_prime(p)
     if gmax < 1:
         raise ValueError(f"gmax must be >= 1, got {gmax}")
     d = (p - 1) // 2
@@ -108,8 +107,9 @@ def dim_table(p: int, gmax: int) -> DimTable:
 @lru_cache(maxsize=None)
 def delta_direct(p: int, g: int) -> tuple[int, ...]:
     """delta for all c via the collapsed kernel d - max(a, c)."""
-    if not is_prime(p) or p < 5 or g < 1:
-        raise ValueError("need a prime p >= 5 and genus >= 1")
+    _check_prime(p)
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
     d = (p - 1) // 2
     cur = tuple(d - c for c in range(d))
     for _ in range(g - 1):
@@ -122,8 +122,9 @@ def delta_direct(p: int, g: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def delta_split(p: int, g: int) -> tuple[int, ...]:
     """Same recursion with the kernel split as (d - a) plus an a < c correction."""
-    if not is_prime(p) or p < 5 or g < 1:
-        raise ValueError("need a prime p >= 5 and genus >= 1")
+    _check_prime(p)
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
     d = (p - 1) // 2
     cur = tuple(d - c for c in range(d))
     for _ in range(g - 1):

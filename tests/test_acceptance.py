@@ -2,7 +2,9 @@
 
 Each test prints a single PASS line when its criterion holds; under
 ``pytest -v`` the per-test PASSED/FAILED status doubles as the report.
-The conjecture scan (criterion 8) is reported but never gates.
+The conjecture scan (criterion 8) is reported but never gates.  Criteria
+1 and 3-6 run the claim functions of tqftdims.claims, as ``tqftdims verify``
+does.
 """
 
 import json
@@ -10,30 +12,12 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from tqftdims.census import count_parities
-from tqftdims.cyclotomic import CycNum, galois, norm, quantum_int
-from tqftdims.fusion import (
-    FusionMatrix,
-    alternating_element,
-    alternating_eigenvalue,
-    cheb_vector,
-    delta_via_matrix,
-    galois_sum_delta,
-    galois_sum_total,
-    hopf_certificate,
-    mul_matrix_even,
-    qmatrix,
-    smatrix,
-    total_via_matrix,
-)
+from tqftdims import claims
 from tqftdims.polylab import (
     BiPoly,
-    bern_identity_check,
     conjecture_scan,
     interpolate_delta,
     interpolate_total,
-    leading_term_report,
-    residue_total_poly,
 )
 from tqftdims.recursion import dim_table
 
@@ -53,24 +37,18 @@ def _poly_prod(*factors):
     return acc
 
 
+def _holds(*results):
+    for text, ok in results:
+        assert ok, text
+
+
 def test_criterion_1_four_way_agreement():
+    # gmax=8: the census claim caps itself at g <= 4, the matrix and
+    # Galois claims run to g = 8.
     for p in PRIMES:
-        d = (p - 1) // 2
-        table = dim_table(p, 8)
-        for g in range(1, 5):
-            for c in range(d):
-                assert count_parities(p, g, c) == (
-                    table.n_even(g, c),
-                    table.n_odd(g, c),
-                ), f"census vs recursion at (p={p}, g={g}, c={c})"
-        for g in range(1, 9):
-            for c in range(d):
-                delta = table.delta(g, c)
-                total = table.total(g, c)
-                assert delta_via_matrix(p, g, c) == delta
-                assert galois_sum_delta(p, g, c) == delta
-                assert total_via_matrix(p, g, c) == total
-                assert galois_sum_total(p, g, c) == total
+        census = claims.census_matches_recursion(p, 8)
+        assert census[0].endswith(f"(p={p}, g<=4)")
+        _holds(census, claims.matrix_powers(p, 8), claims.galois_sums(p, 8))
     print("PASS criterion 1: census, recursion, matrix powers, Galois sums agree")
 
 
@@ -125,55 +103,30 @@ def test_criterion_2_closed_form_polynomials():
 
 def test_criterion_3_structural_identities():
     for p in PRIMES:
-        d = (p - 1) // 2
-        s = smatrix(p)
-        assert s * s == FusionMatrix.identity(p) * (-p), f"S^2 at p={p}"
-        lhs = mul_matrix_even(cheb_vector(p, 1))
-        assert lhs == (s * qmatrix(p) * s) * F(-1, p), f"diagonalization at p={p}"
-        for i in range(d):
-            assert cheb_vector(p, d + i).coords == cheb_vector(p, d - 1 - i).coords
+        _holds(
+            claims.s_matrix_square(p),
+            claims.z_diagonalization(p),
+            claims.ladder_fold(p),
+        )
     for p in (5, 7, 11):
-        d = (p - 1) // 2
-        mat = mul_matrix_even(alternating_element(p))
-        lam = alternating_eigenvalue(p)
-        for j in range(d):
-            lam_j = galois(lam, 2 * j + 1)
-            shifted = FusionMatrix(
-                p,
-                tuple(
-                    tuple(
-                        CycNum.scalar(p, mat.entries[r][s_]) - (lam_j if r == s_ else 0)
-                        for s_ in range(d)
-                    )
-                    for r in range(d)
-                ),
-            )
-            assert not shifted.det(), f"eigenvalue identity at p={p}, j={j}"
+        _holds(claims.alternating_eigenvalues(p))
     print("PASS criterion 3: S-matrix, diagonalization, fold, eigenvalue identities")
 
 
 def test_criterion_4_hopf_units():
     for p in (5, 7, 11):
-        d = (p - 1) // 2
-        cert = hopf_certificate(p)
-        assert cert.valuation == d * (d - 1) // 2, f"valuation at p={p}"
-        assert cert.unit_norm in (1, -1), f"unit cofactor at p={p}"
-        for n in range(1, p):
-            assert norm(quantum_int(p, n)) in (1, -1), f"[{n}] at p={p}"
+        _holds(claims.hopf_valuation(p), claims.quantum_integer_units(p))
     print("PASS criterion 4: twist determinant valuations and unit certificates")
 
 
 def test_criterion_5_leading_term_structure():
     for g in (2, 3, 4):
-        report = leading_term_report(g)
-        assert report and all(report.values())
-        assert residue_total_poly(g) == interpolate_total(g), f"residue route at g={g}"
+        _holds(claims.leading_terms(g), claims.residue_route(g))
     print("PASS criterion 5: degree and leading-term identities, residue route")
 
 
 def test_criterion_6_bernoulli_identity():
-    for g in range(11):
-        assert bern_identity_check(g), f"identity fails at g={g}"
+    _holds(claims.bernoulli_identity())
     print("PASS criterion 6: alternating binomial Bernoulli identity for g <= 10")
 
 

@@ -7,14 +7,12 @@ import sys
 
 import pytest
 
-from tqftdims import census
+from tqftdims import census, recursion
 from tqftdims.cli import (
     EXIT_GUARD,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
-    Config,
-    UsageError,
     delta_float,
     main,
     total_float,
@@ -218,19 +216,68 @@ def test_invalid_prime_exits_2():
     assert run_cli("quadruple", "--gmin", "3", "--gmax", "2").returncode == EXIT_USAGE
 
 
-def test_config_validation_direct():
-    cfg = Config(primes=(5, 7), gmax=3, fmt="csv")
-    assert cfg.primes == (5, 7)
-    with pytest.raises(UsageError):
-        Config(primes=(6,))
-    with pytest.raises(UsageError):
-        Config(gmax=0)
-    with pytest.raises(UsageError):
-        Config(fmt="yaml")
-    with pytest.raises(UsageError):
-        Config(suite="everything")
-    with pytest.raises(UsageError):
-        Config(c_filter=-2)
+def test_config_validation_direct(capsys):
+    for argv in (
+        ["dims", "--p", "6"],
+        ["dims", "--p", "7", "--gmax", "0"],
+        ["verify", "--suite", "poly", "--gmax", "0"],
+        ["census", "--p", "5", "--g", "2", "--c", "-2"],
+        ["verify", "--p-list", "5,6"],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+    # every refusal comes before any output, for verify before any claim runs
+    assert capsys.readouterr().out == ""
+    for argv in (["dims", "--p", "5", "--format", "yaml"], ["verify", "--suite", "everything"]):
+        with pytest.raises(SystemExit, match=f"^{EXIT_USAGE}$"):
+            main(argv)
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        ((), "21f05bde1aecddb85365b2da4aeb3949a7271036f424257f6dee8b55ea2d9931"),
+        (
+            ("--p-list", "5,7", "--gmax", "2"),
+            "6d50b8525ce5f75fecd27f2bc407ff3f9b1a67907a684f669bc00664262fcf8a",
+        ),
+    ],
+)
+def test_verify_bytes_frozen(args, digest):
+    res = run_cli("verify", *args, binary=True)
+    assert res.returncode == EXIT_OK
+    assert hashlib.sha256(res.stdout).hexdigest() == digest
+
+
+def test_mutated_kernel_fails_verify(monkeypatch, capsys):
+    closed = recursion.beta_eta_closed
+
+    def mutated(p, c1, c2):
+        beta, eta = closed(p, c1, c2)
+        return (beta + 1, eta) if (c1, c2) == (1, 2) else (beta, eta)
+
+    monkeypatch.setattr(recursion, "beta_eta_closed", mutated)
+    recursion.dim_table.cache_clear()
+    try:
+        for suite, claim in (
+            ("census", "coloring census matches the transfer recursion (p=7, g<=3)"),
+            ("fusion", "matrix powers reproduce signed and total counts (p=7, g<=3)"),
+        ):
+            argv = ["verify", "--suite", suite, "--p-list", "7", "--gmax", "3"]
+            assert main(argv) == EXIT_VERIFY
+            assert f"FAIL {claim}" in capsys.readouterr().out.splitlines()
+    finally:
+        recursion.dim_table.cache_clear()
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    argv = ["census", "--p", "11", "--g", "4", "--c", "0", "--list"]
+    cmd = [sys.executable, "-m", "tqftdims", *argv]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"g;c;ab;e;parity\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == EXIT_VERIFY
+    assert err == b""  # in particular no Traceback
 
 
 def test_main_callable_in_process(capsys):

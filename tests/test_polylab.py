@@ -24,6 +24,7 @@ from tqftdims.polylab import (
     power_sum_coeffs,
     residue_total_poly,
     sinh_ratio_series,
+    _base_quotient,
 )
 from tqftdims.recursion import dim_table
 
@@ -255,13 +256,17 @@ def test_half_total_top_form_bounds():
 
 
 def test_conjecture_scan_reports():
-    for g in (2, 3, 4, 5):
+    P = BiPoly.var_p()
+    base = P * (P * P - 1) * F(1, 24)
+    for g in (2, 3, 4, 5, 6):
         scan = conjecture_scan(g)
         assert scan.g == g
         assert isinstance(scan.no_positive_even_p_powers, bool)
-        assert isinstance(scan.base_specialization_divisible, bool)
+        assert scan.base_specialization_divisible is True
+        assert scan.base_quotient * base == interpolate_delta(g).subs_c(0)
     with pytest.raises(ValueError):
         conjecture_scan(1)
+    assert _base_quotient(P**4 + P) is None
 
 
 @given(c=st.integers(min_value=0, max_value=4))
