@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cyclotomic import _check_prime
+from .cyclotomic import _check_color, _check_prime
 
 __all__ = [
     "Coloring",
@@ -70,10 +70,7 @@ class LollipopTree:
         _check_prime(self.p)
         if self.g < 1:
             raise ValueError(f"genus must be >= 1, got {self.g}")
-        if not 0 <= self.c <= self.d - 1:
-            raise ValueError(
-                f"trunk half-color must lie in 0..{self.d - 1} for p={self.p}, got {self.c}"
-            )
+        _check_color(self.p, self.c)
 
     @property
     def d(self) -> int:
@@ -220,7 +217,7 @@ def beta_eta_bruteforce(p: int, c1: int, c2: int) -> tuple[int, int]:
     The stick vertex carries colors (2c1, 2c2, 2a) and the loop contributes
     the usual smallness range for b.  Balanced means a + c1 + c2 even.
     """
-    d = _check_pair(p, c1, c2)
+    d = _check_color(p, c1, c2)
     beta = eta = 0
     lo = abs(c1 - c2)
     hi = min(c1 + c2, (p - 2) - c1 - c2)
@@ -236,17 +233,9 @@ def beta_eta_bruteforce(p: int, c1: int, c2: int) -> tuple[int, int]:
 def beta_eta_closed(p: int, c1: int, c2: int) -> tuple[int, int]:
     """Closed forms: with m = min(c1, c2), M = max(c1, c2),
     balanced = (m + 1)(d - M) and unbalanced = m(d - M)."""
-    d = _check_pair(p, c1, c2)
+    d = _check_color(p, c1, c2)
     m, big = min(c1, c2), max(c1, c2)
     return (m + 1) * (d - big), m * (d - big)
-
-
-def _check_pair(p: int, c1: int, c2: int) -> int:
-    d = (_check_prime(p) - 1) // 2
-    for c in (c1, c2):
-        if not 0 <= c <= d - 1:
-            raise ValueError(f"half-color must lie in 0..{d - 1} for p={p}, got {c}")
-    return d
 
 
 def coloring_record(coloring: Coloring, c: int) -> str:

@@ -60,10 +60,21 @@ def is_prime(n: int) -> bool:
 def _check_prime(p: int) -> int:
     """Return p if it is an int prime >= 5, else raise ValueError.  Cached, as
     the recursion validates p per kernel entry; typed, so 5.0 is refused;
-    private, so a tracer that wraps public names counts it in the caller."""
+    private, like its sibling _check_color, so a tracer that wraps public
+    names counts it in the caller."""
     if not isinstance(p, int) or p < 5 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
     return p
+
+
+def _check_color(p: int, *colors: int) -> int:
+    """Return d = (p - 1)/2 if p passes _check_prime and every half-color
+    lies in 0..d-1, else raise ValueError."""
+    d = (_check_prime(p) - 1) // 2
+    for c in colors:
+        if not 0 <= c < d:
+            raise ValueError(f"half-color must lie in 0..{d - 1} for p={p}, got {c}")
+    return d
 
 
 def _fold(acc: list) -> list:
@@ -159,9 +170,6 @@ class CycNum:
         if not self.is_rational():
             raise ArithmeticError(f"element is not rational: {self!r}")
         return Fraction(self.num[0], self.den)
-
-    def coeff_sum(self) -> Fraction:
-        return Fraction(sum(self.num), self.den)
 
     # -- ring / field operations -------------------------------------------
 

@@ -22,6 +22,7 @@ from functools import lru_cache
 from .cyclotomic import (
     INFINITE,
     CycNum,
+    _check_color,
     _check_prime,
     galois,
     h_valuation,
@@ -305,21 +306,14 @@ def counting_element(p: int) -> FusionElement:
 
 
 def _matrix_power_entry(p: int, g: int, c: int, elem: FusionElement) -> int:
-    d = _rank(p)
+    d = _check_color(p, c)
     if g < 0:
         raise ValueError("genus must be >= 0")
-    if not 0 <= c <= d - 1:
-        raise ValueError(f"half-color must lie in 0..{d - 1}, got {c}")
     mat = mul_matrix_even(elem)
     vec = tuple(1 if j == 0 else 0 for j in range(d))
     for _ in range(g):
         vec = mat.apply(vec)
-    val = vec[c]
-    if isinstance(val, Fraction):
-        if val.denominator != 1:
-            raise ArithmeticError("matrix power entry is not an integer")
-        val = val.numerator
-    return val
+    return vec[c]
 
 
 def delta_via_matrix(p: int, g: int, c: int) -> int:
@@ -408,9 +402,9 @@ def _bracket(p: int, c: int) -> CycNum:
 
 def galois_sum_delta(p: int, g: int, c: int) -> int:
     """Signed count even - odd as a closed Galois sum over Q(zeta_p)."""
-    d = _rank(p)
-    if g < 0 or not 0 <= c <= d - 1:
-        raise ValueError("need genus >= 0 and half-color in range")
+    _check_color(p, c)
+    if g < 0:
+        raise ValueError("genus must be >= 0")
     w = _bracket(p, c) * alternating_eigenvalue(p) ** g
     val = _galois_half_sum_int(p, w)
     return -val if c % 2 else val
@@ -418,9 +412,9 @@ def galois_sum_delta(p: int, g: int, c: int) -> int:
 
 def galois_sum_total(p: int, g: int, c: int) -> int:
     """Total count as the same Galois sum with the counting eigenvalue."""
-    d = _rank(p)
-    if g < 0 or not 0 <= c <= d - 1:
-        raise ValueError("need genus >= 0 and half-color in range")
+    _check_color(p, c)
+    if g < 0:
+        raise ValueError("genus must be >= 0")
     w = _bracket(p, c) * counting_eigenvalue(p) ** g
     return _galois_half_sum_int(p, w)
 

@@ -47,7 +47,7 @@ _ONE = Fraction(1)
 
 
 class InterpolationError(ValueError):
-    """Raised for an unusable sample grid or a failed held-out validation."""
+    """Raised when an interpolant misses a held-out count."""
 
 
 class LeadingTermError(AssertionError):
@@ -238,11 +238,6 @@ class BiPoly:
             result = result * self
         return result
 
-    def reciprocal(self) -> "BiPoly":
-        if list(self._m) != [(0, 0)]:
-            raise ArithmeticError("only nonzero constants are invertible")
-        return BiPoly.const(1 / self._m[(0, 0)])
-
     # -- comparisons and text -----------------------------------------------
 
     def __eq__(self, other):
@@ -299,16 +294,11 @@ class BiPoly:
 # -- truncated power series ---------------------------------------------------
 
 
-def _recip(x):
-    if isinstance(x, BiPoly):
-        return x.reciprocal()
-    return _ONE / Fraction(x)
-
-
 class Series:
     """Power series in t truncated at a fixed order, with exact coefficients.
 
-    Coefficients may be Fractions or BiPoly; operands must share the order.
+    Coefficients may be Fractions or BiPoly; operands must share the order,
+    and only a series of Fractions has an inverse.
     """
 
     __slots__ = ("coeffs",)
@@ -352,9 +342,9 @@ class Series:
         return result
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse; the constant term must be invertible."""
+        """Multiplicative inverse; the constant term must be a nonzero Fraction."""
         a = self.coeffs
-        b0 = _recip(a[0])
+        b0 = _ONE / a[0]
         out = [b0]
         for m in range(1, len(a)):
             acc = a[1] * out[m - 1]
@@ -388,7 +378,7 @@ def _residue_coeff(g: int, order: int) -> BiPoly:
     odd_c = BiPoly({(0, 1): Fraction(2), (0, 0): _ONE})
     a = bernoulli_series(order, two_p)
     b = sinh_ratio_series(order, odd_c)
-    s = sinh_ratio_series(order, BiPoly.const(1))
+    s = sinh_ratio_series(order, _ONE)
     integrand = a * b * (s.inverse() ** (2 * g - 1))
     return integrand.coeffs[2 * g - 2]
 
@@ -436,16 +426,6 @@ def newton_coeffs(xs, ys) -> list[Fraction]:
     return poly
 
 
-def _prime_grid(count: int, floor: int) -> list[int]:
-    out = []
-    n = max(5, floor)
-    while len(out) < count:
-        if is_prime(n):
-            out.append(n)
-        n += 1
-    return out
-
-
 def _next_prime(n: int) -> int:
     n += 1
     while not is_prime(n):
@@ -453,64 +433,43 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def _delta_value(p: int, g: int, c: int) -> int:
-    return dim_table(p, g).delta(g, c)
-
-
-def _total_value(p: int, g: int, c: int) -> int:
-    return dim_table(p, g).total(g, c)
-
-
-_VALUE_FNS = {"delta": _delta_value, "total": _total_value}
-
-
-def interpolate_delta(g: int, primes=()) -> BiPoly:
+def interpolate_delta(g: int) -> BiPoly:
     """Exact bivariate polynomial of total degree 2g - 1 through signed counts.
 
-    With no primes given, the smallest sufficient grid is selected
-    automatically; supplied primes beyond the fit size become extra
-    held-out validation points.
+    The grid is fixed: c = 0..2g-1 at each of the 2g smallest primes
+    >= 4g + 3.  The fit must then reproduce five held-out counts, else
+    InterpolationError: c = 0, 1, 2 at the next prime, c = 2g, 2g + 1 at the
+    largest fit prime where those colors exist, and c = 0 at further primes.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
-    return _interpolate(g, 2 * g - 1, tuple(primes), "delta")
+    return _interpolate(g, 2 * g - 1, "delta")
 
 
-def interpolate_total(g: int, primes=()) -> BiPoly:
-    """Exact bivariate polynomial of total degree 3g - 2 through total counts."""
+def interpolate_total(g: int) -> BiPoly:
+    """Exact bivariate polynomial of total degree 3g - 2 through total counts.
+
+    The grid is c = 0..3g-2 at each of the 3g - 1 smallest primes
+    >= max(4g + 3, 6g - 1), held out as in interpolate_delta (with
+    c = 3g - 1, 3g at the largest fit prime).
+    """
     if g < 1:
         raise ValueError("genus must be >= 1")
-    return _interpolate(g, 3 * g - 2, tuple(primes), "total")
+    return _interpolate(g, 3 * g - 2, "total")
 
 
 @lru_cache(maxsize=None)
-def _interpolate(g: int, deg: int, primes: tuple, kind: str) -> BiPoly:
-    value = _VALUE_FNS[kind]
-    need = deg + 1
+def _interpolate(g: int, deg: int, kind: str) -> BiPoly:
+    """Fit DimTable.<kind>(g, c) of degree deg, then check held-out points."""
     # every fit prime must admit c = 0..deg, i.e. (p-3)/2 >= deg
-    floor = max(5, 4 * g + 3, 2 * deg + 3)
-    if primes:
-        for p in primes:
-            if not is_prime(p) or p < 5:
-                raise InterpolationError(f"insufficient sample grid: {p} is not a usable prime")
-        if len(primes) < need:
-            raise InterpolationError(
-                f"insufficient sample grid: need {need} primes, got {len(primes)}"
-            )
-        if any(p < 2 * deg + 3 for p in primes[:need]):
-            raise InterpolationError(
-                f"insufficient sample grid: fit primes must be >= {2 * deg + 3}"
-            )
-        fit = list(primes[:need])
-        extras = list(primes[need:])
-    else:
-        fit = _prime_grid(need, floor)
-        extras = []
+    fit = [_next_prime(max(4 * g + 3, 2 * deg + 3) - 1)]
+    while len(fit) < deg + 1:
+        fit.append(_next_prime(fit[-1]))
 
     cs = list(range(deg + 1))
     per_prime = {}
     for p in fit:
-        ys = [value(p, g, c) for c in cs]
+        ys = [getattr(dim_table(p, g), kind)(g, c) for c in cs]
         per_prime[p] = newton_coeffs(cs, ys)
     mono: dict = {}
     for j in range(deg + 1):
@@ -520,23 +479,15 @@ def _interpolate(g: int, deg: int, primes: tuple, kind: str) -> BiPoly:
                 mono[(i, j)] = q
     poly = BiPoly(mono)
 
-    held = []
-    probe = _next_prime(max(fit))
-    for c in range(3):
-        held.append((probe, c))
-    d_last = (max(fit) - 3) // 2
-    for c in (deg + 1, deg + 2):
-        if c <= d_last:
-            held.append((max(fit), c))
-    for p in extras:
-        held.append((p, 0))
-        held.append((p, 1))
+    probe = _next_prime(fit[-1])
+    held = [(probe, 0), (probe, 1), (probe, 2)]
+    held += [(fit[-1], c) for c in (deg + 1, deg + 2) if c <= (fit[-1] - 3) // 2]
     while len(held) < 5:
         probe = _next_prime(probe)
         held.append((probe, 0))
     for p, c in held:
         got = poly.eval(p, c)
-        want = value(p, g, c)
+        want = getattr(dim_table(p, g), kind)(g, c)
         if got != want:
             raise InterpolationError(
                 f"held-out validation failed for {kind} at (p={p}, c={c}): "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .census import beta_eta_closed
-from .cyclotomic import _check_prime
+from .cyclotomic import _check_color, _check_prime
 
 __all__ = ["DimTable", "delta_direct", "delta_split", "dim_table"]
 
@@ -42,8 +42,7 @@ class DimTable:
     def _check(self, g: int, c: int) -> None:
         if not 1 <= g <= self.gmax:
             raise ValueError(f"genus must lie in 1..{self.gmax}, got {g}")
-        if not 0 <= c <= self.d - 1:
-            raise ValueError(f"half-color must lie in 0..{self.d - 1}, got {c}")
+        _check_color(self.p, c)
 
     def n_even(self, g: int, c: int) -> int:
         self._check(g, c)

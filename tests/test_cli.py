@@ -223,6 +223,8 @@ def test_config_validation_direct(capsys):
         ["verify", "--suite", "poly", "--gmax", "0"],
         ["census", "--p", "5", "--g", "2", "--c", "-2"],
         ["verify", "--p-list", "5,6"],
+        ["verify", "--p-list", ""],
+        ["verify", "--suite", "hopf", "--p-list", ","],
     ):
         assert main(argv) == EXIT_USAGE, argv
     # every refusal comes before any output, for verify before any claim runs

@@ -1,11 +1,13 @@
 """Polynomial reconstruction, Bernoulli machinery, leading-term certificates."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqftdims import polylab
 from tqftdims.polylab import (
     BiPoly,
     InterpolationError,
@@ -123,14 +125,6 @@ def test_bipoly_json_round_structure():
     }
 
 
-def test_bipoly_reciprocal_limits():
-    assert BiPoly.const(F(2, 3)).reciprocal() == BiPoly.const(F(3, 2))
-    with pytest.raises(ArithmeticError):
-        BiPoly.var_p().reciprocal()
-    with pytest.raises(ArithmeticError):
-        BiPoly().reciprocal()
-
-
 def test_series_arithmetic():
     one_plus = Series((F(1), F(1), F(0)))
     one_minus = Series((F(1), F(-1), F(0)))
@@ -192,23 +186,31 @@ def test_interpolated_delta_genus_two_frozen():
     assert f == want
 
 
-def test_interpolation_accepts_explicit_primes():
-    auto = interpolate_delta(2)
-    manual = interpolate_delta(2, primes=(11, 13, 17, 19, 23, 29))
-    assert auto == manual
-
-
 def test_interpolation_rejects_bad_grids():
-    with pytest.raises(InterpolationError):
-        interpolate_delta(2, primes=(11, 13))
-    with pytest.raises(InterpolationError):
-        interpolate_delta(2, primes=(5, 7, 11, 13))
-    with pytest.raises(InterpolationError):
-        interpolate_delta(2, primes=(11, 13, 17, 20))
     with pytest.raises(ValueError):
         interpolate_delta(0)
     with pytest.raises(ValueError):
         interpolate_total(-1)
+
+
+def test_held_out_check_catches_a_wrong_count(monkeypatch):
+    # For g = 2 the delta fit uses p = 11, 13, 17, 19; p = 23 is held out.
+    real = polylab.dim_table
+
+    def corrupted(p, gmax):
+        t = real(p, gmax)
+        if p != 23:
+            return t
+        even = (t.even[0], (t.even[1][0] + 1,) + t.even[1][1:]) + t.even[2:]
+        return dataclasses.replace(t, even=even)
+
+    monkeypatch.setattr(polylab, "dim_table", corrupted)
+    polylab._interpolate.cache_clear()
+    try:
+        with pytest.raises(InterpolationError, match="held-out"):
+            interpolate_delta(2)
+    finally:
+        polylab._interpolate.cache_clear()
 
 
 def test_interpolants_evaluate_on_fresh_primes():
