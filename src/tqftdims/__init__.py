@@ -15,7 +15,7 @@ All core arithmetic is exact (integers, fractions, cyclotomic numbers).
 Floating point appears only in optional display columns of the CLI.
 """
 
-from .census import count_parities, enumerate_colorings
+from .census import count_parities
 from .cyclotomic import CycNum
 from .fusion import delta_via_matrix, galois_sum_delta, galois_sum_total, total_via_matrix
 from .polylab import BiPoly, interpolate_delta, interpolate_total, residue_total_poly
@@ -31,7 +31,6 @@ __all__ = [
     "count_parities",
     "delta_via_matrix",
     "dim_table",
-    "enumerate_colorings",
     "galois_sum_delta",
     "galois_sum_total",
     "interpolate_delta",

@@ -13,9 +13,13 @@ even sum, |i - j| <= k <= i + j, and i + j + k <= 2p - 4.  Smallness bounds
 every loop color by (p-3)/2.  The far end u_g has degree two and is modeled
 with a phantom color-0 edge, which pins a_g to the incoming chain color.
 
-Every walk here reads its ranges from one table, built per call from the
-vertex inequalities: for each incoming chain color x, the stick colors a
-that admit a next chain color, with that color's range lo..hi.
+There are two walks, one per job: count_parities counts, and the private
+_records streams `census --list`.  Both read their ranges from one table,
+built per call from the vertex inequalities: for each incoming chain color
+x, the stick colors a that admit a next chain color, with that color's
+range lo..hi.  The reference for the record stream is the whole-graph
+enumerator in tests/test_census.py, which colors raw edges and shares no
+code with that table.
 
 The loop half-color b_i constrains nothing outside its own vertex, and it
 ranges over 0..d-1-a_i.  So count_parities walks only the (a, e)
@@ -34,28 +38,17 @@ from the defining inequalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .cyclotomic import _check_color, _check_prime
 
 __all__ = [
-    "Coloring",
     "LollipopTree",
-    "Parity",
     "STATE_GUARD",
     "beta_eta_bruteforce",
     "beta_eta_closed",
-    "coloring_record",
     "count_parities",
-    "enumerate_colorings",
-    "parity",
     "state_estimate",
 ]
-
-
-class Parity(Enum):
-    EVEN = "even"
-    ODD = "odd"
 
 
 @dataclass(frozen=True)
@@ -77,30 +70,6 @@ class LollipopTree:
         return (self.p - 1) // 2
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Half-color data of one admissible small coloring."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    e: tuple[int, ...]
-
-    @property
-    def g(self) -> int:
-        return len(self.a)
-
-
-def parity(coloring: Coloring, c: int) -> Parity:
-    """Parity class of a coloring: even iff c + sum(a_i) is even.
-
-    The one special case (g, c) = (2, 0) is declared even outright; there
-    admissibility pins a_1 = a_2, so the general rule agrees.
-    """
-    if coloring.g == 2 and c == 0:
-        return Parity.EVEN
-    return Parity.EVEN if (c + sum(coloring.a)) % 2 == 0 else Parity.ODD
-
-
 def _moves(tree: LollipopTree) -> list[list[tuple[int, int, int]]]:
     """Admissibility table: moves[x] lists (a, lo, hi) for every stick
     half-color a at a vertex entered by chain half-color x, where lo..hi is
@@ -120,41 +89,15 @@ def _moves(tree: LollipopTree) -> list[list[tuple[int, int, int]]]:
     return table
 
 
-def enumerate_colorings(p: int, g: int, c: int):
-    """Yield every small admissible coloring, in lexicographic order.
-
-    The order key is the flat tuple (a_1, b_1, e_1, a_2, b_2, e_2, ..., a_g, b_g).
-    """
-    tree = LollipopTree(p, g, c)
-    d = tree.d
-    moves = _moves(tree)
-    a_buf = [0] * g
-    b_buf = [0] * g
-    e_buf = [0] * (g - 1)
-
-    def walk(i: int, x: int):
-        if i == g - 1:
-            # Degree-two far end: the stick half-color must equal the
-            # incoming chain color x.
-            a_buf[i] = x
-            for b in range(d - x):
-                b_buf[i] = b
-                yield Coloring(tuple(a_buf), tuple(b_buf), tuple(e_buf))
-            return
-        for a, lo, hi in moves[x]:
-            a_buf[i] = a
-            for b in range(d - a):
-                b_buf[i] = b
-                for e in range(lo, hi + 1):
-                    e_buf[i] = e
-                    yield from walk(i + 1, e)
-
-    yield from walk(0, c)
-
-
 def _records(p: int, g: int, c: int):
-    """Yield coloring_record(col, c) for every col of enumerate_colorings,
-    in the same order, built from prefix strings carried down the walk.
+    """Yield one record per small admissible coloring, for `census --list`.
+
+    A record reads "g;c;a_1,b_1,...,a_g,b_g;e_1,...,e_(g-1);parity", where
+    parity is "even" when c + sum(a_i) is even and "odd" otherwise.  At
+    (g, c) = (2, 0) every record is "even" by convention; admissibility pins
+    a_1 = a_2 there, so the general rule agrees.  Records come in
+    increasing order of the integer tuple
+    (a_1, b_1, e_1, ..., a_(g-1), b_(g-1), e_(g-1), a_g, b_g).
 
     ab holds "a_1,b_1,...,a_i,b_i," and es holds "e_1,...,e_i,"; each record
     is one f-string at the leaf.
@@ -163,7 +106,6 @@ def _records(p: int, g: int, c: int):
     d = tree.d
     moves = _moves(tree)
     head = f"{g};{c};"
-    # parity()'s convention: (g, c) = (2, 0) is even outright.
     names = ("even", "even") if (g, c) == (2, 0) else ("even", "odd")
 
     def walk(i: int, x: int, ab: str, es: str, par: int):
@@ -236,13 +178,6 @@ def beta_eta_closed(p: int, c1: int, c2: int) -> tuple[int, int]:
     d = _check_color(p, c1, c2)
     m, big = min(c1, c2), max(c1, c2)
     return (m + 1) * (d - big), m * (d - big)
-
-
-def coloring_record(coloring: Coloring, c: int) -> str:
-    """Flat serialization: g;c;a_1,b_1,...,a_g,b_g;e_1,...,e_(g-1);parity."""
-    ab = ",".join(str(v) for pair in zip(coloring.a, coloring.b) for v in pair)
-    es = ",".join(str(v) for v in coloring.e)
-    return f"{coloring.g};{c};{ab};{es};{parity(coloring, c).value}"
 
 
 #: state_estimate above which `census` refuses and verify lowers its genus.

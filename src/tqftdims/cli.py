@@ -13,8 +13,10 @@ verify runs the same claim functions as tests/test_acceptance.py.
 Exit codes: 0 success, 1 verification failure (including an internal
 ArithmeticError, reported as one line) or stdout closed by its reader
 (a broken pipe, reported by nothing), 2 invalid input, 3 refused by the
-census size guard.  All exact output is deterministic; the optional
-float columns are display-only and never influence exit codes.
+census size guard or by a genus too deep for the census walk to recurse.
+All exact output is deterministic; the optional float columns are
+display-only and never influence exit codes (a float that overflows
+displays as inf).
 """
 
 from __future__ import annotations
@@ -73,6 +75,15 @@ def total_float(p: int, g: int, c: int) -> float:
     return (p / 4.0) ** (g - 1) * acc
 
 
+def _display(value, p: int, g: int, c: int) -> str:
+    """One float display cell; a float that overflows shows as inf, since
+    every count is >= 0."""
+    try:
+        return f"{value(p, g, c):.6f}"
+    except OverflowError:
+        return "inf"
+
+
 # -- row emission --------------------------------------------------------------
 
 
@@ -99,8 +110,8 @@ def _cmd_dims(ns) -> int:
     for g, c, fe, fo, total, delta in table.rows():
         row = {"p": p, "g": g, "c": c, "fe": fe, "fo": fo, "D": total, "delta": delta}
         if ns.float_display:
-            row["delta_sine"] = f"{delta_float(p, g, c):.6f}"
-            row["D_sine"] = f"{total_float(p, g, c):.6f}"
+            row["delta_sine"] = _display(delta_float, p, g, c)
+            row["D_sine"] = _display(total_float, p, g, c)
         rows.append(row)
     _emit_rows(rows, cols, ns.format)
     return EXIT_OK
@@ -117,8 +128,12 @@ def _cmd_census(ns) -> int:
         )
         return EXIT_GUARD
     if ns.list:
-        print("g;c;ab;e;parity")
-        for record in census._records(tree.p, tree.g, tree.c):
+        records = census._records(tree.p, tree.g, tree.c)
+        # Every tree has a coloring and every record lies at the walk's full
+        # depth, so a walk too deep to recurse fails here, before any output.
+        first = next(records)
+        print("g;c;ab;e;parity", first, sep="\n")
+        for record in records:
             print(record)
         return EXIT_OK
     fe, fo = census.count_parities(tree.p, tree.g, tree.c)
@@ -276,6 +291,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # Only the census walks recurse, once per genus: too big to run.
+        print("refusing census: the genus is deeper than the walk can recurse", file=sys.stderr)
+        return EXIT_GUARD
     except ArithmeticError as exc:
         # An exact invariant failed inside the program (a census parity
         # invariant, a non-integral Bareiss quotient, a route disagreement):

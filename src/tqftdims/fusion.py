@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .cyclotomic import (
     INFINITE,
@@ -119,22 +120,30 @@ class FusionElement:
         return tuple(self.coords[perm[j]] for j in range(len(perm)))
 
 
-def _product(p: int, xv, yv):
-    """Multiply in the quotient by expanding x along the Chebyshev ladder:
-    e_0 y = y, e_1 y = z y, e_(i+1) y = z (e_i y) - e_(i-1) y."""
-    d = (p - 1) // 2
-    out = [0] * d
+def _ladder(p: int, yv):
+    """Yield the coordinates of e_0 y, e_1 y, e_2 y, ... along the Chebyshev
+    ladder e_0 y = y, e_1 y = z y, e_(i+1) y = z (e_i y) - e_(i-1) y.
+
+    Each step is computed only when the next value is asked for.
+    """
     prev = None
     cur = list(yv)
-    for i, xi in enumerate(xv):
+    while True:
+        yield cur
+        nxt = _mul_by_z(p, cur)
+        if prev is not None:
+            nxt = [a - b for a, b in zip(nxt, prev)]
+        prev, cur = cur, nxt
+
+
+def _product(p: int, xv, yv):
+    """Multiply in the quotient by expanding x along the ladder of y."""
+    d = (p - 1) // 2
+    out = [0] * d
+    for xi, cur in zip(xv, _ladder(p, yv)):
         if xi:
             for k in range(d):
                 out[k] += xi * cur[k]
-        if i + 1 < d:
-            nxt = _mul_by_z(p, cur)
-            if prev is not None:
-                nxt = [n - q for n, q in zip(nxt, prev)]
-            prev, cur = cur, nxt
     return out
 
 
@@ -143,14 +152,7 @@ def cheb_vector(p: int, n: int) -> FusionElement:
     d = _rank(p)
     if n < 0:
         raise ValueError("ladder index must be >= 0")
-    prev = None
-    cur = [0] * d
-    cur[0] = 1
-    for _ in range(n):
-        nxt = _mul_by_z(p, cur)
-        if prev is not None:
-            nxt = [a - b for a, b in zip(nxt, prev)]
-        prev, cur = cur, nxt
+    (cur,) = islice(_ladder(p, [1] + [0] * (d - 1)), n, n + 1)
     return FusionElement(p, tuple(cur))
 
 
@@ -285,24 +287,25 @@ def mul_matrix_even(x: FusionElement) -> FusionMatrix:
     return FusionMatrix(p, tuple(tuple(cols[i][j] for i in range(d)) for j in range(d)))
 
 
-@lru_cache(maxsize=None)
-def alternating_element(p: int) -> FusionElement:
-    """sum over n of (-1)^n (d - n) e_{2n}."""
+def _weighted_even_sum(p: int, sign: int) -> FusionElement:
+    """sum over n of sign^n (d - n) e_{2n}."""
     d = _rank(p)
     acc = cheb_vector(p, 0) * d
     for n in range(1, d):
-        acc = acc + cheb_vector(p, 2 * n) * ((-1) ** n * (d - n))
+        acc = acc + cheb_vector(p, 2 * n) * (sign**n * (d - n))
     return acc
+
+
+@lru_cache(maxsize=None)
+def alternating_element(p: int) -> FusionElement:
+    """sum over n of (-1)^n (d - n) e_{2n}."""
+    return _weighted_even_sum(p, -1)
 
 
 @lru_cache(maxsize=None)
 def counting_element(p: int) -> FusionElement:
     """sum over n of (d - n) e_{2n}; also equals sum of e_{2n} squared."""
-    d = _rank(p)
-    acc = cheb_vector(p, 0) * d
-    for n in range(1, d):
-        acc = acc + cheb_vector(p, 2 * n) * (d - n)
-    return acc
+    return _weighted_even_sum(p, 1)
 
 
 def _matrix_power_entry(p: int, g: int, c: int, elem: FusionElement) -> int:

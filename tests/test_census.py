@@ -14,16 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqftdims.census import (
-    Coloring,
     LollipopTree,
-    Parity,
     _records,
     beta_eta_bruteforce,
     beta_eta_closed,
-    coloring_record,
     count_parities,
-    enumerate_colorings,
-    parity,
     state_estimate,
 )
 
@@ -32,16 +27,19 @@ def _ok3(p, i, j, k):
     return (i + j + k) % 2 == 0 and abs(i - j) <= k <= i + j and i + j + k <= 2 * p - 4
 
 
-def _raw_counts(p, g, c, trunk_at_start=True):
-    """(even, odd) over all raw edge colorings of the genus-g caterpillar.
+def _raw_records(p, g, c, trunk_at_start=True):
+    """Census records over all raw edge colorings of the genus-g caterpillar.
 
     Edges: one trunk fixed at color 2c, sticks s_1..s_g, loops l_1..l_g, and
     chains t_1..t_(g-1); all free colors range over 0..p-2.  A degree-two
-    path end forces its two colors equal.  Exponential; test sizes only.
+    path end forces its two colors equal.  Each kept coloring becomes a
+    record "g;c;a_1,b_1,...,a_g,b_g;e_1,...,e_(g-1);parity" with a = s/2,
+    b = l - a, e = t/2, and parity read from c + sum(a).  Yields
+    (key, record) in enumeration order, key being the integer tuple
+    (a_1, b_1, e_1, ..., a_g, b_g).  Exponential; test sizes only.
     """
     d = (p - 1) // 2
     rng = range(p - 1)
-    even = odd = 0
     for sticks in itertools.product(rng, repeat=g):
         for chains in itertools.product(rng, repeat=max(g - 1, 0)):
             if g == 1:
@@ -70,13 +68,28 @@ def _raw_counts(p, g, c, trunk_at_start=True):
                     continue
                 if not all(_ok3(p, l, l, s) for l, s in zip(loops, sticks)):
                     continue
-                # all sticks are even by now; parity reads their half-colors
-                assert all(s % 2 == 0 for s in sticks)
-                if (c + sum(sticks) // 2) % 2 == 0:
-                    even += 1
-                else:
-                    odd += 1
-    return even, odd
+                # all sticks and chains are even by now; records read their
+                # half-colors
+                assert all(s % 2 == 0 for s in sticks + chains)
+                a = [s // 2 for s in sticks]
+                b = [l - x for l, x in zip(loops, a)]
+                e = [t // 2 for t in chains]
+                key = tuple(v for i in range(g) for v in (a[i], b[i], *e[i : i + 1]))
+                ab = ",".join(f"{x},{y}" for x, y in zip(a, b))
+                es = ",".join(map(str, e))
+                par = "even" if (c + sum(a)) % 2 == 0 else "odd"
+                yield key, f"{g};{c};{ab};{es};{par}"
+
+
+def _parity_tally(records):
+    """(even, odd) over a list of records, read from their trailing parity."""
+    odd = sum(rec.endswith(";odd") for rec in records)
+    return len(records) - odd, odd
+
+
+def _raw_counts(p, g, c, trunk_at_start=True):
+    """(even, odd) over all raw edge colorings: the tally of _raw_records."""
+    return _parity_tally([rec for _key, rec in _raw_records(p, g, c, trunk_at_start)])
 
 
 @pytest.mark.parametrize(
@@ -118,45 +131,18 @@ def test_frozen_small_counts():
 def test_enumeration_agrees_with_counting():
     for p, g in [(5, 1), (5, 2), (5, 3), (7, 2), (11, 2)]:
         for c in range((p - 1) // 2):
-            tally = {Parity.EVEN: 0, Parity.ODD: 0}
-            for col in enumerate_colorings(p, g, c):
-                tally[parity(col, c)] += 1
-            assert (tally[Parity.EVEN], tally[Parity.ODD]) == count_parities(p, g, c)
-
-
-def test_enumeration_is_lexicographic_and_valid():
-    p, g, c = 7, 3, 1
-    d = (p - 1) // 2
-    seen = []
-    for col in enumerate_colorings(p, g, c):
-        flat = []
-        for i in range(g):
-            flat.append(col.a[i])
-            flat.append(col.b[i])
-            if i < g - 1:
-                flat.append(col.e[i])
-        seen.append(tuple(flat))
-        # structural validity, checked from the definitions
-        assert len(col.a) == g and len(col.b) == g and len(col.e) == g - 1
-        for a, b in zip(col.a, col.b):
-            assert 0 <= a + b <= d - 1
-        x = c
-        for i in range(g - 1):
-            assert _ok3(p, 2 * x, 2 * col.a[i], 2 * col.e[i])
-            x = col.e[i]
-        assert col.a[g - 1] == x
-    assert seen == sorted(seen)
-    assert len(seen) == len(set(seen))
+            assert _parity_tally(list(_records(p, g, c))) == count_parities(p, g, c)
 
 
 def test_parity_convention_special_case():
     # at (g, c) = (2, 0) the two stick half-colors coincide, so the general
-    # rule already answers even; the explicit branch must agree
-    for col in enumerate_colorings(5, 2, 0):
-        assert col.a[0] == col.a[1]
-        assert parity(col, 0) is Parity.EVEN
-    assert parity(Coloring((1, 2), (0, 0), (1,)), 1) is Parity.EVEN
-    assert parity(Coloring((1, 2, 0), (0, 0, 0), (1, 0)), 0) is Parity.ODD
+    # rule already answers even; the explicit convention must agree
+    records = list(_records(5, 2, 0))
+    assert records
+    for rec in records:
+        assert rec.endswith(";even")
+        a1, _b1, a2, _b2 = rec.split(";")[2].split(",")
+        assert a1 == a2
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -195,22 +181,15 @@ def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         beta_eta_closed(5, 0, 2)
     with pytest.raises(ValueError):
-        list(enumerate_colorings(5, 2, 5))
-    with pytest.raises(ValueError):
         list(_records(5, 2, 5))
-
-
-def test_coloring_record_format():
-    col = Coloring((1, 0), (0, 1), (1,))
-    assert coloring_record(col, 1) == "2;1;1,0,0,1;1;even"
-    one = Coloring((0,), (1,), ())
-    assert coloring_record(one, 0) == "1;0;0,1;;even"
 
 
 @pytest.mark.parametrize("p,g", [(5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2)])
 def test_record_stream_matches_reference(p, g):
+    # the raw oracle shares no code with census._moves, so this pins the
+    # stream's bytes, its order and the validity of every record
     for c in range((p - 1) // 2):
-        expected = [coloring_record(col, c) for col in enumerate_colorings(p, g, c)]
+        expected = [rec for _key, rec in sorted(_raw_records(p, g, c))]
         assert list(_records(p, g, c)) == expected
 
 
@@ -248,10 +227,7 @@ def test_census_totals_are_symmetric_functions_property(g, c):
 )
 @settings(max_examples=40, deadline=None)
 def test_counting_walk_matches_enumeration_property(p, g, c):
-    # count_parities weights skeletons by their loop choices; the
-    # enumeration visits every coloring, so the two walks check each other
+    # count_parities weights skeletons by their loop choices; the record
+    # stream visits every coloring, so the two walks check each other
     if c <= (p - 3) // 2:
-        tally = [0, 0]
-        for col in enumerate_colorings(p, g, c):
-            tally[parity(col, c) is Parity.ODD] += 1
-        assert tuple(tally) == count_parities(p, g, c)
+        assert _parity_tally(list(_records(p, g, c))) == count_parities(p, g, c)

@@ -68,6 +68,19 @@ def test_dims_float_display_columns():
         assert abs(float(cells[8]) - t.total(g, c)) < 1e-6
 
 
+def test_dims_float_display_overflow_shows_inf():
+    # the sine form overflows a float long before the exact counts stop;
+    # display columns must not change the exit code or the exact columns
+    args = ("dims", "--p", "11", "--gmax", "400", "--format", "csv")
+    plain = run_cli(*args)
+    res = run_cli(*args, "--float-display")
+    assert res.returncode == EXIT_OK
+    assert res.stderr == ""
+    lines = res.stdout.splitlines()
+    assert [line.rsplit(",", 2)[0] for line in lines] == plain.stdout.splitlines()
+    assert any(line.endswith(",inf") for line in lines)
+
+
 def test_byte_determinism():
     first = run_cli("dims", "--p", "11", "--gmax", "3", "--format", "json", binary=True)
     second = run_cli("dims", "--p", "11", "--gmax", "3", "--format", "json", binary=True)
@@ -103,8 +116,9 @@ def test_census_counts_and_stream():
     ],
 )
 def test_census_list_bytes_frozen(p, g, c, digest, lines):
-    # sha256 of the --list stdout, frozen from the one-Coloring-per-record
-    # stream (enumerate_colorings plus coloring_record)
+    # sha256 of the --list stdout, frozen from an earlier stream that built
+    # one coloring object per record and serialized it; the record stream
+    # must keep these bytes
     res = run_cli("census", "--p", str(p), "--g", str(g), "--c", str(c), "--list", binary=True)
     assert res.returncode == EXIT_OK
     assert res.stdout.count(b"\n") == lines
@@ -137,6 +151,17 @@ def test_census_size_guard():
     # forcing a small-enough case still works
     res = run_cli("census", "--p", "5", "--g", "3", "--c", "0", "--force")
     assert res.returncode == EXIT_OK
+
+
+@pytest.mark.parametrize("listing", [(), ("--list",)])
+def test_census_too_deep_to_recurse_is_refused(listing):
+    # the walks recurse once per genus, past the interpreter's limit here
+    res = run_cli("census", "--p", "5", "--g", "1200", "--c", "0", "--force", *listing)
+    assert res.returncode == EXIT_GUARD
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert "refus" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_poly_text_golden():
