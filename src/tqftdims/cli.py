@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from . import census, claims, fusion, polylab, recursion
 from .cyclotomic import _check_prime
@@ -41,26 +42,27 @@ DIM_COLUMNS = ["p", "g", "c", "fe", "fo", "D", "delta"]
 # -- float display helpers (never on an exit-code path) -----------------------
 
 
-def _sine_eigenvalues(p: int, g: int):
+# Bounded: a display table reads one prime; 8 serve a few tables in one process.
+@lru_cache(maxsize=8)
+def _sine_bases(p: int) -> tuple[float, ...]:
+    """The d eigenvalues of the sine form; a cell raises them to the genus."""
     d = (p - 1) // 2
-    lams = []
+    bases = []
     for j in range(1, d + 1):
         lam = math.ceil((p - 1) / 4)
         for k in range(1, d):
             lam += 2 * (-1) ** k * math.ceil((p - 2 * k - 1) / 4) * math.cos(
                 2 * math.pi * k * j / p
             )
-        lams.append(lam**g)
-    return lams
+        bases.append(lam)
+    return tuple(bases)
 
 
 def delta_float(p: int, g: int, c: int) -> float:
     """Signed count from the sine form; display-only sanity value."""
-    d = (p - 1) // 2
-    lams = _sine_eigenvalues(p, g)
     acc = 0.0
-    for j in range(1, d + 1):
-        acc += math.sin(math.pi * j * (2 * c + 1) / p) * math.sin(math.pi * j / p) * lams[j - 1]
+    for j, lam in enumerate(_sine_bases(p), start=1):
+        acc += math.sin(math.pi * j * (2 * c + 1) / p) * math.sin(math.pi * j / p) * lam**g
     return (-1) ** c * 4.0 * acc / p
 
 

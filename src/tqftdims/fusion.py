@@ -308,26 +308,46 @@ def counting_element(p: int) -> FusionElement:
     return _weighted_even_sum(p, 1)
 
 
-def _matrix_power_entry(p: int, g: int, c: int, elem: FusionElement) -> int:
-    d = _check_color(p, c)
+# A ladder keeps M^g e_0 up to this genus and walks on from there without
+# keeping: entries grow with g, so keeping every power of a deep read would
+# hold O(g^2) digits per coordinate.
+_LADDER_DEPTH = 64
+
+
+# Bounded: a sweep over every trunk color reads one ladder, and a claim
+# sweep alternates the two elements at one prime.
+@lru_cache(maxsize=2)
+def _power_ladder(p: int, counting: bool) -> tuple[FusionMatrix, list]:
+    """The multiplication matrix M of the counting (or alternating) element,
+    with the vectors M^g e_0 kept so far (g <= _LADDER_DEPTH); the list only
+    grows."""
+    d = _rank(p)
+    mat = mul_matrix_even(counting_element(p) if counting else alternating_element(p))
+    return mat, [tuple(1 if j == 0 else 0 for j in range(d))]
+
+
+def _matrix_power_entry(p: int, g: int, c: int, counting: bool) -> int:
+    _check_color(p, c)
     if g < 0:
         raise ValueError("genus must be >= 0")
-    mat = mul_matrix_even(elem)
-    vec = tuple(1 if j == 0 else 0 for j in range(d))
-    for _ in range(g):
+    mat, vecs = _power_ladder(p, counting)
+    vec = vecs[min(g, len(vecs) - 1)]
+    for _ in range(len(vecs) - 1, g):
         vec = mat.apply(vec)
+        if len(vecs) <= _LADDER_DEPTH:
+            vecs.append(vec)
     return vec[c]
 
 
 def delta_via_matrix(p: int, g: int, c: int) -> int:
     """Signed count even - odd from the g-th power of the alternating matrix."""
-    val = _matrix_power_entry(p, g, c, alternating_element(p))
+    val = _matrix_power_entry(p, g, c, counting=False)
     return -val if c % 2 else val
 
 
 def total_via_matrix(p: int, g: int, c: int) -> int:
     """Total count from the g-th power of the counting matrix."""
-    return _matrix_power_entry(p, g, c, counting_element(p))
+    return _matrix_power_entry(p, g, c, counting=True)
 
 
 # -- exact diagonalization over Q(zeta_p) ------------------------------------
@@ -403,12 +423,19 @@ def _bracket(p: int, c: int) -> CycNum:
     return (monomial(p, k) - monomial(p, -k)) * (monomial(p, 1) - monomial(p, -1))
 
 
+# Bounded: a sweep over every trunk color at one (p, g) reads one power, or
+# alternates the two kinds.
+@lru_cache(maxsize=2)
+def _eigenvalue_power(p: int, g: int, counting: bool) -> CycNum:
+    return (counting_eigenvalue(p) if counting else alternating_eigenvalue(p)) ** g
+
+
 def galois_sum_delta(p: int, g: int, c: int) -> int:
     """Signed count even - odd as a closed Galois sum over Q(zeta_p)."""
     _check_color(p, c)
     if g < 0:
         raise ValueError("genus must be >= 0")
-    w = _bracket(p, c) * alternating_eigenvalue(p) ** g
+    w = _bracket(p, c) * _eigenvalue_power(p, g, counting=False)
     val = _galois_half_sum_int(p, w)
     return -val if c % 2 else val
 
@@ -418,7 +445,7 @@ def galois_sum_total(p: int, g: int, c: int) -> int:
     _check_color(p, c)
     if g < 0:
         raise ValueError("genus must be >= 0")
-    w = _bracket(p, c) * counting_eigenvalue(p) ** g
+    w = _bracket(p, c) * _eigenvalue_power(p, g, counting=True)
     return _galois_half_sum_int(p, w)
 
 

@@ -81,6 +81,16 @@ def test_dims_float_display_overflow_shows_inf():
     assert any(line.endswith(",inf") for line in lines)
 
 
+def test_dims_float_display_bytes_frozen():
+    # sha256 frozen from the display that recomputed the sine eigenvalues
+    # for every cell: computing them once per prime must not move a digit
+    argv = ("dims", "--p", "31", "--gmax", "12", "--format", "csv", "--float-display")
+    res = run_cli(*argv, binary=True)
+    assert res.returncode == EXIT_OK
+    digest = "9990de00b19706e15f8436afd0661e575bc9df7bacd7a44602a63741b8a2e409"
+    assert hashlib.sha256(res.stdout).hexdigest() == digest
+
+
 def test_byte_determinism():
     first = run_cli("dims", "--p", "11", "--gmax", "3", "--format", "json", binary=True)
     second = run_cli("dims", "--p", "11", "--gmax", "3", "--format", "json", binary=True)

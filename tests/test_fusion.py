@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftdims import cyclotomic
+from tqftdims import cyclotomic, fusion
 from tqftdims.cyclotomic import CycNum, galois, h_valuation, monomial, norm
 from tqftdims.fusion import (
     FusionElement,
@@ -281,9 +281,78 @@ def test_product_distributes_property(coords_x, coords_y):
     assert lhs.coords == rhs.coords
 
 
-@given(g=st.integers(min_value=0, max_value=5), c=st.integers(min_value=0, max_value=2))
+def _check_matrix_routes(p, g, t):
+    d = (p - 1) // 2
+    for c in range(d):
+        if g == 0:
+            assert delta_via_matrix(p, 0, c) == total_via_matrix(p, 0, c) == int(c == 0)
+        else:
+            assert delta_via_matrix(p, g, c) == t.delta(g, c)
+            assert total_via_matrix(p, g, c) == t.total(g, c)
+
+
+@pytest.mark.parametrize("p,gmax", [(11, 7), (5, fusion._LADDER_DEPTH + 3)])
+def test_power_ladder_cold_order(p, gmax):
+    # a cold ladder read deepest first must hold the same powers as one
+    # grown a genus at a time, also past the depth it keeps
+    t = dim_table(p, gmax)
+    fusion._power_ladder.cache_clear()
+    try:
+        for g in range(gmax, -1, -1):
+            _check_matrix_routes(p, g, t)
+        for g in range(gmax + 1):
+            _check_matrix_routes(p, g, t)
+        kept = min(gmax, fusion._LADDER_DEPTH) + 1
+        assert len(fusion._power_ladder(p, False)[1]) == kept
+        assert len(fusion._power_ladder(p, True)[1]) == kept
+    finally:
+        fusion._power_ladder.cache_clear()
+
+
+def test_trunk_color_sweep_builds_once(monkeypatch):
+    # every trunk color at one (p, g) costs one matrix and g mat-vecs per
+    # route, and one eigenvalue power per Galois route
+    p, g = 13, 5
+    d = (p - 1) // 2
+    calls = {"apply": 0, "build": 0}
+    apply, build = FusionMatrix.apply, fusion.mul_matrix_even
+
+    def counted_apply(self, vec):
+        calls["apply"] += 1
+        return apply(self, vec)
+
+    def counted_build(x):
+        calls["build"] += 1
+        return build(x)
+
+    monkeypatch.setattr(FusionMatrix, "apply", counted_apply)
+    monkeypatch.setattr(fusion, "mul_matrix_even", counted_build)
+    fusion._power_ladder.cache_clear()
+    fusion._eigenvalue_power.cache_clear()
+    try:
+        for n, route in enumerate((delta_via_matrix, total_via_matrix), start=1):
+            for c in range(d):
+                route(p, g, c)
+            assert calls == {"apply": n * g, "build": n}
+        for route in (galois_sum_delta, galois_sum_total):
+            for c in range(d):
+                route(p, g, c)
+        info = fusion._eigenvalue_power.cache_info()
+        assert (info.misses, info.hits) == (2, 2 * (d - 1))
+    finally:
+        fusion._power_ladder.cache_clear()
+        fusion._eigenvalue_power.cache_clear()
+
+
+@st.composite
+def _route_inputs(draw):
+    p = draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    return p, draw(st.integers(0, 8)), draw(st.integers(0, (p - 3) // 2))
+
+
+@given(_route_inputs())
 @settings(max_examples=25, deadline=None)
-def test_matrix_and_galois_routes_agree_property(g, c):
-    p = 7
+def test_matrix_and_galois_routes_agree_property(inputs):
+    p, g, c = inputs
     assert delta_via_matrix(p, g, c) == galois_sum_delta(p, g, c)
     assert total_via_matrix(p, g, c) == galois_sum_total(p, g, c)
