@@ -33,7 +33,6 @@ __all__ = [
     "monomial",
     "norm",
     "quantum_int",
-    "root_of_unity",
 ]
 
 #: Marker returned by :func:`h_valuation` for the zero element.
@@ -56,7 +55,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None, typed=True)
+# Bounded: verify re-reads each of its 18 primes; no run cycles through more.
+@lru_cache(maxsize=32, typed=True)
 def _check_prime(p: int) -> int:
     """Return p if it is an int prime >= 5, else raise ValueError.  Cached, as
     the recursion validates p per kernel entry; typed, so 5.0 is refused;
@@ -279,11 +279,6 @@ class CycNum:
         return f"CycNum({self.p}: {body})"
 
 
-def root_of_unity(p: int) -> CycNum:
-    """The primitive p-th root of unity zeta_p as a field element."""
-    return monomial(p, 1)
-
-
 def monomial(p: int, k: int) -> CycNum:
     """zeta_p^k for any integer k, reduced to canonical form."""
     _check_prime(p)
@@ -362,11 +357,6 @@ def quantum_int(p: int, n: int) -> CycNum:
     return CycNum(p, vec)
 
 
-@lru_cache(maxsize=None)
-def _inv_h(p: int) -> CycNum:
-    return inv(CycNum(p, [1, -1]))
-
-
 def h_valuation(x: CycNum):
     """h-adic valuation of an integral element, where h = 1 - zeta.
 
@@ -379,7 +369,7 @@ def h_valuation(x: CycNum):
     if not x:
         return INFINITE
     p = x.p
-    ih = _inv_h(p)
+    ih = inv(CycNum(p, [1, -1]))
     v = 0
     cur = x
     while sum(cur.num) % p == 0:

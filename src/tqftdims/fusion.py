@@ -156,7 +156,8 @@ def cheb_vector(p: int, n: int) -> FusionElement:
     return FusionElement(p, tuple(cur))
 
 
-@lru_cache(maxsize=None)
+# Bounded: verify's fusion suite finishes one prime's claims before the next.
+@lru_cache(maxsize=2)
 def even_basis_permutation(p: int) -> tuple[int, ...]:
     """Position of e_{2j} in the standard basis: 2j if 2j <= d-1, else 2d-1-2j."""
     d = _rank(p)
@@ -217,17 +218,6 @@ class FusionMatrix:
         if isinstance(other, (int, Fraction, CycNum)):
             return self * other
         return NotImplemented
-
-    def __sub__(self, other: "FusionMatrix") -> "FusionMatrix":
-        if self.p != other.p or self.size != other.size:
-            raise ValueError("matrix shapes or ranks differ")
-        return FusionMatrix(
-            self.p,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
 
     def apply(self, vec):
         """Matrix-vector product."""
@@ -296,13 +286,13 @@ def _weighted_even_sum(p: int, sign: int) -> FusionElement:
     return acc
 
 
-@lru_cache(maxsize=None)
+# Bounded: verify's fusion suite finishes one prime's claims before the next.
+@lru_cache(maxsize=2)
 def alternating_element(p: int) -> FusionElement:
     """sum over n of (-1)^n (d - n) e_{2n}."""
     return _weighted_even_sum(p, -1)
 
 
-@lru_cache(maxsize=None)
 def counting_element(p: int) -> FusionElement:
     """sum over n of (d - n) e_{2n}; also equals sum of e_{2n} squared."""
     return _weighted_even_sum(p, 1)
@@ -353,7 +343,8 @@ def total_via_matrix(p: int, g: int, c: int) -> int:
 # -- exact diagonalization over Q(zeta_p) ------------------------------------
 
 
-@lru_cache(maxsize=None)
+# Bounded: verify's fusion suite finishes one prime's claims before the next.
+@lru_cache(maxsize=2)
 def smatrix(p: int) -> FusionMatrix:
     """S_{ij} = q^((2i+1)(2j+1)) - q^(-(2i+1)(2j+1)) with q = zeta_p.
 
@@ -370,7 +361,6 @@ def smatrix(p: int) -> FusionMatrix:
     return FusionMatrix(p, tuple(rows))
 
 
-@lru_cache(maxsize=None)
 def qmatrix(p: int) -> FusionMatrix:
     """Diagonal matrix of the z-eigenvalues -q^(2j+1) - q^(-(2j+1))."""
     d = _rank(p)
@@ -382,7 +372,8 @@ def qmatrix(p: int) -> FusionMatrix:
     return FusionMatrix(p, tuple(rows))
 
 
-@lru_cache(maxsize=None)
+# Bounded: verify's fusion suite finishes one prime's claims before the next.
+@lru_cache(maxsize=2)
 def alternating_eigenvalue(p: int) -> CycNum:
     """Eigenvalue of the alternating element at the fundamental embedding:
     ceil(d/2) + sum_{k=1}^{d-1} (-1)^k ceil((d-k)/2) (q^2k + q^-2k).
@@ -397,7 +388,8 @@ def alternating_eigenvalue(p: int) -> CycNum:
     return acc
 
 
-@lru_cache(maxsize=None)
+# Bounded: verify's fusion suite finishes one prime's claims before the next.
+@lru_cache(maxsize=2)
 def counting_eigenvalue(p: int) -> CycNum:
     """Eigenvalue of the counting element: -p / (q - q^-1)^2."""
     h2 = (monomial(p, 1) - monomial(p, -1)) ** 2
@@ -430,29 +422,27 @@ def _eigenvalue_power(p: int, g: int, counting: bool) -> CycNum:
     return (counting_eigenvalue(p) if counting else alternating_eigenvalue(p)) ** g
 
 
-def galois_sum_delta(p: int, g: int, c: int) -> int:
-    """Signed count even - odd as a closed Galois sum over Q(zeta_p)."""
+def _galois_entry(p: int, g: int, c: int, counting: bool) -> int:
     _check_color(p, c)
     if g < 0:
         raise ValueError("genus must be >= 0")
-    w = _bracket(p, c) * _eigenvalue_power(p, g, counting=False)
-    val = _galois_half_sum_int(p, w)
+    return _galois_half_sum_int(p, _bracket(p, c) * _eigenvalue_power(p, g, counting))
+
+
+def galois_sum_delta(p: int, g: int, c: int) -> int:
+    """Signed count even - odd as a closed Galois sum over Q(zeta_p)."""
+    val = _galois_entry(p, g, c, counting=False)
     return -val if c % 2 else val
 
 
 def galois_sum_total(p: int, g: int, c: int) -> int:
     """Total count as the same Galois sum with the counting eigenvalue."""
-    _check_color(p, c)
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    w = _bracket(p, c) * _eigenvalue_power(p, g, counting=True)
-    return _galois_half_sum_int(p, w)
+    return _galois_entry(p, g, c, counting=True)
 
 
 # -- twist Vandermonde (Hopf pairing) matrix ---------------------------------
 
 
-@lru_cache(maxsize=None)
 def hopf_vandermonde(p: int) -> FusionMatrix:
     """H_{ij} = (-1)^j [j+1] mu_j^i with twist eigenvalues
     mu_j = zeta^((d+1) j (j+2)), for i, j = 0..d-1."""

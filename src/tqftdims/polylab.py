@@ -37,7 +37,6 @@ __all__ = [
     "leading_term_report",
     "newton_coeffs",
     "normalized_bernoulli",
-    "power_sum_coeffs",
     "residue_total_poly",
     "sinh_ratio_series",
 ]
@@ -57,6 +56,8 @@ class LeadingTermError(AssertionError):
 # -- Bernoulli numbers --------------------------------------------------------
 
 
+# Unbounded: the keys are exactly 0..k for the largest k asked for, and the
+# recursion re-reads all of them, so any smaller bound makes it exponential.
 @lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k in the convention t/(e^t - 1) = sum B_k t^k / k!,
@@ -90,19 +91,6 @@ def bern_identity_check(g: int) -> bool:
     for k in range(n + 1):
         acc += (2**k) * (2**k - 1) * math.comb(n, k) * bernoulli(k)
     return acc == 0
-
-
-def power_sum_coeffs(k: int) -> list[Fraction]:
-    """Coefficients (ascending) of the polynomial N -> sum_{n=0}^{N-1} n^k.
-
-    Faulhaber with B_1 = -1/2; the leading term is N^(k+1)/(k+1).
-    """
-    if k < 0:
-        raise ValueError("power must be >= 0")
-    out = [_ZERO] * (k + 2)
-    for j in range(k + 1):
-        out[k + 1 - j] = Fraction(math.comb(k + 1, j), k + 1) * bernoulli(j)
-    return out
 
 
 # -- exact bivariate polynomials ----------------------------------------------
@@ -458,7 +446,8 @@ def interpolate_total(g: int) -> BiPoly:
     return _interpolate(g, 3 * g - 2, "total")
 
 
-@lru_cache(maxsize=None)
+# Bounded: leading_terms.py re-reads both the delta and the total fit of a genus.
+@lru_cache(maxsize=2)
 def _interpolate(g: int, deg: int, kind: str) -> BiPoly:
     """Fit DimTable.<kind>(g, c) of degree deg, then check held-out points."""
     # every fit prime must admit c = 0..deg, i.e. (p-3)/2 >= deg

@@ -77,7 +77,8 @@ class DimTable:
                 yield g, c, fe, fo, fe + fo, fe - fo
 
 
-@lru_cache(maxsize=None)
+# Bounded: a hit is at most 8 tables back, in verify's poly suite.
+@lru_cache(maxsize=16)
 def dim_table(p: int, gmax: int) -> DimTable:
     """Build the count table for prime p up to genus gmax."""
     _check_prime(p)
@@ -103,7 +104,6 @@ def dim_table(p: int, gmax: int) -> DimTable:
     return DimTable(p, gmax, tuple(evens), tuple(odds))
 
 
-@lru_cache(maxsize=None)
 def delta_direct(p: int, g: int) -> tuple[int, ...]:
     """delta for all c via the collapsed kernel d - max(a, c)."""
     _check_prime(p)
@@ -118,7 +118,6 @@ def delta_direct(p: int, g: int) -> tuple[int, ...]:
     return cur
 
 
-@lru_cache(maxsize=None)
 def delta_split(p: int, g: int) -> tuple[int, ...]:
     """Same recursion with the kernel split as (d - a) plus an a < c correction."""
     _check_prime(p)

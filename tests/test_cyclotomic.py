@@ -16,7 +16,6 @@ from tqftdims.cyclotomic import (
     monomial,
     norm,
     quantum_int,
-    root_of_unity,
 )
 
 PRIMES = (5, 7, 11, 13)
@@ -46,7 +45,7 @@ def test_top_coefficient_folds():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_root_powers_sum_to_zero(p):
-    z = root_of_unity(p)
+    z = monomial(p, 1)
     acc = CycNum.scalar(p, 0)
     for k in range(p):
         acc = acc + z**k
@@ -68,7 +67,7 @@ def test_scalar_coercion_and_rationals():
     assert x + 1 == CycNum.scalar(7, Fraction(5, 2))
     assert 2 * x == CycNum.scalar(7, 3)
     assert 1 - x == CycNum.scalar(7, Fraction(-1, 2))
-    y = root_of_unity(7)
+    y = monomial(7, 1)
     assert not y.is_rational()
     with pytest.raises(ArithmeticError):
         y.as_rational()
@@ -90,11 +89,11 @@ def test_repr_lists_rational_coordinates():
 
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
-        root_of_unity(5) + root_of_unity(7)
+        monomial(5, 1) + monomial(7, 1)
 
 
 def test_division_and_pow():
-    z = root_of_unity(7)
+    z = monomial(7, 1)
     x = 1 + z + z**3
     assert x / x == 1
     assert x ** (-2) == inv(x) * inv(x)
@@ -107,7 +106,7 @@ def test_division_and_pow():
 
 
 def test_galois_basics():
-    z = root_of_unity(11)
+    z = monomial(11, 1)
     x = 3 + 2 * z + z**4
     assert galois(x, 1) == x
     assert galois(x, 12) == x
@@ -122,7 +121,7 @@ def test_galois_basics():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_norm_of_h_is_p(p):
-    h = 1 - root_of_unity(p)
+    h = 1 - monomial(p, 1)
     assert norm(h) == p
 
 
@@ -133,7 +132,7 @@ def test_norm_of_scalar():
 
 def test_quantum_int_values():
     p = 7
-    q = root_of_unity(p)
+    q = monomial(p, 1)
     assert quantum_int(p, 0) == 0
     assert quantum_int(p, 1) == 1
     assert quantum_int(p, 2) == q + q ** (-1)

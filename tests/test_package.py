@@ -1,14 +1,18 @@
 """Package hygiene: exported names resolve, the independent routes stay
-independent at the import level, and no new cache is unbounded."""
+independent at the import level, and every cache but one is bounded by the
+reuse its callers need."""
 
 import ast
+import contextlib
 import importlib
+import io
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import tqftdims
+from tqftdims import cli, polylab
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(tqftdims.__path__) if info.name != "__main__"
@@ -57,30 +61,14 @@ def test_routes_import_only_cyclotomic(module):
     assert _package_imports(module) <= {"cyclotomic"}
 
 
-# The caches that were unbounded when bounds became required; each one still
-# needs a size or a stated reason (ROADMAP item 4).  A new cache declares a
-# maxsize, so this set may only shrink.
-UNBOUNDED_CACHES = {
-    "cyclotomic._check_prime",
-    "cyclotomic._inv_h",
-    "fusion.alternating_eigenvalue",
-    "fusion.alternating_element",
-    "fusion.counting_eigenvalue",
-    "fusion.counting_element",
-    "fusion.even_basis_permutation",
-    "fusion.hopf_vandermonde",
-    "fusion.qmatrix",
-    "fusion.smatrix",
-    "polylab._interpolate",
-    "polylab.bernoulli",
-    "recursion.delta_direct",
-    "recursion.delta_split",
-    "recursion.dim_table",
-}
+# Every cache declares a maxsize sized by its callers' measured reuse, except
+# bernoulli: its recursion re-reads every smaller index, so a bound below the
+# largest index asked for makes it exponential.  This set may only shrink.
+UNBOUNDED_CACHES = {"polylab.bernoulli"}
 
 
-def _module_caches() -> dict[str, int | None]:
-    """maxsize of every functools cache defined at module or class level."""
+def _module_caches() -> dict:
+    """Every functools cache defined at module or class level, by name."""
     found = {}
     for name in MODULES:
         module = importlib.import_module(f"tqftdims.{name}")
@@ -90,7 +78,7 @@ def _module_caches() -> dict[str, int | None]:
                 candidates += [(f"{attr}.{m}", v) for m, v in vars(obj).items()]
             for qual, cand in candidates:
                 if hasattr(cand, "cache_parameters") and cand.__module__ == module.__name__:
-                    found[f"{name}.{qual}"] = cand.cache_parameters()["maxsize"]
+                    found[f"{name}.{qual}"] = cand
     return found
 
 
@@ -112,4 +100,49 @@ def test_no_new_unbounded_cache():
     caches = _module_caches()
     # the walk sees every decorated cache, so none hides inside a function
     assert len(caches) == _cache_decorators()
-    assert {name for name, size in caches.items() if size is None} == UNBOUNDED_CACHES
+    unbounded = {name for name, c in caches.items() if c.cache_parameters()["maxsize"] is None}
+    assert unbounded == UNBOUNDED_CACHES
+
+
+def _cold_misses(run) -> dict[str, int]:
+    """Misses of every cache over one run that starts with all caches empty."""
+    caches = _module_caches()
+    for cache in caches.values():
+        cache.cache_clear()
+    run()
+    return {name: cache.cache_info().misses for name, cache in caches.items()}
+
+
+# Misses of the default verify with every cache unbounded: a bound that drops
+# an entry some caller re-reads shows up as an extra miss.
+VERIFY_MISSES = {
+    "cli._sine_bases": 0,
+    "cyclotomic._check_prime": 18,
+    "fusion._eigenvalue_power": 32,
+    "fusion._power_ladder": 8,
+    "fusion.alternating_eigenvalue": 4,
+    "fusion.alternating_element": 4,
+    "fusion.counting_eigenvalue": 4,
+    "fusion.even_basis_permutation": 4,
+    "fusion.smatrix": 4,
+    "polylab._interpolate": 6,
+    "polylab.bernoulli": 23,
+    "recursion.dim_table": 32,
+}
+
+
+def test_cache_bounds_hold_verify_reuse():
+    def verify():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify"]) == 0
+
+    assert _cold_misses(verify) == VERIFY_MISSES
+
+
+def test_interpolation_cache_holds_both_fits_of_a_genus():
+    def leading_terms():
+        polylab.interpolate_delta(3)
+        polylab.interpolate_total(3)
+        polylab.leading_term_report(3)
+
+    assert _cold_misses(leading_terms)["polylab._interpolate"] == 2

@@ -23,7 +23,6 @@ from tqftdims.polylab import (
     leading_term_report,
     newton_coeffs,
     normalized_bernoulli,
-    power_sum_coeffs,
     residue_total_poly,
     sinh_ratio_series,
     _base_quotient,
@@ -64,16 +63,6 @@ def test_normalized_bernoulli_values():
 def test_bernoulli_alternating_identity():
     for g in range(11):
         assert bern_identity_check(g)
-
-
-def test_power_sums_against_brute_force():
-    for k in range(7):
-        coeffs = power_sum_coeffs(k)
-        assert coeffs[k + 1] == F(1, k + 1)
-        for n_top in range(9):
-            want = sum(n**k for n in range(n_top))
-            got = sum(q * n_top**i for i, q in enumerate(coeffs))
-            assert got == want
 
 
 def test_bipoly_basics():
