@@ -12,8 +12,9 @@ verify runs the same claim functions as tests/test_acceptance.py.
 
 Exit codes: 0 success, 1 verification failure (including an internal
 ArithmeticError, reported as one line) or stdout closed by its reader
-(a broken pipe, reported by nothing), 2 invalid input, 3 refused by the
-census size guard or by a genus too deep for the census walk to recurse.
+(a broken pipe, reported by nothing), 2 invalid input, 3 refused by a
+size guard (census or dims) or by a genus too deep for the census walk to
+recurse.
 All exact output is deterministic; the optional float columns are
 display-only and never influence exit codes (a float that overflows
 displays as inf).
@@ -86,6 +87,49 @@ def _display(value, p: int, g: int, c: int) -> str:
         return "inf"
 
 
+# -- dims size guard -----------------------------------------------------------
+
+#: Fitted growth of a `dims` run's peak resident size over start-up, in bytes
+#: per table cell and per digit of the digit bound, by output format.
+DIMS_BYTES = {"text": (450, 2.2), "csv": (450, 2.2), "json": (520, 11.5)}
+#: Estimated growth, in MiB, above which `dims` refuses.
+DIMS_GUARD_MIB = 256
+#: Sine-form terms above which `dims --float-display` refuses (about 1.2 us each).
+FLOAT_GUARD_TERMS = 10**7
+
+
+def _dims_digits(p: int, gmax: int) -> tuple[float, float]:
+    """Upper bounds on the decimal digits of a count at genus gmax, and on
+    those digits summed over the table's gmax * d cells.  By the sine form
+    every count at genus g is at most d (p/4)^(g-1) / sin(pi/p)^(2g-1), whose
+    digits grow linearly in g."""
+    d = (p - 1) // 2
+    s = -math.log10(math.sin(math.pi / p))
+    top_1 = 1 + math.log10(d) + s  # digit bound at genus 1
+    slope = math.log10(p / 4) + 2 * s
+    return top_1 + slope * (gmax - 1), d * gmax * (top_1 + slope * (gmax - 1) / 2)
+
+
+def _dims_refusal(ns) -> str | None:
+    """Why `dims` is too big to run, or None if the guard lets it through."""
+    d = (_check_prime(ns.p) - 1) // 2
+    if ns.gmax < 1:
+        return None  # dim_table refuses it as invalid input
+    cells = d * ns.gmax
+    top, digits = _dims_digits(ns.p, ns.gmax)
+    per_cell, per_digit = DIMS_BYTES[ns.format]
+    mib = (per_cell * cells + per_digit * digits) / 2**20
+    if mib > DIMS_GUARD_MIB:
+        return f"estimated peak of {mib:.3g} MiB exceeds {DIMS_GUARD_MIB} MiB"
+    terms = d * (d + cells)  # the sine bases, then d terms per display cell
+    if ns.float_display and terms > FLOAT_GUARD_TERMS:
+        return f"--float-display would sum {terms:.3g} sine terms, over {FLOAT_GUARD_TERMS:.0e}"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and top > limit:
+        return f"counts reach about {top:.0f} digits, over the {limit} Python converts to text"
+    return None
+
+
 # -- row emission --------------------------------------------------------------
 
 
@@ -103,6 +147,10 @@ def _emit_rows(rows: list[dict], cols: list[str], fmt: str) -> None:
 
 
 def _cmd_dims(ns) -> int:
+    refusal = None if ns.force else _dims_refusal(ns)
+    if refusal:
+        print(f"refusing dims: {refusal}; pass --force to override", file=sys.stderr)
+        return EXIT_GUARD
     p = ns.p
     table = recursion.dim_table(p, ns.gmax)
     cols = list(DIM_COLUMNS)
@@ -237,6 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dims.add_argument("--gmax", type=int, default=3)
     p_dims.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_dims.add_argument("--float-display", action="store_true")
+    p_dims.add_argument("--force", action="store_true", help="override the size guard")
     p_dims.set_defaults(func=_cmd_dims)
 
     p_census = sub.add_parser("census", help="brute-force coloring census")

@@ -59,7 +59,7 @@ def is_prime(n: int) -> bool:
 @lru_cache(maxsize=32, typed=True)
 def _check_prime(p: int) -> int:
     """Return p if it is an int prime >= 5, else raise ValueError.  Cached, as
-    the recursion validates p per kernel entry; typed, so 5.0 is refused;
+    every CycNum and every table cell read validates p; typed, so 5.0 is refused;
     private, like its sibling _check_color, so a tracer that wraps public
     names counts it in the caller."""
     if not isinstance(p, int) or p < 5 or not is_prime(p):

@@ -5,16 +5,28 @@ balanced/unbalanced two-point numbers beta and eta: a balanced splice
 preserves parity, an unbalanced one flips it.  Base case: genus one has
 d - c colorings, all even.
 
+The kernels are semiseparable: for a <= c, beta(a, c) = u_a v_c and
+eta(a, c) = w_a v_c with u_a = a + 1, w_a = a and v_c = d - c, and both
+are symmetric.  So one genus step is four running sums, two forward over
+a <= c and two backward over a > c, in O(d) exact integer operations
+instead of d^2 kernel entries.  The factors are read from
+census.beta_eta_closed, the kernel's one definition: (u_a, w_a) is its
+value at (a, d - 1) and v_c the balanced count at (0, c), 2d calls per
+table.  tests/test_recursion.py keeps the dense double loop over
+beta_eta_closed as the oracle for the step.
+
 The signed difference delta = even - odd collapses the pair of recursions
 to a single one with kernel d - max(a, c); an equivalent reordered form
-splits that kernel as (d - a) plus a correction over a < c.  Both are kept
-as cross-checks.
+splits that kernel as (d - a) plus a correction over a < c.  Both stay
+dense, as cross-checks independent of the semiseparable step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, mul
 
 from .census import beta_eta_closed
 from .cyclotomic import _check_color, _check_prime
@@ -85,22 +97,25 @@ def dim_table(p: int, gmax: int) -> DimTable:
     if gmax < 1:
         raise ValueError(f"gmax must be >= 1, got {gmax}")
     d = (p - 1) // 2
-    evens = [tuple(d - c for c in range(d))]
-    odds = [tuple(0 for _ in range(d))]
+    u, w = zip(*(beta_eta_closed(p, a, d - 1) for a in range(d)))
+    v = [beta_eta_closed(p, 0, c)[0] for c in range(d)]
+    evens = [tuple(v)]  # genus one: d - c colorings, all even
+    odds = [(0,) * d]
     for _g in range(1, gmax):
-        prev_e, prev_o = evens[-1], odds[-1]
-        row_e = []
-        row_o = []
-        for c in range(d):
-            se = so = 0
-            for a in range(d):
-                beta, eta = beta_eta_closed(p, a, c)
-                se += prev_e[a] * beta + prev_o[a] * eta
-                so += prev_o[a] * beta + prev_e[a] * eta
-            row_e.append(se)
-            row_o.append(so)
-        evens.append(tuple(row_e))
-        odds.append(tuple(row_o))
+        e, o = evens[-1], odds[-1]
+        # Forward sums over a <= c, then backward sums over a > c.
+        lo_e = accumulate(map(add, map(mul, u, e), map(mul, w, o)))
+        lo_o = accumulate(map(add, map(mul, u, o), map(mul, w, e)))
+        hi_e = list(accumulate(map(mul, v[:0:-1], e[:0:-1]), initial=0))[::-1]
+        hi_o = list(accumulate(map(mul, v[:0:-1], o[:0:-1]), initial=0))[::-1]
+        evens.append(tuple(
+            vc * le + uc * he + wc * ho
+            for vc, uc, wc, le, he, ho in zip(v, u, w, lo_e, hi_e, hi_o)
+        ))
+        odds.append(tuple(
+            vc * lo + uc * ho + wc * he
+            for vc, uc, wc, lo, he, ho in zip(v, u, w, lo_o, hi_e, hi_o)
+        ))
     return DimTable(p, gmax, tuple(evens), tuple(odds))
 
 

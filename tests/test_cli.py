@@ -91,6 +91,72 @@ def test_dims_float_display_bytes_frozen():
     assert hashlib.sha256(res.stdout).hexdigest() == digest
 
 
+# sha256 of `dims --format csv` stdout, frozen from the program before it had
+# a size guard: the largest tables the CLI tests run pass the guard unchanged.
+DIMS_UNDER_GUARD = {
+    ("--p", "101", "--gmax", "110"):
+        "1fb14b5ca3c867affe7c535fad026142843a205afe3e17de71bf69e242ac6a9a",
+    ("--p", "101", "--gmax", "110", "--float-display"):
+        "8986b7060d84e4679e372e5bffc2697b1433c7bfd4368c8ae7f89329381be308",
+    ("--p", "11", "--gmax", "400"):
+        "d3369749c41453b1d2d946e5de8e97cb7efedf682ed7e29a362ae324e616b5f9",
+}
+
+
+@pytest.mark.parametrize("args,digest", DIMS_UNDER_GUARD.items())
+def test_dims_under_the_guard_bytes_frozen(args, digest):
+    res = run_cli("dims", *args, "--format", "csv", binary=True)
+    assert res.returncode == EXIT_OK
+    assert hashlib.sha256(res.stdout).hexdigest() == digest
+
+
+class _Built(Exception):
+    """Raised in place of building a table: the guard let the call through."""
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    # Neither a refused call nor a broken guard allocates a table.
+    def build(*args):
+        raise _Built(args)
+
+    monkeypatch.setattr(recursion, "dim_table", build)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--p", "100000007", "--gmax", "1"),  # cells
+        ("--p", "5", "--gmax", "200000"),  # digits
+        ("--p", "5", "--gmax", "6500", "--format", "json"),  # digits, as json
+        ("--p", "5", "--gmax", "9000"),  # counts past Python's int-to-text limit
+        ("--p", "4001", "--gmax", "4", "--float-display"),  # sine terms
+    ],
+)
+def test_dims_size_guard_refuses_before_building(no_tables, capsys, args):
+    assert main(["dims", *args]) == EXIT_GUARD
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("refusing dims:") and "--force" in err
+    with pytest.raises(_Built):
+        main(["dims", *args, "--force"])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--p", "5", "--gmax", "6500"),
+        ("--p", "4001", "--gmax", "4"),
+        ("--p", "1009", "--gmax", "30"),
+        ("--p", "1009", "--gmax", "10", "--float-display"),
+    ],
+)
+def test_dims_size_guard_lets_moderate_tables_through(no_tables, args):
+    with pytest.raises(_Built):
+        main(["dims", *args])
+
+
 def test_byte_determinism():
     first = run_cli("dims", "--p", "11", "--gmax", "3", "--format", "json", binary=True)
     second = run_cli("dims", "--p", "11", "--gmax", "3", "--format", "json", binary=True)

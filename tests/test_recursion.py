@@ -1,11 +1,75 @@
-"""Transfer recursion against the census and its own collapsed forms."""
+"""Transfer recursion against the census, a dense oracle, and its own
+collapsed forms."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftdims.census import count_parities
+from tqftdims import recursion
+from tqftdims.census import beta_eta_closed, count_parities
+from tqftdims.cyclotomic import is_prime
 from tqftdims.recursion import DimTable, delta_direct, delta_split, dim_table
+
+PRIMES_TO_61 = [p for p in range(5, 62) if is_prime(p)]
+PRIMES_TO_97 = [p for p in range(5, 98) if is_prime(p)]
+
+
+def _dense_table(p, gmax):
+    """The transfer recursion as a dense double loop over every kernel entry:
+    d^2 calls to beta_eta_closed per genus."""
+    d = (p - 1) // 2
+    evens = [tuple(d - c for c in range(d))]
+    odds = [(0,) * d]
+    for _g in range(1, gmax):
+        prev_e, prev_o = evens[-1], odds[-1]
+        row_e = []
+        row_o = []
+        for c in range(d):
+            se = so = 0
+            for a in range(d):
+                beta, eta = beta_eta_closed(p, a, c)
+                se += prev_e[a] * beta + prev_o[a] * eta
+                so += prev_o[a] * beta + prev_e[a] * eta
+            row_e.append(se)
+            row_o.append(so)
+        evens.append(tuple(row_e))
+        odds.append(tuple(row_o))
+    return DimTable(p, gmax, tuple(evens), tuple(odds))
+
+
+@pytest.mark.parametrize(
+    "p,gmax", [(5, 1), (5, 40), (7, 2), (13, 8), (101, 20), (149, 10), (211, 10)]
+)
+def test_table_matches_dense_oracle(p, gmax):
+    assert dim_table(p, gmax) == _dense_table(p, gmax)
+
+
+@given(p=st.sampled_from(PRIMES_TO_97), gmax=st.integers(min_value=1, max_value=15))
+@settings(max_examples=40, deadline=None)
+def test_table_matches_dense_oracle_property(p, gmax):
+    assert dim_table(p, gmax) == _dense_table(p, gmax)
+
+
+@pytest.mark.parametrize("p", [5, 13, 101])
+def test_table_reads_each_kernel_factor_once(monkeypatch, p):
+    # The step reads its factors once per table, 2d kernel calls whatever
+    # gmax is; the dense loop would make d^2 per genus.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return beta_eta_closed(*args)
+
+    monkeypatch.setattr(recursion, "beta_eta_closed", counting)
+    d = (p - 1) // 2
+    per_table = []
+    for gmax in (2, 30):
+        recursion.dim_table.cache_clear()
+        calls.clear()
+        recursion.dim_table(p, gmax)
+        per_table.append(len(calls))
+    recursion.dim_table.cache_clear()
+    assert per_table[0] == per_table[1] <= 2 * d
 
 
 def test_base_row_is_all_even():
@@ -91,8 +155,8 @@ def test_bounds_checked():
 
 
 @given(
-    p=st.sampled_from([5, 7, 11]),
-    g=st.integers(min_value=1, max_value=6),
+    p=st.sampled_from(PRIMES_TO_61),
+    g=st.integers(min_value=1, max_value=11),
 )
 @settings(max_examples=30, deadline=None)
 def test_totals_grow_with_genus(p, g):
@@ -102,7 +166,7 @@ def test_totals_grow_with_genus(p, g):
         assert t.delta(g, c) >= 0
 
 
-@given(p=st.sampled_from([5, 7, 11, 13]), g=st.integers(min_value=1, max_value=7))
+@given(p=st.sampled_from(PRIMES_TO_61), g=st.integers(min_value=1, max_value=11))
 @settings(max_examples=30, deadline=None)
 def test_table_prefix_stability(p, g):
     # extending gmax never changes earlier rows
