@@ -13,8 +13,8 @@ verify runs the same claim functions as tests/test_acceptance.py.
 Exit codes: 0 success, 1 verification failure (including an internal
 ArithmeticError, reported as one line) or stdout closed by its reader
 (a broken pipe, reported by nothing), 2 invalid input, 3 refused by a
-size guard (census or dims) or by a genus too deep for the census walk to
-recurse.
+size guard (census, dims or quadruple) or by a genus too deep for the
+census walk to recurse.
 All exact output is deterministic; the optional float columns are
 display-only and never influence exit codes (a float that overflows
 displays as inf).
@@ -124,6 +124,11 @@ def _dims_refusal(ns) -> str | None:
     terms = d * (d + cells)  # the sine bases, then d terms per display cell
     if ns.float_display and terms > FLOAT_GUARD_TERMS:
         return f"--float-display would sum {terms:.3g} sine terms, over {FLOAT_GUARD_TERMS:.0e}"
+    return _text_refusal(top)
+
+
+def _text_refusal(top: float) -> str | None:
+    """Why counts of about `top` digits cannot be printed, or None if they can."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit and top > limit:
         return f"counts reach about {top:.0f} digits, over the {limit} Python converts to text"
@@ -234,6 +239,10 @@ def _cmd_hopf(ns) -> int:
 def _cmd_quadruple(ns) -> int:
     if ns.gmin < 1 or ns.gmax < ns.gmin:
         raise ValueError("need 1 <= gmin <= gmax")
+    refusal = _text_refusal(_dims_digits(5, ns.gmax)[0])
+    if refusal:
+        print(f"refusing quadruple: {refusal}", file=sys.stderr)
+        return EXIT_GUARD
     table = recursion.dim_table(5, ns.gmax)
     rows = []
     for g in range(ns.gmin, ns.gmax + 1):

@@ -7,7 +7,10 @@ independent ways - exact Newton interpolation through recursion-table
 samples, and a Bernoulli-series residue construction - and checks their
 degree and leading-term structure against closed Bernoulli forms.
 
-All coefficients are Fractions throughout; nothing here touches floats.
+The arithmetic is exact and in integers: interpolation, evaluation at
+integer points and the residue coefficient work on integer numerators over
+one common denominator, and Fraction appears only at the interface, one per
+coefficient returned.  Nothing here touches floats.
 """
 
 from __future__ import annotations
@@ -25,10 +28,8 @@ __all__ = [
     "ConjectureScan",
     "InterpolationError",
     "LeadingTermError",
-    "Series",
     "bern_identity_check",
     "bernoulli",
-    "bernoulli_series",
     "conjecture_scan",
     "delta_leading_form",
     "half_total_top_form",
@@ -38,7 +39,6 @@ __all__ = [
     "newton_coeffs",
     "normalized_bernoulli",
     "residue_total_poly",
-    "sinh_ratio_series",
 ]
 
 _ZERO = Fraction(0)
@@ -164,6 +164,13 @@ class BiPoly:
         return BiPoly(out)
 
     def eval(self, p_value, c_value) -> Fraction:
+        if isinstance(p_value, int) and isinstance(c_value, int):
+            den = math.lcm(*(q.denominator for q in self._m.values()))
+            num = sum(
+                q.numerator * (den // q.denominator) * p_value**i * c_value**j
+                for (i, j), q in self._m.items()
+            )
+            return Fraction(num, den)
         pv, cv = Fraction(p_value), Fraction(c_value)
         return sum((q * pv**i * cv**j for (i, j), q in self._m.items()), _ZERO)
 
@@ -279,96 +286,43 @@ class BiPoly:
         }
 
 
-# -- truncated power series ---------------------------------------------------
-
-
-class Series:
-    """Power series in t truncated at a fixed order, with exact coefficients.
-
-    Coefficients may be Fractions or BiPoly; operands must share the order,
-    and only a series of Fractions has an inverse.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs) -> None:
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _same(self, other: "Series") -> None:
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("series orders differ")
-
-    def __add__(self, other: "Series") -> "Series":
-        self._same(other)
-        return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Series") -> "Series":
-        self._same(other)
-        return Series(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "Series") -> "Series":
-        self._same(other)
-        n = len(self.coeffs)
-        out = []
-        for m in range(n):
-            acc = self.coeffs[0] * other.coeffs[m]
-            for k in range(1, m + 1):
-                acc = acc + self.coeffs[k] * other.coeffs[m - k]
-            out.append(acc)
-        return Series(out)
-
-    def __pow__(self, n: int) -> "Series":
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("series power must be a positive integer")
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
-
-    def inverse(self) -> "Series":
-        """Multiplicative inverse; the constant term must be a nonzero Fraction."""
-        a = self.coeffs
-        b0 = _ONE / a[0]
-        out = [b0]
-        for m in range(1, len(a)):
-            acc = a[1] * out[m - 1]
-            for k in range(2, m + 1):
-                acc = acc + a[k] * out[m - k]
-            out.append(-(b0 * acc))
-        return Series(out)
-
-
-def bernoulli_series(order: int, scale) -> Series:
-    """x t/(e^(x t) - 1) as a series in t: coefficient B_n x^n / n! at t^n."""
-    return Series(
-        scale**n * Fraction(bernoulli(n), math.factorial(n)) for n in range(order + 1)
-    )
-
-
-def sinh_ratio_series(order: int, scale) -> Series:
-    """sinh(x t)/(x t) as a series in t: x^(2k) / (2k+1)! at t^(2k)."""
-    zero = scale * Fraction(0)
-    return Series(
-        scale**n * Fraction(1, math.factorial(n + 1)) if n % 2 == 0 else zero
-        for n in range(order + 1)
-    )
-
-
 # -- residue construction of the total-count polynomial -----------------------
 
 
 def _residue_coeff(g: int, order: int) -> BiPoly:
-    two_p = BiPoly({(1, 0): Fraction(2)})
-    odd_c = BiPoly({(0, 1): Fraction(2), (0, 0): _ONE})
-    a = bernoulli_series(order, two_p)
-    b = sinh_ratio_series(order, odd_c)
-    s = sinh_ratio_series(order, _ONE)
-    integrand = a * b * (s.inverse() ** (2 * g - 1))
-    return integrand.coeffs[2 * g - 2]
+    """Coefficient of t^(2g-2) in (2Pt/(e^(2Pt)-1)) * sinh((2C+1)t)/((2C+1)t)
+    * (t/sinh t)^(2g-1), the last factor taken to order t^order.
+
+    h = (t/sinh t)^(2g-1) is s^e for s = sinh t / t = sum u^k / (2k+1)! in
+    u = t^2 and e = 1 - 2g.  Its u-coefficients come from J.C.P. Miller's
+    power recurrence (Knuth, TAOCP vol. 2, 4.7) in O(order^2) steps:
+    n h_n = sum_{k=1}^n ((e+1)k - n) s_k h_(n-k).  Only the t^(2g-2)
+    coefficient of the product is built: the sum over i + j + 2k = 2g - 2
+    (j even, hence i even) of a_i b_j h_k, with a_i = B_i (2P)^i / i! and
+    b_j = (2C+1)^j / (j+1)!.
+    """
+    e = 1 - 2 * g
+    h = [_ONE]
+    for n in range(1, order // 2 + 1):
+        acc = sum(
+            Fraction((e + 1) * k - n, math.factorial(2 * k + 1)) * h[n - k]
+            for k in range(1, n + 1)
+        )
+        h.append(acc / n)
+    top = 2 * g - 2
+    terms = {}
+    for i in range(0, top + 1, 2):
+        a = bernoulli(i) * 2**i / math.factorial(i)
+        for j in range(0, top - i + 1, 2):
+            terms[i, j] = a * h[(top - i - j) // 2] / math.factorial(j + 1)
+    # (2C+1)^j expanded over one common denominator
+    den = math.lcm(*(w.denominator for w in terms.values()))
+    num: dict = {}
+    for (i, j), w in terms.items():
+        w = w.numerator * (den // w.denominator)
+        for l in range(j + 1):
+            num[i, l] = num.get((i, l), 0) + (w * math.comb(j, l) << l)
+    return BiPoly({il: Fraction(q, den) for il, q in num.items()})
 
 
 def residue_total_poly(g: int) -> BiPoly:
@@ -396,22 +350,36 @@ def residue_total_poly(g: int) -> BiPoly:
 
 
 def newton_coeffs(xs, ys) -> list[Fraction]:
-    """Monomial coefficients (ascending) of the Newton interpolant through
-    the points (xs[i], ys[i]); xs must be pairwise distinct."""
+    """Monomial coefficients (ascending) of the interpolant through the points
+    (xs[i], ys[i]); the nodes xs must be pairwise distinct integers and the
+    values ys rationals.
+
+    The sum runs in integers: with the values over one denominator D and the
+    weights w_m = prod_{l != m} (x_m - x_l) over their lcm W, the interpolant
+    is sum_m y_m D (W / w_m) N(x) / (x - x_m), divided by D W at the end,
+    where N is the node polynomial and each N(x) / (x - x_m) is one synthetic
+    division.
+    """
     n = len(xs)
     if n != len(ys) or n == 0:
         raise ValueError("need equally many sample points and values, at least one")
-    dd = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    poly = [_ZERO] * n
-    for i in range(n - 1, -1, -1):
-        # poly = poly * (x - xs[i]) + dd[i]
-        shifted = [_ZERO] + poly[:-1]
-        poly = [s - xs[i] * c for s, c in zip(shifted, poly + [_ZERO])][:n]
-        poly[0] += dd[i]
-    return poly
+    weights = [
+        math.prod(xm - xl for l, xl in enumerate(xs) if l != m) for m, xm in enumerate(xs)
+    ]
+    # a repeated node has weight 0, so w_lcm // w raises ZeroDivisionError
+    w_lcm = math.lcm(*weights)
+    den = math.lcm(*(y.denominator for y in ys))
+    node = [1]  # prod_l (x - x_l), ascending
+    for x in xs:
+        node = [lo - x * hi for lo, hi in zip([0] + node, node + [0])]
+    acc = [0] * n
+    for xm, w, y in zip(xs, weights, ys):
+        scale = y.numerator * (den // y.denominator) * (w_lcm // w)
+        quo = 1  # coefficients of N(x) / (x - xm), from the top
+        for k in range(n - 1, -1, -1):
+            acc[k] += scale * quo
+            quo = node[k] + xm * quo
+    return [Fraction(a, den * w_lcm) for a in acc]
 
 
 def _next_prime(n: int) -> int:

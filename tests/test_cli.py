@@ -310,6 +310,21 @@ def test_quadruple_table():
         )
 
 
+def test_quadruple_refuses_counts_past_the_text_limit(monkeypatch, capsys):
+    # At gmax 9000 the p = 5 counts reach about 5000 digits, past Python's
+    # default 4300-digit int-to-text limit: refused before any table or row.
+    def build(*args):
+        raise AssertionError("quadruple built a table it cannot print")
+
+    monkeypatch.setattr(recursion, "dim_table", build)
+    for fmt in ("text", "csv", "json"):
+        assert main(["quadruple", "--gmin", "1", "--gmax", "9000", "--format", fmt]) == EXIT_GUARD
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("refusing quadruple:") and "digits" in err
+
+
 def test_invalid_prime_exits_2():
     assert run_cli("dims", "--p", "6", "--gmax", "1").returncode == EXIT_USAGE
     assert run_cli("dims", "--p", "9", "--gmax", "1").returncode == EXIT_USAGE

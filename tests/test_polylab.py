@@ -1,6 +1,7 @@
 """Polynomial reconstruction, Bernoulli machinery, leading-term certificates."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqftdims import polylab
+from tqftdims.cyclotomic import is_prime
 from tqftdims.polylab import (
     BiPoly,
     InterpolationError,
-    Series,
     bern_identity_check,
     bernoulli,
-    bernoulli_series,
     conjecture_scan,
     delta_leading_form,
     half_total_top_form,
@@ -24,12 +24,46 @@ from tqftdims.polylab import (
     newton_coeffs,
     normalized_bernoulli,
     residue_total_poly,
-    sinh_ratio_series,
     _base_quotient,
 )
 from tqftdims.recursion import dim_table
 
 F = Fraction
+
+# Fit nodes up to about the size of the interpolation grid's primes.
+PRIMES_TO_300 = [p for p in range(5, 300) if is_prime(p)]
+
+# sha256 of the canonical strings of interpolate_delta(g), interpolate_total(g)
+# and (g >= 2) residue_total_poly(g) for g = 1..8, joined by newlines: a change
+# of arithmetic must leave every byte of them as it is.
+POLYLAB_SHA256 = "47e9c4acf1cb28f09471c2cabc5791622543fe84227064f9071a81b4d7f4467e"
+
+
+def _fraction_newton(xs, ys):
+    """Newton divided differences in Fractions, then the Newton form expanded
+    to ascending monomial coefficients: the reference for newton_coeffs."""
+    n = len(xs)
+    dd = [F(y) for y in ys]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    poly = [F(0)] * n
+    for i in range(n - 1, -1, -1):
+        shifted = [F(0)] + poly[:-1]
+        poly = [s - xs[i] * c for s, c in zip(shifted, poly + [F(0)])][:n]
+        poly[0] += dd[i]
+    return poly
+
+
+def test_polylab_outputs_frozen():
+    parts = []
+    for g in range(1, 9):
+        parts.append(interpolate_delta(g).canonical_str())
+        parts.append(interpolate_total(g).canonical_str())
+        if g >= 2:
+            parts.append(residue_total_poly(g).canonical_str())
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == POLYLAB_SHA256
 
 
 def test_bernoulli_frozen_values():
@@ -114,30 +148,6 @@ def test_bipoly_json_round_structure():
     }
 
 
-def test_series_arithmetic():
-    one_plus = Series((F(1), F(1), F(0)))
-    one_minus = Series((F(1), F(-1), F(0)))
-    prod = one_plus * one_minus
-    assert prod.coeffs == (F(1), F(0), F(-1))
-    assert (one_plus - one_plus).coeffs == (F(0), F(0), F(0))
-    assert (one_plus**2).coeffs == (F(1), F(2), F(1))
-    inv = one_plus.inverse()
-    assert (one_plus * inv).coeffs == (F(1), F(0), F(0))
-    with pytest.raises(ValueError):
-        one_plus + Series((F(1),))
-    with pytest.raises(ValueError):
-        one_plus**0
-
-
-def test_named_series_coefficients():
-    b = bernoulli_series(4, F(1))
-    assert b.coeffs == (F(1), F(-1, 2), F(1, 12), F(0), F(-1, 720))
-    s = sinh_ratio_series(4, F(1))
-    assert s.coeffs == (F(1), F(0), F(1, 6), F(0), F(1, 120))
-    scaled = sinh_ratio_series(2, F(3))
-    assert scaled.coeffs == (F(1), F(0), F(9, 6))
-
-
 def test_newton_recovers_polynomials():
     assert newton_coeffs([0, 1, 2], [1, 2, 5]) == [F(1), F(0), F(1)]
     assert newton_coeffs([5], [42]) == [F(42)]
@@ -157,6 +167,45 @@ def test_newton_roundtrip_property(coeffs, shift):
     ys = [sum(q * x**i for i, q in enumerate(coeffs)) for x in xs]
     got = newton_coeffs(xs, ys)
     assert got == [F(q) for q in coeffs]
+
+
+@given(
+    xs=st.one_of(
+        st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True),
+        st.lists(st.sampled_from(PRIMES_TO_300), min_size=1, max_size=24, unique=True),
+    ),
+    data=st.data(),
+)
+@settings(max_examples=50, deadline=None)
+def test_newton_matches_fraction_oracle(xs, data):
+    value = st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6)
+    ys = data.draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
+    assert newton_coeffs(xs, ys) == _fraction_newton(xs, ys)
+
+
+@pytest.mark.parametrize("xs", [[3, 3], [1, 2, 1], [7, 0, 5, 0]])
+def test_newton_rejects_repeated_nodes(xs):
+    with pytest.raises(ZeroDivisionError):
+        newton_coeffs(xs, [F(k, 3) for k in range(len(xs))])
+    with pytest.raises(ZeroDivisionError):
+        _fraction_newton(xs, [F(k, 3) for k in range(len(xs))])
+
+
+@given(
+    mono=st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        st.fractions(min_value=-99, max_value=99, max_denominator=720),
+        max_size=10,
+    ),
+    p=st.integers(-300, 300),
+    c=st.integers(-300, 300),
+)
+@settings(max_examples=50, deadline=None)
+def test_bipoly_int_eval_matches_fraction_eval(mono, p, c):
+    poly = BiPoly(mono)
+    got = poly.eval(p, c)
+    assert type(got) is Fraction
+    assert got == poly.eval(F(p), F(c))
 
 
 def test_interpolated_delta_genus_one():
@@ -213,7 +262,7 @@ def test_interpolants_evaluate_on_fresh_primes():
 
 
 def test_residue_route_matches_interpolation():
-    for g in (2, 3):
+    for g in range(2, 8):
         assert residue_total_poly(g) == interpolate_total(g)
     with pytest.raises(ValueError):
         residue_total_poly(1)
