@@ -13,8 +13,8 @@ verify runs the same claim functions as tests/test_acceptance.py.
 Exit codes: 0 success, 1 verification failure (including an internal
 ArithmeticError, reported as one line) or stdout closed by its reader
 (a broken pipe, reported by nothing), 2 invalid input, 3 refused by a
-size guard (census, dims or quadruple) or by a genus too deep for the
-census walk to recurse.
+size guard (census, dims, hopf or quadruple) or by a genus too deep for
+the census walk to recurse.
 All exact output is deterministic; the optional float columns are
 display-only and never influence exit codes (a float that overflows
 displays as inf).
@@ -87,7 +87,7 @@ def _display(value, p: int, g: int, c: int) -> str:
         return "inf"
 
 
-# -- dims size guard -----------------------------------------------------------
+# -- size guards ---------------------------------------------------------------
 
 #: Fitted growth of a `dims` run's peak resident size over start-up, in bytes
 #: per table cell and per digit of the digit bound, by output format.
@@ -96,6 +96,9 @@ DIMS_BYTES = {"text": (450, 2.2), "csv": (450, 2.2), "json": (520, 11.5)}
 DIMS_GUARD_MIB = 256
 #: Sine-form terms above which `dims --float-display` refuses (about 1.2 us each).
 FLOAT_GUARD_TERMS = 10**7
+#: Largest prime `hopf` certifies without --force.  The norm of the cofactor
+#: dominates and grows about as p^7 (measured times in CHANGES.md).
+HOPF_GUARD_P = 103
 
 
 def _dims_digits(p: int, gmax: int) -> tuple[float, float]:
@@ -225,6 +228,13 @@ def _cmd_poly(ns) -> int:
 
 
 def _cmd_hopf(ns) -> int:
+    _check_prime(ns.p)
+    if ns.p > HOPF_GUARD_P and not ns.force:
+        print(
+            f"refusing hopf: p={ns.p} exceeds {HOPF_GUARD_P}; pass --force to override",
+            file=sys.stderr,
+        )
+        return EXIT_GUARD
     cert = fusion.hopf_certificate(ns.p)
     d = (ns.p - 1) // 2
     expected = d * (d - 1) // 2
@@ -323,6 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_hopf = sub.add_parser("hopf", help="twist Vandermonde valuation certificate")
     p_hopf.add_argument("--p", type=int, required=True)
+    p_hopf.add_argument("--force", action="store_true", help="override the size guard")
     p_hopf.set_defaults(func=_cmd_hopf)
 
     p_quad = sub.add_parser(

@@ -10,7 +10,7 @@ distinguished elements drive the dimension counts: the alternating element
 sum (-1)^n (d - n) e_{2n}, whose matrix powers produce the signed counts,
 and the plain counting element sum (d - n) e_{2n} for the totals.  Their
 matrices diagonalize over Q(zeta_p) through the S-matrix, which converts
-matrix entries into short Galois sums.
+matrix entries into trace reads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from functools import lru_cache
 from itertools import islice
 
 from .cyclotomic import (
-    INFINITE,
     CycNum,
     _check_color,
     _check_prime,
@@ -381,11 +380,12 @@ def alternating_eigenvalue(p: int) -> CycNum:
     Its Galois images under zeta -> zeta^(2j+1) give the full spectrum.
     """
     d = _rank(p)
-    acc = CycNum.scalar(p, (d + 1) // 2)
+    vec = [0] * p
+    vec[0] = (d + 1) // 2
     for k in range(1, d):
-        w = (monomial(p, 2 * k) + monomial(p, -2 * k)) * ((d - k + 1) // 2)
-        acc = acc - w if k % 2 else acc + w
-    return acc
+        w = (d - k + 1) // 2
+        vec[2 * k] = vec[p - 2 * k] = -w if k % 2 else w
+    return CycNum(p, vec)
 
 
 # Bounded: verify's fusion suite finishes one prime's claims before the next.
@@ -396,25 +396,6 @@ def counting_eigenvalue(p: int) -> CycNum:
     return CycNum.scalar(p, -p) * inv(h2)
 
 
-def _galois_half_sum_int(p: int, w: CycNum) -> int:
-    """-(1/p) * sum_{j=1}^{d} G_j(w) for w in the real subfield; must be an
-    integer (the half-sum is half the field trace)."""
-    d = (p - 1) // 2
-    acc = galois(w, 1)
-    for j in range(2, d + 1):
-        acc = acc + galois(w, j)
-    val = acc.as_rational() * Fraction(-1, p)
-    if val.denominator != 1:
-        raise ArithmeticError("galois half-sum did not reduce to an integer")
-    return val.numerator
-
-
-def _bracket(p: int, c: int) -> CycNum:
-    """(q^(2c+1) - q^-(2c+1)) * (q - q^-1)."""
-    k = 2 * c + 1
-    return (monomial(p, k) - monomial(p, -k)) * (monomial(p, 1) - monomial(p, -1))
-
-
 # Bounded: a sweep over every trunk color at one (p, g) reads one power, or
 # alternates the two kinds.
 @lru_cache(maxsize=2)
@@ -423,10 +404,28 @@ def _eigenvalue_power(p: int, g: int, counting: bool) -> CycNum:
 
 
 def _galois_entry(p: int, g: int, c: int, counting: bool) -> int:
+    """-(1/p) * sum_{j=1}^{d} G_j(w) for w = (q^k - q^-k)(q - q^-1) * lam^g,
+    k = 2c + 1, read from four coordinates of lam^g.
+
+    w is fixed by zeta -> zeta^-1, so the half-sum over j = 1..d is half the
+    field trace.  Tr(zeta^m x) = p a_(-m) - sum(a) for x = sum a_i zeta^i / den
+    (a_(p-1) = 0), and the four monomials of the bracket cancel the sum(a)
+    terms: the entry is -(a_(-k-1) - a_(1-k) - a_(k-1) + a_(k+1)) / (2 den).
+    Both the reality of lam^g and the integrality are checked.
+    """
     _check_color(p, c)
     if g < 0:
         raise ValueError("genus must be >= 0")
-    return _galois_half_sum_int(p, _bracket(p, c) * _eigenvalue_power(p, g, counting))
+    lam = _eigenvalue_power(p, g, counting)
+    if galois(lam, -1) != lam:
+        raise ArithmeticError("eigenvalue power is not fixed by zeta -> zeta^-1")
+    a = lam.num + (0,)
+    k = 2 * c + 1
+    s = a[(-k - 1) % p] - a[(1 - k) % p] - a[(k - 1) % p] + a[(k + 1) % p]
+    val, rem = divmod(s, 2 * lam.den)
+    if rem:
+        raise ArithmeticError("galois half-trace did not reduce to an integer")
+    return -val
 
 
 def galois_sum_delta(p: int, g: int, c: int) -> int:
@@ -468,20 +467,69 @@ class HopfCertificate:
     unit_norm: int
 
 
+def _twist_exponents(p: int) -> list[int]:
+    """e_j = (d+1) j (j+2) mod p, so that mu_j = zeta^(e_j), for j = 0..d-1."""
+    d = _rank(p)
+    return [(d + 1) * j * (j + 2) % p for j in range(d)]
+
+
+def _times_run(vec: list, start: int, count: int, step: int) -> list:
+    """vec * (zeta^start + zeta^(start+step) + ... + zeta^(start+(count-1)step))
+    on p coefficients modulo t^p - 1, for step a unit mod p and 0 < count <= p.
+
+    Walking the exponents in the order 0, step, 2 step, ... turns the product
+    into a sliding window sum: O(p) additions, not O(p * count) products.
+    """
+    p = len(vec)
+    walk = [vec[step * i % p] for i in range(p)]
+    out = [0] * p
+    acc = sum(walk[i % p] for i in range(1 - count, 1))
+    for i in range(p):
+        out[(step * i + start) % p] = acc
+        acc += walk[(i + 1) % p] - walk[(i + 1 - count) % p]
+    return out
+
+
+def _hopf_cofactor(p: int) -> CycNum:
+    """U = det(H) / h^(d(d-1)/2), built from the factorisation of det(H);
+    raises ArithmeticError if two twist eigenvalues coincide."""
+    d = _rank(p)
+    e = _twist_exponents(p)
+    vec = [1] + [0] * (p - 1)
+    for j in range(d):
+        # [j+1] = q^-j + q^(2-j) + ... + q^j
+        vec = _times_run(vec, -j, j + 1, 2)
+        for i in range(j):
+            k = (e[j] - e[i]) % p
+            if not k:
+                raise ArithmeticError(f"twist Vandermonde determinant vanished at p={p}")
+            # mu_j - mu_i = -h * (zeta^e_i + ... + zeta^(e_i + k - 1)); the
+            # d(d-1)/2 signs cancel the column signs (-1)^j of H.
+            vec = _times_run(vec, e[i], k, 1)
+    return CycNum(p, vec)
+
+
 def hopf_certificate(p: int) -> HopfCertificate:
     """h-adic valuation of det(H), certifying that det(H)/h^v is a unit.
 
-    The expected valuation is d(d-1)/2; callers compare against that.
+    H is a Vandermonde matrix with scaled columns, so
+
+        det H = prod_j (-1)^j [j+1] * prod_{i<j} (mu_j - mu_i),
+
+    and with k = e_j - e_i mod p each factor is
+    mu_j - mu_i = -zeta^(e_i) h (1 + zeta + ... + zeta^(k-1)).  The cofactor
+    U = det H / h^(d(d-1)/2) is therefore a product of quantum integers [n],
+    n < p, and of cyclotomic units (1 - zeta^k)/(1 - zeta) (Washington,
+    Introduction to Cyclotomic Fields, 8.1), hence a unit, as long as the e_j
+    are pairwise distinct.  U is built from that product, not by Bareiss;
+    its valuation and its norm are still computed, so a cofactor divisible by
+    h shows in the valuation and one that is not a unit is refused.  The
+    expected valuation is d(d-1)/2; callers compare against that.
     """
-    det = hopf_vandermonde(p).det()
-    v = h_valuation(det)
-    if v == INFINITE:
-        raise ArithmeticError(f"twist Vandermonde determinant vanished at p={p}")
-    h = CycNum(p, [1, -1])
-    unit = det / h**v
-    if not unit.is_integral():
-        raise ArithmeticError("determinant cofactor left the ring of integers")
+    d = _rank(p)
+    unit = _hopf_cofactor(p)
+    v = d * (d - 1) // 2 + h_valuation(unit)
     n = norm(unit)
     if n not in (1, -1):
         raise ArithmeticError(f"determinant cofactor is not a unit: norm {n}")
-    return HopfCertificate(p=p, valuation=int(v), unit_norm=int(n))
+    return HopfCertificate(p=p, valuation=v, unit_norm=int(n))

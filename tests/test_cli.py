@@ -7,16 +7,18 @@ import sys
 
 import pytest
 
-from tqftdims import census, recursion
+from tqftdims import census, fusion, recursion
 from tqftdims.cli import (
     EXIT_GUARD,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    HOPF_GUARD_P,
     delta_float,
     main,
     total_float,
 )
+from tqftdims.cyclotomic import is_prime
 from tqftdims.recursion import dim_table
 
 
@@ -292,6 +294,32 @@ def test_hopf_certificate_output():
     assert res.returncode == EXIT_OK
     assert res.stdout.strip() == "p=7 valuation=3 expected=3 unit_norm=1 certified=yes"
     assert run_cli("hopf", "--p", "4").returncode == EXIT_USAGE
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23, 29))
+def test_hopf_lines_frozen(capsys, p):
+    # the lines the Bareiss certificate printed
+    v = {5: 1, 7: 3, 11: 10, 13: 15, 17: 28, 19: 36, 23: 55, 29: 91}[p]
+    assert main(["hopf", "--p", str(p)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"p={p} valuation={v} expected={v} unit_norm=1 certified=yes\n"
+    )
+
+
+def test_hopf_size_guard_refuses_before_arithmetic(monkeypatch, capsys):
+    def certify(p):
+        raise AssertionError("hopf ran past its size guard")
+
+    monkeypatch.setattr(fusion, "hopf_certificate", certify)
+    past = next(n for n in range(HOPF_GUARD_P + 1, 2 * HOPF_GUARD_P) if is_prime(n))
+    for p in (past, 1009):
+        assert main(["hopf", "--p", str(p)]) == EXIT_GUARD
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("refusing hopf:")
+    assert main(["hopf", "--p", "1000"]) == EXIT_USAGE
+    with pytest.raises(AssertionError, match="size guard"):
+        main(["hopf", "--p", "1009", "--force"])
 
 
 def test_quadruple_table():

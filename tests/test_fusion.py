@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqftdims import cyclotomic, fusion
+from tqftdims.cli import main
 from tqftdims.cyclotomic import CycNum, galois, h_valuation, monomial, norm
 from tqftdims.fusion import (
     FusionElement,
@@ -354,3 +355,146 @@ def test_matrix_and_galois_routes_agree_property(inputs):
     p, g, c = inputs
     assert delta_via_matrix(p, g, c) == galois_sum_delta(p, g, c)
     assert total_via_matrix(p, g, c) == galois_sum_total(p, g, c)
+
+
+# -- closed forms against the generic Q(zeta_p) algebra they replace ----------
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23, 29))
+def test_hopf_cofactor_matches_bareiss(p):
+    d = (p - 1) // 2
+    h = CycNum(p, [1, -1])
+    assert hopf_vandermonde(p).det() == h ** (d * (d - 1) // 2) * fusion._hopf_cofactor(p)
+
+
+def _conjugate_half_sum(p, w):
+    """-(1/p) * sum_{j=1}^{d} G_j(w), applying all d Galois maps; must be an
+    integer."""
+    d = (p - 1) // 2
+    acc = galois(w, 1)
+    for j in range(2, d + 1):
+        acc = acc + galois(w, j)
+    val = acc.as_rational() * Fraction(-1, p)
+    assert val.denominator == 1
+    return val.numerator
+
+
+def _conjugate_entry(p, g, c, counting):
+    k = 2 * c + 1
+    bracket = (monomial(p, k) - monomial(p, -k)) * (monomial(p, 1) - monomial(p, -1))
+    lam = counting_eigenvalue(p) if counting else alternating_eigenvalue(p)
+    return _conjugate_half_sum(p, bracket * lam**g)
+
+
+@given(
+    p=st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]),
+    g=st.integers(0, 8),
+)
+@settings(max_examples=15, deadline=None)
+def test_trace_read_matches_conjugate_half_sum_property(p, g):
+    for c in range((p - 1) // 2):
+        sign = -1 if c % 2 else 1
+        assert galois_sum_delta(p, g, c) == sign * _conjugate_entry(p, g, c, False)
+        assert galois_sum_total(p, g, c) == _conjugate_entry(p, g, c, True)
+
+
+def test_trace_read_sweep_matches_recursion_at_p211():
+    p, g = 211, 8
+    t = dim_table(p, g)
+    for c in range(t.d):
+        assert galois_sum_delta(p, g, c) == t.delta(g, c)
+        assert galois_sum_total(p, g, c) == t.total(g, c)
+
+
+# -- planted faults ------------------------------------------------------------
+
+
+def _clear_fusion_caches():
+    for f in (fusion._eigenvalue_power, alternating_eigenvalue, counting_eigenvalue):
+        f.cache_clear()
+
+
+@pytest.fixture
+def cold_fusion():
+    # request it before monkeypatch, so that it clears the real caches
+    _clear_fusion_caches()
+    yield
+    _clear_fusion_caches()
+
+
+@pytest.mark.parametrize(
+    "planted,message",
+    [
+        (lambda p: monomial(p, 1), "zeta"),  # not fixed by zeta -> zeta^-1
+        (lambda p: CycNum.scalar(p, Fraction(1, 2)), "integer"),  # odd read over den
+    ],
+)
+def test_galois_entry_refuses_planted_power(cold_fusion, monkeypatch, capsys, planted, message):
+    monkeypatch.setattr(fusion, "_eigenvalue_power", lambda p, g, counting: planted(p))
+    for route in (galois_sum_delta, galois_sum_total):
+        with pytest.raises(ArithmeticError, match=message):
+            route(7, 2, 0)
+    assert main(["verify", "--suite", "fusion", "--p-list", "5", "--gmax", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "name,planted,message",
+    [
+        ("_twist_exponents", lambda p: [0, 1, 1, 2, 3][: (p - 1) // 2], "vanished"),
+        ("norm", lambda x: Fraction(2), "not a unit"),
+    ],
+)
+def test_hopf_certificate_refuses_planted_fault(monkeypatch, capsys, name, planted, message):
+    monkeypatch.setattr(fusion, name, planted)
+    with pytest.raises(ArithmeticError, match=message):
+        hopf_certificate(11)
+    assert main(["hopf", "--p", "11"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
+# -- work counts -----------------------------------------------------------------
+
+
+def test_cold_galois_cell_applies_one_conjugation(cold_fusion, monkeypatch):
+    calls = []
+    true_galois = cyclotomic.galois
+
+    def counted(x, j):
+        calls.append(j)
+        return true_galois(x, j)
+
+    monkeypatch.setattr(cyclotomic, "galois", counted)
+    monkeypatch.setattr(fusion, "galois", counted)
+    for route in (galois_sum_delta, galois_sum_total):
+        _clear_fusion_caches()
+        calls.clear()
+        route(61, 8, 7)
+        assert len(calls) <= 1
+
+
+def test_hopf_certificate_runs_no_bareiss(monkeypatch):
+    def det(self):
+        raise AssertionError("hopf_certificate ran a Bareiss determinant")
+
+    monkeypatch.setattr(FusionMatrix, "det", det)
+    for p in (5, 13, 37):
+        d = (p - 1) // 2
+        assert hopf_certificate(p).valuation == d * (d - 1) // 2
+
+
+def test_alternating_eigenvalue_multiplies_nothing(cold_fusion, monkeypatch):
+    products = []
+    true_mul = CycNum.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return true_mul(self, other)
+
+    monkeypatch.setattr(CycNum, "__mul__", counted)
+    for p in (5, 13, 61):
+        alternating_eigenvalue(p)
+    assert products == []
