@@ -30,6 +30,12 @@ subtrees: caching on (level, chain color, parity) would rebuild the
 transfer recursion, and the census would stop being an independent check
 on it.
 
+_records streams lists of records, one per (a_(g-1), b_(g-1)): it recurses
+over the vertices u_1..u_(g-2) and builds the last two levels, (e_(g-1),
+b_g), in one comprehension.  Its table leaf[x] holds the strings "x,b" of
+the last vertex, which is text, not a memo: no count is carried between
+subtrees.
+
 This module is the independent oracle: it never uses the transfer
 recursion, fusion matrices, or any closed form beyond reading off ranges
 from the defining inequalities.
@@ -90,7 +96,8 @@ def _moves(tree: LollipopTree) -> list[list[tuple[int, int, int]]]:
 
 
 def _records(p: int, g: int, c: int):
-    """Yield one record per small admissible coloring, for `census --list`.
+    """Yield the records of the small admissible colorings, for
+    `census --list`, as lists of consecutive records.
 
     A record reads "g;c;a_1,b_1,...,a_g,b_g;e_1,...,e_(g-1);parity", where
     parity is "even" when c + sum(a_i) is even and "odd" otherwise.  At
@@ -99,24 +106,34 @@ def _records(p: int, g: int, c: int):
     increasing order of the integer tuple
     (a_1, b_1, e_1, ..., a_(g-1), b_(g-1), e_(g-1), a_g, b_g).
 
-    ab holds "a_1,b_1,...,a_i,b_i," and es holds "e_1,...,e_i,"; each record
-    is one f-string at the leaf.
+    There is one list per (a_(g-1), b_(g-1)), or a single list at g = 1, so
+    each holds at most d^2 records, one per (e_(g-1), b_g).  ab holds
+    "a_1,b_1,...,a_i,b_i," and es holds "e_1,...,e_i,"; leaf[x] holds the
+    strings "x,b" for b in 0..d-1-x, so the last two levels are one
+    comprehension.
     """
     tree = LollipopTree(p, g, c)
     d = tree.d
-    moves = _moves(tree)
     head = f"{g};{c};"
     names = ("even", "even") if (g, c) == (2, 0) else ("even", "odd")
+    if g == 1:
+        # d - c records; the d^2-sized tables below are never read here.
+        yield [f"{head}{c},{b};;{names[0]}" for b in range(d - c)]
+        return
+    moves = _moves(tree)
+    leaf = [[f"{x},{b}" for b in range(d - x)] for x in range(d)]
 
     def walk(i: int, x: int, ab: str, es: str, par: int):
-        if i == g - 1:
-            pre = f"{head}{ab}{x},"
-            tail = f";{es[:-1]};{names[(par + x) & 1]}"
-            for b in range(d - x):
-                yield f"{pre}{b}{tail}"
-            return
         for a, lo, hi in moves[x]:
             nxt = (par + a) & 1
+            if i == g - 2:
+                tails = [
+                    (leaf[e], f";{es}{e};{names[(nxt + e) & 1]}") for e in range(lo, hi + 1)
+                ]
+                for b in range(d - a):
+                    pre = f"{head}{ab}{a},{b},"
+                    yield [f"{pre}{s}{t}" for ls, t in tails for s in ls]
+                continue
             for b in range(d - a):
                 ab_b = f"{ab}{a},{b},"
                 for e in range(lo, hi + 1):

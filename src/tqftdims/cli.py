@@ -23,10 +23,12 @@ displays as inf).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from functools import lru_cache
 
 from . import census, claims, fusion, polylab, recursion
@@ -90,7 +92,9 @@ def _display(value, p: int, g: int, c: int) -> str:
 # -- size guards ---------------------------------------------------------------
 
 #: Fitted growth of a `dims` run's peak resident size over start-up, in bytes
-#: per table cell and per digit of the digit bound, by output format.
+#: per table cell and per digit of the digit bound, by output format.  Fitted
+#: when `dims` held every row before printing; streamed rows peak lower, so
+#: these now overestimate until they are fitted again.
 DIMS_BYTES = {"text": (450, 2.2), "csv": (450, 2.2), "json": (520, 11.5)}
 #: Estimated growth, in MiB, above which `dims` refuses.
 DIMS_GUARD_MIB = 256
@@ -141,9 +145,18 @@ def _text_refusal(top: float) -> str | None:
 # -- row emission --------------------------------------------------------------
 
 
-def _emit_rows(rows: list[dict], cols: list[str], fmt: str) -> None:
+def _emit_rows(rows: Iterable[dict], cols: list[str], fmt: str) -> None:
+    """Format and write rows one at a time, building no list of rows and no
+    whole json string."""
     if fmt == "json":
-        print(json.dumps(rows))
+        # The bytes of json.dumps(list(rows)) under its default separators.
+        write = sys.stdout.write
+        sep = ""
+        write("[")
+        for row in rows:
+            write(sep + json.dumps(row))
+            sep = ", "
+        write("]\n")
         return
     sep = "," if fmt == "csv" else " "
     print(sep.join(cols))
@@ -164,14 +177,16 @@ def _cmd_dims(ns) -> int:
     cols = list(DIM_COLUMNS)
     if ns.float_display:
         cols += ["delta_sine", "D_sine"]
-    rows = []
-    for g, c, fe, fo, total, delta in table.rows():
-        row = {"p": p, "g": g, "c": c, "fe": fe, "fo": fo, "D": total, "delta": delta}
-        if ns.float_display:
-            row["delta_sine"] = _display(delta_float, p, g, c)
-            row["D_sine"] = _display(total_float, p, g, c)
-        rows.append(row)
-    _emit_rows(rows, cols, ns.format)
+
+    def rows():
+        for g, c, fe, fo, total, delta in table.rows():
+            row = {"p": p, "g": g, "c": c, "fe": fe, "fo": fo, "D": total, "delta": delta}
+            if ns.float_display:
+                row["delta_sine"] = _display(delta_float, p, g, c)
+                row["D_sine"] = _display(total_float, p, g, c)
+            yield row
+
+    _emit_rows(rows(), cols, ns.format)
     return EXIT_OK
 
 
@@ -190,9 +205,15 @@ def _cmd_census(ns) -> int:
         # Every tree has a coloring and every record lies at the walk's full
         # depth, so a walk too deep to recurse fails here, before any output.
         first = next(records)
-        print("g;c;ab;e;parity", first, sep="\n")
-        for record in records:
-            print(record)
+        # Two writes per line, text then "\n", as print makes them: a sink
+        # that counts lines by write call sees the same calls.
+        write = sys.stdout.write
+        write("g;c;ab;e;parity")
+        write("\n")
+        for chunk in itertools.chain((first,), records):
+            for text in chunk:
+                write(text)
+                write("\n")
         return EXIT_OK
     fe, fo = census.count_parities(tree.p, tree.g, tree.c)
     if ns.format == "text":

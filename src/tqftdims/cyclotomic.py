@@ -369,6 +369,8 @@ def h_valuation(x: CycNum):
     if not x:
         return INFINITE
     p = x.p
+    if sum(x.num) % p:
+        return 0  # prime to h, as every unit is: no inverse to build
     ih = inv(CycNum(p, [1, -1]))
     v = 0
     cur = x

@@ -7,7 +7,9 @@ three vertex conditions plus loop smallness.  Evenness of stick and chain
 colors must then emerge on its own.
 """
 
+import contextlib
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from tqftdims.census import (
     count_parities,
     state_estimate,
 )
+from tqftdims.cli import EXIT_OK, main
 
 
 def _ok3(p, i, j, k):
@@ -31,8 +34,9 @@ def _raw_records(p, g, c, trunk_at_start=True):
     """Census records over all raw edge colorings of the genus-g caterpillar.
 
     Edges: one trunk fixed at color 2c, sticks s_1..s_g, loops l_1..l_g, and
-    chains t_1..t_(g-1); all free colors range over 0..p-2.  A degree-two
-    path end forces its two colors equal.  Each kept coloring becomes a
+    chains t_1..t_(g-1); free stick and chain colors range over 0..p-2, and
+    loop colors over the small ones, 0..d-1.  A degree-two path end forces
+    its two colors equal.  Each kept coloring becomes a
     record "g;c;a_1,b_1,...,a_g,b_g;e_1,...,e_(g-1);parity" with a = s/2,
     b = l - a, e = t/2, and parity read from c + sum(a).  Yields
     (key, record) in enumeration order, key being the integer tuple
@@ -63,9 +67,7 @@ def _raw_records(p, g, c, trunk_at_start=True):
                     _ok3(p, chains[i - 1], sticks[i], chains[i]) for i in range(1, g - 1)
                 ):
                     continue
-            for loops in itertools.product(rng, repeat=g):
-                if any(l > d - 1 for l in loops):
-                    continue
+            for loops in itertools.product(range(d), repeat=g):  # small loops
                 if not all(_ok3(p, l, l, s) for l, s in zip(loops, sticks)):
                     continue
                 # all sticks and chains are even by now; records read their
@@ -79,6 +81,11 @@ def _raw_records(p, g, c, trunk_at_start=True):
                 es = ",".join(map(str, e))
                 par = "even" if (c + sum(a)) % 2 == 0 else "odd"
                 yield key, f"{g};{c};{ab};{es};{par}"
+
+
+def _stream(p, g, c):
+    """The records of `census --list`, flattened out of their chunks."""
+    return list(itertools.chain.from_iterable(_records(p, g, c)))
 
 
 def _parity_tally(records):
@@ -131,13 +138,13 @@ def test_frozen_small_counts():
 def test_enumeration_agrees_with_counting():
     for p, g in [(5, 1), (5, 2), (5, 3), (7, 2), (11, 2)]:
         for c in range((p - 1) // 2):
-            assert _parity_tally(list(_records(p, g, c))) == count_parities(p, g, c)
+            assert _parity_tally(_stream(p, g, c)) == count_parities(p, g, c)
 
 
 def test_parity_convention_special_case():
     # at (g, c) = (2, 0) the two stick half-colors coincide, so the general
     # rule already answers even; the explicit convention must agree
-    records = list(_records(5, 2, 0))
+    records = _stream(5, 2, 0)
     assert records
     for rec in records:
         assert rec.endswith(";even")
@@ -181,16 +188,74 @@ def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         beta_eta_closed(5, 0, 2)
     with pytest.raises(ValueError):
-        list(_records(5, 2, 5))
+        _stream(5, 2, 5)
 
 
-@pytest.mark.parametrize("p,g", [(5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2)])
+# g = 4 puts recursive levels above the two that each chunk builds at once
+STREAM_GRID = [(5, 1), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 4), (11, 2)]
+
+
+@pytest.mark.parametrize("p,g", STREAM_GRID)
 def test_record_stream_matches_reference(p, g):
     # the raw oracle shares no code with census._moves, so this pins the
     # stream's bytes, its order and the validity of every record
     for c in range((p - 1) // 2):
         expected = [rec for _key, rec in sorted(_raw_records(p, g, c))]
-        assert list(_records(p, g, c)) == expected
+        assert _stream(p, g, c) == expected
+
+
+@pytest.mark.parametrize("p,g", STREAM_GRID)
+def test_record_chunks_are_bounded(p, g):
+    # one chunk per (a_(g-1), b_(g-1)) holds at most d^2 records, so the
+    # stream never holds a whole genus level
+    d = (p - 1) // 2
+    for c in range(d):
+        assert all(0 < len(chunk) <= d * d for chunk in _records(p, g, c))
+
+
+def test_genus_one_stream_is_linear_in_d():
+    # the size guard admits g = 1 up to p of about 89000, where a d^2-sized
+    # table (the move table, or every "x,b" string) would take gigabytes;
+    # the g = 1 stream must hold no more than its d - c records
+    p, d = 2003, 1001
+    LollipopTree(p, 1, 0)  # fill the primality cache outside the trace
+    tracemalloc.start()
+    try:
+        chunks = list(_records(p, 1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(chunk) for chunk in chunks] == [d]
+    assert peak < 200 * d
+
+
+class _WriteRecorder:
+    """Stands in for stdout and keeps the argument of every write call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, s):
+        self.calls.append(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("p,g,c", [(7, 3, 1), (5, 1, 0)])
+def test_census_list_write_protocol(p, g, c):
+    # `census --list` writes each line as two calls, its text then "\n", as
+    # print does: line counters that count write calls, such as perfbench's
+    # TallySink, count a line per "\n" and a record per text ending in its
+    # parity, and would miscount joined or batched writes
+    sink = _WriteRecorder()
+    with contextlib.redirect_stdout(sink):
+        assert main(["census", "--p", str(p), "--g", str(g), "--c", str(c), "--list"]) == EXIT_OK
+    assert len(sink.calls) % 2 == 0
+    assert sink.calls[1::2] == ["\n"] * (len(sink.calls) // 2)
+    expected = [rec for _key, rec in sorted(_raw_records(p, g, c))]
+    assert sink.calls[0::2] == ["g;c;ab;e;parity", *expected]
 
 
 def test_state_estimate_growth():
@@ -230,4 +295,4 @@ def test_counting_walk_matches_enumeration_property(p, g, c):
     # count_parities weights skeletons by their loop choices; the record
     # stream visits every coloring, so the two walks check each other
     if c <= (p - 3) // 2:
-        assert _parity_tally(list(_records(p, g, c))) == count_parities(p, g, c)
+        assert _parity_tally(_stream(p, g, c)) == count_parities(p, g, c)

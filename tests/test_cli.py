@@ -58,6 +58,20 @@ def test_dims_json_shape():
     ]
 
 
+@pytest.mark.parametrize("float_display", [(), ("--float-display",)])
+def test_dims_json_streams_the_bytes_of_one_dump(capsys, float_display):
+    # rows are written one at a time, and must read as json.dumps of them all
+    assert main(["dims", "--p", "7", "--gmax", "3", "--format", "json", *float_display]) == EXIT_OK
+    rows = []
+    for g, c, fe, fo, total, delta in dim_table(7, 3).rows():
+        row = {"p": 7, "g": g, "c": c, "fe": fe, "fo": fo, "D": total, "delta": delta}
+        if float_display:
+            row["delta_sine"] = f"{delta_float(7, g, c):.6f}"
+            row["D_sine"] = f"{total_float(7, g, c):.6f}"
+        rows.append(row)
+    assert capsys.readouterr().out == json.dumps(rows) + "\n"
+
+
 def test_dims_float_display_columns():
     res = run_cli("dims", "--p", "7", "--gmax", "3", "--format", "csv", "--float-display")
     lines = res.stdout.splitlines()

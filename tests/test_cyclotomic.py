@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqftdims import cyclotomic, fusion
 from tqftdims.cyclotomic import (
     INFINITE,
     CycNum,
@@ -171,6 +172,23 @@ def test_h_valuation_ignores_unit_factors():
     u = quantum_int(p, 3)
     assert h_valuation(u) == 0
     assert h_valuation(u * h**4) == 4
+
+
+def test_h_valuation_inverts_h_only_when_h_divides(monkeypatch):
+    # a unit fails the first divisibility test, so building 1/(1 - zeta),
+    # a full adjugate norm, would be wasted work
+    calls = []
+
+    def counting_inv(x):
+        calls.append(x)
+        return inv(x)
+
+    monkeypatch.setattr(cyclotomic, "inv", counting_inv)
+    assert h_valuation(fusion._hopf_cofactor(13)) == 0
+    assert calls == []
+    h = CycNum(13, [1, -1])
+    assert h_valuation(h * h) == 2
+    assert calls == [h]
 
 
 def _elements(p, size=4):
