@@ -150,7 +150,8 @@ def count_parities(p: int, g: int, c: int) -> tuple[int, int]:
     """
     tree = LollipopTree(p, g, c)
     d = tree.d
-    moves = _moves(tree)
+    # at g = 1 the walk stops at its first vertex and reads no move
+    moves = _moves(tree) if g > 1 else []
     counts = [0, 0]
 
     def walk(i: int, x: int, par: int, weight: int) -> None:

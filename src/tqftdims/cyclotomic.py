@@ -84,19 +84,30 @@ def _fold(acc: list) -> list:
     return [a - top for a in acc] if top else acc
 
 
-def _int_mul(p: int, a, b) -> list:
-    """Product of two integral elements given by coordinates: an integer
-    convolution modulo t^p - 1, then one fold of the top coefficient."""
-    acc = [0] * p
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
+def _nonzero(a) -> list:
+    """The (index, coordinate) pairs of a's nonzero coordinates."""
+    return [(i, ai) for i, ai in enumerate(a) if ai]
+
+
+def _mul_into(acc: list, a: list, b: list) -> list:
+    """Add the product of a and b, given as _nonzero pairs, to the p
+    coefficients acc modulo t^p - 1, and return acc.  Only nonzero pairs
+    are visited, so a product with a 2-sparse factor costs O(p)."""
+    p = len(acc)
+    for i, ai in a:
+        for j, bj in b:
             k = i + j
             if k >= p:
                 k -= p
             acc[k] += ai * bj
-    return _fold(acc)
+    return acc
+
+
+def _int_mul(p: int, a, b) -> list:
+    """Product of two integral elements given by coordinates: an integer
+    convolution modulo t^p - 1 over the nonzero coordinates of both, then
+    one fold of the top coefficient."""
+    return _fold(_mul_into([0] * p, _nonzero(a), _nonzero(b)))
 
 
 def _int_galois(p: int, a, j: int) -> list:

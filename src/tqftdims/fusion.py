@@ -24,9 +24,11 @@ from .cyclotomic import (
     CycNum,
     _check_color,
     _check_prime,
+    _fold,
+    _mul_into,
+    _nonzero,
     galois,
     h_valuation,
-    inv,
     monomial,
     norm,
     quantum_int,
@@ -176,6 +178,13 @@ def _is_integral(x) -> bool:
     return x.is_integral() if isinstance(x, CycNum) else x.denominator == 1
 
 
+def _integral_cyclotomic(m: "FusionMatrix") -> bool:
+    """True when every entry of m is an integral CycNum of m's order."""
+    return all(
+        isinstance(e, CycNum) and e.p == m.p and e.den == 1 for row in m.entries for e in row
+    )
+
+
 @dataclass(frozen=True)
 class FusionMatrix:
     """A d x d matrix; entries[j][i] is row j, column i."""
@@ -196,6 +205,8 @@ class FusionMatrix:
         if isinstance(other, FusionMatrix):
             if self.p != other.p or self.size != other.size:
                 raise ValueError("matrix shapes or ranks differ")
+            if _integral_cyclotomic(self) and _integral_cyclotomic(other):
+                return self._integral_product(other)
             n = self.size
             rows = []
             for i in range(n):
@@ -217,6 +228,24 @@ class FusionMatrix:
         if isinstance(other, (int, Fraction, CycNum)):
             return self * other
         return NotImplemented
+
+    def _integral_product(self, other: "FusionMatrix") -> "FusionMatrix":
+        """Product of two matrices of integral CycNum entries.  Each output
+        entry adds its n convolutions, over the entries' nonzero coordinates,
+        into one list of p integers and folds it once."""
+        p = self.p
+        rows = [[_nonzero(e.num) for e in row] for row in self.entries]
+        cols = [[_nonzero(e.num) for e in col] for col in zip(*other.entries)]
+        out = []
+        for row in rows:
+            entries = []
+            for col in cols:
+                acc = [0] * p
+                for a, b in zip(row, col):
+                    _mul_into(acc, a, b)
+                entries.append(CycNum._reduced(p, _fold(acc), 1))
+            out.append(tuple(entries))
+        return FusionMatrix(p, tuple(out))
 
     def apply(self, vec):
         """Matrix-vector product."""
@@ -263,6 +292,31 @@ class FusionMatrix:
                     mat[i][j] = num
             prev = pivot
         return mat[n - 1][n - 1] * sign
+
+    def charpoly(self) -> tuple:
+        """Coefficients of det(tI - M), leading 1 first, for integer entries.
+
+        Faddeev-LeVerrier: with N_1 = I, c_k = -tr(M N_k) / k and
+        N_(k+1) = M N_k + c_k I, det(tI - M) = t^n + c_1 t^(n-1) + ... + c_n.
+        Each c_k is an integer for integer M; a division by k that leaves a
+        remainder raises ArithmeticError.
+        """
+        mat = self.entries
+        if not all(isinstance(e, int) for row in mat for e in row):
+            raise ValueError("characteristic polynomial needs integer entries")
+        n = self.size
+        step = [[int(i == j) for j in range(n)] for i in range(n)]
+        coeffs = [1]
+        for k in range(1, n + 1):
+            cols = tuple(zip(*step))
+            step = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in mat]
+            c, rem = divmod(-sum(step[i][i] for i in range(n)), k)
+            if rem:
+                raise ArithmeticError(f"Faddeev-LeVerrier trace is not divisible by {k}")
+            coeffs.append(c)
+            for i in range(n):
+                step[i][i] += c
+        return tuple(coeffs)
 
 
 def mul_matrix_even(x: FusionElement) -> FusionMatrix:
@@ -391,9 +445,16 @@ def alternating_eigenvalue(p: int) -> CycNum:
 # Bounded: verify's fusion suite finishes one prime's claims before the next.
 @lru_cache(maxsize=2)
 def counting_eigenvalue(p: int) -> CycNum:
-    """Eigenvalue of the counting element: -p / (q - q^-1)^2."""
-    h2 = (monomial(p, 1) - monomial(p, -1)) ** 2
-    return CycNum.scalar(p, -p) * inv(h2)
+    """Eigenvalue of the counting element at the fundamental embedding,
+    sum_{n<d} (d - n) [2n + 1] = T(d) + sum_{k=1}^{d-1} T(d - k) (q^2k + q^-2k)
+    with T(m) = m(m + 1)/2; it equals -p / (q - q^-1)^2.
+    """
+    d = _rank(p)
+    vec = [0] * p
+    vec[0] = d * (d + 1) // 2
+    for k in range(1, d):
+        vec[2 * k] = vec[p - 2 * k] = (d - k) * (d - k + 1) // 2
+    return CycNum(p, vec)
 
 
 # Bounded: a sweep over every trunk color at one (p, g) reads one power, or

@@ -101,7 +101,7 @@ def _raw_counts(p, g, c, trunk_at_start=True):
 
 @pytest.mark.parametrize(
     "p,g",
-    [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2)],
+    [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 1), (13, 1)],
 )
 def test_census_matches_raw_graph_enumeration(p, g):
     d = (p - 1) // 2
@@ -226,6 +226,21 @@ def test_genus_one_stream_is_linear_in_d():
     finally:
         tracemalloc.stop()
     assert [len(chunk) for chunk in chunks] == [d]
+    assert peak < 200 * d
+
+
+def test_genus_one_count_builds_no_move_table():
+    # at g = 1 the count walk stops at its first vertex: the d^2-sized move
+    # table it never reads would peak at about 144 MB here
+    p, d = 2003, 1001
+    LollipopTree(p, 1, 0)  # fill the primality cache outside the trace
+    tracemalloc.start()
+    try:
+        counts = count_parities(p, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == (d, 0)
     assert peak < 200 * d
 
 

@@ -297,6 +297,15 @@ def test_verify_poly_suite():
     assert "0 failures" in lines[-1]
 
 
+def test_verify_gmax_is_capped_by_each_suite():
+    # the fusion suite caps its genus at 8 (census at 4, poly at 4), so a
+    # huge --gmax is a bounded run
+    res = run_cli("verify", "--suite", "fusion", "--p-list", "5", "--gmax", "100000")
+    assert res.returncode == EXIT_OK
+    capped = [line for line in res.stdout.splitlines() if "g<=" in line]
+    assert len(capped) == 2 and all(line.endswith("g<=8)") for line in capped)
+
+
 def test_verify_census_suite_small():
     res = run_cli("verify", "--suite", "census", "--p-list", "5,7", "--gmax", "2")
     assert res.returncode == EXIT_OK

@@ -1,5 +1,7 @@
 """The integer CycNum core checked against sympy's polynomial arithmetic
-modulo the p-th cyclotomic polynomial, on elements with Fraction coordinates."""
+modulo the p-th cyclotomic polynomial, on elements with Fraction coordinates,
+and the integer characteristic polynomial that the eigenvalue claim
+evaluates in that core checked against sympy's."""
 
 import math
 from fractions import Fraction
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftdims.cyclotomic import CycNum, inv
+from tqftdims.cyclotomic import CycNum, _int_mul, inv
+from tqftdims.fusion import FusionMatrix, alternating_element, counting_element, mul_matrix_even
 
 sympy = pytest.importorskip("sympy")
 
@@ -61,6 +64,50 @@ def test_product_matches_sympy_reduction(data):
     want = (_poly(xs) * _poly(ys)).rem(_phi(p))
     assert (x * y).coeffs == _reduced_coords(want, p)
     assert x.coeffs == _reduced_coords(_poly(xs).rem(_phi(p)), p)
+
+
+def _sparse_coords(p):
+    """p integer coordinates, all zero or with one nonzero monomial."""
+    monomial = st.tuples(st.integers(0, p - 1), st.integers(-6, 6).filter(bool))
+    return st.one_of(
+        st.just([0] * p),
+        monomial.map(lambda kc: [kc[1] if i == kc[0] else 0 for i in range(p)]),
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_kernel_matches_sympy_product(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    a = data.draw(_sparse_coords(p))
+    b = data.draw(st.one_of(_sparse_coords(p), st.lists(st.integers(-6, 6), min_size=p, max_size=p)))
+    if data.draw(st.booleans()):
+        a, b = b, a
+    want = (_poly(a) * _poly(b)).rem(_phi(p))
+    assert tuple(map(Fraction, _int_mul(p, a, b))) == _reduced_coords(want, p)
+
+
+def _sympy_charpoly(rows):
+    return tuple(int(c) for c in sympy.Matrix(rows).charpoly(T).all_coeffs())
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23, 29, 31))
+def test_charpoly_matches_sympy_on_multiplication_matrices(p):
+    for element in (alternating_element(p), counting_element(p)):
+        mat = mul_matrix_even(element)
+        assert mat.charpoly() == _sympy_charpoly(mat.entries)
+
+
+_square = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(rows=_square)
+@settings(max_examples=60, deadline=None)
+def test_charpoly_matches_sympy_property(rows):
+    mat = FusionMatrix(5, tuple(map(tuple, rows)))
+    assert mat.charpoly() == _sympy_charpoly(rows)
 
 
 @given(data=_pairs())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftdims import cyclotomic, fusion
+from tqftdims import claims, cyclotomic, fusion
 from tqftdims.cli import main
 from tqftdims.cyclotomic import CycNum, galois, h_valuation, monomial, norm
 from tqftdims.fusion import (
@@ -89,6 +89,7 @@ def test_frozen_p5_matrices():
     assert mul_matrix_even(counting_element(5)).entries == ((2, 1), (1, 3))
     m = mul_matrix_even(alternating_element(5))
     assert (m * m).entries == ((5, -3), (-3, 2))
+    assert m.charpoly() == (1, -3, 1)
 
 
 def test_counting_element_is_sum_of_squares():
@@ -195,6 +196,75 @@ def test_eigenvalue_annihilates_characteristic(p):
         assert not shifted.det()
 
 
+def _chi_at(chi, x):
+    """Horner's rule for coefficients given leading one first."""
+    acc = x * 0
+    for c in chi:
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_charpoly_is_the_shifted_bareiss_determinant(p):
+    # det(M - x I) = (-1)^d chi(x) off the spectrum too: at x = lam_j + 1
+    # neither side vanishes, so the identity is not 0 == 0
+    d = (p - 1) // 2
+    mat = mul_matrix_even(alternating_element(p))
+    chi = mat.charpoly()
+    lam = alternating_eigenvalue(p)
+    for j in range(d):
+        x = galois(lam, 2 * j + 1) + 1
+        shifted = FusionMatrix(
+            p,
+            tuple(
+                tuple(CycNum.scalar(p, e) - (x if r == s else 0) for s, e in enumerate(row))
+                for r, row in enumerate(mat.entries)
+            ),
+        )
+        value = _chi_at(chi, x)
+        assert value
+        assert value * (-1) ** d == shifted.det()
+
+
+def test_eigenvalue_claim_fails_on_a_shifted_eigenvalue(monkeypatch):
+    true_eigenvalue = alternating_eigenvalue
+    monkeypatch.setattr(fusion, "alternating_eigenvalue", lambda p: true_eigenvalue(p) + 1)
+    for p in PRIMES:
+        assert claims.alternating_eigenvalues(p)[1] is False
+
+
+@st.composite
+def _integral_matrix_pairs(draw):
+    """Two n x n matrices of integral CycNum entries, each entry zero, one
+    monomial (zeta^(p-1) folds to a dense element) or dense."""
+    p = draw(st.sampled_from((5, 7, 11)))
+    n = draw(st.integers(1, 3))
+    coord = st.integers(-4, 4)
+    entry = st.one_of(
+        st.just([]),
+        st.tuples(st.integers(0, p - 1), coord).map(lambda kc: [0] * kc[0] + [kc[1]]),
+        st.lists(coord, min_size=p - 1, max_size=p),
+    )
+
+    def matrix():
+        rows = tuple(tuple(CycNum(p, draw(entry)) for _ in range(n)) for _ in range(n))
+        return FusionMatrix(p, rows)
+
+    return matrix(), matrix()
+
+
+@given(_integral_matrix_pairs())
+@settings(max_examples=40, deadline=None)
+def test_integral_cyclotomic_product_is_the_termwise_sum_property(pair):
+    a, b = pair
+    n, zero = a.size, CycNum.scalar(a.p, 0)
+    want = tuple(
+        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(n)), zero) for j in range(n))
+        for i in range(n)
+    )
+    assert (a * b).entries == want
+
+
 def test_bareiss_determinant_int_cases():
     m = FusionMatrix(5, ((1, 2), (3, 4)))
     assert m.det() == -2
@@ -222,6 +292,8 @@ def test_matrix_shape_errors():
         FusionMatrix.identity(5) * FusionMatrix.identity(7)
     with pytest.raises(ValueError):
         FusionMatrix.identity(5).apply((1, 2, 3))
+    with pytest.raises(ValueError, match="integer entries"):
+        FusionMatrix(5, ((Fraction(1, 2), 0), (0, 1))).charpoly()
 
 
 def test_hopf_vandermonde_first_row():
@@ -484,6 +556,19 @@ def test_hopf_certificate_runs_no_bareiss(monkeypatch):
     for p in (5, 13, 37):
         d = (p - 1) // 2
         assert hopf_certificate(p).valuation == d * (d - 1) // 2
+
+
+def test_eigenvalue_claim_and_counting_eigenvalue_run_no_bareiss_or_inverse(
+    cold_fusion, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("ran a Bareiss determinant or a field inverse")
+
+    monkeypatch.setattr(FusionMatrix, "det", refuse)
+    monkeypatch.setattr(cyclotomic, "_adjugate_norm", refuse)
+    for p in (5, 13, 31):
+        assert claims.alternating_eigenvalues(p)[1]
+        counting_eigenvalue(p)
 
 
 def test_alternating_eigenvalue_multiplies_nothing(cold_fusion, monkeypatch):
