@@ -110,10 +110,11 @@ def alternating_eigenvalues(p: int) -> Claim:
 
 def structure_constants(p: int) -> Claim:
     d = (p - 1) // 2
+    evens = [fusion.cheb_vector(p, 2 * i) for i in range(d)]
     ok = True
     for i in range(d):
         for j in range(d):
-            coords = (fusion.cheb_vector(p, 2 * i) * fusion.cheb_vector(p, 2 * j)).even_coords()
+            coords = (evens[i] * evens[j]).even_coords()
             for k in range(d):
                 admissible = (
                     abs(2 * i - 2 * j) <= 2 * k <= 2 * i + 2 * j

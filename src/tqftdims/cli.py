@@ -92,10 +92,10 @@ def _display(value, p: int, g: int, c: int) -> str:
 # -- size guards ---------------------------------------------------------------
 
 #: Fitted growth of a `dims` run's peak resident size over start-up, in bytes
-#: per table cell and per digit of the digit bound, by output format.  Fitted
-#: when `dims` held every row before printing; streamed rows peak lower, so
-#: these now overestimate until they are fitted again.
-DIMS_BYTES = {"text": (450, 2.2), "csv": (450, 2.2), "json": (520, 11.5)}
+#: per cell of the table plus one row of per-prime factors, and per digit of
+#: the digit bound.  Rows stream, so every format peaks alike; at the sizes
+#: the fit used, each estimate is at least 1.12 times the measured growth.
+DIMS_BYTES = (115, 1.0)
 #: Estimated growth, in MiB, above which `dims` refuses.
 DIMS_GUARD_MIB = 256
 #: Sine-form terms above which `dims --float-display` refuses (about 1.2 us each).
@@ -124,8 +124,8 @@ def _dims_refusal(ns) -> str | None:
         return None  # dim_table refuses it as invalid input
     cells = d * ns.gmax
     top, digits = _dims_digits(ns.p, ns.gmax)
-    per_cell, per_digit = DIMS_BYTES[ns.format]
-    mib = (per_cell * cells + per_digit * digits) / 2**20
+    per_cell, per_digit = DIMS_BYTES
+    mib = (per_cell * (cells + d) + per_digit * digits) / 2**20
     if mib > DIMS_GUARD_MIB:
         return f"estimated peak of {mib:.3g} MiB exceeds {DIMS_GUARD_MIB} MiB"
     terms = d * (d + cells)  # the sine bases, then d terms per display cell

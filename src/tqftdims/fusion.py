@@ -157,16 +157,25 @@ def cheb_vector(p: int, n: int) -> FusionElement:
     return FusionElement(p, tuple(cur))
 
 
+def _even_steps(p: int, yv):
+    """e_0 y, e_2 y, ..., e_(2d-2) y: the even-indexed steps of one ladder walk."""
+    d = (p - 1) // 2
+    return islice(_ladder(p, yv), 0, 2 * d - 1, 2)
+
+
 # Bounded: verify's fusion suite finishes one prime's claims before the next.
 @lru_cache(maxsize=2)
 def even_basis_permutation(p: int) -> tuple[int, ...]:
-    """Position of e_{2j} in the standard basis: 2j if 2j <= d-1, else 2d-1-2j."""
+    """Position of e_{2j} in the standard basis: 2j if 2j <= d-1, else 2d-1-2j.
+
+    Every e_{2j} is read from one ladder walk from e_0 and checked to be that
+    basis vector.
+    """
     d = _rank(p)
     perm = []
-    for j in range(d):
+    for j, vec in enumerate(_even_steps(p, [1] + [0] * (d - 1))):
         target = 2 * j if 2 * j <= d - 1 else 2 * d - 1 - 2 * j
-        vec = cheb_vector(p, 2 * j).coords
-        if vec != tuple(1 if k == target else 0 for k in range(d)):
+        if vec != [1 if k == target else 0 for k in range(d)]:
             raise ArithmeticError(f"fold of e_{2 * j} is not a basis vector at p={p}")
         perm.append(target)
     if sorted(perm) != list(range(d)):
@@ -322,21 +331,23 @@ class FusionMatrix:
 def mul_matrix_even(x: FusionElement) -> FusionMatrix:
     """Matrix of multiplication by x in the even-index basis ordering.
 
-    Column i holds the even-basis coordinates of x * e_{2i}.
+    Column i holds the even-basis coordinates of x * e_{2i}, the step 2i of
+    one ladder walk from x.
     """
-    p = x.p
-    d = _rank(p)
-    cols = [(x * cheb_vector(p, 2 * i)).even_coords() for i in range(d)]
-    return FusionMatrix(p, tuple(tuple(cols[i][j] for i in range(d)) for j in range(d)))
+    perm = even_basis_permutation(x.p)
+    cols = list(_even_steps(x.p, x.coords))
+    return FusionMatrix(x.p, tuple(tuple(col[k] for col in cols) for k in perm))
 
 
 def _weighted_even_sum(p: int, sign: int) -> FusionElement:
-    """sum over n of sign^n (d - n) e_{2n}."""
+    """sum over n of sign^n (d - n) e_{2n}, from one ladder walk from e_0."""
     d = _rank(p)
-    acc = cheb_vector(p, 0) * d
-    for n in range(1, d):
-        acc = acc + cheb_vector(p, 2 * n) * (sign**n * (d - n))
-    return acc
+    acc = [0] * d
+    for n, vec in enumerate(_even_steps(p, [1] + [0] * (d - 1))):
+        w = sign**n * (d - n)
+        for k, a in enumerate(vec):
+            acc[k] += w * a
+    return FusionElement(p, tuple(acc))
 
 
 # Bounded: verify's fusion suite finishes one prime's claims before the next.

@@ -17,8 +17,13 @@ beta_eta_closed as the oracle for the step.
 
 The signed difference delta = even - odd collapses the pair of recursions
 to a single one with kernel d - max(a, c); an equivalent reordered form
-splits that kernel as (d - a) plus a correction over a < c.  Both stay
-dense, as cross-checks independent of the semiseparable step.
+splits that kernel as (d - a) plus a correction over a < c.  Each takes a
+genus in O(d) prefix sums of its own: delta_direct as
+(d - c) sum_{a<=c} cur_a + sum_{a>c} (d - a) cur_a, delta_split as
+base + S1(c) - c S0(c) with S0, S1 the sums of cur_a and a cur_a over a < c.
+Neither reads beta_eta_closed or shares code with dim_table's step, so both
+stay cross-checks of it; tests/test_recursion.py keeps their dense double
+loops as oracles.
 """
 
 from __future__ import annotations
@@ -127,9 +132,10 @@ def delta_direct(p: int, g: int) -> tuple[int, ...]:
     d = (p - 1) // 2
     cur = tuple(d - c for c in range(d))
     for _ in range(g - 1):
-        cur = tuple(
-            sum((d - max(a, c)) * cur[a] for a in range(d)) for c in range(d)
-        )
+        # below[c] = sum_{a<=c} cur_a; above[c] = sum_{a>c} (d - a) cur_a
+        below = accumulate(cur)
+        above = list(accumulate((a * x for a, x in zip(range(1, d), cur[:0:-1])), initial=0))
+        cur = tuple((d - c) * lo + hi for c, lo, hi in zip(range(d), below, reversed(above)))
     return cur
 
 
@@ -142,7 +148,8 @@ def delta_split(p: int, g: int) -> tuple[int, ...]:
     cur = tuple(d - c for c in range(d))
     for _ in range(g - 1):
         base = sum((d - a) * cur[a] for a in range(d))
-        cur = tuple(
-            base + sum((a - c) * cur[a] for a in range(c)) for c in range(d)
-        )
+        # s0[c] = sum_{a<c} cur_a and s1[c] = sum_{a<c} a cur_a
+        s0 = accumulate(cur, initial=0)
+        s1 = accumulate(map(mul, range(d), cur), initial=0)
+        cur = tuple(base + t1 - c * t0 for c, t0, t1 in zip(range(d), s0, s1))
     return cur

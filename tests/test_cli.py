@@ -144,7 +144,7 @@ def no_tables(monkeypatch):
     [
         ("--p", "100000007", "--gmax", "1"),  # cells
         ("--p", "5", "--gmax", "200000"),  # digits
-        ("--p", "5", "--gmax", "6500", "--format", "json"),  # digits, as json
+        ("--p", "20011", "--gmax", "100", "--format", "json"),  # digits, as json
         ("--p", "5", "--gmax", "9000"),  # counts past Python's int-to-text limit
         ("--p", "4001", "--gmax", "4", "--float-display"),  # sine terms
     ],
@@ -166,6 +166,10 @@ def test_dims_size_guard_refuses_before_building(no_tables, capsys, args):
         ("--p", "4001", "--gmax", "4"),
         ("--p", "1009", "--gmax", "30"),
         ("--p", "1009", "--gmax", "10", "--float-display"),
+        # refused at 265 and 520 MiB by a fit from before rows streamed;
+        # they peak at 38 and 71 MB
+        ("--p", "5", "--gmax", "6500", "--format", "json"),
+        ("--p", "20011", "--gmax", "25", "--format", "json"),
     ],
 )
 def test_dims_size_guard_lets_moderate_tables_through(no_tables, args):

@@ -64,6 +64,45 @@ def test_structure_constants_encode_admissibility(p):
                 assert coords[k] == (1 if fits else 0)
 
 
+def _column_matrix(x):
+    """mul_matrix_even built column by column: column i is x * e_{2i}, each
+    e_{2i} walked from e_0 on its own."""
+    p = x.p
+    d = (p - 1) // 2
+    cols = [(x * cheb_vector(p, 2 * i)).even_coords() for i in range(d)]
+    return FusionMatrix(p, tuple(tuple(cols[i][j] for i in range(d)) for j in range(d)))
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 62) if cyclotomic.is_prime(p)])
+def test_one_walk_matrix_matches_column_build(p):
+    for x in (alternating_element(p), counting_element(p), cheb_vector(p, 1)):
+        assert mul_matrix_even(x) == _column_matrix(x)
+
+
+@pytest.mark.parametrize("p", [13, 61, 101])
+def test_matrix_build_walks_each_ladder_once(monkeypatch, p):
+    # A cold build walks three ladders of 2d - 2 z-steps each: the element's
+    # weighted sum, the permutation's and the matrix's own.  Walking every
+    # e_{2i} from e_0 on its own, _column_matrix alone makes 2d(d - 1).
+    steps = []
+    mul_by_z = fusion._mul_by_z
+
+    def counting(p, vec):
+        steps.append(p)
+        return mul_by_z(p, vec)
+
+    monkeypatch.setattr(fusion, "_mul_by_z", counting)
+    d = (p - 1) // 2
+    for cache in (alternating_element, even_basis_permutation):
+        cache.cache_clear()
+    try:
+        mul_matrix_even(alternating_element(p))
+    finally:
+        for cache in (alternating_element, even_basis_permutation):
+            cache.cache_clear()
+    assert len(steps) == 3 * (2 * d - 2)
+
+
 def test_product_ring_axioms():
     p = 7
     x = cheb_vector(p, 2)

@@ -1,4 +1,4 @@
-"""Transfer recursion against the census, a dense oracle, and its own
+"""Transfer recursion against the census, dense oracles, and its own
 collapsed forms."""
 
 import pytest
@@ -107,6 +107,42 @@ def test_frozen_p5_table():
 def test_total_at_genus_two_matches_closed_form():
     for p in (5, 7, 11, 13, 17, 19):
         assert dim_table(p, 2).total(2, 0) == p * (p * p - 1) // 24
+
+
+def _dense_delta_direct(p, g):
+    """The collapsed recursion as a dense double loop over d - max(a, c)."""
+    d = (p - 1) // 2
+    cur = tuple(d - c for c in range(d))
+    for _ in range(g - 1):
+        cur = tuple(
+            sum((d - max(a, c)) * cur[a] for a in range(d)) for c in range(d)
+        )
+    return cur
+
+
+def _dense_delta_split(p, g):
+    """The split kernel (d - a) plus the a < c correction, as dense loops."""
+    d = (p - 1) // 2
+    cur = tuple(d - c for c in range(d))
+    for _ in range(g - 1):
+        base = sum((d - a) * cur[a] for a in range(d))
+        cur = tuple(
+            base + sum((a - c) * cur[a] for a in range(c)) for c in range(d)
+        )
+    return cur
+
+
+@pytest.mark.parametrize("p,g", [(5, 1), (7, 2), (101, 20), (127, 15), (151, 20)])
+def test_signed_recursions_match_dense_oracles(p, g):
+    assert delta_direct(p, g) == _dense_delta_direct(p, g)
+    assert delta_split(p, g) == _dense_delta_split(p, g)
+
+
+@given(p=st.sampled_from(PRIMES_TO_97), g=st.integers(min_value=1, max_value=15))
+@settings(max_examples=40, deadline=None)
+def test_signed_recursions_match_dense_oracles_property(p, g):
+    assert delta_direct(p, g) == _dense_delta_direct(p, g)
+    assert delta_split(p, g) == _dense_delta_split(p, g)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
