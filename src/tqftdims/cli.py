@@ -134,9 +134,14 @@ def _dims_refusal(ns) -> str | None:
     return _text_refusal(top)
 
 
+def _text_limit() -> int:
+    """The most digits Python converts an int to text with; 0 for no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _text_refusal(top: float) -> str | None:
     """Why counts of about `top` digits cannot be printed, or None if they can."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = _text_limit()
     if limit and top > limit:
         return f"counts reach about {top:.0f} digits, over the {limit} Python converts to text"
     return None
@@ -174,6 +179,13 @@ def _cmd_dims(ns) -> int:
         return EXIT_GUARD
     p = ns.p
     table = recursion.dim_table(p, ns.gmax)
+    # --force skips the estimate but cannot skip the int-to-text limit.  D
+    # grows with g and bounds fe, fo and |delta|, so the largest D at gmax is
+    # the largest count, tested exactly before the first row.
+    limit = _text_limit()
+    if limit and max(table.total(ns.gmax, c) for c in range(table.d)) >= 10**limit:
+        print(f"refusing dims: counts pass the {limit}-digit int-to-text limit", file=sys.stderr)
+        return EXIT_GUARD
     cols = list(DIM_COLUMNS)
     if ns.float_display:
         cols += ["delta_sine", "D_sine"]

@@ -94,21 +94,12 @@ class FusionElement:
         self._same(other)
         return FusionElement(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "FusionElement") -> "FusionElement":
-        self._same(other)
-        return FusionElement(self.p, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def __mul__(self, other):
         if isinstance(other, FusionElement):
             self._same(other)
             return FusionElement(self.p, tuple(_product(self.p, self.coords, other.coords)))
         if isinstance(other, (int, Fraction)):
             return FusionElement(self.p, tuple(other * a for a in self.coords))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
         return NotImplemented
 
     def _same(self, other: "FusionElement") -> None:
@@ -138,10 +129,14 @@ def _ladder(p: int, yv):
 
 
 def _product(p: int, xv, yv):
-    """Multiply in the quotient by expanding x along the ladder of y."""
+    """Multiply in the quotient by expanding x along the ladder of y.
+
+    The walk stops at x's last nonzero coordinate: the steps past it add nothing.
+    """
     d = (p - 1) // 2
     out = [0] * d
-    for xi, cur in zip(xv, _ladder(p, yv)):
+    last = max((k for k, xi in enumerate(xv) if xi), default=-1)
+    for xi, cur in zip(xv[: last + 1], _ladder(p, yv)):
         if xi:
             for k in range(d):
                 out[k] += xi * cur[k]
@@ -231,11 +226,6 @@ class FusionMatrix:
             return FusionMatrix(
                 self.p, tuple(tuple(e * other for e in row) for row in self.entries)
             )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
-            return self * other
         return NotImplemented
 
     def _integral_product(self, other: "FusionMatrix") -> "FusionMatrix":

@@ -8,7 +8,7 @@ samples, and a Bernoulli-series residue construction - and checks their
 degree and leading-term structure against closed Bernoulli forms.
 
 The arithmetic is exact and in integers: interpolation, evaluation at
-integer points and the residue coefficient work on integer numerators over
+integer points and the residue polynomial work on integer numerators over
 one common denominator, and Fraction appears only at the interface, one per
 coefficient returned.  Nothing here touches floats.
 """
@@ -203,15 +203,6 @@ class BiPoly:
             out[ij] = out.get(ij, _ZERO) - q
         return BiPoly(out)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return BiPoly({ij: -q for ij, q in self._m.items()})
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -289,19 +280,24 @@ class BiPoly:
 # -- residue construction of the total-count polynomial -----------------------
 
 
-def _residue_coeff(g: int) -> BiPoly:
-    """Coefficient of t^(2g-2) in (2Pt/(e^(2Pt)-1)) * sinh((2C+1)t)/((2C+1)t)
-    * (t/sinh t)^(2g-1).
+def residue_total_poly(g: int) -> BiPoly:
+    """Total-count polynomial from the residue of
+    (2Pt/(e^(2Pt)-1)) * sinh((2C+1)t)/( (2C+1)t ) * (t/sinh t)^(2g-1) dt / t^(2g-1),
+    combined with a falling-factorial binomial correction.  Needs g >= 2.
 
-    h = (t/sinh t)^(2g-1) is s^e for s = sinh t / t = sum u^k / (2k+1)! in
-    u = t^2 and e = 1 - 2g.  Its u-coefficients come from J.C.P. Miller's
-    power recurrence (Knuth, TAOCP vol. 2, 4.7) in O(g^2) steps:
-    n h_n = sum_{k=1}^n ((e+1)k - n) s_k h_(n-k).  Each h_n is exact, and
-    the t^(2g-2) coefficient reads only h_0..h_(g-1).  Only the t^(2g-2)
-    coefficient of the product is built: the sum over i + j + 2k = 2g - 2
-    (j even, hence i even) of a_i b_j h_k, with a_i = B_i (2P)^i / i! and
-    b_j = (2C+1)^j / (j+1)!.
+    The result is ((-1)^g / 2) ((2C+1) P^(g-1) R / 4^(g-1) - P^g binom(C+g-1, 2g-2)),
+    R the t^(2g-2) coefficient of the series above, and it is built in one
+    integer pass.  h = (t/sinh t)^(2g-1) is s^e for s = sinh t / t =
+    sum u^k / (2k+1)! in u = t^2 and e = 1 - 2g.  Its u-coefficients come from
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) in O(g^2)
+    steps: n h_n = sum_{k=1}^n ((e+1)k - n) s_k h_(n-k).  Each h_n is exact,
+    and R reads only h_0..h_(g-1): the sum over i + j + 2k = 2g - 2 (j even,
+    hence i even) of a_i b_j h_k, with a_i = B_i (2P)^i / i! and
+    b_j = (2C+1)^j / (j+1)!.  Both terms then sit on integer numerators over
+    one denominator, and Fraction appears once per monomial.
     """
+    if g < 2:
+        raise ValueError("residue construction requires g >= 2")
     e = 1 - 2 * g
     h = [_ONE]
     for n in range(1, g):
@@ -316,33 +312,21 @@ def _residue_coeff(g: int) -> BiPoly:
         a = bernoulli(i) * 2**i / math.factorial(i)
         for j in range(0, top - i + 1, 2):
             terms[i, j] = a * h[(top - i - j) // 2] / math.factorial(j + 1)
-    # (2C+1)^j expanded over one common denominator
-    den = math.lcm(*(w.denominator for w in terms.values()))
-    num: dict = {}
+    # (2g-2)! binom(C + g - 1, 2g - 2) = prod (C + r), r = g - 1 .. 2 - g, ascending in C
+    binom = [1]
+    for r in range(g - 1, 1 - g, -1):
+        binom = [r * lo + hi for lo, hi in zip(binom + [0], [0] + binom)]
+    fact = math.factorial(top)
+    scale = 4 ** (g - 1)
+    den = math.lcm(fact, scale * math.lcm(*(w.denominator for w in terms.values())))
+    num = {(g, l): -b * (den // fact) for l, b in enumerate(binom)}
     for (i, j), w in terms.items():
-        w = w.numerator * (den // w.denominator)
-        for l in range(j + 1):
-            num[i, l] = num.get((i, l), 0) + (w * math.comb(j, l) << l)
-    return BiPoly({il: Fraction(q, den) for il, q in num.items()})
-
-
-def residue_total_poly(g: int) -> BiPoly:
-    """Total-count polynomial from the residue of
-    (2Pt/(e^(2Pt)-1)) * sinh((2C+1)t)/( (2C+1)t ) * (t/sinh t)^(2g-1) dt / t^(2g-1),
-    combined with a falling-factorial binomial correction.  Needs g >= 2.
-    """
-    if g < 2:
-        raise ValueError("residue construction requires g >= 2")
-    res = _residue_coeff(g)
-    # binom(C + g - 1, 2g - 2) as an exact polynomial in C
-    binom = BiPoly.const(Fraction(1, math.factorial(2 * g - 2)))
-    for i in range(2 * g - 2):
-        binom = binom * BiPoly({(0, 1): _ONE, (0, 0): Fraction(g - 1 - i)})
-    odd_c = BiPoly({(0, 1): Fraction(2), (0, 0): _ONE})
-    p_pow = BiPoly({(g - 1, 0): _ONE})
-    term1 = odd_c * p_pow * res * Fraction(1, 4 ** (g - 1))
-    term2 = BiPoly({(g, 0): _ONE}) * binom
-    return (term1 - term2) * Fraction((-1) ** g, 2)
+        # w (2C+1)^(j+1) P^(g-1+i), expanded over den
+        w = w.numerator * (den // (scale * w.denominator))
+        for l in range(j + 2):
+            num[g - 1 + i, l] = num.get((g - 1 + i, l), 0) + (w * math.comb(j + 1, l) << l)
+    sign = (-1) ** g
+    return BiPoly({il: Fraction(sign * q, 2 * den) for il, q in num.items()})
 
 
 # -- exact interpolation from recursion tables --------------------------------
@@ -393,8 +377,8 @@ def interpolate_delta(g: int) -> BiPoly:
 
     The grid is fixed: c = 0..2g-1 at each of the 2g smallest primes
     >= 4g + 3.  The fit must then reproduce five held-out counts, else
-    InterpolationError: c = 0, 1, 2 at the next prime, c = 2g, 2g + 1 at the
-    largest fit prime where those colors exist, and c = 0 at further primes.
+    InterpolationError: c = 0, 1, 2 at the next prime and c = 2g, 2g + 1 at the
+    largest fit prime.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
@@ -436,11 +420,9 @@ def _interpolate(g: int, deg: int, kind: str) -> BiPoly:
     poly = BiPoly(mono)
 
     probe = _next_prime(fit[-1])
-    held = [(probe, 0), (probe, 1), (probe, 2)]
-    held += [(fit[-1], c) for c in (deg + 1, deg + 2) if c <= (fit[-1] - 3) // 2]
-    while len(held) < 5:
-        probe = _next_prime(probe)
-        held.append((probe, 0))
+    # fit holds deg + 1 distinct odd primes >= 2 deg + 3 (7 and 11 when deg = 1),
+    # so fit[-1] >= 2 deg + 7 admits the colors deg + 1 and deg + 2
+    held = [(probe, 0), (probe, 1), (probe, 2), (fit[-1], deg + 1), (fit[-1], deg + 2)]
     for p, c in held:
         got = poly.eval(p, c)
         want = getattr(dim_table(p, g), kind)(g, c)

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqftdims import claims
 from tqftdims.census import (
+    STATE_GUARD,
     LollipopTree,
     _records,
     beta_eta_bruteforce,
@@ -278,6 +280,14 @@ def test_state_estimate_growth():
     assert state_estimate(5, 2) == 3 * 6
     assert state_estimate(13, 5) > 10**9
     assert state_estimate(13, 4) < 10**9
+
+
+def test_census_claim_steps_the_genus_down_under_the_guard():
+    # At p = 19 the genus-4 walk is over the guard, so the claim checks g <= 3.
+    assert state_estimate(19, 4) > STATE_GUARD >= state_estimate(19, 3)
+    text, ok = claims.census_matches_recursion(19, 4)
+    assert ok
+    assert text.endswith("(p=19, g<=3)")
 
 
 @given(

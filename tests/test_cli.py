@@ -159,6 +159,27 @@ def test_dims_size_guard_refuses_before_building(no_tables, capsys, args):
         main(["dims", *args, "--force"])
 
 
+def test_dims_force_refuses_counts_past_the_text_limit(capsys):
+    # Under a 640-digit limit the estimate refuses p = 5 at gmax 1146, whose
+    # counts reach exactly 640 digits; one genus more reaches 641.  --force
+    # prints the first table and refuses the second before its first row.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["dims", "--p", "5", "--gmax", "1146"]) == EXIT_GUARD
+        capsys.readouterr()
+        assert main(["dims", "--p", "5", "--gmax", "1146", "--force"]) == EXIT_OK
+        out, _err = capsys.readouterr()
+        assert len(out.splitlines()) == 1 + 2 * 1146
+        assert main(["dims", "--p", "5", "--gmax", "1147", "--force"]) == EXIT_GUARD
+        out, err = capsys.readouterr()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("refusing dims:") and "640-digit" in err and "--force" not in err
+
+
 @pytest.mark.parametrize(
     "args",
     [

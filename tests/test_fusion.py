@@ -114,6 +114,27 @@ def test_product_ring_axioms():
     assert (x * one).coords == x.coords
 
 
+@pytest.mark.parametrize("p", [13, 31])
+def test_product_walks_to_the_last_nonzero_coordinate(monkeypatch, p):
+    # x = e_i reads the ladder of y only up to e_i y: i z-steps, not d - 1.
+    steps = []
+    mul_by_z = fusion._mul_by_z
+
+    def counting(p, vec):
+        steps.append(p)
+        return mul_by_z(p, vec)
+
+    monkeypatch.setattr(fusion, "_mul_by_z", counting)
+    d = (p - 1) // 2
+    y = FusionElement(p, tuple(range(1, d + 1)))
+    for i in range(-1, d):
+        x = FusionElement(p, tuple(int(k == i) for k in range(d)))  # x = 0 at i = -1
+        steps.clear()
+        xy = x * y
+        assert len(steps) == max(i, 0)
+        assert xy.coords == (y * x).coords
+
+
 def test_element_validation():
     with pytest.raises(ValueError):
         FusionElement(5, (1,))

@@ -268,6 +268,25 @@ def test_residue_route_matches_interpolation():
         residue_total_poly(1)
 
 
+def test_residue_route_builds_one_bipoly_by_no_arithmetic(monkeypatch):
+    # The route sums integer numerators and builds its BiPoly once, at the end.
+    built = []
+    init = BiPoly.__init__
+
+    def counting(self, monomials=None):
+        built.append(monomials)
+        init(self, monomials)
+
+    def refuse(self, other):
+        raise AssertionError("the residue route did BiPoly arithmetic")
+
+    monkeypatch.setattr(BiPoly, "__init__", counting)
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(BiPoly, name, refuse)
+    residue_total_poly(8)
+    assert len(built) == 1
+
+
 def test_total_at_base_color_is_classic_product():
     want = BiPoly({(3, 0): F(1, 24), (1, 0): F(-1, 24)})
     assert interpolate_total(2).subs_c(0) == want

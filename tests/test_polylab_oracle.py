@@ -1,4 +1,5 @@
-"""polylab's Bernoulli numbers and Newton interpolant checked against sympy."""
+"""polylab's Bernoulli numbers, Newton interpolant and residue polynomial
+checked against sympy."""
 
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftdims.polylab import bernoulli, newton_coeffs
+from tqftdims.polylab import bernoulli, newton_coeffs, residue_total_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -39,3 +40,30 @@ def test_newton_matches_sympy_interpolate(xs, data):
     expected = [_fraction(q) for q in reversed(poly.all_coeffs())]
     expected += [Fraction(0)] * (len(xs) - len(expected))
     assert newton_coeffs(xs, ys) == expected
+
+
+T, U, P, C = sympy.symbols("t u P C")
+
+
+def _maclaurin(expr, var, n):
+    """expr's Maclaurin polynomial in var, through var^(n-1)."""
+    return sympy.series(expr, var, 0, n).removeO()
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_residue_total_poly_matches_sympy_series(g):
+    # R is the t^(2g-2) coefficient of the product of 2Pt/(e^(2Pt)-1),
+    # sinh(u)/u at u = (2C+1)t and (t/sinh t)^(2g-1).  sympy expands each
+    # factor in one variable, so no Bernoulli number or power recurrence of
+    # polylab enters.
+    n = 2 * g - 1
+    bern = _maclaurin(U / (sympy.exp(U) - 1), U, n).subs(U, 2 * P * T)
+    odd = _maclaurin(sympy.sinh(U) / U, U, n).subs(U, (2 * C + 1) * T)
+    h = _maclaurin((T / sympy.sinh(T)) ** (2 * g - 1), T, n)
+    res = sympy.expand(bern * odd * h).coeff(T, 2 * g - 2)
+    want = sympy.Rational((-1) ** g, 2) * (
+        (2 * C + 1) * P ** (g - 1) * res / 4 ** (g - 1)
+        - P**g * sympy.expand_func(sympy.binomial(C + g - 1, 2 * g - 2))
+    )
+    expected = {ij: _fraction(q) for ij, q in sympy.Poly(sympy.expand(want), P, C).terms()}
+    assert residue_total_poly(g).monomials() == expected
