@@ -401,8 +401,8 @@ def main(argv=None) -> int:
         return EXIT_GUARD
     except ArithmeticError as exc:
         # An exact invariant failed inside the program (a census parity
-        # invariant, a non-integral Bareiss quotient, a route disagreement):
-        # a verification failure, not a crash.
+        # invariant, a Hopf cofactor that is not a unit, a route
+        # disagreement): a verification failure, not a crash.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

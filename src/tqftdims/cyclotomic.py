@@ -1,34 +1,31 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_p), p an odd prime >= 5.
+"""Exact arithmetic in the ring of integers Z[zeta_p], p an odd prime >= 5.
 
-Every element is stored as p-1 integer coordinates over one shared positive
-denominator: x = (a_0 + a_1 zeta + ... + a_(p-2) zeta^(p-2)) / den.  The
-relation 1 + zeta + ... + zeta^(p-1) = 0 eliminates zeta^(p-1), and every
-element is kept reduced so that gcd(a_0, ..., a_(p-2), den) = 1 (zero has
-den = 1).  Equal field elements therefore have identical coordinates, `==`
-is decidable, and the integral elements Z[zeta_p] are exactly those with
-den = 1.  Ring operations and the Galois action run on plain ints.
+Every element is stored as its p-1 integer coordinates over the power basis:
+x = a_0 + a_1 zeta + ... + a_(p-2) zeta^(p-2).  The relation
+1 + zeta + ... + zeta^(p-1) = 0 eliminates zeta^(p-1), so equal elements
+have identical coordinates and `==` is decidable.  Ring operations and the
+Galois action run on plain ints.
 
-Inverses need no polynomial gcd: for integral y the product adj(y) of the
-conjugates sigma_j(y), j = 2..p-1, satisfies y * adj(y) = N(y), the rational
-norm, so 1/y = adj(y) / N(y).
+The rational norm needs no polynomial gcd: the product adj(y) of the
+conjugates sigma_j(y), j = 2..p-1, satisfies y * adj(y) = N(y).
 
 No floating point appears anywhere in this module.  The distinguished
 element h = 1 - zeta generates the unique prime above p; h-adic valuations
-are computed by exact division.
+are computed by exact division by h, each quotient checked by multiplying
+back.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 __all__ = [
     "CycNum",
     "INFINITE",
     "galois",
     "h_valuation",
-    "inv",
     "is_prime",
     "monomial",
     "norm",
@@ -120,40 +117,31 @@ def _int_galois(p: int, a, j: int) -> list:
 
 
 class CycNum:
-    """A number in Q(zeta_p): integer power-basis coordinates `num` over a
-    positive denominator `den`, reduced so that their gcd is 1.
+    """An element of Z[zeta_p]: its p-1 integer power-basis coordinates `num`.
 
-    Supports +, -, *, /, ** with other CycNum of the same order and with
-    plain integers or Fractions.  Instances are treated as immutable.
+    Supports +, -, * and ** (to exponents n >= 0) with other CycNum of the
+    same order and with plain integers.  Instances are treated as immutable.
     """
 
-    __slots__ = ("p", "num", "den")
+    __slots__ = ("p", "num")
 
     def __init__(self, p: int, coeffs=()) -> None:
         _check_prime(p)
-        vec = [x if isinstance(x, int) else Fraction(x) for x in coeffs]
-        if len(vec) > p:
+        acc = list(coeffs)
+        if len(acc) > p:
             raise ValueError(f"at most {p} coefficients allowed for order {p}")
-        den = math.lcm(*(x.denominator for x in vec))
-        acc = [x.numerator * (den // x.denominator) for x in vec]
+        if not all(isinstance(x, int) for x in acc):
+            raise ValueError(f"coordinates must be integers, got {coeffs!r}")
         acc.extend([0] * (p - len(acc)))
-        self._set(p, _fold(acc), den)
-
-    def _set(self, p: int, num: list, den: int) -> None:
-        if den != 1:
-            g = math.gcd(den, *num)
-            if g != 1:
-                num = [a // g for a in num]
-                den //= g
         self.p = p
-        self.num = tuple(num)
-        self.den = den
+        self.num = tuple(_fold(acc))
 
     @classmethod
-    def _reduced(cls, p: int, num: list, den: int) -> "CycNum":
-        """Build from p-1 integer coordinates over den > 0, cancelling the gcd."""
+    def _of(cls, p: int, num) -> "CycNum":
+        """Build from p-1 integer coordinates, unchecked."""
         x = object.__new__(cls)
-        x._set(p, num, den)
+        x.p = p
+        x.num = tuple(num)
         return x
 
     # -- constructors ------------------------------------------------------
@@ -164,25 +152,10 @@ class CycNum:
 
     # -- predicates --------------------------------------------------------
 
-    @property
-    def coeffs(self) -> tuple:
-        """The power-basis coordinates as Fractions."""
-        return tuple(Fraction(a, self.den) for a in self.num)
-
-    def is_integral(self) -> bool:
-        """True when every power-basis coordinate is a rational integer."""
-        return self.den == 1
-
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_rational(self) -> Fraction:
-        """Return the element as a Fraction, or raise if it is irrational."""
-        if not self.is_rational():
-            raise ArithmeticError(f"element is not rational: {self!r}")
-        return Fraction(self.num[0], self.den)
-
-    # -- ring / field operations -------------------------------------------
+    # -- ring operations -----------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, CycNum):
@@ -191,14 +164,12 @@ class CycNum:
                     f"mixed cyclotomic orders: {self.p} and {other.p}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return CycNum.scalar(self.p, other)
         return None
 
     def _add(self, o: "CycNum", sign: int) -> "CycNum":
-        da, db = self.den, o.den
-        num = [a * db + sign * b * da for a, b in zip(self.num, o.num)]
-        return CycNum._reduced(self.p, num, da * db)
+        return CycNum._of(self.p, [a + sign * b for a, b in zip(self.num, o.num)])
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -221,34 +192,20 @@ class CycNum:
         return o - self
 
     def __neg__(self):
-        return CycNum._reduced(self.p, [-a for a in self.num], self.den)
+        return CycNum._of(self.p, [-a for a in self.num])
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         p = self.p
-        return CycNum._reduced(p, _int_mul(p, self.num, o.num), self.den * o.den)
+        return CycNum._of(p, _int_mul(p, self.num, o.num))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * inv(o)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * inv(self)
-
     def __pow__(self, n: int):
-        if not isinstance(n, int):
+        if not isinstance(n, int) or n < 0:
             return NotImplemented
-        if n < 0:
-            return inv(self) ** (-n)
         result = CycNum.scalar(self.p, 1)
         base = self
         while n:
@@ -264,20 +221,20 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.den == o.den and self.num == o.num
+        return self.num == o.num
 
     def __hash__(self):
-        # Equal to a rational value means hashing like that value.
+        # Equal to an integer means hashing like that integer.
         if self.is_rational():
-            return hash(Fraction(self.num[0], self.den))
-        return hash((self.p, self.num, self.den))
+            return hash(self.num[0])
+        return hash((self.p, self.num))
 
     def __bool__(self):
         return any(self.num)
 
     def __repr__(self):
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.num):
             if not c:
                 continue
             if i == 0:
@@ -328,29 +285,18 @@ def _adjugate_norm(p: int, a) -> tuple[list, int]:
     return adj, prod[0]
 
 
-def inv(x: CycNum) -> CycNum:
-    """Multiplicative inverse: (num/den)^-1 = den * adj(num) / N(num)."""
-    if not x:
-        raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-    p = x.p
-    # N(num) > 0: the conjugates pair off as complex conjugates.
-    adj, n = _adjugate_norm(p, x.num)
-    return CycNum._reduced(p, [x.den * a for a in adj], n)
-
-
 def galois(x: CycNum, j: int) -> CycNum:
     """Apply the automorphism zeta -> zeta^j.  Requires gcd(j, p) = 1."""
     p = x.p
     jj = j % p
     if jj == 0:
         raise ValueError(f"galois index must be invertible mod {p}, got {j}")
-    return CycNum._reduced(p, _int_galois(p, x.num, jj), x.den)
+    return CycNum._of(p, _int_galois(p, x.num, jj))
 
 
-def norm(x: CycNum) -> Fraction:
-    """Field norm: the product of all p-1 Galois conjugates.  Always rational."""
-    p = x.p
-    return Fraction(_adjugate_norm(p, x.num)[1], x.den ** (p - 1))
+def norm(x: CycNum) -> int:
+    """Field norm: the product of all p-1 Galois conjugates, a rational integer."""
+    return _adjugate_norm(x.p, x.num)[1]
 
 
 def quantum_int(p: int, n: int) -> CycNum:
@@ -369,25 +315,28 @@ def quantum_int(p: int, n: int) -> CycNum:
 
 
 def h_valuation(x: CycNum):
-    """h-adic valuation of an integral element, where h = 1 - zeta.
+    """h-adic valuation of x, where h = 1 - zeta.
 
-    Returns INFINITE for zero.  An integral x is divisible by h exactly when
-    its coordinate sum vanishes mod p (reduce via zeta -> 1), and then the
-    quotient x/h is again integral; repeat until the test fails.
+    Returns INFINITE for zero.  x is divisible by h exactly when its
+    coordinate sum s vanishes mod p (reduce via zeta -> 1).  Then
+    x = x - (s/p)(1 + zeta + ... + zeta^(p-1)) has p coefficients
+    b_i = a_i - s/p (a_(p-1) = 0) that sum to zero, so x/h has the prefix
+    sums of b as coefficients, the last of them zero: one O(p) pass and no
+    inverse.  Each quotient is checked by multiplying back; repeat until the
+    divisibility test fails.
     """
-    if not x.is_integral():
-        raise ValueError("h-adic valuation is defined for integral elements only")
     if not x:
         return INFINITE
     p = x.p
-    if sum(x.num) % p:
-        return 0  # prime to h, as every unit is: no inverse to build
-    ih = inv(CycNum(p, [1, -1]))
+    h = CycNum(p, [1, -1])
     v = 0
     cur = x
-    while sum(cur.num) % p == 0:
-        cur = cur * ih
-        if not cur.is_integral():
-            raise ArithmeticError("exact division by 1 - zeta produced a non-integral result")
+    while True:
+        q, rem = divmod(sum(cur.num), p)
+        if rem:
+            return v
+        quot = CycNum._of(p, accumulate(a - q for a in cur.num))
+        if h * quot != cur:
+            raise ArithmeticError("exact division by 1 - zeta does not multiply back")
+        cur = quot
         v += 1
-    return v

@@ -5,12 +5,13 @@ e_(n+1) = z e_n - e_(n-1); in the quotient they fold as e_(d+i) = e_(d-1-i),
 so e_0..e_(d-1) is a basis and the even-index family e_0, e_2, ..., e_(2d-2)
 is the same basis reordered by an explicit permutation.
 
-Everything here is exact: matrices over integers or over Q(zeta_p).  Two
-distinguished elements drive the dimension counts: the alternating element
-sum (-1)^n (d - n) e_{2n}, whose matrix powers produce the signed counts,
-and the plain counting element sum (d - n) e_{2n} for the totals.  Their
-matrices diagonalize over Q(zeta_p) through the S-matrix, which converts
-matrix entries into trace reads.
+Everything here is exact: matrices over the integers or over Z[zeta_p].
+Two distinguished elements drive the dimension counts: the alternating
+element sum (-1)^n (d - n) e_{2n}, whose matrix powers produce the signed
+counts, and the plain counting element sum (d - n) e_{2n} for the totals.
+Their matrices diagonalize through the S-matrix, whose entries lie in
+Z[zeta_p] and which squares to -p times the identity; it converts matrix
+entries into trace reads.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .cyclotomic import (
     h_valuation,
     monomial,
     norm,
-    quantum_int,
 )
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "galois_sum_delta",
     "galois_sum_total",
     "hopf_certificate",
-    "hopf_vandermonde",
     "mul_matrix_even",
     "qmatrix",
     "smatrix",
@@ -178,15 +177,9 @@ def even_basis_permutation(p: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _is_integral(x) -> bool:
-    return x.is_integral() if isinstance(x, CycNum) else x.denominator == 1
-
-
-def _integral_cyclotomic(m: "FusionMatrix") -> bool:
-    """True when every entry of m is an integral CycNum of m's order."""
-    return all(
-        isinstance(e, CycNum) and e.p == m.p and e.den == 1 for row in m.entries for e in row
-    )
+def _cyclotomic(m: "FusionMatrix") -> bool:
+    """True when every entry of m is a CycNum of m's order."""
+    return all(isinstance(e, CycNum) and e.p == m.p for row in m.entries for e in row)
 
 
 @dataclass(frozen=True)
@@ -209,19 +202,9 @@ class FusionMatrix:
         if isinstance(other, FusionMatrix):
             if self.p != other.p or self.size != other.size:
                 raise ValueError("matrix shapes or ranks differ")
-            if _integral_cyclotomic(self) and _integral_cyclotomic(other):
-                return self._integral_product(other)
-            n = self.size
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = self.entries[i][0] * other.entries[0][j]
-                    for k in range(1, n):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                rows.append(tuple(row))
-            return FusionMatrix(self.p, tuple(rows))
+            if not (_cyclotomic(self) and _cyclotomic(other)):
+                raise ValueError(f"matrix product needs CycNum entries of order {self.p}")
+            return self._integral_product(other)
         if isinstance(other, (int, Fraction, CycNum)):
             return FusionMatrix(
                 self.p, tuple(tuple(e * other for e in row) for row in self.entries)
@@ -229,7 +212,7 @@ class FusionMatrix:
         return NotImplemented
 
     def _integral_product(self, other: "FusionMatrix") -> "FusionMatrix":
-        """Product of two matrices of integral CycNum entries.  Each output
+        """Product of two matrices of CycNum entries.  Each output
         entry adds its n convolutions, over the entries' nonzero coordinates,
         into one list of p integers and folds it once."""
         p = self.p
@@ -242,7 +225,7 @@ class FusionMatrix:
                 acc = [0] * p
                 for a, b in zip(row, col):
                     _mul_into(acc, a, b)
-                entries.append(CycNum._reduced(p, _fold(acc), 1))
+                entries.append(CycNum._of(p, _fold(acc)))
             out.append(tuple(entries))
         return FusionMatrix(p, tuple(out))
 
@@ -253,44 +236,6 @@ class FusionMatrix:
         return tuple(
             sum(row[i] * vec[i] for i in range(self.size)) for row in self.entries
         )
-
-    def det(self):
-        """Fraction-free (Bareiss) determinant; exact over Q or Q(zeta_p).
-
-        Each step divides by the previous pivot, inverted once per step.  The
-        quotients are minors of the input, so integral input must keep every
-        quotient integral; a quotient that is not raises ArithmeticError.
-        """
-        n = self.size
-        mat = [
-            [e if isinstance(e, CycNum) else Fraction(e) for e in row]
-            for row in self.entries
-        ]
-        integral = all(_is_integral(e) for row in mat for e in row)
-        sign = 1
-        prev = None
-        for k in range(n - 1):
-            if not mat[k][k]:
-                for i in range(k + 1, n):
-                    if mat[i][k]:
-                        mat[k], mat[i] = mat[i], mat[k]
-                        sign = -sign
-                        break
-                else:
-                    zero = mat[k][k] * 0
-                    return zero
-            pivot = mat[k][k]
-            prev_inv = None if prev is None else 1 / prev
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = pivot * mat[i][j] - mat[i][k] * mat[k][j]
-                    if prev_inv is not None:
-                        num = num * prev_inv
-                        if integral and not _is_integral(num):
-                            raise ArithmeticError("Bareiss quotient left the ring of integers")
-                    mat[i][j] = num
-            prev = pivot
-        return mat[n - 1][n - 1] * sign
 
     def charpoly(self) -> tuple:
         """Coefficients of det(tI - M), leading 1 first, for integer entries.
@@ -394,7 +339,7 @@ def total_via_matrix(p: int, g: int, c: int) -> int:
     return _matrix_power_entry(p, g, c, counting=True)
 
 
-# -- exact diagonalization over Q(zeta_p) ------------------------------------
+# -- exact diagonalization over Z[zeta_p] ------------------------------------
 
 
 # Bounded: verify's fusion suite finishes one prime's claims before the next.
@@ -402,7 +347,7 @@ def total_via_matrix(p: int, g: int, c: int) -> int:
 def smatrix(p: int) -> FusionMatrix:
     """S_{ij} = q^((2i+1)(2j+1)) - q^(-(2i+1)(2j+1)) with q = zeta_p.
 
-    Satisfies S*S = -p * identity, so S^-1 = -(1/p) S.
+    Satisfies S*S = -p * identity.
     """
     d = _rank(p)
     rows = []
@@ -470,9 +415,9 @@ def _galois_entry(p: int, g: int, c: int, counting: bool) -> int:
     k = 2c + 1, read from four coordinates of lam^g.
 
     w is fixed by zeta -> zeta^-1, so the half-sum over j = 1..d is half the
-    field trace.  Tr(zeta^m x) = p a_(-m) - sum(a) for x = sum a_i zeta^i / den
+    field trace.  Tr(zeta^m x) = p a_(-m) - sum(a) for x = sum a_i zeta^i
     (a_(p-1) = 0), and the four monomials of the bracket cancel the sum(a)
-    terms: the entry is -(a_(-k-1) - a_(1-k) - a_(k-1) + a_(k+1)) / (2 den).
+    terms: the entry is -(a_(-k-1) - a_(1-k) - a_(k-1) + a_(k+1)) / 2.
     Both the reality of lam^g and the integrality are checked.
     """
     _check_color(p, c)
@@ -484,7 +429,7 @@ def _galois_entry(p: int, g: int, c: int, counting: bool) -> int:
     a = lam.num + (0,)
     k = 2 * c + 1
     s = a[(-k - 1) % p] - a[(1 - k) % p] - a[(k - 1) % p] + a[(k + 1) % p]
-    val, rem = divmod(s, 2 * lam.den)
+    val, rem = divmod(s, 2)
     if rem:
         raise ArithmeticError("galois half-trace did not reduce to an integer")
     return -val
@@ -502,22 +447,6 @@ def galois_sum_total(p: int, g: int, c: int) -> int:
 
 
 # -- twist Vandermonde (Hopf pairing) matrix ---------------------------------
-
-
-def hopf_vandermonde(p: int) -> FusionMatrix:
-    """H_{ij} = (-1)^j [j+1] mu_j^i with twist eigenvalues
-    mu_j = zeta^((d+1) j (j+2)), for i, j = 0..d-1."""
-    d = _rank(p)
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            entry = quantum_int(p, j + 1) * monomial(p, (d + 1) * j * (j + 2) * i)
-            if j % 2:
-                entry = -entry
-            row.append(entry)
-        rows.append(tuple(row))
-    return FusionMatrix(p, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -574,7 +503,9 @@ def _hopf_cofactor(p: int) -> CycNum:
 def hopf_certificate(p: int) -> HopfCertificate:
     """h-adic valuation of det(H), certifying that det(H)/h^v is a unit.
 
-    H is a Vandermonde matrix with scaled columns, so
+    The twist Vandermonde matrix H_{ij} = (-1)^j [j+1] mu_j^i, i, j = 0..d-1,
+    with twist eigenvalues mu_j = zeta^(e_j), is a Vandermonde matrix with
+    scaled columns, so
 
         det H = prod_j (-1)^j [j+1] * prod_{i<j} (mu_j - mu_i),
 
@@ -583,7 +514,7 @@ def hopf_certificate(p: int) -> HopfCertificate:
     U = det H / h^(d(d-1)/2) is therefore a product of quantum integers [n],
     n < p, and of cyclotomic units (1 - zeta^k)/(1 - zeta) (Washington,
     Introduction to Cyclotomic Fields, 8.1), hence a unit, as long as the e_j
-    are pairwise distinct.  U is built from that product, not by Bareiss;
+    are pairwise distinct.  U is built from that product, and H never is;
     its valuation and its norm are still computed, so a cofactor divisible by
     h shows in the valuation and one that is not a unit is refused.  The
     expected valuation is d(d-1)/2; callers compare against that.
@@ -594,4 +525,4 @@ def hopf_certificate(p: int) -> HopfCertificate:
     n = norm(unit)
     if n not in (1, -1):
         raise ArithmeticError(f"determinant cofactor is not a unit: norm {n}")
-    return HopfCertificate(p=p, valuation=v, unit_norm=int(n))
+    return HopfCertificate(p=p, valuation=v, unit_norm=n)

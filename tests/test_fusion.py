@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tqftdims import claims, cyclotomic, fusion
 from tqftdims.cli import main
-from tqftdims.cyclotomic import CycNum, galois, h_valuation, monomial, norm
+from tqftdims.cyclotomic import CycNum, galois, h_valuation, monomial, norm, quantum_int
 from tqftdims.fusion import (
     FusionElement,
     FusionMatrix,
@@ -22,7 +22,6 @@ from tqftdims.fusion import (
     galois_sum_delta,
     galois_sum_total,
     hopf_certificate,
-    hopf_vandermonde,
     mul_matrix_even,
     qmatrix,
     smatrix,
@@ -31,6 +30,64 @@ from tqftdims.fusion import (
 from tqftdims.recursion import dim_table
 
 PRIMES = (5, 7, 11, 13)
+
+
+# -- oracles: the Bareiss determinant and the twist Vandermonde matrix ----------
+
+
+def _exact_quotient(num, adj, n):
+    """num / y in Z[zeta_p], given adj(y) and N(y): num * adj(y) divided
+    coordinate by coordinate by N(y).  A remainder raises ArithmeticError."""
+    coords = []
+    for a in cyclotomic._int_mul(num.p, num.num, adj):
+        q, rem = divmod(a, n)
+        if rem:
+            raise ArithmeticError("Bareiss quotient left the ring of integers")
+        coords.append(q)
+    return CycNum(num.p, coords)
+
+
+def _bareiss_det(m):
+    """Fraction-free (Bareiss) determinant over Z[zeta_p]; int entries are
+    read as scalars.
+
+    Each step divides exactly by the previous pivot, through its adjugate
+    and norm, built once per step.  The quotients are minors of the input,
+    so each must stay in Z[zeta_p]; one that does not raises ArithmeticError.
+    """
+    p, n = m.p, m.size
+    mat = [[e if isinstance(e, CycNum) else CycNum.scalar(p, e) for e in row] for row in m.entries]
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if not mat[k][k]:
+            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
+            if swap is None:
+                return CycNum.scalar(p, 0)
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        pivot = mat[k][k]
+        adj_norm = None if prev is None else cyclotomic._adjugate_norm(p, prev.num)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = pivot * mat[i][j] - mat[i][k] * mat[k][j]
+                mat[i][j] = num if adj_norm is None else _exact_quotient(num, *adj_norm)
+        prev = pivot
+    return mat[n - 1][n - 1] * sign
+
+
+def _hopf_vandermonde(p):
+    """H_{ij} = (-1)^j [j+1] mu_j^i with twist eigenvalues
+    mu_j = zeta^((d+1) j (j+2)), for i, j = 0..d-1."""
+    d = (p - 1) // 2
+    rows = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            entry = quantum_int(p, j + 1) * monomial(p, (d + 1) * j * (j + 2) * i)
+            row.append(-entry if j % 2 else entry)
+        rows.append(tuple(row))
+    return FusionMatrix(p, tuple(rows))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -148,7 +205,7 @@ def test_frozen_p5_matrices():
     assert mul_matrix_even(alternating_element(5)).entries == ((2, -1), (-1, 1))
     assert mul_matrix_even(counting_element(5)).entries == ((2, 1), (1, 3))
     m = mul_matrix_even(alternating_element(5))
-    assert (m * m).entries == ((5, -3), (-3, 2))
+    assert [m.apply(col) for col in ((2, -1), (-1, 1))] == [(5, -3), (-3, 2)]  # M^2 by columns
     assert m.charpoly() == (1, -3, 1)
 
 
@@ -192,8 +249,9 @@ def test_smatrix_squares_to_minus_p(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_multiplication_by_z_diagonalizes(p):
-    lhs = mul_matrix_even(cheb_vector(p, 1))
-    rhs = (smatrix(p) * qmatrix(p) * smatrix(p)) * Fraction(-1, p)
+    # M_z = -(1/p) S Q S, with every entry kept in Z[zeta_p]
+    lhs = mul_matrix_even(cheb_vector(p, 1)) * (-p)
+    rhs = smatrix(p) * qmatrix(p) * smatrix(p)
     assert lhs == rhs
 
 
@@ -253,7 +311,7 @@ def test_eigenvalue_annihilates_characteristic(p):
                 for r in range(d)
             ),
         )
-        assert not shifted.det()
+        assert not _bareiss_det(shifted)
 
 
 def _chi_at(chi, x):
@@ -283,7 +341,7 @@ def test_charpoly_is_the_shifted_bareiss_determinant(p):
         )
         value = _chi_at(chi, x)
         assert value
-        assert value * (-1) ** d == shifted.det()
+        assert value * (-1) ** d == _bareiss_det(shifted)
 
 
 def test_eigenvalue_claim_fails_on_a_shifted_eigenvalue(monkeypatch):
@@ -327,13 +385,14 @@ def test_integral_cyclotomic_product_is_the_termwise_sum_property(pair):
 
 def test_bareiss_determinant_int_cases():
     m = FusionMatrix(5, ((1, 2), (3, 4)))
-    assert m.det() == -2
+    assert _bareiss_det(m) == -2
     singular = FusionMatrix(5, ((1, 2), (2, 4)))
-    assert singular.det() == 0
+    assert _bareiss_det(singular) == 0
     needs_swap = FusionMatrix(7, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
-    assert needs_swap.det() == -1
+    assert _bareiss_det(needs_swap) == -1
     ident = FusionMatrix.identity(11)
-    assert ident.det() == 1
+    assert _bareiss_det(ident) == 1
+    assert _bareiss_det(FusionMatrix(7, ((2, 1, 0), (1, 2, 1), (0, 1, 2)))) == 4
 
 
 def test_bareiss_determinant_cyclotomic_case():
@@ -341,10 +400,10 @@ def test_bareiss_determinant_cyclotomic_case():
     zero = CycNum.scalar(5, 0)
     one = CycNum.scalar(5, 1)
     m = FusionMatrix(5, ((z, one), (one, z)))
-    assert m.det() == z * z - 1
+    assert _bareiss_det(m) == z * z - 1
     sing = FusionMatrix(5, ((z, z), (z, z)))
-    assert not sing.det()
-    assert isinstance(sing.det(), CycNum)
+    assert not _bareiss_det(sing)
+    assert isinstance(_bareiss_det(sing), CycNum)
 
 
 def test_matrix_shape_errors():
@@ -356,11 +415,22 @@ def test_matrix_shape_errors():
         FusionMatrix(5, ((Fraction(1, 2), 0), (0, 1))).charpoly()
 
 
-def test_hopf_vandermonde_first_row():
-    from tqftdims.cyclotomic import quantum_int
+def test_matrix_product_needs_cyclotomic_entries_of_its_order():
+    # one matrix product, over Z[zeta_p]: int entries take apply or charpoly
+    z = CycNum.scalar(5, 0)
+    ints = FusionMatrix(5, ((1, 0), (0, 1)))
+    cyc = FusionMatrix(5, ((z, z), (z, z)))
+    other_order = FusionMatrix(5, ((z, z), (z, CycNum.scalar(7, 0))))
+    mixed = FusionMatrix(5, ((z, 1), (z, z)))
+    for a, b in ((ints, ints), (ints, cyc), (cyc, ints), (cyc, other_order), (mixed, cyc)):
+        with pytest.raises(ValueError, match="CycNum entries"):
+            a * b
+    assert (cyc * cyc).entries == cyc.entries
 
+
+def test_hopf_vandermonde_first_row():
     for p in (5, 7):
-        h = hopf_vandermonde(p)
+        h = _hopf_vandermonde(p)
         d = (p - 1) // 2
         for j in range(d):
             want = quantum_int(p, j + 1)
@@ -380,21 +450,28 @@ def test_hopf_certificate_valuation(p, val):
 
 
 def test_bareiss_rejects_non_integral_quotient(monkeypatch):
-    # A wrong inverse of the previous pivot makes some quotient of the
-    # integral Hopf matrix non-integral, which Bareiss must refuse.
-    true_inv = cyclotomic.inv
-    monkeypatch.setattr(cyclotomic, "inv", lambda x: true_inv(x) * Fraction(1, 3))
+    # A wrong norm of the previous pivot (three times too large) makes some
+    # quotient of the integral Hopf matrix non-integral, which Bareiss must
+    # refuse.
+    true_adjugate_norm = cyclotomic._adjugate_norm
+
+    def wrong(p, a):
+        adj, n = true_adjugate_norm(p, a)
+        return adj, 3 * n
+
+    monkeypatch.setattr(cyclotomic, "_adjugate_norm", wrong)
     with pytest.raises(ArithmeticError, match="Bareiss"):
-        hopf_vandermonde(11).det()
+        _bareiss_det(_hopf_vandermonde(11))
 
 
 def test_hopf_determinant_valuation_directly():
     # recompute the p=5 determinant by hand-sized cofactor expansion
-    h = hopf_vandermonde(5)
+    h = _hopf_vandermonde(5)
     det = h.entries[0][0] * h.entries[1][1] - h.entries[0][1] * h.entries[1][0]
-    assert det == h.det()
+    assert det == _bareiss_det(h)
     assert h_valuation(det) == 1
-    assert norm(det / CycNum(5, [1, -1])) in (1, -1)
+    # N(h) = p, so det = h * unit has norm +-p
+    assert norm(det) in (5, -5)
 
 
 @given(
@@ -496,7 +573,7 @@ def test_matrix_and_galois_routes_agree_property(inputs):
 def test_hopf_cofactor_matches_bareiss(p):
     d = (p - 1) // 2
     h = CycNum(p, [1, -1])
-    assert hopf_vandermonde(p).det() == h ** (d * (d - 1) // 2) * fusion._hopf_cofactor(p)
+    assert _bareiss_det(_hopf_vandermonde(p)) == h ** (d * (d - 1) // 2) * fusion._hopf_cofactor(p)
 
 
 def _conjugate_half_sum(p, w):
@@ -506,9 +583,10 @@ def _conjugate_half_sum(p, w):
     acc = galois(w, 1)
     for j in range(2, d + 1):
         acc = acc + galois(w, j)
-    val = acc.as_rational() * Fraction(-1, p)
-    assert val.denominator == 1
-    return val.numerator
+    assert acc.is_rational()
+    val, rem = divmod(-acc.num[0], p)
+    assert rem == 0
+    return val
 
 
 def _conjugate_entry(p, g, c, counting):
@@ -558,11 +636,16 @@ def cold_fusion():
     "planted,message",
     [
         (lambda p: monomial(p, 1), "zeta"),  # not fixed by zeta -> zeta^-1
-        (lambda p: CycNum.scalar(p, Fraction(1, 2)), "integer"),  # odd read over den
+        (lambda p: monomial(p, 2), "integer"),  # odd read, reality check bypassed
     ],
 )
 def test_galois_entry_refuses_planted_power(cold_fusion, monkeypatch, capsys, planted, message):
     monkeypatch.setattr(fusion, "_eigenvalue_power", lambda p, g, counting: planted(p))
+    if message == "integer":
+        # A real element of Z[zeta_p] always reads even (the read is p times
+        # a full trace, twice a real one), so only a power that skips the
+        # reality check reaches the integrality check.
+        monkeypatch.setattr(fusion, "galois", lambda x, j: x)
     for route in (galois_sum_delta, galois_sum_total):
         with pytest.raises(ArithmeticError, match=message):
             route(7, 2, 0)
@@ -608,11 +691,10 @@ def test_cold_galois_cell_applies_one_conjugation(cold_fusion, monkeypatch):
         assert len(calls) <= 1
 
 
-def test_hopf_certificate_runs_no_bareiss(monkeypatch):
-    def det(self):
-        raise AssertionError("hopf_certificate ran a Bareiss determinant")
-
-    monkeypatch.setattr(FusionMatrix, "det", det)
+def test_hopf_certificate_runs_no_bareiss():
+    # the Bareiss determinant lives in these tests only, as the oracle
+    assert not hasattr(FusionMatrix, "det")
+    assert not hasattr(fusion, "hopf_vandermonde")
     for p in (5, 13, 37):
         d = (p - 1) // 2
         assert hopf_certificate(p).valuation == d * (d - 1) // 2
@@ -622,13 +704,26 @@ def test_eigenvalue_claim_and_counting_eigenvalue_run_no_bareiss_or_inverse(
     cold_fusion, monkeypatch
 ):
     def refuse(*args):
-        raise AssertionError("ran a Bareiss determinant or a field inverse")
+        raise AssertionError("built an adjugate norm")
 
-    monkeypatch.setattr(FusionMatrix, "det", refuse)
+    assert not hasattr(FusionMatrix, "det")
     monkeypatch.setattr(cyclotomic, "_adjugate_norm", refuse)
     for p in (5, 13, 31):
         assert claims.alternating_eigenvalues(p)[1]
         counting_eigenvalue(p)
+
+
+def test_eigenvalue_claim_applies_no_galois_map(cold_fusion, monkeypatch):
+    # chi has integer coefficients, so one evaluation at lambda decides
+    # every conjugate: the claim applies no Galois map at all
+    def refuse(*args):
+        raise AssertionError("the eigenvalue claim applied a Galois map")
+
+    for module in (cyclotomic, fusion):
+        monkeypatch.setattr(module, "galois", refuse)
+    monkeypatch.setattr(claims, "galois", refuse, raising=False)
+    for p in (5, 13, 31, 61):
+        assert claims.alternating_eigenvalues(p)[1]
 
 
 def test_alternating_eigenvalue_multiplies_nothing(cold_fusion, monkeypatch):
