@@ -3,14 +3,17 @@
 The dimension counts, viewed as functions of (p, c), are polynomials with
 rational coefficients: the signed count delta has total degree 2g - 1 and
 the total count has 3g - 2.  This module recovers those polynomials two
-independent ways - exact Newton interpolation through recursion-table
-samples, and a Bernoulli-series residue construction - and checks their
-degree and leading-term structure against closed Bernoulli forms.
+independent ways - exact interpolation through recursion-table samples, and
+a Bernoulli-series residue construction - and checks their degree and
+leading-term structure against closed Bernoulli forms.
 
-The arithmetic is exact and in integers: interpolation, evaluation at
-integer points and the residue polynomial work on integer numerators over
-one common denominator, and Fraction appears only at the interface, one per
-coefficient returned.  Nothing here touches floats.
+The interpolation builds one integer Lagrange basis per node set (the
+colors, then the fit primes), reads each prime's table once, and stays in
+integer numerators until the last step.  The arithmetic is exact and in
+integers throughout: interpolation, evaluation at integer points and the
+residue polynomial work on integer numerators over one common denominator,
+and Fraction appears only at the interface, one per coefficient returned.
+Nothing here touches floats.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .cyclotomic import is_prime
 from .recursion import dim_table
@@ -124,10 +128,6 @@ class BiPoly:
         return cls({(0, 0): Fraction(q)})
 
     @classmethod
-    def var_p(cls) -> "BiPoly":
-        return cls({(1, 0): _ONE})
-
-    @classmethod
     def var_c(cls) -> "BiPoly":
         return cls({(0, 1): _ONE})
 
@@ -144,9 +144,6 @@ class BiPoly:
 
     def degree_in_p(self) -> int:
         return max((i for i, _ in self._m), default=-1)
-
-    def degree_in_c(self) -> int:
-        return max((j for _, j in self._m), default=-1)
 
     def homogeneous_part(self, n: int) -> "BiPoly":
         return BiPoly({ij: q for ij, q in self._m.items() if ij[0] + ij[1] == n})
@@ -332,37 +329,50 @@ def residue_total_poly(g: int) -> BiPoly:
 # -- exact interpolation from recursion tables --------------------------------
 
 
+def _lagrange_rows(xs) -> tuple[list[list[int]], int]:
+    """The Lagrange basis of the distinct integer nodes xs, in integers.
+
+    With the weights w_m = prod_{l != m} (x_m - x_l), W = lcm(w_m) and the node
+    polynomial N(x) = prod_l (x - x_l), L[k][m] is the x^k coefficient of
+    (W / w_m) N(x) / (x - x_m), one synthetic division per node.  So the
+    interpolant through (xs[m], y_m) has x^k coefficient
+    sum_m y_m L[k][m] / W.  A repeated node has weight 0, and W // 0 raises
+    ZeroDivisionError.
+    """
+    n = len(xs)
+    weights = [
+        math.prod(xm - xl for l, xl in enumerate(xs) if l != m) for m, xm in enumerate(xs)
+    ]
+    w_lcm = math.lcm(*weights)
+    node = [1]  # prod_l (x - x_l), ascending
+    for x in xs:
+        node = [lo - x * hi for lo, hi in zip([0] + node, node + [0])]
+    rows = [[0] * n for _ in range(n)]
+    for m, (xm, w) in enumerate(zip(xs, weights)):
+        scale = w_lcm // w
+        quo = 1  # coefficients of N(x) / (x - xm), from the top
+        for k in range(n - 1, -1, -1):
+            rows[k][m] = scale * quo
+            quo = node[k] + xm * quo
+    return rows, w_lcm
+
+
 def newton_coeffs(xs, ys) -> list[Fraction]:
     """Monomial coefficients (ascending) of the interpolant through the points
     (xs[i], ys[i]); the nodes xs must be pairwise distinct integers and the
     values ys rationals.
 
-    The sum runs in integers: with the values over one denominator D and the
-    weights w_m = prod_{l != m} (x_m - x_l) over their lcm W, the interpolant
-    is sum_m y_m D (W / w_m) N(x) / (x - x_m), divided by D W at the end,
-    where N is the node polynomial and each N(x) / (x - x_m) is one synthetic
-    division.
+    The sum runs in integers: the values go over one denominator D, and each
+    coefficient is one dot product with a row of _lagrange_rows(xs), divided
+    by D W at the end.
     """
     n = len(xs)
     if n != len(ys) or n == 0:
         raise ValueError("need equally many sample points and values, at least one")
-    weights = [
-        math.prod(xm - xl for l, xl in enumerate(xs) if l != m) for m, xm in enumerate(xs)
-    ]
-    # a repeated node has weight 0, so w_lcm // w raises ZeroDivisionError
-    w_lcm = math.lcm(*weights)
+    rows, w_lcm = _lagrange_rows(xs)
     den = math.lcm(*(y.denominator for y in ys))
-    node = [1]  # prod_l (x - x_l), ascending
-    for x in xs:
-        node = [lo - x * hi for lo, hi in zip([0] + node, node + [0])]
-    acc = [0] * n
-    for xm, w, y in zip(xs, weights, ys):
-        scale = y.numerator * (den // y.denominator) * (w_lcm // w)
-        quo = 1  # coefficients of N(x) / (x - xm), from the top
-        for k in range(n - 1, -1, -1):
-            acc[k] += scale * quo
-            quo = node[k] + xm * quo
-    return [Fraction(a, den * w_lcm) for a in acc]
+    nums = [y.numerator * (den // y.denominator) for y in ys]
+    return [Fraction(sum(map(mul, nums, row)), den * w_lcm) for row in rows]
 
 
 def _next_prime(n: int) -> int:
@@ -400,32 +410,45 @@ def interpolate_total(g: int) -> BiPoly:
 # Bounded: leading_terms.py re-reads both the delta and the total fit of a genus.
 @lru_cache(maxsize=2)
 def _interpolate(g: int, deg: int, kind: str) -> BiPoly:
-    """Fit DimTable.<kind>(g, c) of degree deg, then check held-out points."""
+    """Fit DimTable.<kind>(g, c) of degree deg, then check held-out points.
+
+    The fit is two Lagrange stages over one basis per node set, the colors
+    c = 0..deg and the fit primes, each built once by _lagrange_rows.  Stage
+    one turns each prime's counts into C-coefficient numerators over W_c,
+    stage two turns each column of those into P-coefficient numerators over
+    W_c W_p; both stay in integers, and Fraction appears once per monomial.
+    Each prime's table is read once.
+    """
     # every fit prime must admit c = 0..deg, i.e. (p-3)/2 >= deg
     fit = [_next_prime(max(4 * g + 3, 2 * deg + 3) - 1)]
     while len(fit) < deg + 1:
         fit.append(_next_prime(fit[-1]))
+    probe = _next_prime(fit[-1])
+    tables = {p: dim_table(p, g) for p in (*fit, probe)}
 
-    cs = list(range(deg + 1))
-    per_prime = {}
+    c_rows, w_c = _lagrange_rows(range(deg + 1))
+    p_rows, w_p = _lagrange_rows(fit)
+    # by_prime[m][j]: W_c times the C^j coefficient of the fit at prime fit[m]
+    by_prime = []
     for p in fit:
-        ys = [getattr(dim_table(p, g), kind)(g, c) for c in cs]
-        per_prime[p] = newton_coeffs(cs, ys)
+        read = getattr(tables[p], kind)
+        ys = [read(g, c) for c in range(deg + 1)]
+        by_prime.append([sum(map(mul, ys, row)) for row in c_rows])
+    den = w_c * w_p
     mono: dict = {}
-    for j in range(deg + 1):
-        pc = newton_coeffs(fit, [per_prime[p][j] for p in fit])
-        for i, q in enumerate(pc):
-            if q:
-                mono[(i, j)] = q
+    for j, column in enumerate(zip(*by_prime)):
+        for i, row in enumerate(p_rows):
+            num = sum(map(mul, column, row))
+            if num:
+                mono[(i, j)] = Fraction(num, den)
     poly = BiPoly(mono)
 
-    probe = _next_prime(fit[-1])
     # fit holds deg + 1 distinct odd primes >= 2 deg + 3 (7 and 11 when deg = 1),
     # so fit[-1] >= 2 deg + 7 admits the colors deg + 1 and deg + 2
     held = [(probe, 0), (probe, 1), (probe, 2), (fit[-1], deg + 1), (fit[-1], deg + 2)]
     for p, c in held:
         got = poly.eval(p, c)
-        want = getattr(dim_table(p, g), kind)(g, c)
+        want = getattr(tables[p], kind)(g, c)
         if got != want:
             raise InterpolationError(
                 f"held-out validation failed for {kind} at (p={p}, c={c}): "

@@ -53,7 +53,7 @@ def test_criterion_1_four_way_agreement():
 
 
 def test_criterion_2_closed_form_polynomials():
-    P = BiPoly.var_p()
+    P = BiPoly({(1, 0): 1})
     C = BiPoly.var_c()
     dpoly2 = interpolate_delta(2)
     tpoly2 = interpolate_total(2)

@@ -450,7 +450,10 @@ def test_mutated_kernel_fails_verify(monkeypatch, capsys):
         return (beta + 1, eta) if (c1, c2) == (1, 2) else (beta, eta)
 
     monkeypatch.setattr(recursion, "beta_eta_closed", mutated)
+    # both caches: a cached ladder would serve the real factors, and a
+    # mutated one left behind would poison later tests
     recursion.dim_table.cache_clear()
+    recursion._ladder.cache_clear()
     try:
         for suite, claim in (
             ("census", "coloring census matches the transfer recursion (p=7, g<=3)"),
@@ -461,6 +464,7 @@ def test_mutated_kernel_fails_verify(monkeypatch, capsys):
             assert f"FAIL {claim}" in capsys.readouterr().out.splitlines()
     finally:
         recursion.dim_table.cache_clear()
+        recursion._ladder.cache_clear()
 
 
 def test_closed_pipe_exits_1_without_traceback():

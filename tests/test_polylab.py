@@ -100,13 +100,13 @@ def test_bernoulli_alternating_identity():
 
 
 def test_bipoly_basics():
-    p = BiPoly.var_p()
+    p = BiPoly({(1, 0): 1})
     c = BiPoly.var_c()
     f = (p + c) * (p - c)
     assert f == p * p - c * c
     assert f.total_degree() == 2
     assert f.degree_in_p() == 2
-    assert f.degree_in_c() == 2
+    assert max(j for _, j in f.monomials()) == 2
     assert f.coefficient(2, 0) == 1
     assert f.coefficient(0, 2) == -1
     assert f.coefficient(1, 1) == 0
@@ -118,7 +118,7 @@ def test_bipoly_basics():
 
 
 def test_bipoly_parts():
-    p = BiPoly.var_p()
+    p = BiPoly({(1, 0): 1})
     c = BiPoly.var_c()
     f = p * p * c + p * c + 2 * c + 1
     assert f.homogeneous_part(3) == p * p * c
@@ -128,7 +128,7 @@ def test_bipoly_parts():
 
 
 def test_bipoly_canonical_string():
-    p = BiPoly.var_p()
+    p = BiPoly({(1, 0): 1})
     c = BiPoly.var_c()
     f = p**3 * F(1, 24) - c * c * p * F(1, 4)
     assert f.canonical_str() == "(1/24)P^3 + (-1/4)C^2P"
@@ -138,7 +138,7 @@ def test_bipoly_canonical_string():
 
 
 def test_bipoly_json_round_structure():
-    f = BiPoly.var_p() * 2 - BiPoly.var_c() * F(1, 3)
+    f = BiPoly({(1, 0): 1}) * 2 - BiPoly.var_c() * F(1, 3)
     obj = f.to_json_obj()
     assert obj == {
         "monomials": [
@@ -222,6 +222,56 @@ def test_interpolated_delta_genus_two_frozen():
         + BiPoly({(0, 3): 4, (0, 2): 6, (0, 1): 2})
     ) * F(1, 24)
     assert f == want
+
+
+def _newton_fit(g, deg, kind):
+    """The fit as two stages of newton_coeffs, one call per fit prime over the
+    colors and one per C-power over the primes: the oracle for _interpolate."""
+    fit = [polylab._next_prime(max(4 * g + 3, 2 * deg + 3) - 1)]
+    while len(fit) < deg + 1:
+        fit.append(polylab._next_prime(fit[-1]))
+
+    cs = list(range(deg + 1))
+    per_prime = {}
+    for p in fit:
+        ys = [getattr(dim_table(p, g), kind)(g, c) for c in cs]
+        per_prime[p] = newton_coeffs(cs, ys)
+    mono: dict = {}
+    for j in range(deg + 1):
+        pc = newton_coeffs(fit, [per_prime[p][j] for p in fit])
+        for i, q in enumerate(pc):
+            if q:
+                mono[(i, j)] = q
+    return BiPoly(mono)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_interpolation_matches_newton_oracle(g):
+    for deg, kind in ((2 * g - 1, "delta"), (3 * g - 2, "total")):
+        assert polylab._interpolate(g, deg, kind) == _newton_fit(g, deg, kind)
+
+
+@pytest.mark.parametrize(
+    "fit,primes",
+    [(interpolate_delta, [11, 13, 17, 19, 23]), (interpolate_total, [11, 13, 17, 19, 23, 29])],
+)
+def test_interpolation_reads_one_table_per_prime(monkeypatch, fit, primes):
+    # At g = 2, one read per fit prime and one for the held-out prime (the
+    # last); the held-out colors at the largest fit prime reuse its table.
+    reads = []
+    real = polylab.dim_table
+
+    def counting(p, gmax):
+        reads.append((p, gmax))
+        return real(p, gmax)
+
+    monkeypatch.setattr(polylab, "dim_table", counting)
+    polylab._interpolate.cache_clear()
+    try:
+        fit(2)
+    finally:
+        polylab._interpolate.cache_clear()
+    assert reads == [(p, 2) for p in primes]
 
 
 def test_interpolation_rejects_bad_grids():
@@ -315,7 +365,7 @@ def test_half_total_top_form_bounds():
 
 
 def test_conjecture_scan_reports():
-    P = BiPoly.var_p()
+    P = BiPoly({(1, 0): 1})
     base = P * (P * P - 1) * F(1, 24)
     for g in (2, 3, 4, 5, 6):
         scan = conjecture_scan(g)

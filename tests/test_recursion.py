@@ -52,8 +52,9 @@ def test_table_matches_dense_oracle_property(p, gmax):
 
 @pytest.mark.parametrize("p", [5, 13, 101])
 def test_table_reads_each_kernel_factor_once(monkeypatch, p):
-    # The step reads its factors once per table, 2d kernel calls whatever
-    # gmax is; the dense loop would make d^2 per genus.
+    # The ladder reads its factors once per prime, 2d kernel calls, and a
+    # longer table grows the same ladder; the dense loop would make d^2 per
+    # genus.
     calls = []
 
     def counting(*args):
@@ -62,14 +63,37 @@ def test_table_reads_each_kernel_factor_once(monkeypatch, p):
 
     monkeypatch.setattr(recursion, "beta_eta_closed", counting)
     d = (p - 1) // 2
-    per_table = []
-    for gmax in (2, 30):
-        recursion.dim_table.cache_clear()
-        calls.clear()
-        recursion.dim_table(p, gmax)
-        per_table.append(len(calls))
     recursion.dim_table.cache_clear()
-    assert per_table[0] == per_table[1] <= 2 * d
+    recursion._ladder.cache_clear()
+    try:
+        per_table = []
+        for gmax in (2, 30):
+            calls.clear()
+            recursion.dim_table(p, gmax)
+            per_table.append(len(calls))
+    finally:
+        recursion.dim_table.cache_clear()
+        recursion._ladder.cache_clear()
+    assert per_table == [2 * d, 0]
+
+
+@given(
+    p=st.sampled_from(PRIMES_TO_97),
+    gmaxes=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+)
+@settings(max_examples=30, deadline=None)
+def test_ladder_views_match_dense_oracle_property(p, gmaxes):
+    # Each request either grows p's ladder or cuts a view from it; a view
+    # cut from a longer ladder still refuses the genus past its gmax.
+    recursion.dim_table.cache_clear()
+    recursion._ladder.cache_clear()
+    for gmax in gmaxes:
+        t = dim_table(p, gmax)
+        assert t == _dense_table(p, gmax)
+        with pytest.raises(ValueError):
+            t.n_even(gmax + 1, 0)
+        with pytest.raises(ValueError):
+            t.delta(gmax + 1, 0)
 
 
 def test_base_row_is_all_even():
