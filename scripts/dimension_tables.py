@@ -7,7 +7,19 @@ Example:
 
 import argparse
 
-from tqftdims.recursion import dim_table
+from tqftdims.recursion import delta_direct, dim_table
+
+
+def _checked_delta(t, g: int, c: int) -> int:
+    """even - odd from the table, cross-checked against the collapsed signed
+    recursion; ArithmeticError if the two disagree."""
+    val = t.delta(g, c)
+    direct = delta_direct(t.p, g)[c]
+    if direct != val:
+        raise ArithmeticError(
+            f"signed recursion disagrees at p={t.p}, g={g}, c={c}: {direct} vs {val}"
+        )
+    return val
 
 
 def main() -> int:
@@ -28,7 +40,7 @@ def main() -> int:
         "even": lambda t, g: t.n_even(g, ns.c),
         "odd": lambda t, g: t.n_odd(g, ns.c),
         "total": lambda t, g: t.total(g, ns.c),
-        "delta": lambda t, g: t.delta(g, c=ns.c, verify=True),
+        "delta": lambda t, g: _checked_delta(t, g, ns.c),
     }[ns.quantity]
 
     header = ["g"] + [f"p={p}" for p in primes]

@@ -203,7 +203,16 @@ STATE_GUARD = 10**9
 
 
 def state_estimate(p: int, g: int) -> int:
-    """Crude upper bound on search states, used by the CLI size guard."""
+    """Crude upper bound on search states, pairs * (d * pairs)^(g-1), used by
+    the CLI size guard and verify's census cap.  Only its comparison with
+    STATE_GUARD matters, so the product stops at its first factor past the
+    guard: the value is exact up to the guard, past it only a lower bound,
+    and a large genus costs a dozen products, not a power of g digits."""
     d = (p - 1) // 2
     pairs = d * (d + 1) // 2
-    return pairs * (d * pairs) ** (g - 1)
+    estimate = pairs
+    for _ in range(g - 1):
+        if estimate > STATE_GUARD:
+            break
+        estimate *= d * pairs
+    return estimate

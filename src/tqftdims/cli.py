@@ -91,6 +91,19 @@ def _display(value, p: int, g: int, c: int) -> str:
 
 # -- size guards ---------------------------------------------------------------
 
+
+class _Refusal(Exception):
+    """A size guard stops a command before its first output line; main
+    reports `refusing <command>: <reason>` on stderr and exits 3."""
+
+
+def _guard(ns, reason: str | None) -> None:
+    """Refuse for `reason`, a guard that --force lifts, unless it is None or
+    --force was passed.  Only these refusals offer --force."""
+    if reason and not ns.force:
+        raise _Refusal(f"{reason}; pass --force to override")
+
+
 #: Fitted growth of a `dims` run's peak resident size over start-up, in bytes
 #: per cell of the table plus one row of per-prime factors, and per digit of
 #: the digit bound.  Rows stream, so every format peaks alike; at the sizes
@@ -100,9 +113,9 @@ DIMS_BYTES = (115, 1.0)
 DIMS_GUARD_MIB = 256
 #: Sine-form terms above which `dims --float-display` refuses (about 1.2 us each).
 FLOAT_GUARD_TERMS = 10**7
-#: Largest prime `hopf` certifies without --force.  The norm of the cofactor
-#: dominates and grows about as p^7 (measured times in CHANGES.md).
-HOPF_GUARD_P = 103
+#: Largest prime `hopf` certifies without --force.  The product U * U^-1
+#: dominates and grows about as p^5.5 (measured times in README.md).
+HOPF_GUARD_P = 167
 
 
 def _dims_digits(p: int, gmax: int) -> tuple[float, float]:
@@ -173,19 +186,15 @@ def _emit_rows(rows: Iterable[dict], cols: list[str], fmt: str) -> None:
 
 
 def _cmd_dims(ns) -> int:
-    refusal = None if ns.force else _dims_refusal(ns)
-    if refusal:
-        print(f"refusing dims: {refusal}; pass --force to override", file=sys.stderr)
-        return EXIT_GUARD
+    _guard(ns, _dims_refusal(ns))
     p = ns.p
     table = recursion.dim_table(p, ns.gmax)
-    # --force skips the estimate but cannot skip the int-to-text limit.  D
+    # --force lifts the estimate but cannot lift the int-to-text limit.  D
     # grows with g and bounds fe, fo and |delta|, so the largest D at gmax is
     # the largest count, tested exactly before the first row.
     limit = _text_limit()
     if limit and max(table.total(ns.gmax, c) for c in range(table.d)) >= 10**limit:
-        print(f"refusing dims: counts pass the {limit}-digit int-to-text limit", file=sys.stderr)
-        return EXIT_GUARD
+        raise _Refusal(f"counts pass the {limit}-digit int-to-text limit")
     cols = list(DIM_COLUMNS)
     if ns.float_display:
         cols += ["delta_sine", "D_sine"]
@@ -204,14 +213,8 @@ def _cmd_dims(ns) -> int:
 
 def _cmd_census(ns) -> int:
     tree = census.LollipopTree(ns.p, ns.g, ns.c)
-    estimate = census.state_estimate(ns.p, ns.g)
-    if estimate > census.STATE_GUARD and not ns.force:
-        print(
-            f"refusing census: estimated {estimate} search states exceeds "
-            f"{census.STATE_GUARD}; pass --force to override",
-            file=sys.stderr,
-        )
-        return EXIT_GUARD
+    if census.state_estimate(ns.p, ns.g) > census.STATE_GUARD:
+        _guard(ns, f"estimated search states exceed {census.STATE_GUARD}")
     if ns.list:
         records = census._records(tree.p, tree.g, tree.c)
         # Every tree has a coloring and every record lies at the walk's full
@@ -261,13 +264,8 @@ def _cmd_poly(ns) -> int:
 
 
 def _cmd_hopf(ns) -> int:
-    _check_prime(ns.p)
-    if ns.p > HOPF_GUARD_P and not ns.force:
-        print(
-            f"refusing hopf: p={ns.p} exceeds {HOPF_GUARD_P}; pass --force to override",
-            file=sys.stderr,
-        )
-        return EXIT_GUARD
+    if _check_prime(ns.p) > HOPF_GUARD_P:
+        _guard(ns, f"p={ns.p} exceeds {HOPF_GUARD_P}")
     cert = fusion.hopf_certificate(ns.p)
     d = (ns.p - 1) // 2
     expected = d * (d - 1) // 2
@@ -284,8 +282,7 @@ def _cmd_quadruple(ns) -> int:
         raise ValueError("need 1 <= gmin <= gmax")
     refusal = _text_refusal(_dims_digits(5, ns.gmax)[0])
     if refusal:
-        print(f"refusing quadruple: {refusal}", file=sys.stderr)
-        return EXIT_GUARD
+        raise _Refusal(refusal)
     table = recursion.dim_table(5, ns.gmax)
     rows = []
     for g in range(ns.gmin, ns.gmax + 1):
@@ -395,6 +392,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Refusal as exc:
+        print(f"refusing {ns.command}: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except RecursionError:
         # Only the census walks recurse, once per genus: too big to run.
         print("refusing census: the genus is deeper than the walk can recurse", file=sys.stderr)

@@ -9,32 +9,21 @@ Galois action run on plain ints.
 The rational norm needs no polynomial gcd: the product adj(y) of the
 conjugates sigma_j(y), j = 2..p-1, satisfies y * adj(y) = N(y).
 
-No floating point appears anywhere in this module.  The distinguished
-element h = 1 - zeta generates the unique prime above p; h-adic valuations
-are computed by exact division by h, each quotient checked by multiplying
-back.
+No floating point appears anywhere in this module.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from itertools import accumulate
 
 __all__ = [
     "CycNum",
-    "INFINITE",
     "galois",
-    "h_valuation",
     "is_prime",
     "monomial",
     "norm",
     "quantum_int",
 ]
-
-#: Marker returned by :func:`h_valuation` for the zero element.
-INFINITE = math.inf
-
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test, adequate for the small primes used here."""
@@ -312,31 +301,3 @@ def quantum_int(p: int, n: int) -> CycNum:
     for k in range(n):
         vec[(n - 1 - 2 * k) % p] += 1
     return CycNum(p, vec)
-
-
-def h_valuation(x: CycNum):
-    """h-adic valuation of x, where h = 1 - zeta.
-
-    Returns INFINITE for zero.  x is divisible by h exactly when its
-    coordinate sum s vanishes mod p (reduce via zeta -> 1).  Then
-    x = x - (s/p)(1 + zeta + ... + zeta^(p-1)) has p coefficients
-    b_i = a_i - s/p (a_(p-1) = 0) that sum to zero, so x/h has the prefix
-    sums of b as coefficients, the last of them zero: one O(p) pass and no
-    inverse.  Each quotient is checked by multiplying back; repeat until the
-    divisibility test fails.
-    """
-    if not x:
-        return INFINITE
-    p = x.p
-    h = CycNum(p, [1, -1])
-    v = 0
-    cur = x
-    while True:
-        q, rem = divmod(sum(cur.num), p)
-        if rem:
-            return v
-        quot = CycNum._of(p, accumulate(a - q for a in cur.num))
-        if h * quot != cur:
-            raise ArithmeticError("exact division by 1 - zeta does not multiply back")
-        cur = quot
-        v += 1

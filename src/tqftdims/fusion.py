@@ -29,9 +29,7 @@ from .cyclotomic import (
     _mul_into,
     _nonzero,
     galois,
-    h_valuation,
     monomial,
-    norm,
 )
 
 __all__ = [
@@ -451,7 +449,10 @@ def galois_sum_total(p: int, g: int, c: int) -> int:
 
 @dataclass(frozen=True)
 class HopfCertificate:
-    """Determinant data: h-adic valuation plus the cofactor's norm (+-1)."""
+    """det(H) = h^valuation * U with U a unit: valuation is d(d-1)/2 and
+    unit_norm, the field norm of U, is 1.  hopf_certificate proves both by
+    U * U^-1 = 1 and computes neither a norm nor a division by h.
+    """
 
     p: int
     valuation: int
@@ -481,23 +482,45 @@ def _times_run(vec: list, start: int, count: int, step: int) -> list:
     return out
 
 
-def _hopf_cofactor(p: int) -> CycNum:
-    """U = det(H) / h^(d(d-1)/2), built from the factorisation of det(H);
-    raises ArithmeticError if two twist eigenvalues coincide."""
+def _cofactor_runs(p: int) -> list[tuple[int, int, int]]:
+    """The runs (s, n, t), each zeta^s (1 + zeta^t + ... + zeta^(t(n-1))),
+    whose product is U = det(H) / h^(d(d-1)/2); raises ArithmeticError if two
+    twist eigenvalues coincide."""
     d = _rank(p)
     e = _twist_exponents(p)
-    vec = [1] + [0] * (p - 1)
+    runs = []
     for j in range(d):
         # [j+1] = q^-j + q^(2-j) + ... + q^j
-        vec = _times_run(vec, -j, j + 1, 2)
+        runs.append((-j, j + 1, 2))
         for i in range(j):
             k = (e[j] - e[i]) % p
             if not k:
                 raise ArithmeticError(f"twist Vandermonde determinant vanished at p={p}")
             # mu_j - mu_i = -h * (zeta^e_i + ... + zeta^(e_i + k - 1)); the
             # d(d-1)/2 signs cancel the column signs (-1)^j of H.
-            vec = _times_run(vec, e[i], k, 1)
+            runs.append((e[i], k, 1))
+    return runs
+
+
+def _inverse_run(p: int, s: int, n: int, t: int) -> tuple[int, int, int]:
+    """The run of the inverse of run (s, n, t).  The run is
+    zeta^s (1 - zeta^(nt)) / (1 - zeta^t); with m = n^-1 mod p, zeta^t is
+    (zeta^(nt))^m, so the inverse is zeta^-s (1 + zeta^(nt) + ... +
+    zeta^(nt(m-1))), the run (-s, m, nt)."""
+    return -s, pow(n, -1, p), n * t % p
+
+
+def _run_product(p: int, runs) -> CycNum:
+    """The product of the runs (s, n, t), one _times_run each."""
+    vec = [1] + [0] * (p - 1)
+    for s, n, t in runs:
+        vec = _times_run(vec, s, n, t)
     return CycNum(p, vec)
+
+
+def _hopf_cofactor(p: int) -> CycNum:
+    """U = det(H) / h^(d(d-1)/2), built from the factorisation of det(H)."""
+    return _run_product(p, _cofactor_runs(p))
 
 
 def hopf_certificate(p: int) -> HopfCertificate:
@@ -511,18 +534,24 @@ def hopf_certificate(p: int) -> HopfCertificate:
 
     and with k = e_j - e_i mod p each factor is
     mu_j - mu_i = -zeta^(e_i) h (1 + zeta + ... + zeta^(k-1)).  The cofactor
-    U = det H / h^(d(d-1)/2) is therefore a product of quantum integers [n],
-    n < p, and of cyclotomic units (1 - zeta^k)/(1 - zeta) (Washington,
-    Introduction to Cyclotomic Fields, 8.1), hence a unit, as long as the e_j
-    are pairwise distinct.  U is built from that product, and H never is;
-    its valuation and its norm are still computed, so a cofactor divisible by
-    h shows in the valuation and one that is not a unit is refused.  The
-    expected valuation is d(d-1)/2; callers compare against that.
+    U = det H / h^(d(d-1)/2) is therefore a product of runs of powers of
+    zeta: the quantum integers [n], n < p, and the cyclotomic units
+    (1 - zeta^k)/(1 - zeta) (Washington, Introduction to Cyclotomic Fields,
+    8.1), as long as the e_j are pairwise distinct.  Each run has an
+    integral inverse that is again a run (_inverse_run), so U and
+    V = U^-1 are built from the same list, H never is, and U * V == 1 is
+    checked exactly; ArithmeticError if it fails.
+
+    That check proves U a unit, so the valuation is exactly d(d-1)/2: a
+    unit is prime to h.  And the norm of U is 1 without being computed:
+    every unit of the totally complex field Q(zeta_p) has norm +1, its norm
+    being a product of the positive numbers |sigma(U)|^2 over one embedding
+    sigma from each complex-conjugate pair.
     """
     d = _rank(p)
-    unit = _hopf_cofactor(p)
-    v = d * (d - 1) // 2 + h_valuation(unit)
-    n = norm(unit)
-    if n not in (1, -1):
-        raise ArithmeticError(f"determinant cofactor is not a unit: norm {n}")
-    return HopfCertificate(p=p, valuation=v, unit_norm=n)
+    runs = _cofactor_runs(p)
+    unit = _run_product(p, runs)
+    inverse = _run_product(p, [_inverse_run(p, *run) for run in runs])
+    if unit * inverse != 1:
+        raise ArithmeticError("determinant cofactor is not a unit: U * U^-1 != 1")
+    return HopfCertificate(p=p, valuation=d * (d - 1) // 2, unit_norm=1)

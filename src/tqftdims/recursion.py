@@ -80,18 +80,9 @@ class DimTable:
     def total(self, g: int, c: int) -> int:
         return self.n_even(g, c) + self.n_odd(g, c)
 
-    def delta(self, g: int, c: int, verify: bool = False) -> int:
-        """even - odd; with verify=True recompute it by the collapsed
-        signed recursion and insist the two answers agree."""
-        val = self.n_even(g, c) - self.n_odd(g, c)
-        if verify:
-            direct = delta_direct(self.p, g)[c]
-            if direct != val:
-                raise ArithmeticError(
-                    f"signed recursion disagrees at p={self.p}, g={g}, c={c}: "
-                    f"{direct} vs {val}"
-                )
-        return val
+    def delta(self, g: int, c: int) -> int:
+        """even - odd."""
+        return self.n_even(g, c) - self.n_odd(g, c)
 
     def rows(self):
         """Yield (g, c, even, odd, total, delta) over the whole table."""

@@ -282,6 +282,18 @@ def test_state_estimate_growth():
     assert state_estimate(13, 4) < 10**9
 
 
+@pytest.mark.parametrize("p", (5, 7, 13, 19, 101))
+def test_state_estimate_decides_as_the_full_product(p):
+    # exact up to the guard, and past it exactly when the full product is
+    d = (p - 1) // 2
+    pairs = d * (d + 1) // 2
+    for g in range(1, 40):
+        full = pairs * (d * pairs) ** (g - 1)
+        est = state_estimate(p, g)
+        assert (est > STATE_GUARD) == (full > STATE_GUARD)
+        assert est == full or est > STATE_GUARD
+
+
 def test_census_claim_steps_the_genus_down_under_the_guard():
     # At p = 19 the genus-4 walk is over the guard, so the claim checks g <= 3.
     assert state_estimate(19, 4) > STATE_GUARD >= state_estimate(19, 3)

@@ -4,10 +4,11 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from tqftdims import census, fusion, recursion
+from tqftdims import census, cli, fusion, recursion
 from tqftdims.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -270,6 +271,24 @@ def test_census_size_guard():
     assert res.returncode == EXIT_OK
 
 
+@pytest.mark.parametrize("g", [6000, 10**9])
+def test_census_refuses_a_large_genus_at_once(capsys, g):
+    # the estimate stops at the guard, and the refusal quotes no estimate
+    start = time.perf_counter()
+    assert main(["census", "--p", "5", "--g", str(g), "--c", "0"]) == EXIT_GUARD
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"refusing census: estimated search states exceed {census.STATE_GUARD}; "
+        "pass --force to override\n"
+    )
+
+
+def test_refusal_is_neither_invalid_input_nor_a_failed_check():
+    assert not issubclass(cli._Refusal, (ValueError, ArithmeticError))
+
+
 @pytest.mark.parametrize("listing", [(), ("--list",)])
 def test_census_too_deep_to_recurse_is_refused(listing):
     # the walks recurse once per genus, past the interpreter's limit here
@@ -364,7 +383,7 @@ def test_hopf_size_guard_refuses_before_arithmetic(monkeypatch, capsys):
         assert main(["hopf", "--p", str(p)]) == EXIT_GUARD
         out, err = capsys.readouterr()
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("refusing hopf:")
+        assert err == f"refusing hopf: p={p} exceeds {HOPF_GUARD_P}; pass --force to override\n"
     assert main(["hopf", "--p", "1000"]) == EXIT_USAGE
     with pytest.raises(AssertionError, match="size guard"):
         main(["hopf", "--p", "1009", "--force"])

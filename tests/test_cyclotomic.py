@@ -1,4 +1,4 @@
-"""Exact cyclotomic arithmetic: ring axioms, Galois action, h-adic valuations."""
+"""Exact cyclotomic arithmetic: ring axioms, Galois action, norms."""
 
 from fractions import Fraction
 
@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftdims import cyclotomic, fusion
+from tqftdims import cyclotomic
 from tqftdims.cyclotomic import (
-    INFINITE,
     CycNum,
     galois,
-    h_valuation,
     is_prime,
     monomial,
     norm,
@@ -159,44 +157,6 @@ def test_quantum_ints_are_units(p):
         assert norm(quantum_int(p, n)) in (1, -1)
 
 
-def test_h_valuation_basics():
-    p = 5
-    h = CycNum(p, [1, -1])
-    assert h_valuation(CycNum.scalar(p, 1)) == 0
-    assert h_valuation(h) == 1
-    assert h_valuation(h * h) == 2
-    # (h)^(p-1) = (p): the rational prime has valuation p - 1
-    assert h_valuation(CycNum.scalar(p, p)) == p - 1
-    assert h_valuation(CycNum.scalar(p, 0)) == INFINITE
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_h_valuation_of_prime_powers(p):
-    # (p) = (h)^(p-1), so p^m has valuation m (p - 1)
-    for m in range(5):
-        assert h_valuation(CycNum.scalar(p, p**m)) == m * (p - 1)
-
-
-def test_h_valuation_ignores_unit_factors():
-    p = 11
-    h = CycNum(p, [1, -1])
-    u = quantum_int(p, 3)
-    assert h_valuation(u) == 0
-    assert h_valuation(u * h**4) == 4
-
-
-def test_h_valuation_builds_no_inverse(monkeypatch):
-    # dividing by h is a prefix sum, so no adjugate norm is ever built
-    def refuse(*args):
-        raise AssertionError("h_valuation built an adjugate norm")
-
-    monkeypatch.setattr(cyclotomic, "_adjugate_norm", refuse)
-    assert h_valuation(fusion._hopf_cofactor(13)) == 0
-    h = CycNum(13, [1, -1])
-    assert h_valuation(h * h * quantum_int(13, 4)) == 2
-    assert h_valuation(CycNum.scalar(101, 101**3)) == 300
-
-
 def _elements(p, size=4):
     coeff = st.integers(min_value=-5, max_value=5)
     return st.lists(coeff, min_size=1, max_size=size).map(lambda v: CycNum(p, v))
@@ -222,13 +182,3 @@ def test_galois_is_a_ring_map(x, y, j):
 @settings(max_examples=40, deadline=None)
 def test_norm_is_multiplicative(x, y):
     assert norm(x * y) == norm(x) * norm(y)
-
-
-@given(data=st.data(), k=st.integers(0, 6))
-@settings(max_examples=60, deadline=None)
-def test_h_valuation_shifts_under_multiplication_by_h(data, k):
-    p = data.draw(st.sampled_from(PRIMES))
-    x = data.draw(_elements(p, size=p))
-    if x:
-        h = CycNum(p, [1, -1])
-        assert h_valuation(x * h**k) == h_valuation(x) + k

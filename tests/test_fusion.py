@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tqftdims import claims, cyclotomic, fusion
 from tqftdims.cli import main
-from tqftdims.cyclotomic import CycNum, galois, h_valuation, monomial, norm, quantum_int
+from tqftdims.cyclotomic import CycNum, galois, is_prime, monomial, norm, quantum_int
 from tqftdims.fusion import (
     FusionElement,
     FusionMatrix,
@@ -469,7 +469,7 @@ def test_hopf_determinant_valuation_directly():
     h = _hopf_vandermonde(5)
     det = h.entries[0][0] * h.entries[1][1] - h.entries[0][1] * h.entries[1][0]
     assert det == _bareiss_det(h)
-    assert h_valuation(det) == 1
+    assert det == CycNum(5, [1, -1]) * fusion._hopf_cofactor(5)
     # N(h) = p, so det = h * unit has norm +-p
     assert norm(det) in (5, -5)
 
@@ -576,6 +576,19 @@ def test_hopf_cofactor_matches_bareiss(p):
     assert _bareiss_det(_hopf_vandermonde(p)) == h ** (d * (d - 1) // 2) * fusion._hopf_cofactor(p)
 
 
+def test_hopf_cofactor_times_inverse_runs_is_one():
+    for p in filter(is_prime, range(5, 62)):
+        runs = fusion._cofactor_runs(p)
+        inverse = fusion._run_product(p, [fusion._inverse_run(p, *run) for run in runs])
+        assert fusion._hopf_cofactor(p) * inverse == 1
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23))
+def test_hopf_cofactor_norm_is_one(p):
+    # the value the certificate prints as unit_norm=1, computed as a norm
+    assert norm(fusion._hopf_cofactor(p)) == 1
+
+
 def _conjugate_half_sum(p, w):
     """-(1/p) * sum_{j=1}^{d} G_j(w), applying all d Galois maps; must be an
     integer."""
@@ -658,7 +671,7 @@ def test_galois_entry_refuses_planted_power(cold_fusion, monkeypatch, capsys, pl
     "name,planted,message",
     [
         ("_twist_exponents", lambda p: [0, 1, 1, 2, 3][: (p - 1) // 2], "vanished"),
-        ("norm", lambda x: Fraction(2), "not a unit"),
+        ("_inverse_run", lambda p, s, n, t: (-s, n, t), "not a unit"),
     ],
 )
 def test_hopf_certificate_refuses_planted_fault(monkeypatch, capsys, name, planted, message):
@@ -698,6 +711,17 @@ def test_hopf_certificate_runs_no_bareiss():
     for p in (5, 13, 37):
         d = (p - 1) // 2
         assert hopf_certificate(p).valuation == d * (d - 1) // 2
+
+
+def test_hopf_certificate_computes_no_norm(monkeypatch):
+    # U * U^-1 = 1 certifies the unit: no norm, and no division by h
+    def refuse(*args):
+        raise AssertionError("built an adjugate norm")
+
+    assert not hasattr(cyclotomic, "h_valuation")
+    monkeypatch.setattr(cyclotomic, "_adjugate_norm", refuse)
+    for p in (5, 13, 37):
+        assert hopf_certificate(p) == fusion.HopfCertificate(p, (p - 1) * (p - 3) // 8, 1)
 
 
 def test_eigenvalue_claim_and_counting_eigenvalue_run_no_bareiss_or_inverse(

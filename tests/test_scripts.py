@@ -1,6 +1,7 @@
 """The example scripts: exit status and byte-frozen stdout."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +41,42 @@ def test_script_stdout_frozen(script, args, digest):
     )
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(res.stdout).hexdigest() == digest
+
+
+def _load(script):
+    spec = importlib.util.spec_from_file_location(script[:-3], ROOT / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_delta_verification_raises_on_mismatch(monkeypatch):
+    # --quantity delta checks each cell against the collapsed signed
+    # recursion, so a planted wrong recursion stops the table
+    script = _load("dimension_tables.py")
+    monkeypatch.setattr(script, "delta_direct", lambda p, g: (0,) * ((p - 1) // 2))
+    monkeypatch.setattr(sys, "argv", ["dimension_tables.py", "--primes", "5", "--gmax", "2"])
+    with pytest.raises(ArithmeticError, match="signed recursion disagrees at p=5, g=1, c=0"):
+        script.main()
+
+
+CODE_SAMPLE = '''"""A module docstring
+over two lines."""
+
+# a comment-only line
+total = (
+    1  # a trailing comment
+    + 2
+)
+
+
+def f():
+    """A function docstring."""
+    return """a string
+that is not a docstring"""
+'''
+
+
+def test_code_lines_counts_tokens_outside_comments_and_docstrings():
+    # the four lines of the expression, the def, and both lines of the string
+    assert _load("code_lines.py").code_lines(CODE_SAMPLE) == 7
