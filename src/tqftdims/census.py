@@ -67,13 +67,20 @@ class LollipopTree:
 
     def __post_init__(self) -> None:
         _check_prime(self.p)
-        if self.g < 1:
-            raise ValueError(f"genus must be >= 1, got {self.g}")
-        _check_color(self.p, self.c)
+        _check_shape(self.p, self.g, self.c)
 
     @property
     def d(self) -> int:
         return (self.p - 1) // 2
+
+
+def _check_shape(p: int, g: int, c: int) -> None:
+    """The checks of LollipopTree after primality: genus g >= 1 and trunk
+    half-color c in 0..d-1, for any int p >= 5.  The CLI runs them before
+    its size guard, which runs before the primality test."""
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
+    _check_color(p, c, prime=False)
 
 
 def _moves(tree: LollipopTree) -> list[list[tuple[int, int, int]]]:

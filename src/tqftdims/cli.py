@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from . import census, claims, fusion, polylab, recursion
-from .cyclotomic import _check_prime
+from .cyclotomic import _check_order, _check_prime
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -113,8 +113,9 @@ DIMS_BYTES = (115, 1.0)
 DIMS_GUARD_MIB = 256
 #: Sine-form terms above which `dims --float-display` refuses (about 1.2 us each).
 FLOAT_GUARD_TERMS = 10**7
-#: Largest prime `hopf` certifies without --force.  The product U * U^-1
-#: dominates and grows about as p^5.5 (measured times in README.md).
+#: Largest prime `hopf` certifies without --force.  Building U and U^-1 from
+#: their runs dominates; the product U * U^-1, by Kronecker substitution,
+#: is under a third of the cost at 167 (measured times in README.md).
 HOPF_GUARD_P = 167
 
 
@@ -122,23 +123,31 @@ def _dims_digits(p: int, gmax: int) -> tuple[float, float]:
     """Upper bounds on the decimal digits of a count at genus gmax, and on
     those digits summed over the table's gmax * d cells.  By the sine form
     every count at genus g is at most d (p/4)^(g-1) / sin(pi/p)^(2g-1), whose
-    digits grow linearly in g."""
+    digits grow linearly in g.  A p or gmax too large for a float makes
+    both bounds inf, which every limit refuses."""
     d = (p - 1) // 2
-    s = -math.log10(math.sin(math.pi / p))
-    top_1 = 1 + math.log10(d) + s  # digit bound at genus 1
-    slope = math.log10(p / 4) + 2 * s
-    return top_1 + slope * (gmax - 1), d * gmax * (top_1 + slope * (gmax - 1) / 2)
+    try:
+        s = -math.log10(math.sin(math.pi / p))
+        top_1 = 1 + math.log10(d) + s  # digit bound at genus 1
+        slope = math.log10(p / 4) + 2 * s
+        return top_1 + slope * (gmax - 1), d * gmax * (top_1 + slope * (gmax - 1) / 2)
+    except OverflowError:
+        return math.inf, math.inf
 
 
 def _dims_refusal(ns) -> str | None:
-    """Why `dims` is too big to run, or None if the guard lets it through."""
-    d = (_check_prime(ns.p) - 1) // 2
+    """Why `dims` is too big to run, or None if the guard lets it through.
+    It tests no primality, so a huge p is refused before its trial division."""
+    d = (_check_order(ns.p) - 1) // 2
     if ns.gmax < 1:
         return None  # dim_table refuses it as invalid input
     cells = d * ns.gmax
     top, digits = _dims_digits(ns.p, ns.gmax)
     per_cell, per_digit = DIMS_BYTES
-    mib = (per_cell * (cells + d) + per_digit * digits) / 2**20
+    try:
+        mib = (per_cell * (cells + d) + per_digit * digits) / 2**20
+    except OverflowError:  # a cell count too large for a float
+        mib = math.inf
     if mib > DIMS_GUARD_MIB:
         return f"estimated peak of {mib:.3g} MiB exceeds {DIMS_GUARD_MIB} MiB"
     terms = d * (d + cells)  # the sine bases, then d terms per display cell
@@ -212,9 +221,12 @@ def _cmd_dims(ns) -> int:
 
 
 def _cmd_census(ns) -> int:
-    tree = census.LollipopTree(ns.p, ns.g, ns.c)
-    if census.state_estimate(ns.p, ns.g) > census.STATE_GUARD:
+    # The guard runs before the primality test, so a huge p is refused at
+    # once; a bad genus or color is still invalid input, checked first.
+    if census.state_estimate(_check_order(ns.p), ns.g) > census.STATE_GUARD:
+        census._check_shape(ns.p, ns.g, ns.c)
         _guard(ns, f"estimated search states exceed {census.STATE_GUARD}")
+    tree = census.LollipopTree(ns.p, ns.g, ns.c)
     if ns.list:
         records = census._records(tree.p, tree.g, tree.c)
         # Every tree has a coloring and every record lies at the walk's full
@@ -264,7 +276,8 @@ def _cmd_poly(ns) -> int:
 
 
 def _cmd_hopf(ns) -> int:
-    if _check_prime(ns.p) > HOPF_GUARD_P:
+    # The guard runs before hopf_certificate tests p for primality.
+    if _check_order(ns.p) > HOPF_GUARD_P:
         _guard(ns, f"p={ns.p} exceeds {HOPF_GUARD_P}")
     cert = fusion.hopf_certificate(ns.p)
     d = (ns.p - 1) // 2

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from tqftdims import census, cli, fusion, recursion
+from tqftdims import census, cli, cyclotomic, fusion, recursion
 from tqftdims.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -384,9 +384,82 @@ def test_hopf_size_guard_refuses_before_arithmetic(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"refusing hopf: p={p} exceeds {HOPF_GUARD_P}; pass --force to override\n"
-    assert main(["hopf", "--p", "1000"]) == EXIT_USAGE
+    # the guard runs before the primality test: a composite above it is refused too
+    assert main(["hopf", "--p", "1000"]) == EXIT_GUARD
     with pytest.raises(AssertionError, match="size guard"):
         main(["hopf", "--p", "1009", "--force"])
+
+
+HUGE_P = str(10**30 + 57)
+
+
+@pytest.fixture
+def no_trial_division(monkeypatch):
+    def refuse(n):
+        raise AssertionError("tested primality before the size guard")
+
+    monkeypatch.setattr(cyclotomic, "is_prime", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hopf", "--p", HUGE_P),
+        ("census", "--p", HUGE_P, "--g", "2", "--c", "0"),
+        ("dims", "--p", HUGE_P),
+        ("dims", "--p", str(10**400 + 1)),  # p itself past the float range
+    ],
+)
+def test_huge_p_refused_before_its_primality_test(no_trial_division, capsys, argv):
+    assert main(list(argv)) == EXIT_GUARD
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"refusing {argv[0]}:") and "--force" in err
+    # --force lifts the refusal, and the primality test runs
+    with pytest.raises(AssertionError, match="primality"):
+        main([*argv, "--force"])
+
+
+def test_invalid_input_next_to_a_huge_p_still_exits_2(no_trial_division, capsys):
+    # a bad genus or color is reported before the census guard, as before;
+    # below the guards a composite p is still reported by the primality test
+    for argv in (
+        ("census", "--p", HUGE_P, "--g", "0", "--c", "0"),
+        ("census", "--p", HUGE_P, "--g", "2", "--c", "-1"),
+        ("hopf", "--p", "4"),
+        ("dims", "--p", "1", "--gmax", "1"),
+    ):
+        assert main(list(argv)) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: genus must be >= 1, got 0",
+        f"error: half-color must lie in 0..{(int(HUGE_P) - 3) // 2} for p={HUGE_P}, got -1",
+        "error: p must be a prime >= 5, got 4",
+        "error: p must be a prime >= 5, got 1",
+    ]
+
+
+def test_composite_p_below_the_guards_exits_2(capsys):
+    for argv in (("hopf", "--p", "15"), ("census", "--p", "15", "--g", "2", "--c", "0")):
+        assert main(list(argv)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: p must be a prime >= 5, got 15\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--p", "5", "--gmax", str(10**309)),
+        ("quadruple", "--gmax", str(10**309)),
+        ("quadruple", "--gmin", str(10**309), "--gmax", str(10**309)),
+    ],
+)
+def test_gmax_past_the_float_range_is_refused(no_tables, capsys, argv):
+    # the digit bound is a float: past the float range it reads inf, over every limit
+    assert main(list(argv)) == EXIT_GUARD
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"refusing {argv[0]}:")
 
 
 def test_quadruple_table():

@@ -1,7 +1,7 @@
-"""The integer CycNum core checked against sympy's polynomial arithmetic
-modulo the p-th cyclotomic polynomial, and the integer characteristic
-polynomial that the eigenvalue claim evaluates in that core checked against
-sympy's."""
+"""The integer CycNum core, on both its pairwise and its Kronecker path,
+checked against sympy's polynomial arithmetic modulo the p-th cyclotomic
+polynomial, and the integer characteristic polynomial that the eigenvalue
+claim evaluates in that core checked against sympy's."""
 
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftdims.cyclotomic import CycNum, _int_mul
+from tqftdims.cyclotomic import CycNum, _int_mul, _kronecker
 from tqftdims.fusion import FusionMatrix, alternating_element, counting_element, mul_matrix_even
 
 sympy = pytest.importorskip("sympy")
@@ -82,6 +82,20 @@ def test_sparse_kernel_matches_sympy_product(data):
         a, b = b, a
     want = (_poly(a) * _poly(b)).rem(_phi(p))
     assert tuple(map(Fraction, _int_mul(p, a, b))) == _reduced_coords(want, p)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_dense_product_matches_sympy_reduction(data):
+    # p >= 17 and coordinates up to 2^300: the factors reach the Kronecker path
+    p = data.draw(st.sampled_from((17, 19)))
+    coords = st.sampled_from((p - 1, p)).flatmap(
+        lambda n: st.lists(st.integers(-(2**300), 2**300), min_size=n, max_size=n)
+    )
+    a, b = data.draw(coords), data.draw(coords)
+    want = _reduced_coords((_poly(a) * _poly(b)).rem(_phi(p)), p)
+    assert tuple(map(Fraction, _kronecker(p, a, b))) == want
+    assert tuple(map(Fraction, _int_mul(p, a, b))) == want
 
 
 def _sympy_charpoly(rows):
