@@ -43,12 +43,9 @@ from the defining inequalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import _check_color, _check_prime
 
 __all__ = [
-    "LollipopTree",
     "STATE_GUARD",
     "beta_eta_bruteforce",
     "beta_eta_closed",
@@ -57,39 +54,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LollipopTree:
-    """Validated shape parameters: prime p >= 5, genus g >= 1, trunk half-color c."""
-
-    p: int
-    g: int
-    c: int
-
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
-        _check_shape(self.p, self.g, self.c)
-
-    @property
-    def d(self) -> int:
-        return (self.p - 1) // 2
-
-
-def _check_shape(p: int, g: int, c: int) -> None:
-    """The checks of LollipopTree after primality: genus g >= 1 and trunk
-    half-color c in 0..d-1, for any int p >= 5.  The CLI runs them before
-    its size guard, which runs before the primality test."""
+def _check_shape(p: int, g: int, c: int) -> int:
+    """Return d = (p - 1)/2 if the genus g is >= 1 and the trunk half-color
+    c lies in 0..d-1, for any int p >= 5, else raise ValueError.  The walks
+    test p with _check_prime first; the CLI runs this before its size guard,
+    which runs before the primality test."""
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
-    _check_color(p, c, prime=False)
+    return _check_color(p, c)
 
 
-def _moves(tree: LollipopTree) -> list[list[tuple[int, int, int]]]:
+def _moves(p: int, d: int) -> list[list[tuple[int, int, int]]]:
     """Admissibility table: moves[x] lists (a, lo, hi) for every stick
     half-color a at a vertex entered by chain half-color x, where lo..hi is
     the nonempty range of outgoing chain half-colors e that make
     (2x, 2a, 2e) admissible."""
-    d = tree.d
-    top = tree.p - 2
+    top = p - 2
     table = []
     for x in range(d):
         row = []
@@ -119,15 +99,14 @@ def _records(p: int, g: int, c: int):
     strings "x,b" for b in 0..d-1-x, so the last two levels are one
     comprehension.
     """
-    tree = LollipopTree(p, g, c)
-    d = tree.d
+    d = _check_shape(_check_prime(p), g, c)
     head = f"{g};{c};"
     names = ("even", "even") if (g, c) == (2, 0) else ("even", "odd")
     if g == 1:
         # d - c records; the d^2-sized tables below are never read here.
         yield [f"{head}{c},{b};;{names[0]}" for b in range(d - c)]
         return
-    moves = _moves(tree)
+    moves = _moves(p, d)
     leaf = [[f"{x},{b}" for b in range(d - x)] for x in range(d)]
 
     def walk(i: int, x: int, ab: str, es: str, par: int):
@@ -155,10 +134,9 @@ def count_parities(p: int, g: int, c: int) -> tuple[int, int]:
     Walks the (a, e) skeletons only and counts each with weight
     prod(d - a_i), the number of its loop choices b.
     """
-    tree = LollipopTree(p, g, c)
-    d = tree.d
+    d = _check_shape(_check_prime(p), g, c)
     # at g = 1 the walk stops at its first vertex and reads no move
-    moves = _moves(tree) if g > 1 else []
+    moves = _moves(p, d) if g > 1 else []
     counts = [0, 0]
 
     def walk(i: int, x: int, par: int, weight: int) -> None:
@@ -184,7 +162,7 @@ def beta_eta_bruteforce(p: int, c1: int, c2: int) -> tuple[int, int]:
     The stick vertex carries colors (2c1, 2c2, 2a) and the loop contributes
     the usual smallness range for b.  Balanced means a + c1 + c2 even.
     """
-    d = _check_color(p, c1, c2)
+    d = _check_color(_check_prime(p), c1, c2)
     beta = eta = 0
     lo = abs(c1 - c2)
     hi = min(c1 + c2, (p - 2) - c1 - c2)
@@ -200,7 +178,7 @@ def beta_eta_bruteforce(p: int, c1: int, c2: int) -> tuple[int, int]:
 def beta_eta_closed(p: int, c1: int, c2: int) -> tuple[int, int]:
     """Closed forms: with m = min(c1, c2), M = max(c1, c2),
     balanced = (m + 1)(d - M) and unbalanced = m(d - M)."""
-    d = _check_color(p, c1, c2)
+    d = _check_color(_check_prime(p), c1, c2)
     m, big = min(c1, c2), max(c1, c2)
     return (m + 1) * (d - big), m * (d - big)
 

@@ -72,11 +72,11 @@ def _check_prime(p: int) -> int:
     return p
 
 
-def _check_color(p: int, *colors: int, prime: bool = True) -> int:
-    """Return d = (p - 1)/2 if p passes _check_prime and every half-color
-    lies in 0..d-1, else raise ValueError.  With prime=False p, which must
-    pass _check_order, is not tested for primality."""
-    d = ((_check_prime(p) if prime else p) - 1) // 2
+def _check_color(p: int, *colors: int) -> int:
+    """Return d = (p - 1)/2 if every half-color lies in 0..d-1, else raise
+    ValueError.  p is not tested: a caller that needs a prime passes
+    _check_prime(p)."""
+    d = (p - 1) // 2
     for c in colors:
         if not 0 <= c < d:
             raise ValueError(f"half-color must lie in 0..{d - 1} for p={p}, got {c}")
@@ -279,13 +279,15 @@ class CycNum:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = CycNum.scalar(self.p, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        if not n:
+            return CycNum.scalar(self.p, 1)
+        # Left to right from the base: bit_length(n) - 1 squarings and
+        # popcount(n) - 1 products by the base.
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- comparisons ---------------------------------------------------------
@@ -372,16 +374,30 @@ def norm(x: CycNum) -> int:
     return _adjugate_norm(x.p, x.num)[1]
 
 
+def _run(p: int, s: int, n: int, t: int) -> CycNum:
+    """The run zeta^s (1 + zeta^t + ... + zeta^(t(n-1))), for n >= 0."""
+    vec = [0] * p
+    for k in range(n):
+        vec[(s + k * t) % p] += 1
+    return CycNum._of(p, _fold(vec))
+
+
+def _inverse_run(p: int, s: int, n: int, t: int) -> tuple[int, int, int]:
+    """The run of the inverse of run (s, n, t), for n and t units mod p.
+    The run is zeta^s (1 - zeta^(nt)) / (1 - zeta^t); with m = n^-1 mod p,
+    zeta^t is (zeta^(nt))^m, so the inverse is
+    zeta^-s (1 + zeta^(nt) + ... + zeta^(nt(m-1))), the run (-s, m, nt)."""
+    return -s, pow(n, -1, p), n * t % p
+
+
 def quantum_int(p: int, n: int) -> CycNum:
     """The quantum integer [n] = (q^n - q^-n)/(q - q^-1) at q = zeta_p.
 
-    Computed from the telescoped sum q^(n-1) + q^(n-3) + ... + q^(1-n), so the
-    result is visibly integral.  [n] is a unit of Z[zeta_p] for 1 <= n <= p-1.
+    Computed as the run q^(1-n) + q^(3-n) + ... + q^(n-1), so the result is
+    visibly integral.  [n] is a unit of Z[zeta_p] for 1 <= n <= p-1: its
+    inverse is the run _inverse_run(p, 1 - n, n, 2).
     """
     _check_prime(p)
     if n < 0:
         raise ValueError("quantum integer index must be >= 0")
-    vec = [0] * p
-    for k in range(n):
-        vec[(n - 1 - 2 * k) % p] += 1
-    return CycNum(p, vec)
+    return _run(p, 1 - n, n, 2)

@@ -26,8 +26,10 @@ from .cyclotomic import (
     _check_color,
     _check_prime,
     _fold,
+    _inverse_run,
     _mul_into,
     _nonzero,
+    _run,
     galois,
     monomial,
 )
@@ -314,7 +316,7 @@ def _power_ladder(p: int, counting: bool) -> tuple[FusionMatrix, list]:
 
 
 def _matrix_power_entry(p: int, g: int, c: int, counting: bool) -> int:
-    _check_color(p, c)
+    _check_color(_check_prime(p), c)
     if g < 0:
         raise ValueError("genus must be >= 0")
     mat, vecs = _power_ladder(p, counting)
@@ -418,7 +420,7 @@ def _galois_entry(p: int, g: int, c: int, counting: bool) -> int:
     terms: the entry is -(a_(-k-1) - a_(1-k) - a_(k-1) + a_(k+1)) / 2.
     Both the reality of lam^g and the integrality are checked.
     """
-    _check_color(p, c)
+    _check_color(_check_prime(p), c)
     if g < 0:
         raise ValueError("genus must be >= 0")
     lam = _eigenvalue_power(p, g, counting)
@@ -451,7 +453,8 @@ def galois_sum_total(p: int, g: int, c: int) -> int:
 class HopfCertificate:
     """det(H) = h^valuation * U with U a unit: valuation is d(d-1)/2 and
     unit_norm, the field norm of U, is 1.  hopf_certificate proves both by
-    U * U^-1 = 1 and computes neither a norm nor a division by h.
+    checking that every run of U times its inverse run is 1, and computes
+    neither U, nor a norm, nor a division by h.
     """
 
     p: int
@@ -463,23 +466,6 @@ def _twist_exponents(p: int) -> list[int]:
     """e_j = (d+1) j (j+2) mod p, so that mu_j = zeta^(e_j), for j = 0..d-1."""
     d = _rank(p)
     return [(d + 1) * j * (j + 2) % p for j in range(d)]
-
-
-def _times_run(vec: list, start: int, count: int, step: int) -> list:
-    """vec * (zeta^start + zeta^(start+step) + ... + zeta^(start+(count-1)step))
-    on p coefficients modulo t^p - 1, for step a unit mod p and 0 < count <= p.
-
-    Walking the exponents in the order 0, step, 2 step, ... turns the product
-    into a sliding window sum: O(p) additions, not O(p * count) products.
-    """
-    p = len(vec)
-    walk = [vec[step * i % p] for i in range(p)]
-    out = [0] * p
-    acc = sum(walk[i % p] for i in range(1 - count, 1))
-    for i in range(p):
-        out[(step * i + start) % p] = acc
-        acc += walk[(i + 1) % p] - walk[(i + 1 - count) % p]
-    return out
 
 
 def _cofactor_runs(p: int) -> list[tuple[int, int, int]]:
@@ -502,27 +488,6 @@ def _cofactor_runs(p: int) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _inverse_run(p: int, s: int, n: int, t: int) -> tuple[int, int, int]:
-    """The run of the inverse of run (s, n, t).  The run is
-    zeta^s (1 - zeta^(nt)) / (1 - zeta^t); with m = n^-1 mod p, zeta^t is
-    (zeta^(nt))^m, so the inverse is zeta^-s (1 + zeta^(nt) + ... +
-    zeta^(nt(m-1))), the run (-s, m, nt)."""
-    return -s, pow(n, -1, p), n * t % p
-
-
-def _run_product(p: int, runs) -> CycNum:
-    """The product of the runs (s, n, t), one _times_run each."""
-    vec = [1] + [0] * (p - 1)
-    for s, n, t in runs:
-        vec = _times_run(vec, s, n, t)
-    return CycNum(p, vec)
-
-
-def _hopf_cofactor(p: int) -> CycNum:
-    """U = det(H) / h^(d(d-1)/2), built from the factorisation of det(H)."""
-    return _run_product(p, _cofactor_runs(p))
-
-
 def hopf_certificate(p: int) -> HopfCertificate:
     """h-adic valuation of det(H), certifying that det(H)/h^v is a unit.
 
@@ -538,9 +503,9 @@ def hopf_certificate(p: int) -> HopfCertificate:
     zeta: the quantum integers [n], n < p, and the cyclotomic units
     (1 - zeta^k)/(1 - zeta) (Washington, Introduction to Cyclotomic Fields,
     8.1), as long as the e_j are pairwise distinct.  Each run has an
-    integral inverse that is again a run (_inverse_run), so U and
-    V = U^-1 are built from the same list, H never is, and U * V == 1 is
-    checked exactly; ArithmeticError if it fails.
+    integral inverse that is again a run (_inverse_run), and each distinct
+    run shape (n, t) is checked once, run times inverse run == 1, exactly;
+    ArithmeticError if one fails.  Neither U nor H is ever built.
 
     That check proves U a unit, so the valuation is exactly d(d-1)/2: a
     unit is prime to h.  And the norm of U is 1 without being computed:
@@ -549,9 +514,11 @@ def hopf_certificate(p: int) -> HopfCertificate:
     sigma from each complex-conjugate pair.
     """
     d = _rank(p)
-    runs = _cofactor_runs(p)
-    unit = _run_product(p, runs)
-    inverse = _run_product(p, [_inverse_run(p, *run) for run in runs])
-    if unit * inverse != 1:
-        raise ArithmeticError("determinant cofactor is not a unit: U * U^-1 != 1")
+    # zeta^s is a unit, so a run is a unit exactly when its shape (n, t) is,
+    # and U, their product, is a unit exactly when every run is.
+    for n, t in sorted({(n, t) for _s, n, t in _cofactor_runs(p)}):
+        if _run(p, 0, n, t) * _run(p, *_inverse_run(p, 0, n, t)) != 1:
+            raise ArithmeticError(
+                f"determinant cofactor is not a unit: run ({n}, {t}) times its inverse != 1"
+            )
     return HopfCertificate(p=p, valuation=d * (d - 1) // 2, unit_norm=1)

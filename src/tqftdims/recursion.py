@@ -65,6 +65,7 @@ class DimTable:
         return (self.p - 1) // 2
 
     def _check(self, g: int, c: int) -> None:
+        # dim_table tested p, so a cell read tests only the ranges
         if not 1 <= g <= self.gmax:
             raise ValueError(f"genus must lie in 1..{self.gmax}, got {g}")
         _check_color(self.p, c)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from tqftdims import claims
 from tqftdims.census import (
     STATE_GUARD,
-    LollipopTree,
+    _check_shape,
     _records,
     beta_eta_bruteforce,
     beta_eta_closed,
@@ -26,6 +26,7 @@ from tqftdims.census import (
     state_estimate,
 )
 from tqftdims.cli import EXIT_OK, main
+from tqftdims.cyclotomic import _check_prime
 
 
 def _ok3(p, i, j, k):
@@ -173,15 +174,18 @@ def test_two_point_difference_is_kernel():
 
 
 def test_tree_validation():
-    with pytest.raises(ValueError):
-        LollipopTree(6, 1, 0)
-    with pytest.raises(ValueError):
-        LollipopTree(5, 0, 0)
-    with pytest.raises(ValueError):
-        LollipopTree(5, 1, 2)
-    with pytest.raises(ValueError):
-        LollipopTree(5, 1, -1)
-    assert LollipopTree(11, 3, 4).d == 5
+    # both walks test p first, then the shape, through _check_shape
+    for p, g, c, message in (
+        (6, 1, 0, "prime"),
+        (5, 0, 0, "genus"),
+        (5, 1, 2, "half-color"),
+        (5, 1, -1, "half-color"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            count_parities(p, g, c)
+        with pytest.raises(ValueError, match=message):
+            next(_records(p, g, c))
+    assert _check_shape(11, 3, 4) == 5
 
 
 def test_invalid_inputs_rejected():
@@ -220,7 +224,7 @@ def test_genus_one_stream_is_linear_in_d():
     # table (the move table, or every "x,b" string) would take gigabytes;
     # the g = 1 stream must hold no more than its d - c records
     p, d = 2003, 1001
-    LollipopTree(p, 1, 0)  # fill the primality cache outside the trace
+    _check_prime(p)  # fill the primality cache outside the trace
     tracemalloc.start()
     try:
         chunks = list(_records(p, 1, 0))
@@ -235,7 +239,7 @@ def test_genus_one_count_builds_no_move_table():
     # at g = 1 the count walk stops at its first vertex: the d^2-sized move
     # table it never reads would peak at about 144 MB here
     p, d = 2003, 1001
-    LollipopTree(p, 1, 0)  # fill the primality cache outside the trace
+    _check_prime(p)  # fill the primality cache outside the trace
     tracemalloc.start()
     try:
         counts = count_parities(p, 1, 0)

@@ -439,6 +439,15 @@ def test_invalid_input_next_to_a_huge_p_still_exits_2(no_trial_division, capsys)
     ]
 
 
+def test_dims_gmax_below_one_exits_2_before_the_primality_test(no_trial_division, capsys):
+    # gmax is one of the checks that cost nothing, so neither a huge p nor a
+    # composite one is trial-divided first
+    for p in (HUGE_P, "9"):
+        assert main(["dims", "--p", p, "--gmax", "0"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: gmax must be >= 1, got 0\n"
+
+
 def test_composite_p_below_the_guards_exits_2(capsys):
     for argv in (("hopf", "--p", "15"), ("census", "--p", "15", "--g", "2", "--c", "0")):
         assert main(list(argv)) == EXIT_USAGE

@@ -112,6 +112,27 @@ def test_division_and_pow():
     assert not hasattr(cyclotomic, "inv")
 
 
+def test_pow_makes_no_product_by_one(monkeypatch):
+    # left to right from the base: bit_length(n) - 1 squarings and
+    # popcount(n) - 1 products by the base, and none at all for x**0
+    calls = []
+    true_int_mul = cyclotomic._int_mul
+
+    def counted(p, a, b):
+        calls.append(1)
+        return true_int_mul(p, a, b)
+
+    x = 1 + monomial(7, 1) - 2 * monomial(7, 3)
+    powers = [CycNum.scalar(7, 1)]
+    for _ in range(40):
+        powers.append(powers[-1] * x)
+    monkeypatch.setattr(cyclotomic, "_int_mul", counted)
+    for n, want in enumerate(powers):
+        calls.clear()
+        assert x**n == want
+        assert len(calls) == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+
+
 def test_galois_basics():
     z = monomial(11, 1)
     x = 3 + 2 * z + z**4
@@ -151,6 +172,21 @@ def test_quantum_int_values():
     assert not quantum_int(p, p)
     with pytest.raises(ValueError):
         quantum_int(p, -1)
+
+
+def _telescoped_quantum_int(p, n):
+    """[n] as the telescoped sum q^(n-1) + q^(n-3) + ... + q^(1-n)."""
+    vec = [0] * p
+    for k in range(n):
+        vec[(n - 1 - 2 * k) % p] += 1
+    return CycNum(p, vec)
+
+
+@pytest.mark.parametrize("p", (5, 7, 13, 31))
+def test_quantum_int_matches_telescoped_sum(p):
+    # past n = p too, where the powers wrap around more than once
+    for n in range(2 * p + 2):
+        assert quantum_int(p, n) == _telescoped_quantum_int(p, n)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -257,9 +293,10 @@ def test_dense_product_packs_without_the_pairwise_loop(monkeypatch):
     rng = random.Random(31)
     x = CycNum(31, [rng.randint(1, 2**40) for _ in range(30)])
     y = CycNum(31, [rng.randint(-(2**40), -1) for _ in range(30)])
-    want = tuple(_pairwise(31, x.num, y.num)), tuple(_pairwise(31, x.num, x.num))
+    square = tuple(_pairwise(31, x.num, x.num))
+    want = tuple(_pairwise(31, x.num, y.num)), square, square
     monkeypatch.setattr(cyclotomic, "_mul_into", refuse)
-    assert ((x * y).num, (x * x).num) == want
+    assert ((x * y).num, (x * x).num, (x**2).num) == want
 
 
 def test_sparse_products_never_pack(monkeypatch):

@@ -1,5 +1,6 @@
 """Fusion quotient linear algebra: folds, matrices, eigenvalues, Galois sums."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,12 @@ def _bareiss_det(m):
                 mat[i][j] = num if adj_norm is None else _exact_quotient(num, *adj_norm)
         prev = pivot
     return mat[n - 1][n - 1] * sign
+
+
+def _hopf_cofactor(p):
+    """U = det(H) / h^(d(d-1)/2) as the product of its runs; the certificate
+    itself never forms it."""
+    return math.prod(cyclotomic._run(p, *run) for run in fusion._cofactor_runs(p))
 
 
 def _hopf_vandermonde(p):
@@ -469,7 +476,7 @@ def test_hopf_determinant_valuation_directly():
     h = _hopf_vandermonde(5)
     det = h.entries[0][0] * h.entries[1][1] - h.entries[0][1] * h.entries[1][0]
     assert det == _bareiss_det(h)
-    assert det == CycNum(5, [1, -1]) * fusion._hopf_cofactor(5)
+    assert det == CycNum(5, [1, -1]) * _hopf_cofactor(5)
     # N(h) = p, so det = h * unit has norm +-p
     assert norm(det) in (5, -5)
 
@@ -573,20 +580,20 @@ def test_matrix_and_galois_routes_agree_property(inputs):
 def test_hopf_cofactor_matches_bareiss(p):
     d = (p - 1) // 2
     h = CycNum(p, [1, -1])
-    assert _bareiss_det(_hopf_vandermonde(p)) == h ** (d * (d - 1) // 2) * fusion._hopf_cofactor(p)
+    assert _bareiss_det(_hopf_vandermonde(p)) == h ** (d * (d - 1) // 2) * _hopf_cofactor(p)
 
 
 def test_hopf_cofactor_times_inverse_runs_is_one():
     for p in filter(is_prime, range(5, 62)):
         runs = fusion._cofactor_runs(p)
-        inverse = fusion._run_product(p, [fusion._inverse_run(p, *run) for run in runs])
-        assert fusion._hopf_cofactor(p) * inverse == 1
+        inverse = math.prod(cyclotomic._run(p, *cyclotomic._inverse_run(p, *run)) for run in runs)
+        assert _hopf_cofactor(p) * inverse == 1
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23))
 def test_hopf_cofactor_norm_is_one(p):
     # the value the certificate prints as unit_norm=1, computed as a norm
-    assert norm(fusion._hopf_cofactor(p)) == 1
+    assert norm(_hopf_cofactor(p)) == 1
 
 
 def _conjugate_half_sum(p, w):
@@ -713,6 +720,24 @@ def test_hopf_certificate_runs_no_bareiss():
         assert hopf_certificate(p).valuation == d * (d - 1) // 2
 
 
+def test_hopf_certificate_makes_one_product_per_run_shape(monkeypatch):
+    # each distinct run shape (n, t) times its inverse run, one product each:
+    # no dense U, no U^-1 and no product of the two is ever formed
+    calls = []
+    true_mul = CycNum.__mul__
+
+    def counted(x, y):
+        calls.append((x, y))
+        return true_mul(x, y)
+
+    monkeypatch.setattr(CycNum, "__mul__", counted)
+    for p in (5, 13, 37):
+        shapes = {(n, t) for _s, n, t in fusion._cofactor_runs(p)}
+        calls.clear()
+        hopf_certificate(p)
+        assert len(calls) == len(shapes)
+
+
 def test_hopf_certificate_computes_no_norm(monkeypatch):
     # U * U^-1 = 1 certifies the unit: no norm, and no division by h
     def refuse(*args):
@@ -722,6 +747,19 @@ def test_hopf_certificate_computes_no_norm(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_adjugate_norm", refuse)
     for p in (5, 13, 37):
         assert hopf_certificate(p) == fusion.HopfCertificate(p, (p - 1) * (p - 3) // 8, 1)
+
+
+def test_quantum_integer_units_claim_computes_no_norm(monkeypatch):
+    # [n] * [n]^-1 = 1 certifies each quantum integer: no norm
+    def refuse(*args):
+        raise AssertionError("built an adjugate norm")
+
+    monkeypatch.setattr(cyclotomic, "_adjugate_norm", refuse)
+    for p in (5, 13, 37, 101):
+        assert claims.quantum_integer_units(p) == (f"quantum integers are units (p={p})", True)
+    # a wrong inverse run fails the claim
+    monkeypatch.setattr(claims, "_inverse_run", lambda p, s, n, t: (-s, n, t))
+    assert not claims.quantum_integer_units(5)[1]
 
 
 def test_eigenvalue_claim_and_counting_eigenvalue_run_no_bareiss_or_inverse(
