@@ -23,12 +23,17 @@ code with that table.
 
 The loop half-color b_i constrains nothing outside its own vertex, and it
 ranges over 0..d-1-a_i.  So count_parities walks only the (a, e)
-skeletons, with a_g pinned to the last chain color, and counts each
-skeleton with weight prod(d - a_i); the cost stays exponential in g, but in
-the number of skeletons rather than colorings.  Nothing is memoized across
-subtrees: caching on (level, chain color, parity) would rebuild the
-transfer recursion, and the census would stop being an independent check
-on it.
+skeletons, and counts each with weight prod(d - a_i).  It walks them down
+to the vertex u_(g-1) only: there the last chain color e pins a_g = e and
+leaves d - e loop choices at u_g, so each last chain range lo..hi is summed
+in closed form, sum(d - e) over its even e and over its odd e, from two
+prefix arrays of d - e that are built from d alone before the walk.  The
+cost stays exponential in g, in the skeletons down to u_(g-1) rather than
+in the colorings.  Nothing is memoized across subtrees: caching on (level,
+chain color, parity) would rebuild the transfer recursion, and the census
+would stop being an independent check on it.  The range sums are not such a
+cache: they are read off one vertex's inequalities, the walk writes nothing
+into them, and no count found in one subtree is read in another.
 
 _records streams lists of records, one per (a_(g-1), b_(g-1)): it recurses
 over the vertices u_1..u_(g-2) and builds the last two levels, (e_(g-1),
@@ -38,7 +43,7 @@ subtrees.
 
 This module is the independent oracle: it never uses the transfer
 recursion, fusion matrices, or any closed form beyond reading off ranges
-from the defining inequalities.
+from the defining inequalities and summing d - e over the last of them.
 """
 
 from __future__ import annotations
@@ -131,21 +136,35 @@ def _records(p: int, g: int, c: int):
 def count_parities(p: int, g: int, c: int) -> tuple[int, int]:
     """Return (even_count, odd_count) of the small admissible colorings.
 
-    Walks the (a, e) skeletons only and counts each with weight
-    prod(d - a_i), the number of its loop choices b.
+    Walks the (a, e) skeletons down to the vertex u_(g-1), each with weight
+    prod(d - a_i), the number of its loop choices b there.  The last chain
+    color e pins a_g = e and leaves d - e loop choices at u_g, with parity
+    that of the path plus e, so each last chain range lo..hi is summed, not
+    walked: sum(d - e) over its even e and over its odd e, read off two
+    prefix arrays of d - e built from d alone.  The cost stays exponential
+    in g, in the skeletons down to u_(g-1).
     """
     d = _check_shape(_check_prime(p), g, c)
-    # at g = 1 the walk stops at its first vertex and reads no move
-    moves = _moves(p, d) if g > 1 else []
+    if g == 1:
+        # a_1 = c, so every one of the d - c loop choices is even; no table
+        # is built
+        return d - c, 0
+    moves = _moves(p, d)
+    # even[k] and odd[k]: sum of d - e over the even and the odd e < k
+    even, odd = [0], [0]
+    for e in range(d):
+        even.append(even[-1] + (d - e) * (1 - (e & 1)))
+        odd.append(odd[-1] + (d - e) * (e & 1))
     counts = [0, 0]
 
     def walk(i: int, x: int, par: int, weight: int) -> None:
-        if i == g - 1:
-            counts[(par + x) & 1] += weight * (d - x)
-            return
         for a, lo, hi in moves[x]:
             nxt = (par + a) & 1
             w = weight * (d - a)
+            if i == g - 2:
+                counts[nxt] += w * (even[hi + 1] - even[lo])
+                counts[nxt ^ 1] += w * (odd[hi + 1] - odd[lo])
+                continue
             for e in range(lo, hi + 1):
                 walk(i + 1, e, nxt, w)
 

@@ -13,8 +13,8 @@ verify runs the same claim functions as tests/test_acceptance.py.
 Exit codes: 0 success, 1 verification failure (including an internal
 ArithmeticError, reported as one line) or stdout closed by its reader
 (a broken pipe, reported by nothing), 2 invalid input, 3 refused by a
-size guard (census, dims, hopf or quadruple) or by a genus too deep for
-the census walk to recurse.
+size guard (census, dims, hopf, quadruple or verify) or by a genus too
+deep for the census walk to recurse.
 All exact output is deterministic; the optional float columns are
 display-only and never influence exit codes (a float that overflows
 displays as inf).
@@ -113,9 +113,10 @@ DIMS_BYTES = (115, 1.0)
 DIMS_GUARD_MIB = 256
 #: Sine-form terms above which `dims --float-display` refuses (about 1.2 us each).
 FLOAT_GUARD_TERMS = 10**7
-#: Largest prime `hopf` certifies without --force.  Fitted when U and U^-1
-#: were built whole (3 s at 167); checking each of the under 3p/2 run shapes
-#: against its inverse run instead takes 0.05 s there (README.md).
+#: Largest prime `hopf` certifies without --force, and the largest `verify`
+#: takes in its --p-list.  Fitted when U and U^-1 were built whole (3 s at
+#: 167); checking each of the under 3p/2 run shapes against its inverse run
+#: instead takes 0.05 s there (README.md).
 HOPF_GUARD_P = 167
 
 
@@ -313,7 +314,13 @@ def _cmd_quadruple(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    primes = [_check_prime(int(x)) for x in ns.p_list.split(",") if x]
+    # The bound runs before the primality test, so a huge p is refused at
+    # once; verify takes no prime that hopf would refuse without --force.
+    orders = [_check_order(int(x)) for x in ns.p_list.split(",") if x]
+    for p in orders:
+        if p > HOPF_GUARD_P:
+            raise _Refusal(f"p={p} exceeds {HOPF_GUARD_P}")
+    primes = [_check_prime(p) for p in orders]
     if not primes and ns.suite != "poly":
         raise ValueError("--p-list names no prime")
     if ns.gmax < 1:

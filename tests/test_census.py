@@ -19,6 +19,7 @@ from tqftdims import claims
 from tqftdims.census import (
     STATE_GUARD,
     _check_shape,
+    _moves,
     _records,
     beta_eta_bruteforce,
     beta_eta_closed,
@@ -136,6 +137,64 @@ def test_frozen_small_counts():
     assert count_parities(17, 4, 3) == (5311680, 5172662)
     assert count_parities(7, 6, 1) == (81640, 74425)
     assert count_parities(5, 8, 0) == (4861, 3264)
+
+
+def _skeleton_walk(p, g, c):
+    """(even, odd) by the skeleton-by-skeleton walk down to the last vertex:
+    every (a, e) skeleton with a_g pinned to the last chain color, weighted by
+    prod(d - a_i).  The oracle for count_parities' summed last chain range."""
+    d = (p - 1) // 2
+    moves = _moves(p, d)
+    counts = [0, 0]
+
+    def walk(i, x, par, weight):
+        if i == g - 1:
+            counts[(par + x) & 1] += weight * (d - x)
+            return
+        for a, lo, hi in moves[x]:
+            nxt = (par + a) & 1
+            w = weight * (d - a)
+            for e in range(lo, hi + 1):
+                walk(i + 1, e, nxt, w)
+
+    walk(0, c, c & 1, 1)
+    return counts[0], counts[1]
+
+
+@pytest.mark.parametrize(
+    "p,g", [*itertools.product((5, 7, 11, 13), (1, 2, 3, 4)), (17, 3), (19, 3)]
+)
+def test_count_matches_skeleton_walk(p, g):
+    for c in range((p - 1) // 2):
+        assert count_parities(p, g, c) == _skeleton_walk(p, g, c)
+
+
+@given(
+    p=st.sampled_from([5, 7, 11, 13, 17, 19]),
+    g=st.integers(min_value=1, max_value=4),
+    c=st.integers(min_value=0, max_value=8),
+)
+@settings(max_examples=30, deadline=None)
+def test_count_matches_skeleton_walk_property(p, g, c):
+    if c < (p - 1) // 2:
+        assert count_parities(p, g, c) == _skeleton_walk(p, g, c)
+
+
+def test_count_builds_one_move_table():
+    # the range sums read two length-(d + 1) prefix arrays; a second
+    # d^2-sized table beside the move table would double this peak
+    p, d = 401, 200
+    _check_prime(p)  # fill the primality cache outside the trace
+    peaks = []
+    for run in (lambda: _moves(p, d), lambda: count_parities(p, 2, 0)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    moves_peak, count_peak = peaks
+    assert count_peak <= 1.1 * moves_peak
 
 
 def test_enumeration_agrees_with_counting():

@@ -429,6 +429,7 @@ def test_invalid_input_next_to_a_huge_p_still_exits_2(no_trial_division, capsys)
         ("census", "--p", HUGE_P, "--g", "2", "--c", "-1"),
         ("hopf", "--p", "4"),
         ("dims", "--p", "1", "--gmax", "1"),
+        ("verify", "--p-list", f"{HUGE_P},4"),
     ):
         assert main(list(argv)) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [
@@ -436,7 +437,32 @@ def test_invalid_input_next_to_a_huge_p_still_exits_2(no_trial_division, capsys)
         f"error: half-color must lie in 0..{(int(HUGE_P) - 3) // 2} for p={HUGE_P}, got -1",
         "error: p must be a prime >= 5, got 4",
         "error: p must be a prime >= 5, got 1",
+        "error: p must be a prime >= 5, got 4",
     ]
+
+
+@pytest.mark.parametrize("p_list", [HUGE_P, f"5,{HUGE_P}", "1000", "173"])
+def test_verify_refuses_a_p_past_the_hopf_bound_before_its_primality_test(
+    no_trial_division, capsys, p_list
+):
+    # verify has no --force: no suite takes a prime that hopf would refuse
+    assert main(["verify", "--p-list", p_list]) == EXIT_GUARD
+    out, err = capsys.readouterr()
+    assert out == ""
+    big = p_list.split(",")[-1]
+    assert err == f"refusing verify: p={big} exceeds {HOPF_GUARD_P}\n"
+
+
+def test_verify_huge_p_exits_3_as_a_command():
+    res = subprocess.run(
+        [sys.executable, "-m", "tqftdims", "verify", "--p-list", HUGE_P],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == EXIT_GUARD
+    assert res.stdout == ""
+    assert res.stderr == f"refusing verify: p={HUGE_P} exceeds {HOPF_GUARD_P}\n"
 
 
 def test_dims_gmax_below_one_exits_2_before_the_primality_test(no_trial_division, capsys):
@@ -516,6 +542,7 @@ def test_config_validation_direct(capsys):
         ["verify", "--suite", "poly", "--gmax", "0"],
         ["census", "--p", "5", "--g", "2", "--c", "-2"],
         ["verify", "--p-list", "5,6"],
+        ["verify", "--p-list", "4"],
         ["verify", "--p-list", ""],
         ["verify", "--suite", "hopf", "--p-list", ","],
     ):
