@@ -193,7 +193,9 @@ class CycNum:
     """An element of Z[zeta_p]: its p-1 integer power-basis coordinates `num`.
 
     Supports +, -, * and ** (to exponents n >= 0) with other CycNum of the
-    same order and with plain integers.  Instances are treated as immutable.
+    same order, and + and * with plain integers on either side; an integer
+    is subtracted only on the right, so write n - x as -x + n.  Instances
+    are treated as immutable, and are not hashable.
     """
 
     __slots__ = ("p", "num")
@@ -222,11 +224,6 @@ class CycNum:
     @classmethod
     def scalar(cls, p: int, value) -> "CycNum":
         return cls(p, [value])
-
-    # -- predicates --------------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
 
     # -- ring operations -----------------------------------------------------
 
@@ -257,12 +254,6 @@ class CycNum:
         if o is None:
             return NotImplemented
         return self._add(o, -1)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         return CycNum._of(self.p, [-a for a in self.num])
@@ -297,12 +288,6 @@ class CycNum:
         if o is None:
             return NotImplemented
         return self.num == o.num
-
-    def __hash__(self):
-        # Equal to an integer means hashing like that integer.
-        if self.is_rational():
-            return hash(self.num[0])
-        return hash((self.p, self.num))
 
     def __bool__(self):
         return any(self.num)

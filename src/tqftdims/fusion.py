@@ -17,7 +17,6 @@ entries into trace reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
@@ -79,7 +78,11 @@ def _mul_by_z(p: int, vec):
 
 @dataclass(frozen=True)
 class FusionElement:
-    """An element of the quotient, as coordinates over e_0..e_(d-1)."""
+    """An element of the quotient, as coordinates over e_0..e_(d-1).
+
+    Its one arithmetic operation is the quotient product x * y of two
+    elements of the same p; there is no sum and no product by a scalar
+    (build coordinate sums with FusionElement(p, tuple(...)))."""
 
     p: int
     coords: tuple
@@ -89,16 +92,10 @@ class FusionElement:
         if len(self.coords) != d:
             raise ValueError(f"need {d} coordinates for p={self.p}")
 
-    def __add__(self, other: "FusionElement") -> "FusionElement":
-        self._same(other)
-        return FusionElement(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
     def __mul__(self, other):
         if isinstance(other, FusionElement):
             self._same(other)
             return FusionElement(self.p, tuple(_product(self.p, self.coords, other.coords)))
-        if isinstance(other, (int, Fraction)):
-            return FusionElement(self.p, tuple(other * a for a in self.coords))
         return NotImplemented
 
     def _same(self, other: "FusionElement") -> None:
@@ -205,7 +202,7 @@ class FusionMatrix:
             if not (_cyclotomic(self) and _cyclotomic(other)):
                 raise ValueError(f"matrix product needs CycNum entries of order {self.p}")
             return self._integral_product(other)
-        if isinstance(other, (int, Fraction, CycNum)):
+        if isinstance(other, (int, CycNum)):
             return FusionMatrix(
                 self.p, tuple(tuple(e * other for e in row) for row in self.entries)
             )

@@ -40,7 +40,6 @@ __all__ = [
     "interpolate_delta",
     "interpolate_total",
     "leading_term_report",
-    "newton_coeffs",
     "normalized_bernoulli",
     "residue_total_poly",
 ]
@@ -107,7 +106,10 @@ def _sort_key(ij):
 class BiPoly:
     """Polynomial in P (prime) and C (half-color) over exact rationals.
 
-    Monomial keys are (p_exponent, c_exponent).  Instances are immutable.
+    Monomial keys are (p_exponent, c_exponent).  Supports +, -, * and ==
+    with other BiPoly and with int or Fraction constants (on the right of -),
+    and ** to exponents n >= 0.  Instances are immutable but not hashable,
+    and every instance is truthy: test the zero polynomial with `== 0`.
     """
 
     __slots__ = ("_m",)
@@ -161,15 +163,14 @@ class BiPoly:
         return BiPoly(out)
 
     def eval(self, p_value, c_value) -> Fraction:
-        if isinstance(p_value, int) and isinstance(c_value, int):
-            den = math.lcm(*(q.denominator for q in self._m.values()))
-            num = sum(
-                q.numerator * (den // q.denominator) * p_value**i * c_value**j
-                for (i, j), q in self._m.items()
-            )
-            return Fraction(num, den)
-        pv, cv = Fraction(p_value), Fraction(c_value)
-        return sum((q * pv**i * cv**j for (i, j), q in self._m.items()), _ZERO)
+        """The value at int or Fraction points, summed on integer numerators
+        over the lcm of the coefficient denominators."""
+        den = math.lcm(*(q.denominator for q in self._m.values()))
+        num = sum(
+            q.numerator * (den // q.denominator) * p_value**i * c_value**j
+            for (i, j), q in self._m.items()
+        )
+        return Fraction(num, den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -228,12 +229,6 @@ class BiPoly:
         if o is None:
             return NotImplemented
         return self._m == o._m
-
-    def __hash__(self):
-        return hash(frozenset(self._m.items()))
-
-    def __bool__(self):
-        return bool(self._m)
 
     def __repr__(self):
         return f"BiPoly({self.canonical_str()})"
@@ -355,24 +350,6 @@ def _lagrange_rows(xs) -> tuple[list[list[int]], int]:
             rows[k][m] = scale * quo
             quo = node[k] + xm * quo
     return rows, w_lcm
-
-
-def newton_coeffs(xs, ys) -> list[Fraction]:
-    """Monomial coefficients (ascending) of the interpolant through the points
-    (xs[i], ys[i]); the nodes xs must be pairwise distinct integers and the
-    values ys rationals.
-
-    The sum runs in integers: the values go over one denominator D, and each
-    coefficient is one dot product with a row of _lagrange_rows(xs), divided
-    by D W at the end.
-    """
-    n = len(xs)
-    if n != len(ys) or n == 0:
-        raise ValueError("need equally many sample points and values, at least one")
-    rows, w_lcm = _lagrange_rows(xs)
-    den = math.lcm(*(y.denominator for y in ys))
-    nums = [y.numerator * (den // y.denominator) for y in ys]
-    return [Fraction(sum(map(mul, nums, row)), den * w_lcm) for row in rows]
 
 
 def _next_prime(n: int) -> int:

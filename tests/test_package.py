@@ -1,10 +1,11 @@
 """Package hygiene: exported names resolve, the independent routes stay
-independent at the import level, and every cache but one is bounded by the
-reuse its callers need."""
+independent at the import level, every cache but one is bounded by the
+reuse its callers need, and every benchmark op still runs."""
 
 import ast
 import contextlib
 import importlib
+import importlib.util
 import io
 import pkgutil
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tqftdims
-from tqftdims import cli, polylab
+from tqftdims import cli, polylab, recursion
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(tqftdims.__path__) if info.name != "__main__"
@@ -147,3 +148,24 @@ def test_interpolation_cache_holds_both_fits_of_a_genus():
         polylab.leading_term_report(3)
 
     assert _cold_misses(leading_terms)["polylab._interpolate"] == 2
+
+
+def _load_by_path(path: Path):
+    """Execute one file as a module of its own, registered nowhere."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_ops_run_on_the_program():
+    # perfbench calls the program by name; a deletion that breaks one of its
+    # ops, at toy sizes, fails here rather than only in the benchmark's suite
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    workloads = _load_by_path(bench / "workloads.py")
+    ops = _load_by_path(bench / "ops.py")
+    for name in workloads.WORKLOADS:
+        for op in workloads.generate(name, 1, small=True):
+            assert ops.observe(op, ops.run(op)) == ops.expect(op), (name, op)
+    # perfbench/layers.py reads the table cache's statistics
+    assert callable(recursion.dim_table.cache_info)

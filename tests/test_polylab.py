@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from tqftdims.polylab import (
     interpolate_delta,
     interpolate_total,
     leading_term_report,
-    newton_coeffs,
     normalized_bernoulli,
     residue_total_poly,
     _base_quotient,
@@ -41,7 +41,7 @@ POLYLAB_SHA256 = "47e9c4acf1cb28f09471c2cabc5791622543fe84227064f9071a81b4d7f446
 
 def _fraction_newton(xs, ys):
     """Newton divided differences in Fractions, then the Newton form expanded
-    to ascending monomial coefficients: the reference for newton_coeffs."""
+    to ascending monomial coefficients: the reference for _lagrange_fit."""
     n = len(xs)
     dd = [F(y) for y in ys]
     for j in range(1, n):
@@ -53,6 +53,20 @@ def _fraction_newton(xs, ys):
         poly = [s - xs[i] * c for s, c in zip(shifted, poly + [F(0)])][:n]
         poly[0] += dd[i]
     return poly
+
+
+def _lagrange_fit(xs, ys):
+    """Ascending monomial coefficients of the interpolant through (xs, ys),
+    read off polylab's integer Lagrange basis: sum_m y_m L[k][m] / W."""
+    rows, w = polylab._lagrange_rows(xs)
+    return [F(sum(map(mul, ys, row)), w) for row in rows]
+
+
+def _fraction_eval(poly, p, c):
+    """The value of poly at (p, c), one Fraction term per monomial: the
+    reference for BiPoly.eval."""
+    pv, cv = F(p), F(c)
+    return sum((q * pv**i * cv**j for (i, j), q in poly.monomials().items()), F(0))
 
 
 def test_polylab_outputs_frozen():
@@ -113,7 +127,6 @@ def test_bipoly_basics():
     assert f.eval(7, 3) == 40
     assert f.subs_c(3) == p * p - 9
     assert (p**3).monomials() == {(3, 0): F(1)}
-    assert not BiPoly()
     assert BiPoly().total_degree() == -1
 
 
@@ -149,12 +162,8 @@ def test_bipoly_json_round_structure():
 
 
 def test_newton_recovers_polynomials():
-    assert newton_coeffs([0, 1, 2], [1, 2, 5]) == [F(1), F(0), F(1)]
-    assert newton_coeffs([5], [42]) == [F(42)]
-    with pytest.raises(ValueError):
-        newton_coeffs([], [])
-    with pytest.raises(ValueError):
-        newton_coeffs([1, 2], [1])
+    assert _lagrange_fit([0, 1, 2], [1, 2, 5]) == [F(1), F(0), F(1)]
+    assert _lagrange_fit([5], [42]) == [F(42)]
 
 
 @given(
@@ -165,7 +174,7 @@ def test_newton_recovers_polynomials():
 def test_newton_roundtrip_property(coeffs, shift):
     xs = [shift + i for i in range(len(coeffs))]
     ys = [sum(q * x**i for i, q in enumerate(coeffs)) for x in xs]
-    got = newton_coeffs(xs, ys)
+    got = _lagrange_fit(xs, ys)
     assert got == [F(q) for q in coeffs]
 
 
@@ -180,13 +189,13 @@ def test_newton_roundtrip_property(coeffs, shift):
 def test_newton_matches_fraction_oracle(xs, data):
     value = st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6)
     ys = data.draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
-    assert newton_coeffs(xs, ys) == _fraction_newton(xs, ys)
+    assert _lagrange_fit(xs, ys) == _fraction_newton(xs, ys)
 
 
 @pytest.mark.parametrize("xs", [[3, 3], [1, 2, 1], [7, 0, 5, 0]])
 def test_newton_rejects_repeated_nodes(xs):
     with pytest.raises(ZeroDivisionError):
-        newton_coeffs(xs, [F(k, 3) for k in range(len(xs))])
+        _lagrange_fit(xs, [F(k, 3) for k in range(len(xs))])
     with pytest.raises(ZeroDivisionError):
         _fraction_newton(xs, [F(k, 3) for k in range(len(xs))])
 
@@ -208,6 +217,30 @@ def test_bipoly_int_eval_matches_fraction_eval(mono, p, c):
     assert got == poly.eval(F(p), F(c))
 
 
+_points = st.one_of(
+    st.integers(-300, 300),
+    st.fractions(min_value=-300, max_value=300, max_denominator=720),
+)
+
+
+@given(
+    mono=st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        st.fractions(min_value=-99, max_value=99, max_denominator=720),
+        max_size=10,
+    ),
+    p=_points,
+    c=_points,
+)
+@settings(max_examples=80, deadline=None)
+def test_bipoly_eval_matches_fraction_oracle(mono, p, c):
+    # int, Fraction and mixed points all take eval's integer-numerator sum
+    poly = BiPoly(mono)
+    got = poly.eval(p, c)
+    assert type(got) is Fraction
+    assert got == _fraction_eval(poly, p, c)
+
+
 def test_interpolated_delta_genus_one():
     f = interpolate_delta(1)
     want = BiPoly({(1, 0): F(1, 2), (0, 1): F(-1), (0, 0): F(-1, 2)})
@@ -225,8 +258,9 @@ def test_interpolated_delta_genus_two_frozen():
 
 
 def _newton_fit(g, deg, kind):
-    """The fit as two stages of newton_coeffs, one call per fit prime over the
-    colors and one per C-power over the primes: the oracle for _interpolate."""
+    """The fit as two stages of Newton divided differences in Fractions, one
+    per fit prime over the colors and one per C-power over the primes: the
+    oracle for _interpolate, sharing no code with its Lagrange basis."""
     fit = [polylab._next_prime(max(4 * g + 3, 2 * deg + 3) - 1)]
     while len(fit) < deg + 1:
         fit.append(polylab._next_prime(fit[-1]))
@@ -235,10 +269,10 @@ def _newton_fit(g, deg, kind):
     per_prime = {}
     for p in fit:
         ys = [getattr(dim_table(p, g), kind)(g, c) for c in cs]
-        per_prime[p] = newton_coeffs(cs, ys)
+        per_prime[p] = _fraction_newton(cs, ys)
     mono: dict = {}
     for j in range(deg + 1):
-        pc = newton_coeffs(fit, [per_prime[p][j] for p in fit])
+        pc = _fraction_newton(fit, [per_prime[p][j] for p in fit])
         for i, q in enumerate(pc):
             if q:
                 mono[(i, j)] = q

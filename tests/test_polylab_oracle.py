@@ -1,5 +1,5 @@
-"""polylab's Bernoulli numbers, Newton interpolant and residue polynomial
-checked against sympy."""
+"""polylab's Bernoulli numbers, Lagrange interpolation basis and residue
+polynomial checked against sympy."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftdims.polylab import bernoulli, newton_coeffs, residue_total_poly
+from tqftdims.polylab import _lagrange_rows, bernoulli, residue_total_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -39,7 +39,9 @@ def test_newton_matches_sympy_interpolate(xs, data):
     poly = sympy.Poly(sympy.interpolate(list(zip(xs, ys)), X), X, domain=sympy.QQ)
     expected = [_fraction(q) for q in reversed(poly.all_coeffs())]
     expected += [Fraction(0)] * (len(xs) - len(expected))
-    assert newton_coeffs(xs, ys) == expected
+    # the interpolant's x^k coefficient is sum_m y_m L[k][m] / W
+    rows, w = _lagrange_rows(xs)
+    assert [Fraction(sum(y * l for y, l in zip(ys, row)), w) for row in rows] == expected
 
 
 T, U, P, C = sympy.symbols("t u P C")
