@@ -10,7 +10,7 @@ in verify's order; ``tests/test_acceptance.py`` calls them directly.
 from __future__ import annotations
 
 from . import census, fusion, polylab, recursion
-from .cyclotomic import CycNum, _inverse_run, _run, quantum_int
+from .cyclotomic import CycNum, inverse_run, quantum_int, run
 
 Claim = tuple[str, bool]
 
@@ -148,7 +148,7 @@ def hopf_valuation(p: int) -> Claim:
 
 def quantum_integer_units(p: int) -> Claim:
     # [n] is the run (1 - n, n, 2); an integral inverse proves it a unit.
-    ok = all(quantum_int(p, n) * _run(p, *_inverse_run(p, 1 - n, n, 2)) == 1 for n in range(1, p))
+    ok = all(quantum_int(p, n) * run(p, *inverse_run(p, 1 - n, n, 2)) == 1 for n in range(1, p))
     return f"quantum integers are units (p={p})", ok
 
 

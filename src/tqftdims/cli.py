@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -179,6 +178,9 @@ def _emit_rows(rows: Iterable[dict], cols: list[str], fmt: str) -> None:
     """Format and write rows one at a time, building no list of rows and no
     whole json string."""
     if fmt == "json":
+        # Imported here, as in _cmd_poly: only a json format loads json.
+        import json
+
         # The bytes of json.dumps(list(rows)) under its default separators.
         write = sys.stdout.write
         sep = ""
@@ -272,6 +274,8 @@ def _cmd_poly(ns) -> int:
     else:
         poly = polylab.interpolate_total(ns.g)
     if ns.format == "json":
+        import json
+
         print(json.dumps(poly.to_json_obj()))
     else:
         print(poly.canonical_str())

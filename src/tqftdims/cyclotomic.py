@@ -19,6 +19,9 @@ The rational norm needs no polynomial gcd: the product adj(y) of the
 conjugates sigma_j(y), j = 2..p-1, satisfies y * adj(y) = N(y).
 
 No floating point appears anywhere in this module.
+
+Record, the base of the package's read-only records, lives here because
+every other module already builds on this one.
 """
 
 from __future__ import annotations
@@ -27,11 +30,14 @@ from functools import lru_cache
 
 __all__ = [
     "CycNum",
+    "Record",
     "galois",
+    "inverse_run",
     "is_prime",
     "monomial",
     "norm",
     "quantum_int",
+    "run",
 ]
 
 def is_prime(n: int) -> bool:
@@ -187,6 +193,38 @@ def _int_galois(p: int, a, j: int) -> list:
         if ai:
             acc[(i * j) % p] += ai
     return _fold(acc)
+
+
+class Record:
+    """Base of the package's read-only records (FusionElement, DimTable, ...).
+
+    A subclass names its fields in __slots__ and sets them in __init__ with
+    object.__setattr__.  After that a field can be neither assigned nor
+    deleted (AttributeError), so a record that a cache hands to every caller
+    stays as it was built.  repr shows every field.  A record compares by
+    identity, and hashes, unless its class sets __eq__ = Record._fields_eq,
+    which also makes it unhashable.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _fields_eq(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class CycNum:
@@ -359,7 +397,7 @@ def norm(x: CycNum) -> int:
     return _adjugate_norm(x.p, x.num)[1]
 
 
-def _run(p: int, s: int, n: int, t: int) -> CycNum:
+def run(p: int, s: int, n: int, t: int) -> CycNum:
     """The run zeta^s (1 + zeta^t + ... + zeta^(t(n-1))), for n >= 0."""
     vec = [0] * p
     for k in range(n):
@@ -367,7 +405,7 @@ def _run(p: int, s: int, n: int, t: int) -> CycNum:
     return CycNum._of(p, _fold(vec))
 
 
-def _inverse_run(p: int, s: int, n: int, t: int) -> tuple[int, int, int]:
+def inverse_run(p: int, s: int, n: int, t: int) -> tuple[int, int, int]:
     """The run of the inverse of run (s, n, t), for n and t units mod p.
     The run is zeta^s (1 - zeta^(nt)) / (1 - zeta^t); with m = n^-1 mod p,
     zeta^t is (zeta^(nt))^m, so the inverse is
@@ -380,9 +418,9 @@ def quantum_int(p: int, n: int) -> CycNum:
 
     Computed as the run q^(1-n) + q^(3-n) + ... + q^(n-1), so the result is
     visibly integral.  [n] is a unit of Z[zeta_p] for 1 <= n <= p-1: its
-    inverse is the run _inverse_run(p, 1 - n, n, 2).
+    inverse is the run inverse_run(p, 1 - n, n, 2).
     """
     _check_prime(p)
     if n < 0:
         raise ValueError("quantum integer index must be >= 0")
-    return _run(p, 1 - n, n, 2)
+    return run(p, 1 - n, n, 2)

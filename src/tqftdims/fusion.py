@@ -16,21 +16,21 @@ entries into trace reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
 from .cyclotomic import (
     CycNum,
+    Record,
     _check_color,
     _check_prime,
     _fold,
-    _inverse_run,
     _mul_into,
     _nonzero,
-    _run,
     galois,
+    inverse_run,
     monomial,
+    run,
 )
 
 __all__ = [
@@ -76,21 +76,22 @@ def _mul_by_z(p: int, vec):
     return out
 
 
-@dataclass(frozen=True)
-class FusionElement:
+class FusionElement(Record):
     """An element of the quotient, as coordinates over e_0..e_(d-1).
 
     Its one arithmetic operation is the quotient product x * y of two
     elements of the same p; there is no sum and no product by a scalar
-    (build coordinate sums with FusionElement(p, tuple(...)))."""
+    (build coordinate sums with FusionElement(p, tuple(...))).  Elements
+    compare by identity: compare their coords."""
 
-    p: int
-    coords: tuple
+    __slots__ = ("p", "coords")
 
-    def __post_init__(self) -> None:
-        d = _rank(self.p)
-        if len(self.coords) != d:
-            raise ValueError(f"need {d} coordinates for p={self.p}")
+    def __init__(self, p: int, coords: tuple) -> None:
+        d = _rank(p)
+        if len(coords) != d:
+            raise ValueError(f"need {d} coordinates for p={p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coords", coords)
 
     def __mul__(self, other):
         if isinstance(other, FusionElement):
@@ -179,12 +180,17 @@ def _cyclotomic(m: "FusionMatrix") -> bool:
     return all(isinstance(e, CycNum) and e.p == m.p for row in m.entries for e in row)
 
 
-@dataclass(frozen=True)
-class FusionMatrix:
-    """A d x d matrix; entries[j][i] is row j, column i."""
+class FusionMatrix(Record):
+    """A d x d matrix; entries[j][i] is row j, column i.  Two matrices are
+    equal when their p and entries are."""
 
-    p: int
-    entries: tuple[tuple, ...]
+    __slots__ = ("p", "entries")
+
+    def __init__(self, p: int, entries: tuple[tuple, ...]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "entries", entries)
+
+    __eq__ = Record._fields_eq
 
     @property
     def size(self) -> int:
@@ -446,17 +452,22 @@ def galois_sum_total(p: int, g: int, c: int) -> int:
 # -- twist Vandermonde (Hopf pairing) matrix ---------------------------------
 
 
-@dataclass(frozen=True)
-class HopfCertificate:
+class HopfCertificate(Record):
     """det(H) = h^valuation * U with U a unit: valuation is d(d-1)/2 and
     unit_norm, the field norm of U, is 1.  hopf_certificate proves both by
     checking that every run of U times its inverse run is 1, and computes
-    neither U, nor a norm, nor a division by h.
+    neither U, nor a norm, nor a division by h.  Certificates with equal
+    fields are equal.
     """
 
-    p: int
-    valuation: int
-    unit_norm: int
+    __slots__ = ("p", "valuation", "unit_norm")
+
+    def __init__(self, p: int, valuation: int, unit_norm: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "unit_norm", unit_norm)
+
+    __eq__ = Record._fields_eq
 
 
 def _twist_exponents(p: int) -> list[int]:
@@ -500,7 +511,7 @@ def hopf_certificate(p: int) -> HopfCertificate:
     zeta: the quantum integers [n], n < p, and the cyclotomic units
     (1 - zeta^k)/(1 - zeta) (Washington, Introduction to Cyclotomic Fields,
     8.1), as long as the e_j are pairwise distinct.  Each run has an
-    integral inverse that is again a run (_inverse_run), and each distinct
+    integral inverse that is again a run (inverse_run), and each distinct
     run shape (n, t) is checked once, run times inverse run == 1, exactly;
     ArithmeticError if one fails.  Neither U nor H is ever built.
 
@@ -514,7 +525,7 @@ def hopf_certificate(p: int) -> HopfCertificate:
     # zeta^s is a unit, so a run is a unit exactly when its shape (n, t) is,
     # and U, their product, is a unit exactly when every run is.
     for n, t in sorted({(n, t) for _s, n, t in _cofactor_runs(p)}):
-        if _run(p, 0, n, t) * _run(p, *_inverse_run(p, 0, n, t)) != 1:
+        if run(p, 0, n, t) * run(p, *inverse_run(p, 0, n, t)) != 1:
             raise ArithmeticError(
                 f"determinant cofactor is not a unit: run ({n}, {t}) times its inverse != 1"
             )

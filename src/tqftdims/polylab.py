@@ -19,12 +19,11 @@ Nothing here touches floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .cyclotomic import is_prime
+from .cyclotomic import Record, is_prime
 from .recursion import dim_table
 
 __all__ = [
@@ -550,15 +549,28 @@ def leading_term_report(g: int) -> dict[str, bool]:
 # -- exploratory pattern scan ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjectureScan:
+class ConjectureScan(Record):
     """Observed patterns in the signed-count polynomial for one genus;
     base_quotient is its C = 0 specialization over P(P^2 - 1)/24, or None."""
 
-    g: int
-    no_positive_even_p_powers: bool
-    base_specialization_divisible: bool
-    base_quotient: BiPoly | None
+    __slots__ = (
+        "g",
+        "no_positive_even_p_powers",
+        "base_specialization_divisible",
+        "base_quotient",
+    )
+
+    def __init__(
+        self,
+        g: int,
+        no_positive_even_p_powers: bool,
+        base_specialization_divisible: bool,
+        base_quotient: BiPoly | None,
+    ) -> None:
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "no_positive_even_p_powers", no_positive_even_p_powers)
+        object.__setattr__(self, "base_specialization_divisible", base_specialization_divisible)
+        object.__setattr__(self, "base_quotient", base_quotient)
 
 
 #: P(P^2 - 1)/24 as ascending coefficients in P.

@@ -36,29 +36,38 @@ loops as oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul
 
 from .census import beta_eta_closed
-from .cyclotomic import _check_color, _check_prime
+from .cyclotomic import Record, _check_color, _check_prime
 
 __all__ = ["DimTable", "delta_direct", "delta_split", "dim_table"]
 
 
-@dataclass(frozen=True)
-class DimTable:
+class DimTable(Record):
     """Even/odd coloring counts for one prime, all genera up to gmax.
 
     even[g-1][c] and odd[g-1][c] hold the counts for genus g and trunk
-    half-color c, 0 <= c <= d-1.
+    half-color c, 0 <= c <= d-1.  Tables with equal fields are equal.
     """
 
-    p: int
-    gmax: int
-    even: tuple[tuple[int, ...], ...]
-    odd: tuple[tuple[int, ...], ...]
+    __slots__ = ("p", "gmax", "even", "odd")
+
+    def __init__(
+        self,
+        p: int,
+        gmax: int,
+        even: tuple[tuple[int, ...], ...],
+        odd: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "gmax", gmax)
+        object.__setattr__(self, "even", even)
+        object.__setattr__(self, "odd", odd)
+
+    __eq__ = Record._fields_eq
 
     @property
     def d(self) -> int:

@@ -262,6 +262,13 @@ def test_census_csv_row():
     assert res.stdout.splitlines() == ["p,g,c,fe,fo,D,delta", "7,2,0,14,0,14,14"]
 
 
+def test_census_json_row(capsys):
+    assert main(["census", "--p", "5", "--g", "2", "--c", "1", "--format", "json"]) == EXIT_OK
+    row = {"p": 5, "g": 2, "c": 1, "fe": 4, "fo": 1, "D": 5, "delta": 3}
+    assert list(row) == cli.DIM_COLUMNS
+    assert capsys.readouterr().out == json.dumps([row]) + "\n"
+
+
 def test_census_size_guard():
     res = run_cli("census", "--p", "13", "--g", "5", "--c", "0")
     assert res.returncode == EXIT_GUARD

@@ -82,7 +82,7 @@ def _bareiss_det(m):
 def _hopf_cofactor(p):
     """U = det(H) / h^(d(d-1)/2) as the product of its runs; the certificate
     itself never forms it."""
-    return math.prod(cyclotomic._run(p, *run) for run in fusion._cofactor_runs(p))
+    return math.prod(cyclotomic.run(p, *run) for run in fusion._cofactor_runs(p))
 
 
 def _hopf_vandermonde(p):
@@ -202,7 +202,7 @@ def test_product_walks_to_the_last_nonzero_coordinate(monkeypatch, p):
 
 
 def test_element_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 2 coordinates for p=5"):
         FusionElement(5, (1,))
     with pytest.raises(ValueError):
         cheb_vector(5, 1) * cheb_vector(7, 1)
@@ -286,8 +286,8 @@ def test_alternating_eigenvalue_frozen_p5():
 def test_alternating_eigenvalue_is_an_inverse_square(p):
     # The Verlinde form: lambda_alt = [2]^-2.  [2] = q + q^-1 is the run
     # (-1, 2, 2), and its inverse is the run (1, (p + 1)/2, 4).
-    assert cyclotomic._inverse_run(p, -1, 2, 2) == (1, (p + 1) // 2, 4)
-    inverse_two = cyclotomic._run(p, 1, (p + 1) // 2, 4)
+    assert cyclotomic.inverse_run(p, -1, 2, 2) == (1, (p + 1) // 2, 4)
+    inverse_two = cyclotomic.run(p, 1, (p + 1) // 2, 4)
     assert quantum_int(p, 2) * inverse_two == 1
     assert alternating_eigenvalue(p) == inverse_two**2
 
@@ -598,7 +598,7 @@ def test_hopf_cofactor_matches_bareiss(p):
 def test_hopf_cofactor_times_inverse_runs_is_one():
     for p in filter(is_prime, range(5, 62)):
         runs = fusion._cofactor_runs(p)
-        inverse = math.prod(cyclotomic._run(p, *cyclotomic._inverse_run(p, *run)) for run in runs)
+        inverse = math.prod(cyclotomic.run(p, *cyclotomic.inverse_run(p, *run)) for run in runs)
         assert _hopf_cofactor(p) * inverse == 1
 
 
@@ -690,7 +690,7 @@ def test_galois_entry_refuses_planted_power(cold_fusion, monkeypatch, capsys, pl
     "name,planted,message",
     [
         ("_twist_exponents", lambda p: [0, 1, 1, 2, 3][: (p - 1) // 2], "vanished"),
-        ("_inverse_run", lambda p, s, n, t: (-s, n, t), "not a unit"),
+        ("inverse_run", lambda p, s, n, t: (-s, n, t), "not a unit"),
     ],
 )
 def test_hopf_certificate_refuses_planted_fault(monkeypatch, capsys, name, planted, message):
@@ -770,7 +770,7 @@ def test_quantum_integer_units_claim_computes_no_norm(monkeypatch):
     for p in (5, 13, 37, 101):
         assert claims.quantum_integer_units(p) == (f"quantum integers are units (p={p})", True)
     # a wrong inverse run fails the claim
-    monkeypatch.setattr(claims, "_inverse_run", lambda p, s, n, t: (-s, n, t))
+    monkeypatch.setattr(claims, "inverse_run", lambda p, s, n, t: (-s, n, t))
     assert not claims.quantum_integer_units(5)[1]
 
 

@@ -1,19 +1,26 @@
 """Package hygiene: exported names resolve, the independent routes stay
-independent at the import level, every cache but one is bounded by the
-reuse its callers need, and every benchmark op still runs."""
+independent at the import level, the CLI's import loads no module that no
+command runs, the read-only records behave as their callers need, every
+cache but one is bounded by the reuse its callers need, and every benchmark
+op still runs."""
 
 import ast
 import contextlib
 import importlib
 import importlib.util
 import io
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import tqftdims
-from tqftdims import cli, polylab, recursion
+from tqftdims import cli, fusion, polylab, recursion
+from tqftdims.fusion import FusionMatrix, HopfCertificate
+from tqftdims.recursion import DimTable
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(tqftdims.__path__) if info.name != "__main__"
@@ -60,6 +67,112 @@ def test_routes_import_only_cyclotomic(module):
     # the census and the fusion routes check the transfer recursion and
     # polylab, so they must not read either of them (or each other)
     assert _package_imports(module) <= {"cyclotomic"}
+
+
+# -- import diet: `import tqftdims.cli` loads only what a command runs ----------
+
+SRC = Path(tqftdims.__file__).parent
+
+#: Loaded by no command: dataclasses (with inspect, ast, dis and tokenize,
+#: which it imports) and json, which only the json emitters import.
+NOT_AT_START_UP = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+
+
+def _imported(nodes) -> set[str]:
+    """Top-level names of the absolute imports among the AST nodes."""
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_sources_import_no_dataclasses_and_cli_imports_json_only_to_write_it():
+    for path in sorted(SRC.glob("*.py")):
+        assert "dataclasses" not in _imported(ast.walk(ast.parse(path.read_text()))), path.name
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert "json" not in _imported(tree.body)
+    assert "json" in _imported(ast.walk(tree))
+
+
+def test_cli_import_loads_none_of_the_start_up_diet():
+    code = "import sys, tqftdims.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(res.stdout.split())
+    assert "tqftdims.cli" in loaded
+    assert loaded & NOT_AT_START_UP == set()
+
+
+# -- read-only records -----------------------------------------------------------
+
+#: Each record's fields, in the order its constructor takes them.
+RECORD_FIELDS = {
+    "FusionElement": ("p", "coords"),
+    "FusionMatrix": ("p", "entries"),
+    "HopfCertificate": ("p", "valuation", "unit_norm"),
+    "DimTable": ("p", "gmax", "even", "odd"),
+    "ConjectureScan": (
+        "g",
+        "no_positive_even_p_powers",
+        "base_specialization_divisible",
+        "base_quotient",
+    ),
+}
+
+
+def _records() -> list:
+    """One of each record, as the program builds it."""
+    return [
+        fusion.cheb_vector(7, 2),
+        fusion.smatrix(5),
+        fusion.hopf_certificate(7),
+        recursion.dim_table(5, 2),
+        polylab.conjecture_scan(2),
+    ]
+
+
+def test_records_that_callers_compare_compare_by_fields():
+    m = FusionMatrix(5, ((1, 2), (3, 4)))
+    assert m == FusionMatrix(5, ((1, 2), (3, 4)))
+    assert m != FusionMatrix(5, ((1, 2), (3, 5)))
+    assert m != FusionMatrix(7, ((1, 2), (3, 4)))
+    assert m != (5, ((1, 2), (3, 4)))
+    s = fusion.smatrix(5)
+    assert s * s == FusionMatrix.identity(5) * -5
+    cert = HopfCertificate(p=7, valuation=3, unit_norm=1)
+    assert (cert.p, cert.valuation, cert.unit_norm) == (7, 3, 1)
+    assert cert == HopfCertificate(7, 3, 1) == fusion.hopf_certificate(7)
+    assert cert != HopfCertificate(p=7, valuation=2, unit_norm=1)
+    t = recursion.dim_table(5, 3)
+    assert t == DimTable(5, 3, t.even, t.odd)
+    assert t != DimTable(5, 3, t.odd, t.even)
+    assert recursion.dim_table(5, 2) != t
+
+
+def test_a_cached_table_cannot_be_changed():
+    # dim_table hands this one object to every caller that asks for (5, 3)
+    t = recursion.dim_table(5, 3)
+    even = t.even
+    with pytest.raises(AttributeError, match="cannot assign to field 'even' of DimTable"):
+        t.even = ()
+    assert recursion.dim_table(5, 3) is t and t.even is even
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_record_fields_are_read_only_and_shown_by_repr(record):
+    fields = RECORD_FIELDS[type(record).__name__]
+    shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+    assert repr(record) == f"{type(record).__name__}({shown})"
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
 
 
 # Every cache declares a maxsize sized by its callers' measured reuse, except

@@ -1,6 +1,5 @@
 """Polynomial reconstruction, Bernoulli machinery, leading-term certificates."""
 
-import dataclasses
 import hashlib
 from fractions import Fraction
 from operator import mul
@@ -26,7 +25,7 @@ from tqftdims.polylab import (
     residue_total_poly,
     _base_quotient,
 )
-from tqftdims.recursion import dim_table
+from tqftdims.recursion import DimTable, dim_table
 
 F = Fraction
 
@@ -324,7 +323,7 @@ def test_held_out_check_catches_a_wrong_count(monkeypatch):
         if p != 23:
             return t
         even = (t.even[0], (t.even[1][0] + 1,) + t.even[1][1:]) + t.even[2:]
-        return dataclasses.replace(t, even=even)
+        return DimTable(t.p, t.gmax, even, t.odd)
 
     monkeypatch.setattr(polylab, "dim_table", corrupted)
     polylab._interpolate.cache_clear()
