@@ -15,6 +15,13 @@ min(len a, len b) max|a| max|b| on every product coefficient, so that the
 signed digits of the product, reduced modulo 2^(wp) - 1, are exactly the
 coefficients modulo t^p - 1.
 
+Two more users share that packed codec and stay packed between products.
+A power x ** n packs x once, at the width of ||x||_1^n, runs its whole
+square-and-multiply chain on reduced ints and unpacks once, at every p.  A
+unit check "run times run == 1" (_runs_multiply_to_one, which
+fusion.hopf_certificate calls) packs both runs, makes one product and reads
+the answer off the packed residue, never unpacking it.
+
 The rational norm needs no polynomial gcd: the product adj(y) of the
 conjugates sigma_j(y), j = 2..p-1, satisfies y * adj(y) = N(y).
 
@@ -127,43 +134,65 @@ def _mul_into(acc: list, a: list, b: list) -> list:
 _PAIRWISE_BELOW = 16
 
 
+# -- the packed codec ----------------------------------------------------------
+#
+# A polynomial modulo t^p - 1 is packed into one int as its value at t = 2^w,
+# w = 8k bits: k whole bytes per digit.  When every coefficient lies within
+# +-bound and w - 1 >= bound.bit_length(), each digit stays strictly inside
+# +-2^(w-1), and the packed int strictly inside +-m/2 for m = 2^(wp) - 1.
+# As t^p = 1 is 2^(wp) = 1 modulo m, a product of packed ints reduced to its
+# residue nearest zero is the packed cyclic product, digit for digit.  Digits
+# are written with a bias of 2^(w-1) through to_bytes and read through
+# from_bytes, so packing and unpacking stay linear in the size of the ints.
+
+
+def _digit_bytes(bound: int) -> int:
+    """The k whose digits of 8k bits hold every integer within +-bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(x, k: int) -> int:
+    """The int whose digits of k bytes are the coordinates x, each strictly
+    inside +-2^(8k-1)."""
+    half = 1 << (8 * k - 1)
+    if k == 1:  # one C loop, no to_bytes call per digit
+        digits = bytes(map(half.__add__, x))
+    else:
+        digits = b"".join([(xi + half).to_bytes(k, "little") for xi in x])
+    bias = half.to_bytes(k, "little") * len(x)
+    return int.from_bytes(digits, "little") - int.from_bytes(bias, "little")
+
+
+def _cyclic(prod: int, p: int, k: int) -> int:
+    """The residue of prod modulo m = 2^(8kp) - 1 nearest zero."""
+    wp = 8 * k * p
+    m = (1 << wp) - 1
+    r = ((prod & m) + (prod >> wp)) % m
+    return r - m if r > m >> 1 else r
+
+
+def _unpack(r: int, p: int, k: int) -> list:
+    """The p signed digits of k bytes of r, folded to basis coordinates."""
+    half = 1 << (8 * k - 1)
+    bias = int.from_bytes(half.to_bytes(k, "little") * p, "little")
+    out = (r + bias).to_bytes(p * k, "little")
+    return _fold([int.from_bytes(out[i:i + k], "little") - half for i in range(0, p * k, k)])
+
+
 def _kronecker(p: int, a, b) -> list:
     """Product of two coordinate lists of length <= p by Kronecker
-    substitution: each factor packed into one int at t = 2^w, one int
-    product, and the p signed digits of its residue modulo 2^(wp) - 1 read
-    back as the coefficients modulo t^p - 1, then one fold.
-
-    For each k at most min(len a, len b) pairs (i, j) have i + j = k mod p,
-    so no coefficient exceeds bound = min(len a, len b) max|a| max|b| in
-    absolute value.  w, whole bytes with w - 1 >= bound.bit_length(), keeps
-    every digit, and every coordinate of a nonzero factor, strictly inside
-    +-2^(w-1).  Digits are written with a bias of 2^(w-1) through to_bytes
-    and read through from_bytes, so packing and unpacking stay linear in
-    the size of the ints.
+    substitution: both factors packed, one int product, its cyclic residue
+    unpacked and folded.  For each k at most min(len a, len b) pairs (i, j)
+    have i + j = k mod p, so no coefficient exceeds
+    bound = min(len a, len b) max|a| max|b| in absolute value: the digits
+    hold it, and so every coordinate of a nonzero factor.
     """
     bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
     if not bound:
         return [0] * (p - 1)
-    k = bound.bit_length() // 8 + 1
-    half = 1 << (8 * k - 1)
-    bias = half.to_bytes(k, "little")
-
-    def pack(x):
-        digits = b"".join([(xi + half).to_bytes(k, "little") for xi in x])
-        return int.from_bytes(digits, "little") - int.from_bytes(bias * len(x), "little")
-
-    packed = pack(a)
-    prod = packed * (packed if a is b else pack(b))
-    # t^p = 1 is 2^(wp) = 1 modulo m: fold the high half onto the low one.
-    # The int whose p digits are the cyclic coefficients lies strictly
-    # inside +-m/2, so it is the residue nearest zero.
-    wp = 8 * k * p
-    m = (1 << wp) - 1
-    r = ((prod & m) + (prod >> wp)) % m
-    if r > m >> 1:
-        r -= m
-    out = (r + int.from_bytes(bias * p, "little")).to_bytes(p * k, "little")
-    return _fold([int.from_bytes(out[i:i + k], "little") - half for i in range(0, p * k, k)])
+    k = _digit_bytes(bound)
+    packed = _pack(a, k)
+    return _unpack(_cyclic(packed * (packed if a is b else _pack(b, k)), p, k), p, k)
 
 
 def _int_mul(p: int, a, b) -> list:
@@ -306,18 +335,27 @@ class CycNum:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """x ** n for n >= 0, packed once: left to right from the base,
+        bit_length(n) - 1 squarings and popcount(n) - 1 products by the
+        base, each a product of packed ints reduced to its cyclic residue,
+        and one unpack at the end.
+
+        One digit width serves the whole chain.  In Z[t]/(t^p - 1),
+        ||xy||_inf <= ||x||_inf ||y||_1 and ||xy||_1 <= ||x||_1 ||y||_1, so
+        every power x^j, j <= n, has coefficients within +-||x||_1^n.
+        """
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        if not n:
-            return CycNum.scalar(self.p, 1)
-        # Left to right from the base: bit_length(n) - 1 squarings and
-        # popcount(n) - 1 products by the base.
-        result = self
+        if n < 2:
+            return self if n else CycNum.scalar(self.p, 1)
+        p = self.p
+        k = _digit_bytes(sum(map(abs, self.num)) ** n)
+        base = result = _pack(self.num, k)
         for bit in bin(n)[3:]:
-            result = result * result
+            result = _cyclic(result * result, p, k)
             if bit == "1":
-                result = result * self
-        return result
+                result = _cyclic(result * base, p, k)
+        return CycNum._of(p, _unpack(result, p, k))
 
     # -- comparisons ---------------------------------------------------------
 
@@ -397,12 +435,17 @@ def norm(x: CycNum) -> int:
     return _adjugate_norm(x.p, x.num)[1]
 
 
-def run(p: int, s: int, n: int, t: int) -> CycNum:
-    """The run zeta^s (1 + zeta^t + ... + zeta^(t(n-1))), for n >= 0."""
+def _run_coeffs(p: int, s: int, n: int, t: int) -> list:
+    """The p coefficients modulo t^p - 1 of the run (s, n, t)."""
     vec = [0] * p
     for k in range(n):
         vec[(s + k * t) % p] += 1
-    return CycNum._of(p, _fold(vec))
+    return vec
+
+
+def run(p: int, s: int, n: int, t: int) -> CycNum:
+    """The run zeta^s (1 + zeta^t + ... + zeta^(t(n-1))), for n >= 0."""
+    return CycNum._of(p, _fold(_run_coeffs(p, s, n, t)))
 
 
 def inverse_run(p: int, s: int, n: int, t: int) -> tuple[int, int, int]:
@@ -411,6 +454,23 @@ def inverse_run(p: int, s: int, n: int, t: int) -> tuple[int, int, int]:
     zeta^t is (zeta^(nt))^m, so the inverse is
     zeta^-s (1 + zeta^(nt) + ... + zeta^(nt(m-1))), the run (-s, m, nt)."""
     return -s, pow(n, -1, p), n * t % p
+
+
+def _runs_multiply_to_one(p: int, x: tuple, y: tuple) -> bool:
+    """Whether the runs x and y, each (s, n, t) with 0 < n < p and t a unit
+    mod p, multiply to 1, decided packed: no CycNum, no unpack.
+
+    Such runs have 0/1 coefficients, so every coefficient of their cyclic
+    product lies in [0, min(n_x, n_y)], and its packed residue r holds them
+    as its digits c_0..c_(p-1).  The kernel of Z[t]/(t^p - 1) -> Z[zeta_p]
+    is Z (1 + t + ... + t^(p-1)), so the product is 1 exactly when
+    c_0 - 1 = c_1 = ... = c_(p-1), that is when
+    r = 1 + (c_0 - 1) (1 + 2^w + ... + 2^(w(p-1))), c_0 being r mod 2^w.
+    """
+    k = _digit_bytes(min(x[1], y[1]))
+    r = _cyclic(_pack(_run_coeffs(p, *x), k) * _pack(_run_coeffs(p, *y), k), p, k)
+    digit = (1 << 8 * k) - 1
+    return r == 1 + ((r & digit) - 1) * (((1 << 8 * k * p) - 1) // digit)
 
 
 def quantum_int(p: int, n: int) -> CycNum:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,23 +109,36 @@ def test_division_and_pow():
 
 def test_pow_makes_no_product_by_one(monkeypatch):
     # left to right from the base: bit_length(n) - 1 squarings and
-    # popcount(n) - 1 products by the base, and none at all for x**0
-    calls = []
-    true_int_mul = cyclotomic._int_mul
+    # popcount(n) - 1 products by the base, each a packed product reduced
+    # once, and none at all for x**0 and x**1; the base is packed once and
+    # the power unpacked once, and no product goes through _int_mul
+    calls = {"_pack": 0, "_cyclic": 0, "_unpack": 0}
 
-    def counted(p, a, b):
-        calls.append(1)
-        return true_int_mul(p, a, b)
+    def counted(name):
+        true = getattr(cyclotomic, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return true(*args)
+
+        return wrapper
+
+    def refuse(*args):
+        raise AssertionError("a power multiplied through _int_mul")
 
     x = 1 + monomial(7, 1) - 2 * monomial(7, 3)
     powers = [CycNum.scalar(7, 1)]
     for _ in range(40):
         powers.append(powers[-1] * x)
-    monkeypatch.setattr(cyclotomic, "_int_mul", counted)
+    for name in calls:
+        monkeypatch.setattr(cyclotomic, name, counted(name))
+    monkeypatch.setattr(cyclotomic, "_int_mul", refuse)
     for n, want in enumerate(powers):
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         assert x**n == want
-        assert len(calls) == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+        chain = n.bit_length() + bin(n).count("1") - 2 if n else 0
+        packs = 1 if n >= 2 else 0
+        assert calls == {"_pack": packs, "_cyclic": chain, "_unpack": packs}
 
 
 def test_galois_basics():
@@ -310,13 +324,23 @@ def test_sparse_products_never_pack(monkeypatch):
 
 def test_default_verify_runs_no_dense_product(monkeypatch, capsys):
     # every factor at p <= 13 has at most 13 nonzero coordinates, so the
-    # default verify multiplies pairwise only
+    # default verify multiplies pairwise only; what it packs is its Galois
+    # powers (CycNum.__pow__) and its Hopf unit checks (_runs_multiply_to_one)
     from tqftdims import cli
 
     def refuse(*args):
         raise AssertionError("verify packed a product")
 
+    packers = []
+    true_pack = cyclotomic._pack
+
+    def counted(x, k):
+        packers.append(sys._getframe(1).f_code.co_name)
+        return true_pack(x, k)
+
     assert cyclotomic._PAIRWISE_BELOW > 13
     monkeypatch.setattr(cyclotomic, "_kronecker", refuse)
+    monkeypatch.setattr(cyclotomic, "_pack", counted)
     assert cli.main(["verify"]) == 0
     assert capsys.readouterr().out.endswith(" 0 failures\n")
+    assert set(packers) == {"__pow__", "_runs_multiply_to_one"}

@@ -6,9 +6,10 @@ claim evaluates in that core checked against sympy's."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tqftdims import cyclotomic
 from tqftdims.cyclotomic import CycNum, _int_mul, _kronecker
 from tqftdims.fusion import FusionMatrix, alternating_element, counting_element, mul_matrix_even
 
@@ -128,3 +129,64 @@ def test_coordinates_stay_normalised(data):
     x, y = CycNum(p, xs), CycNum(p, ys)
     for z in (x, y, x + y, x - y, x * y, -x, x - x, x**2, -y + 3, CycNum.scalar(p, -4)):
         _assert_normalised(z)
+
+
+# -- packed powers against the pairwise ladder ------------------------------------
+
+POWER_PRIMES = tuple(p for p in range(5, 62) if cyclotomic.is_prime(p))
+
+
+def _ladder(p, x, n):
+    """x ** n as n pairwise products by x from 1: the oracle for the packed
+    power, which shares neither its digit width nor its codec."""
+    acc = [1] + [0] * (p - 2)
+    for _ in range(n):
+        acc = cyclotomic._fold(
+            cyclotomic._mul_into([0] * p, cyclotomic._nonzero(acc), cyclotomic._nonzero(x))
+        )
+    return tuple(acc)
+
+
+def _edge_bases(p, k):
+    """The bases the width bound is tightest or most wasteful on: scalars
+    +-(2^k - 1) and +-2^k, whose powers sit exactly on the bound ||x||_1^n;
+    the units +-zeta^j, with ||x||_1 = 1 except at zeta^(p-1), which folds
+    to -(1 + ... + zeta^(p-2)); the folded root 1 + zeta + ... + zeta^(p-2),
+    whose powers are units though ||x||_1 = p - 1; and zero."""
+    scalars = [[c] for c in (2**k - 1, 1 - 2**k, 2**k, -(2**k))]
+    units = [[0] * j + [sign] for j in range(p) for sign in (1, -1)]
+    return scalars + units + [[1] * (p - 1), []]
+
+
+@st.composite
+def _power_cases(draw):
+    """An order p in 5..61, a base and an exponent n in 0..40: signed
+    coordinates up to 2^64, or one of the _edge_bases."""
+    p = draw(st.sampled_from(POWER_PRIMES))
+    dense = st.lists(st.integers(-(2**64), 2**64), max_size=p - 1)
+    edge = st.sampled_from(_edge_bases(p, draw(st.integers(0, 64))))
+    return p, draw(st.one_of(dense, edge)), draw(st.integers(0, 40))
+
+
+@given(case=_power_cases())
+@example(case=(61, [1] * 60, 40))
+@example(case=(61, [2**64], 40))
+@example(case=(5, [-(2**64 - 1)], 39))
+@example(case=(59, [], 0))
+@example(case=(59, [], 7))
+@example(case=(7, [3, -1], 0))
+@example(case=(7, [3, -1], 1))
+@settings(max_examples=60, deadline=None)
+def test_packed_power_matches_pairwise_ladder(case):
+    p, coords, n = case
+    x = CycNum(p, coords)
+    assert (x**n).num == _ladder(p, x.num, n)
+
+
+@pytest.mark.parametrize("p", (5, 13, 61))
+def test_packed_power_edge_bases(p):
+    for k in (0, 1, 7, 8, 63, 64):
+        for coords in _edge_bases(p, k):
+            x = CycNum(p, coords)
+            for n in (0, 1, 2, 3, 8, 40):
+                assert (x**n).num == _ladder(p, x.num, n), (coords, n)

@@ -703,6 +703,42 @@ def test_hopf_certificate_refuses_planted_fault(monkeypatch, capsys, name, plant
     assert len(err.splitlines()) == 1 and message in err
 
 
+@pytest.mark.parametrize("p", (101, 167))
+def test_hopf_certificate_refuses_wrong_inverse_run_at_large_p(monkeypatch, capsys, p):
+    # the packed check does all the work here: the runs have up to p - 1
+    # terms, and their digits two bytes at p = 167
+    monkeypatch.setattr(fusion, "inverse_run", lambda p, s, n, t: (-s, n, t))
+    with pytest.raises(ArithmeticError, match="not a unit"):
+        hopf_certificate(p)
+    assert main(["hopf", "--p", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "not a unit" in err
+
+
+@pytest.mark.parametrize("p", VERLINDE_PRIMES[:-2])
+def test_packed_run_check_matches_ring_product(p):
+    # every shape (n, t), against its inverse run and, shifted by zeta^t,
+    # against itself: the check agrees with the CycNum product, both where
+    # it is 1 and where it is not
+    for n in range(1, p):
+        for t in range(1, p):
+            for x, y in (((0, n, t), cyclotomic.inverse_run(p, 0, n, t)), ((t, n, t),) * 2):
+                want = cyclotomic.run(p, *x) * cyclotomic.run(p, *y) == 1
+                assert cyclotomic._runs_multiply_to_one(p, x, y) == want, (x, y)
+
+
+def test_packed_run_check_with_two_byte_digits():
+    # runs of 128 terms and more: the product's digits reach 128, past one
+    # signed byte, as in the longest shapes hopf_certificate checks at p = 167
+    p = 167
+    for n in range(128, p):
+        for t in (1, 2, 83):
+            for x, y in (((0, n, t), cyclotomic.inverse_run(p, 0, n, t)), ((t, n, t),) * 2):
+                want = cyclotomic.run(p, *x) * cyclotomic.run(p, *y) == 1
+                assert cyclotomic._runs_multiply_to_one(p, x, y) == want, (x, y)
+
+
 # -- work counts -----------------------------------------------------------------
 
 
@@ -733,21 +769,26 @@ def test_hopf_certificate_runs_no_bareiss():
 
 
 def test_hopf_certificate_makes_one_product_per_run_shape(monkeypatch):
-    # each distinct run shape (n, t) times its inverse run, one product each:
-    # no dense U, no U^-1 and no product of the two is ever formed
+    # each distinct run shape (n, t) times its inverse run, one packed check
+    # each: no dense U, no U^-1, no CycNum and no ring product is ever formed
     calls = []
-    true_mul = CycNum.__mul__
+    true_check = cyclotomic._runs_multiply_to_one
 
-    def counted(x, y):
-        calls.append((x, y))
-        return true_mul(x, y)
+    def counted(p, x, y):
+        calls.append(x)
+        return true_check(p, x, y)
 
-    monkeypatch.setattr(CycNum, "__mul__", counted)
-    for p in (5, 13, 37):
+    def refuse(*args):
+        raise AssertionError("hopf_certificate built a run or a ring product")
+
+    monkeypatch.setattr(fusion, "_runs_multiply_to_one", counted)
+    for target, name in ((CycNum, "__mul__"), (cyclotomic, "run"), (cyclotomic, "_int_mul")):
+        monkeypatch.setattr(target, name, refuse)
+    for p in (5, 13, 37, 101):
         shapes = {(n, t) for _s, n, t in fusion._cofactor_runs(p)}
         calls.clear()
         hopf_certificate(p)
-        assert len(calls) == len(shapes)
+        assert sorted(calls) == sorted((0, n, t) for n, t in shapes)
 
 
 def test_hopf_certificate_computes_no_norm(monkeypatch):
