@@ -105,17 +105,17 @@ def alternating_eigenvalues(p: int) -> Claim:
 
 def structure_constants(p: int) -> Claim:
     d = (p - 1) // 2
-    evens = [fusion.cheb_vector(p, 2 * i) for i in range(d)]
     ok = True
     for i in range(d):
+        # column j holds the even coordinates of e_(2i) e_(2j)
+        rows = fusion.mul_matrix_even(fusion.cheb_vector(p, 2 * i)).entries
         for j in range(d):
-            coords = (evens[i] * evens[j]).even_coords()
             for k in range(d):
                 admissible = (
                     abs(2 * i - 2 * j) <= 2 * k <= 2 * i + 2 * j
                     and 2 * i + 2 * j + 2 * k <= 2 * p - 4
                 )
-                if coords[k] != (1 if admissible else 0):
+                if rows[k][j] != (1 if admissible else 0):
                     ok = False
     return f"even structure constants are 0/1 and encode admissibility (p={p})", ok
 

@@ -115,7 +115,7 @@ FLOAT_GUARD_TERMS = 10**7
 #: Largest prime `hopf` certifies without --force, and the largest `verify`
 #: takes in its --p-list.  Fitted to `hopf` when U and U^-1 were built whole
 #: (3 s at 167); checking each of the under 3p/2 run shapes against its
-#: inverse run instead takes 0.05 s there (README.md).  It was not fitted to
+#: inverse run instead takes 0.015 s there (README.md).  It was not fitted to
 #: `verify`: `verify --p-list 167` is accepted and runs for about 13 s, nearly
 #: all of it the fusion suite (2-core x86-64, Python 3.11).
 HOPF_GUARD_P = 167

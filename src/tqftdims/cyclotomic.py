@@ -227,15 +227,26 @@ def _int_galois(p: int, a, j: int) -> list:
 class Record:
     """Base of the package's read-only records (FusionElement, DimTable, ...).
 
-    A subclass names its fields in __slots__ and sets them in __init__ with
-    object.__setattr__.  After that a field can be neither assigned nor
-    deleted (AttributeError), so a record that a cache hands to every caller
-    stays as it was built.  repr shows every field.  A record compares by
-    identity, and hashes, unless its class sets __eq__ = Record._fields_eq,
-    which also makes it unhashable.
+    A subclass names its fields in __slots__; the one constructor takes them
+    in that order, positionally or by name, and raises TypeError on a
+    missing, extra or unknown field.  After that a field can be neither
+    assigned nor deleted (AttributeError), so a record that a cache hands to
+    every caller stays as it was built.  repr shows every field.  A record
+    compares by identity, and hashes, unless its class sets
+    __eq__ = Record._fields_eq, which also makes it unhashable.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named) -> None:
+        names = self.__slots__
+        fields = dict(zip(names, values), **named)
+        # every field given exactly once: no more values than names, no name
+        # twice, none unknown and none missing
+        if len(values) + len(named) != len(names) or fields.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}, each once")
+        for name in names:
+            object.__setattr__(self, name, fields[name])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -384,11 +395,8 @@ class CycNum:
 
 
 def monomial(p: int, k: int) -> CycNum:
-    """zeta_p^k for any integer k, reduced to canonical form."""
-    _check_prime(p)
-    vec = [0] * p
-    vec[k % p] = 1
-    return CycNum(p, vec)
+    """zeta_p^k for any integer k, reduced to canonical form: the one-term run."""
+    return run(_check_prime(p), k, 1, 1)
 
 
 def _primitive_root(p: int) -> int:

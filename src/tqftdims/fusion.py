@@ -79,10 +79,10 @@ def _mul_by_z(p: int, vec):
 class FusionElement(Record):
     """An element of the quotient, as coordinates over e_0..e_(d-1).
 
-    Its one arithmetic operation is the quotient product x * y of two
-    elements of the same p; there is no sum and no product by a scalar
-    (build coordinate sums with FusionElement(p, tuple(...))).  Elements
-    compare by identity: compare their coords."""
+    It has no arithmetic of its own: the quotient's one product is its
+    multiplication matrix, mul_matrix_even (column j of the matrix of x holds
+    the even-basis coordinates of x e_(2j)).  Elements compare by identity:
+    compare their coords."""
 
     __slots__ = ("p", "coords")
 
@@ -90,23 +90,7 @@ class FusionElement(Record):
         d = _rank(p)
         if len(coords) != d:
             raise ValueError(f"need {d} coordinates for p={p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coords", coords)
-
-    def __mul__(self, other):
-        if isinstance(other, FusionElement):
-            self._same(other)
-            return FusionElement(self.p, tuple(_product(self.p, self.coords, other.coords)))
-        return NotImplemented
-
-    def _same(self, other: "FusionElement") -> None:
-        if self.p != other.p:
-            raise ValueError(f"mixed ranks: p={self.p} and p={other.p}")
-
-    def even_coords(self) -> tuple:
-        """Coordinates over the reordered basis e_0, e_2, ..., e_(2d-2)."""
-        perm = even_basis_permutation(self.p)
-        return tuple(self.coords[perm[j]] for j in range(len(perm)))
+        super().__init__(p, coords)
 
 
 def _ladder(p: int, yv):
@@ -123,21 +107,6 @@ def _ladder(p: int, yv):
         if prev is not None:
             nxt = [a - b for a, b in zip(nxt, prev)]
         prev, cur = cur, nxt
-
-
-def _product(p: int, xv, yv):
-    """Multiply in the quotient by expanding x along the ladder of y.
-
-    The walk stops at x's last nonzero coordinate: the steps past it add nothing.
-    """
-    d = (p - 1) // 2
-    out = [0] * d
-    last = max((k for k, xi in enumerate(xv) if xi), default=-1)
-    for xi, cur in zip(xv[: last + 1], _ladder(p, yv)):
-        if xi:
-            for k in range(d):
-                out[k] += xi * cur[k]
-    return out
 
 
 def cheb_vector(p: int, n: int) -> FusionElement:
@@ -185,10 +154,6 @@ class FusionMatrix(Record):
     equal when their p and entries are."""
 
     __slots__ = ("p", "entries")
-
-    def __init__(self, p: int, entries: tuple[tuple, ...]) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "entries", entries)
 
     __eq__ = Record._fields_eq
 
@@ -288,8 +253,6 @@ def _weighted_even_sum(p: int, sign: int) -> FusionElement:
     return FusionElement(p, tuple(acc))
 
 
-# Bounded: verify's fusion suite finishes one prime's claims before the next.
-@lru_cache(maxsize=2)
 def alternating_element(p: int) -> FusionElement:
     """sum over n of (-1)^n (d - n) e_{2n}."""
     return _weighted_even_sum(p, -1)
@@ -374,8 +337,6 @@ def qmatrix(p: int) -> FusionMatrix:
     return FusionMatrix(p, tuple(rows))
 
 
-# Bounded: verify's fusion suite finishes one prime's claims before the next.
-@lru_cache(maxsize=2)
 def alternating_eigenvalue(p: int) -> CycNum:
     """Eigenvalue of the alternating element at the fundamental embedding:
     ceil(d/2) + sum_{k=1}^{d-1} (-1)^k ceil((d-k)/2) (q^2k + q^-2k).
@@ -391,8 +352,6 @@ def alternating_eigenvalue(p: int) -> CycNum:
     return CycNum(p, vec)
 
 
-# Bounded: verify's fusion suite finishes one prime's claims before the next.
-@lru_cache(maxsize=2)
 def counting_eigenvalue(p: int) -> CycNum:
     """Eigenvalue of the counting element at the fundamental embedding,
     sum_{n<d} (d - n) [2n + 1] = T(d) + sum_{k=1}^{d-1} T(d - k) (q^2k + q^-2k)
@@ -461,11 +420,6 @@ class HopfCertificate(Record):
     """
 
     __slots__ = ("p", "valuation", "unit_norm")
-
-    def __init__(self, p: int, valuation: int, unit_norm: int) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "unit_norm", unit_norm)
 
     __eq__ = Record._fields_eq
 

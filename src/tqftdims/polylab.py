@@ -180,14 +180,17 @@ class BiPoly:
             return BiPoly.const(other)
         return None
 
+    def _add(self, o: "BiPoly", sign: int) -> "BiPoly":
+        out = dict(self._m)
+        for ij, q in o._m.items():
+            out[ij] = out.get(ij, _ZERO) + sign * q
+        return BiPoly(out)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._m)
-        for ij, q in o._m.items():
-            out[ij] = out.get(ij, _ZERO) + q
-        return BiPoly(out)
+        return self._add(o, 1)
 
     __radd__ = __add__
 
@@ -195,10 +198,7 @@ class BiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._m)
-        for ij, q in o._m.items():
-            out[ij] = out.get(ij, _ZERO) - q
-        return BiPoly(out)
+        return self._add(o, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -559,18 +559,6 @@ class ConjectureScan(Record):
         "base_specialization_divisible",
         "base_quotient",
     )
-
-    def __init__(
-        self,
-        g: int,
-        no_positive_even_p_powers: bool,
-        base_specialization_divisible: bool,
-        base_quotient: BiPoly | None,
-    ) -> None:
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "no_positive_even_p_powers", no_positive_even_p_powers)
-        object.__setattr__(self, "base_specialization_divisible", base_specialization_divisible)
-        object.__setattr__(self, "base_quotient", base_quotient)
 
 
 #: P(P^2 - 1)/24 as ascending coefficients in P.

@@ -55,18 +55,6 @@ class DimTable(Record):
 
     __slots__ = ("p", "gmax", "even", "odd")
 
-    def __init__(
-        self,
-        p: int,
-        gmax: int,
-        even: tuple[tuple[int, ...], ...],
-        odd: tuple[tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "gmax", gmax)
-        object.__setattr__(self, "even", even)
-        object.__setattr__(self, "odd", odd)
-
     __eq__ = Record._fields_eq
 
     @property

@@ -1,5 +1,6 @@
 """Fusion quotient linear algebra: folds, matrices, eigenvalues, Galois sums."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,7 +36,24 @@ PRIMES = (5, 7, 11, 13)
 VERLINDE_PRIMES = tuple(p for p in range(5, 62) if is_prime(p)) + (101, 167)
 
 
-# -- oracles: the Bareiss determinant and the twist Vandermonde matrix ----------
+# -- oracles: ladder product, Bareiss determinant, twist Vandermonde matrix ----
+
+
+def _product(x, y):
+    """x * y in the quotient, by expanding x along the ladder of y:
+    sum_i x_i e_i y.  The program's one product is mul_matrix_even; this is
+    the oracle it is checked against."""
+    d = len(x.coords)
+    out = [0] * d
+    for xi, cur in zip(x.coords, fusion._ladder(x.p, y.coords)):
+        for k in range(d):
+            out[k] += xi * cur[k]
+    return FusionElement(x.p, tuple(out))
+
+
+def _even_coords(x):
+    """x's coordinates over the reordered basis e_0, e_2, ..., e_(2d-2)."""
+    return tuple(x.coords[k] for k in even_basis_permutation(x.p))
 
 
 def _exact_quotient(num, adj, n):
@@ -121,7 +139,7 @@ def test_structure_constants_encode_admissibility(p):
     d = (p - 1) // 2
     for i in range(d):
         for j in range(d):
-            coords = (cheb_vector(p, 2 * i) * cheb_vector(p, 2 * j)).even_coords()
+            coords = _even_coords(_product(cheb_vector(p, 2 * i), cheb_vector(p, 2 * j)))
             for k in range(d):
                 fits = (
                     abs(2 * i - 2 * j) <= 2 * k <= 2 * i + 2 * j
@@ -135,7 +153,7 @@ def _column_matrix(x):
     e_{2i} walked from e_0 on its own."""
     p = x.p
     d = (p - 1) // 2
-    cols = [(x * cheb_vector(p, 2 * i)).even_coords() for i in range(d)]
+    cols = [_even_coords(_product(x, cheb_vector(p, 2 * i))) for i in range(d)]
     return FusionMatrix(p, tuple(tuple(cols[i][j] for i in range(d)) for j in range(d)))
 
 
@@ -159,55 +177,38 @@ def test_matrix_build_walks_each_ladder_once(monkeypatch, p):
 
     monkeypatch.setattr(fusion, "_mul_by_z", counting)
     d = (p - 1) // 2
-    for cache in (alternating_element, even_basis_permutation):
-        cache.cache_clear()
+    even_basis_permutation.cache_clear()
     try:
         mul_matrix_even(alternating_element(p))
     finally:
-        for cache in (alternating_element, even_basis_permutation):
-            cache.cache_clear()
+        even_basis_permutation.cache_clear()
     assert len(steps) == 3 * (2 * d - 2)
 
 
 def test_product_ring_axioms():
+    # the oracle product is commutative and associative, with unit e_0
     p = 7
     x = cheb_vector(p, 2)
     y = cheb_vector(p, 4)
     z = cheb_vector(p, 1)
-    assert (x * y).coords == (y * x).coords
-    assert ((x * y) * z).coords == (x * (y * z)).coords
+    assert _product(x, y).coords == _product(y, x).coords
+    assert _product(_product(x, y), z).coords == _product(x, _product(y, z)).coords
     one = cheb_vector(p, 0)
-    assert (x * one).coords == x.coords
-
-
-@pytest.mark.parametrize("p", [13, 31])
-def test_product_walks_to_the_last_nonzero_coordinate(monkeypatch, p):
-    # x = e_i reads the ladder of y only up to e_i y: i z-steps, not d - 1.
-    steps = []
-    mul_by_z = fusion._mul_by_z
-
-    def counting(p, vec):
-        steps.append(p)
-        return mul_by_z(p, vec)
-
-    monkeypatch.setattr(fusion, "_mul_by_z", counting)
-    d = (p - 1) // 2
-    y = FusionElement(p, tuple(range(1, d + 1)))
-    for i in range(-1, d):
-        x = FusionElement(p, tuple(int(k == i) for k in range(d)))  # x = 0 at i = -1
-        steps.clear()
-        xy = x * y
-        assert len(steps) == max(i, 0)
-        assert xy.coords == (y * x).coords
+    assert _product(x, one).coords == x.coords
 
 
 def test_element_validation():
     with pytest.raises(ValueError, match="need 2 coordinates for p=5"):
         FusionElement(5, (1,))
     with pytest.raises(ValueError):
-        cheb_vector(5, 1) * cheb_vector(7, 1)
-    with pytest.raises(ValueError):
         cheb_vector(5, -1)
+
+
+def test_element_has_no_product_of_its_own():
+    # the quotient's one product is the multiplication matrix
+    assert not hasattr(FusionElement, "__mul__")
+    with pytest.raises(TypeError):
+        cheb_vector(5, 1) * cheb_vector(5, 1)
 
 
 def test_frozen_p5_matrices():
@@ -224,7 +225,7 @@ def test_counting_element_is_sum_of_squares():
         acc = [0] * d
         for n in range(d):
             e = cheb_vector(p, 2 * n)
-            acc = [a + b for a, b in zip(acc, (e * e).coords)]
+            acc = [a + b for a, b in zip(acc, _product(e, e).coords)]
         assert tuple(acc) == counting_element(p).coords
 
 
@@ -503,8 +504,8 @@ def test_product_distributes_property(coords_x, coords_y):
     x = FusionElement(p, tuple(coords_x))
     y = FusionElement(p, tuple(coords_y))
     z = cheb_vector(p, 2)
-    lhs = FusionElement(p, tuple(a + b for a, b in zip(x.coords, y.coords))) * z
-    rhs = tuple(a + b for a, b in zip((x * z).coords, (y * z).coords))
+    lhs = _product(FusionElement(p, tuple(a + b for a, b in zip(x.coords, y.coords))), z)
+    rhs = tuple(a + b for a, b in zip(_product(x, z).coords, _product(y, z).coords))
     assert lhs.coords == rhs
 
 
@@ -652,8 +653,7 @@ def test_trace_read_sweep_matches_recursion_at_p211():
 
 
 def _clear_fusion_caches():
-    for f in (fusion._eigenvalue_power, alternating_eigenvalue, counting_eigenvalue):
-        f.cache_clear()
+    fusion._eigenvalue_power.cache_clear()
 
 
 @pytest.fixture
@@ -684,6 +684,42 @@ def test_galois_entry_refuses_planted_power(cold_fusion, monkeypatch, capsys, pl
     assert main(["verify", "--suite", "fusion", "--p-list", "5", "--gmax", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
+
+
+def _flip_entry(monkeypatch, x, k, j):
+    """Plant a fault: the matrix of x that mul_matrix_even returns has its
+    entry (k, j) flipped between 0 and 1; every other matrix is built true."""
+    true_build = fusion.mul_matrix_even
+
+    def build(y):
+        m = true_build(y)
+        if y.coords != x.coords:
+            return m
+        rows = [list(row) for row in m.entries]
+        rows[k][j] = 1 - rows[k][j]
+        return FusionMatrix(m.p, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(fusion, "mul_matrix_even", build)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_structure_constant_claim_fails_on_any_flipped_entry(monkeypatch, p):
+    # the claim reads every entry of the matrix of every e_(2i)
+    d = (p - 1) // 2
+    for i, k, j in itertools.product(range(d), repeat=3):
+        with monkeypatch.context() as planted:
+            _flip_entry(planted, cheb_vector(p, 2 * i), k, j)
+            assert claims.structure_constants(p)[1] is False, (i, k, j)
+    assert claims.structure_constants(p)[1] is True
+
+
+def test_verify_fails_one_claim_on_a_flipped_structure_constant(monkeypatch, capsys):
+    # no other fusion claim multiplies by the unit e_0, so one line fails
+    _flip_entry(monkeypatch, cheb_vector(5, 0), 0, 1)
+    assert main(["verify", "--suite", "fusion", "--p-list", "5", "--gmax", "1"]) == 1
+    out, _err = capsys.readouterr()
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL even structure constants are 0/1 and encode admissibility (p=5)"]
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,26 @@ def test_records_that_callers_compare_compare_by_fields():
     assert recursion.dim_table(5, 2) != t
 
 
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_record_constructor_takes_every_field_once(record):
+    # one constructor, Record's: positional in __slots__ order or by name
+    kind, fields = type(record), RECORD_FIELDS[type(record).__name__]
+    values = [getattr(record, name) for name in fields]
+    named = dict(zip(fields, values))
+    built = kind(**named)
+    assert [getattr(built, name) for name in fields] == values
+    assert repr(built) == repr(kind(*values)) == repr(record)
+    for bad_args, bad_named in (
+        (values[:-1], {}),  # a field missing
+        (values + [0], {}),  # one value too many
+        (values, {"unknown": 0}),  # a field the record does not have
+        (values, {fields[0]: values[0]}),  # a field given twice
+        ((), {**named, "unknown": 0}),
+    ):
+        with pytest.raises(TypeError):
+            kind(*bad_args, **bad_named)
+
+
 def test_a_cached_table_cannot_be_changed():
     # dim_table hands this one object to every caller that asks for (5, 3)
     t = recursion.dim_table(5, 3)
@@ -234,9 +254,6 @@ VERIFY_MISSES = {
     "cyclotomic._check_prime": 18,
     "fusion._eigenvalue_power": 32,
     "fusion._power_ladder": 8,
-    "fusion.alternating_eigenvalue": 4,
-    "fusion.alternating_element": 4,
-    "fusion.counting_eigenvalue": 4,
     "fusion.even_basis_permutation": 4,
     "fusion.smatrix": 4,
     "polylab._interpolate": 6,
