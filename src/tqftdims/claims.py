@@ -10,7 +10,7 @@ in verify's order; ``tests/test_acceptance.py`` calls them directly.
 from __future__ import annotations
 
 from . import census, fusion, polylab, recursion
-from .cyclotomic import CycNum, inverse_run, quantum_int, run
+from .cyclotomic import _check_prime, inverse_run, quantum_int, run
 
 Claim = tuple[str, bool]
 
@@ -67,16 +67,71 @@ def galois_sums(p: int, gmax: int) -> Claim:
     return f"galois sums reproduce signed and total counts (p={p}, g<={gcap})", ok
 
 
+# -- S's identities, read from its formula --------------------------------------
+#
+# S_ij = zeta^(a_i a_j) - zeta^(-a_i a_j) with a_i = 2i + 1, i, j = 0..d-1.  No
+# entry of S is built: each claim expands its products by this formula.  An
+# element of Z[zeta_p] is held unfolded, as p integers over zeta^0..zeta^(p-1).
+# The kernel of Z[t]/(t^p - 1) -> Z[zeta_p] is Z (1 + t + ... + t^(p-1)), so
+# two unfolded vectors name the same element exactly when their difference is
+# constant.
+
+
+def _exponents(p: int) -> list[int]:
+    """a_i = 2i + 1 for i = 0..d-1, after the prime check every claim makes."""
+    return list(range(1, _check_prime(p) - 1, 2))
+
+
+def _differs_by(x, y, n: int) -> bool:
+    """Whether the unfolded x and y name elements with x = y + n, n an integer."""
+    diff = [xi - yi for xi, yi in zip(x, y)]
+    diff[0] -= n
+    return len(set(diff)) == 1
+
+
+def _g_sums(p: int, a) -> list[list[int]]:
+    """G(m) = sum_k (zeta^(a_k m) + zeta^(-a_k m)), unfolded, for m = 0..p-1."""
+    sums = []
+    for m in range(p):
+        g = [0] * p
+        for ak in a:
+            g[ak * m % p] += 1
+            g[-ak * m % p] += 1
+        sums.append(g)
+    return sums
+
+
 def s_matrix_square(p: int) -> Claim:
-    s = fusion.smatrix(p)
-    ok = s * s == fusion.FusionMatrix.identity(p) * (-p)
+    """S S = -p I.  With A = a_i + a_j and B = a_i - a_j,
+    S_ik S_kj = zeta^(a_k A) + zeta^(-a_k A) - zeta^(a_k B) - zeta^(-a_k B),
+    so (S S)_ij = G(A) - G(B), which must name -p if i = j and 0 otherwise."""
+    a = _exponents(p)
+    g = _g_sums(p, a)
+    ok = all(
+        _differs_by(g[(ai + aj) % p], g[(ai - aj) % p], -p if i == j else 0)
+        for i, ai in enumerate(a)
+        for j, aj in enumerate(a)
+    )
     return f"S-matrix squares to -p times the identity (p={p})", ok
 
 
 def z_diagonalization(p: int) -> Claim:
-    # -p M_z == S Q S: the same statement with every entry in Z[zeta_p]
-    s = fusion.smatrix(p)
-    ok = fusion.mul_matrix_even(fusion.cheb_vector(p, 1)) * (-p) == s * fusion.qmatrix(p) * s
+    """-p M_z = S Q S, for M_z the integer matrix of z = e_1 and Q the diagonal
+    of z-eigenvalues Q_k = -(zeta^(a_k) + zeta^(-a_k)).  Multiplying S_ik S_kj
+    (s_matrix_square) by zeta^(a_k) + zeta^(-a_k) moves each exponent a_k m to
+    a_k (m + 1) and a_k (m - 1), so
+    (S Q S)_ij = -(G(A + 1) + G(A - 1) - G(B + 1) - G(B - 1)), and
+    p (M_z)_ij must name G(A + 1) + G(A - 1) - G(B + 1) - G(B - 1)."""
+    a = _exponents(p)
+    g = _g_sums(p, a)
+    # h[m] = G(m + 1) + G(m - 1)
+    h = [[x + y for x, y in zip(g[(m + 1) % p], g[m - 1])] for m in range(p)]
+    mz = fusion.mul_matrix_even(fusion.cheb_vector(p, 1)).entries
+    ok = all(
+        _differs_by(h[(ai + aj) % p], h[(ai - aj) % p], p * mz[i][j])
+        for i, ai in enumerate(a)
+        for j, aj in enumerate(a)
+    )
     return f"multiplication by z diagonalizes as -(1/p) S Q S (p={p})", ok
 
 
@@ -89,17 +144,39 @@ def ladder_fold(p: int) -> Claim:
     return f"ladder fold symmetry across the quotient relation (p={p})", ok
 
 
+def _times(x: list[int], k: int) -> list[int]:
+    """zeta^k x, for x unfolded: a rotation of its p integers."""
+    r = -k % len(x)
+    return x[r:] + x[:r]
+
+
 def alternating_eigenvalues(p: int) -> Claim:
-    lam = fusion.alternating_eigenvalue(p)
-    # det(M - x I) = (-1)^d chi(x), and chi is read from the integer M alone.
-    # chi has integer coefficients, so chi(sigma(lam)) = sigma(chi(lam)) for
-    # every Galois map sigma: chi(lam) = 0 decides all d conjugates
-    # sigma_(2j+1)(lam) at once.
-    chi = fusion.mul_matrix_even(fusion.alternating_element(p)).charpoly()
-    acc = CycNum.scalar(p, 0)
-    for c in chi:
-        acc = acc * lam + c
-    ok = not acc
+    """M s = lambda s: lambda = alternating_eigenvalue(p) is an eigenvalue of M,
+    the integer matrix of the alternating element, with eigenvector s, column 0
+    of S: s_k = zeta^(a_k) - zeta^(-a_k), and s_0 = zeta - zeta^-1 != 0.
+
+    So lambda is a root of chi(x) = det(x I - M), as the claim's text
+    says.  M is integral, so applying sigma_j gives
+    M sigma_j(s) = sigma_j(lambda) sigma_j(s) with sigma_j(s) != 0: every
+    conjugate sigma_(2j+1)(lambda) is an eigenvalue too, and the family
+    annihilates chi."""
+    a = _exponents(p)
+    mat = fusion.mul_matrix_even(fusion.alternating_element(p)).entries
+    lam = list(fusion.alternating_eigenvalue(p).num) + [0]
+
+    def s_sum(coeffs) -> list[int]:
+        """sum_k c_k s_k, unfolded."""
+        out = [0] * p
+        for ak, c in zip(a, coeffs):
+            out[ak % p] += c
+            out[-ak % p] -= c
+        return out
+
+    # s_0 != 0, and row r of M s names lambda s_r = (zeta^(a_r) - zeta^(-a_r)) lambda
+    ok = len(set(s_sum([1]))) > 1 and all(
+        _differs_by(s_sum(row), [x - y for x, y in zip(_times(lam, ar), _times(lam, -ar))], 0)
+        for row, ar in zip(mat, a)
+    )
     return f"alternating eigenvalue family annihilates its matrix (p={p})", ok
 
 

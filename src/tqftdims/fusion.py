@@ -5,13 +5,15 @@ e_(n+1) = z e_n - e_(n-1); in the quotient they fold as e_(d+i) = e_(d-1-i),
 so e_0..e_(d-1) is a basis and the even-index family e_0, e_2, ..., e_(2d-2)
 is the same basis reordered by an explicit permutation.
 
-Everything here is exact: matrices over the integers or over Z[zeta_p].
+Everything here is exact: integer matrices, and eigenvalues in Z[zeta_p].
 Two distinguished elements drive the dimension counts: the alternating
 element sum (-1)^n (d - n) e_{2n}, whose matrix powers produce the signed
 counts, and the plain counting element sum (d - n) e_{2n} for the totals.
-Their matrices diagonalize through the S-matrix, whose entries lie in
-Z[zeta_p] and which squares to -p times the identity; it converts matrix
-entries into trace reads.
+Their matrices diagonalize through the S-matrix
+S_ij = zeta^(a_i a_j) - zeta^(-a_i a_j), a_i = 2i + 1, which squares to -p
+times the identity and turns matrix entries into trace reads: the Galois
+sums read one eigenvalue power per genus.  S itself is never built;
+claims.py checks its identities from that formula.
 """
 
 from __future__ import annotations
@@ -24,13 +26,9 @@ from .cyclotomic import (
     Record,
     _check_color,
     _check_prime,
-    _fold,
-    _mul_into,
-    _nonzero,
     _runs_multiply_to_one,
     galois,
     inverse_run,
-    monomial,
 )
 
 __all__ = [
@@ -48,8 +46,6 @@ __all__ = [
     "galois_sum_total",
     "hopf_certificate",
     "mul_matrix_even",
-    "qmatrix",
-    "smatrix",
     "total_via_matrix",
 ]
 
@@ -144,58 +140,15 @@ def even_basis_permutation(p: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _cyclotomic(m: "FusionMatrix") -> bool:
-    """True when every entry of m is a CycNum of m's order."""
-    return all(isinstance(e, CycNum) and e.p == m.p for row in m.entries for e in row)
-
-
 class FusionMatrix(Record):
-    """A d x d matrix; entries[j][i] is row j, column i.  Two matrices are
-    equal when their p and entries are."""
+    """A d x d matrix; entries[j][i] is row j, column i.  Matrices compare by
+    identity: compare their entries."""
 
     __slots__ = ("p", "entries")
-
-    __eq__ = Record._fields_eq
 
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def identity(cls, p: int) -> "FusionMatrix":
-        d = _rank(p)
-        return cls(p, tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d)))
-
-    def __mul__(self, other):
-        if isinstance(other, FusionMatrix):
-            if self.p != other.p or self.size != other.size:
-                raise ValueError("matrix shapes or ranks differ")
-            if not (_cyclotomic(self) and _cyclotomic(other)):
-                raise ValueError(f"matrix product needs CycNum entries of order {self.p}")
-            return self._integral_product(other)
-        if isinstance(other, (int, CycNum)):
-            return FusionMatrix(
-                self.p, tuple(tuple(e * other for e in row) for row in self.entries)
-            )
-        return NotImplemented
-
-    def _integral_product(self, other: "FusionMatrix") -> "FusionMatrix":
-        """Product of two matrices of CycNum entries.  Each output
-        entry adds its n convolutions, over the entries' nonzero coordinates,
-        into one list of p integers and folds it once."""
-        p = self.p
-        rows = [[_nonzero(e.num) for e in row] for row in self.entries]
-        cols = [[_nonzero(e.num) for e in col] for col in zip(*other.entries)]
-        out = []
-        for row in rows:
-            entries = []
-            for col in cols:
-                acc = [0] * p
-                for a, b in zip(row, col):
-                    _mul_into(acc, a, b)
-                entries.append(CycNum._of(p, _fold(acc)))
-            out.append(tuple(entries))
-        return FusionMatrix(p, tuple(out))
 
     def apply(self, vec):
         """Matrix-vector product."""
@@ -204,31 +157,6 @@ class FusionMatrix(Record):
         return tuple(
             sum(row[i] * vec[i] for i in range(self.size)) for row in self.entries
         )
-
-    def charpoly(self) -> tuple:
-        """Coefficients of det(tI - M), leading 1 first, for integer entries.
-
-        Faddeev-LeVerrier: with N_1 = I, c_k = -tr(M N_k) / k and
-        N_(k+1) = M N_k + c_k I, det(tI - M) = t^n + c_1 t^(n-1) + ... + c_n.
-        Each c_k is an integer for integer M; a division by k that leaves a
-        remainder raises ArithmeticError.
-        """
-        mat = self.entries
-        if not all(isinstance(e, int) for row in mat for e in row):
-            raise ValueError("characteristic polynomial needs integer entries")
-        n = self.size
-        step = [[int(i == j) for j in range(n)] for i in range(n)]
-        coeffs = [1]
-        for k in range(1, n + 1):
-            cols = tuple(zip(*step))
-            step = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in mat]
-            c, rem = divmod(-sum(step[i][i] for i in range(n)), k)
-            if rem:
-                raise ArithmeticError(f"Faddeev-LeVerrier trace is not divisible by {k}")
-            coeffs.append(c)
-            for i in range(n):
-                step[i][i] += c
-        return tuple(coeffs)
 
 
 def mul_matrix_even(x: FusionElement) -> FusionMatrix:
@@ -305,36 +233,7 @@ def total_via_matrix(p: int, g: int, c: int) -> int:
     return _matrix_power_entry(p, g, c, counting=True)
 
 
-# -- exact diagonalization over Z[zeta_p] ------------------------------------
-
-
-# Bounded: verify's fusion suite finishes one prime's claims before the next.
-@lru_cache(maxsize=2)
-def smatrix(p: int) -> FusionMatrix:
-    """S_{ij} = q^((2i+1)(2j+1)) - q^(-(2i+1)(2j+1)) with q = zeta_p.
-
-    Satisfies S*S = -p * identity.
-    """
-    d = _rank(p)
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            k = (2 * i + 1) * (2 * j + 1)
-            row.append(monomial(p, k) - monomial(p, -k))
-        rows.append(tuple(row))
-    return FusionMatrix(p, tuple(rows))
-
-
-def qmatrix(p: int) -> FusionMatrix:
-    """Diagonal matrix of the z-eigenvalues -q^(2j+1) - q^(-(2j+1))."""
-    d = _rank(p)
-    zero = CycNum.scalar(p, 0)
-    rows = []
-    for j in range(d):
-        diag = -(monomial(p, 2 * j + 1) + monomial(p, -(2 * j + 1)))
-        rows.append(tuple(diag if i == j else zero for i in range(d)))
-    return FusionMatrix(p, tuple(rows))
+# -- eigenvalues and Galois sums over Z[zeta_p] -------------------------------
 
 
 def alternating_eigenvalue(p: int) -> CycNum:

@@ -108,7 +108,8 @@ def _ladder(p: int) -> tuple[tuple, list]:
 # Bounded: a hit is at most 8 tables back, in verify's poly suite.  The ladder
 # alone would serve every request, but perfbench/layers.py reads this cache's
 # cache_info() for the dim_table hit ratio, so the (p, gmax) cache stays.
-@lru_cache(maxsize=16)
+# Typed, so that 13.0 or gmax 2.0 is refused whether or not (13, 2) is cached.
+@lru_cache(maxsize=16, typed=True)
 def dim_table(p: int, gmax: int) -> DimTable:
     """The count table for prime p up to genus gmax: exactly gmax rows of p's
     ladder, which grows first if it is too short."""

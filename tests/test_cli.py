@@ -569,6 +569,10 @@ def test_config_validation_direct(capsys):
             ("--p-list", "5,7", "--gmax", "2"),
             "6d50b8525ce5f75fecd27f2bc407ff3f9b1a67907a684f669bc00664262fcf8a",
         ),
+        (
+            ("--suite", "fusion", "--p-list", "61,101,167"),
+            "e00f836d2ad36fade97b1644a040d151c8382429e2890dcba33cfe0720e31169",
+        ),
     ],
 )
 def test_verify_bytes_frozen(args, digest):

@@ -1,7 +1,6 @@
 """The integer CycNum core, on both its pairwise and its Kronecker path,
 checked against sympy's polynomial arithmetic modulo the p-th cyclotomic
-polynomial, and the integer characteristic polynomial that the eigenvalue
-claim evaluates in that core checked against sympy's."""
+polynomial."""
 
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from tqftdims import cyclotomic
 from tqftdims.cyclotomic import CycNum, _int_mul, _kronecker
-from tqftdims.fusion import FusionMatrix, alternating_element, counting_element, mul_matrix_even
 
 sympy = pytest.importorskip("sympy")
 
@@ -97,29 +95,6 @@ def test_dense_product_matches_sympy_reduction(data):
     want = _reduced_coords((_poly(a) * _poly(b)).rem(_phi(p)), p)
     assert tuple(map(Fraction, _kronecker(p, a, b))) == want
     assert tuple(map(Fraction, _int_mul(p, a, b))) == want
-
-
-def _sympy_charpoly(rows):
-    return tuple(int(c) for c in sympy.Matrix(rows).charpoly(T).all_coeffs())
-
-
-@pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23, 29, 31))
-def test_charpoly_matches_sympy_on_multiplication_matrices(p):
-    for element in (alternating_element(p), counting_element(p)):
-        mat = mul_matrix_even(element)
-        assert mat.charpoly() == _sympy_charpoly(mat.entries)
-
-
-_square = st.integers(1, 5).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
-)
-
-
-@given(rows=_square)
-@settings(max_examples=60, deadline=None)
-def test_charpoly_matches_sympy_property(rows):
-    mat = FusionMatrix(5, tuple(map(tuple, rows)))
-    assert mat.charpoly() == _sympy_charpoly(rows)
 
 
 @given(data=_pairs())

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +24,6 @@ from tqftdims.fusion import (
     galois_sum_total,
     hopf_certificate,
     mul_matrix_even,
-    qmatrix,
-    smatrix,
     total_via_matrix,
 )
 from tqftdims.recursion import dim_table
@@ -36,7 +33,8 @@ PRIMES = (5, 7, 11, 13)
 VERLINDE_PRIMES = tuple(p for p in range(5, 62) if is_prime(p)) + (101, 167)
 
 
-# -- oracles: ladder product, Bareiss determinant, twist Vandermonde matrix ----
+# -- oracles: ladder product, S and Q matrices with their termwise product,
+# -- Bareiss determinant, twist Vandermonde matrix ------------------------------
 
 
 def _product(x, y):
@@ -54,6 +52,43 @@ def _product(x, y):
 def _even_coords(x):
     """x's coordinates over the reordered basis e_0, e_2, ..., e_(2d-2)."""
     return tuple(x.coords[k] for k in even_basis_permutation(x.p))
+
+
+def _smatrix(p):
+    """S_ij = q^((2i+1)(2j+1)) - q^(-(2i+1)(2j+1)) with q = zeta_p, built
+    entry by entry; the claims read this formula without building S."""
+    d = (p - 1) // 2
+    return [
+        [monomial(p, (2 * i + 1) * (2 * j + 1)) - monomial(p, -(2 * i + 1) * (2 * j + 1))
+         for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def _qmatrix(p):
+    """Diagonal matrix of the z-eigenvalues -q^(2j+1) - q^(-(2j+1))."""
+    d = (p - 1) // 2
+    zero = CycNum.scalar(p, 0)
+    return [
+        [-(monomial(p, 2 * j + 1) + monomial(p, -(2 * j + 1))) if i == j else zero
+         for i in range(d)]
+        for j in range(d)
+    ]
+
+
+def _matmul(a, b):
+    """The termwise product of two square matrices of CycNum entries."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _scaled(p, rows, n):
+    """n times a matrix of integer entries, as CycNum entries."""
+    return [[CycNum.scalar(p, n * e) for e in row] for row in rows]
+
+
+def _identity(p):
+    d = (p - 1) // 2
+    return FusionMatrix(p, tuple(tuple(int(i == j) for i in range(d)) for j in range(d)))
 
 
 def _exact_quotient(num, adj, n):
@@ -160,7 +195,7 @@ def _column_matrix(x):
 @pytest.mark.parametrize("p", [p for p in range(5, 62) if cyclotomic.is_prime(p)])
 def test_one_walk_matrix_matches_column_build(p):
     for x in (alternating_element(p), counting_element(p), cheb_vector(p, 1)):
-        assert mul_matrix_even(x) == _column_matrix(x)
+        assert mul_matrix_even(x).entries == _column_matrix(x).entries
 
 
 @pytest.mark.parametrize("p", [13, 61, 101])
@@ -216,7 +251,6 @@ def test_frozen_p5_matrices():
     assert mul_matrix_even(counting_element(5)).entries == ((2, 1), (1, 3))
     m = mul_matrix_even(alternating_element(5))
     assert [m.apply(col) for col in ((2, -1), (-1, 1))] == [(5, -3), (-3, 2)]  # M^2 by columns
-    assert m.charpoly() == (1, -3, 1)
 
 
 def test_counting_element_is_sum_of_squares():
@@ -253,16 +287,16 @@ def test_route_input_validation():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_smatrix_squares_to_minus_p(p):
-    s = smatrix(p)
-    assert s * s == FusionMatrix.identity(p) * (-p)
+    s = _smatrix(p)
+    assert _matmul(s, s) == _scaled(p, _identity(p).entries, -p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_multiplication_by_z_diagonalizes(p):
     # M_z = -(1/p) S Q S, with every entry kept in Z[zeta_p]
-    lhs = mul_matrix_even(cheb_vector(p, 1)) * (-p)
-    rhs = smatrix(p) * qmatrix(p) * smatrix(p)
-    assert lhs == rhs
+    lhs = _scaled(p, mul_matrix_even(cheb_vector(p, 1)).entries, -p)
+    s = _smatrix(p)
+    assert lhs == _matmul(_matmul(s, _qmatrix(p)), s)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -303,11 +337,11 @@ def test_counting_eigenvalue_identity(p):
 @pytest.mark.parametrize("p", (5, 7))
 def test_smatrix_columns_are_eigenvectors(p):
     d = (p - 1) // 2
-    s = smatrix(p)
+    s = _smatrix(p)
     mat = mul_matrix_even(alternating_element(p))
     lam = alternating_eigenvalue(p)
     for j in range(d):
-        col = tuple(s.entries[i][j] for i in range(d))
+        col = tuple(s[i][j] for i in range(d))
         image = mat.apply(col)
         lam_j = galois(lam, 2 * j + 1)
         for i in range(d):
@@ -334,73 +368,11 @@ def test_eigenvalue_annihilates_characteristic(p):
         assert not _bareiss_det(shifted)
 
 
-def _chi_at(chi, x):
-    """Horner's rule for coefficients given leading one first."""
-    acc = x * 0
-    for c in chi:
-        acc = acc * x + c
-    return acc
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_charpoly_is_the_shifted_bareiss_determinant(p):
-    # det(M - x I) = (-1)^d chi(x) off the spectrum too: at x = lam_j + 1
-    # neither side vanishes, so the identity is not 0 == 0
-    d = (p - 1) // 2
-    mat = mul_matrix_even(alternating_element(p))
-    chi = mat.charpoly()
-    lam = alternating_eigenvalue(p)
-    for j in range(d):
-        x = galois(lam, 2 * j + 1) + 1
-        shifted = FusionMatrix(
-            p,
-            tuple(
-                tuple(CycNum.scalar(p, e) - (x if r == s else 0) for s, e in enumerate(row))
-                for r, row in enumerate(mat.entries)
-            ),
-        )
-        value = _chi_at(chi, x)
-        assert value
-        assert value * (-1) ** d == _bareiss_det(shifted)
-
-
 def test_eigenvalue_claim_fails_on_a_shifted_eigenvalue(monkeypatch):
     true_eigenvalue = alternating_eigenvalue
     monkeypatch.setattr(fusion, "alternating_eigenvalue", lambda p: true_eigenvalue(p) + 1)
-    for p in PRIMES:
+    for p in (*PRIMES, 61):
         assert claims.alternating_eigenvalues(p)[1] is False
-
-
-@st.composite
-def _integral_matrix_pairs(draw):
-    """Two n x n matrices of integral CycNum entries, each entry zero, one
-    monomial (zeta^(p-1) folds to a dense element) or dense."""
-    p = draw(st.sampled_from((5, 7, 11)))
-    n = draw(st.integers(1, 3))
-    coord = st.integers(-4, 4)
-    entry = st.one_of(
-        st.just([]),
-        st.tuples(st.integers(0, p - 1), coord).map(lambda kc: [0] * kc[0] + [kc[1]]),
-        st.lists(coord, min_size=p - 1, max_size=p),
-    )
-
-    def matrix():
-        rows = tuple(tuple(CycNum(p, draw(entry)) for _ in range(n)) for _ in range(n))
-        return FusionMatrix(p, rows)
-
-    return matrix(), matrix()
-
-
-@given(_integral_matrix_pairs())
-@settings(max_examples=40, deadline=None)
-def test_integral_cyclotomic_product_is_the_termwise_sum_property(pair):
-    a, b = pair
-    n, zero = a.size, CycNum.scalar(a.p, 0)
-    want = tuple(
-        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(n)), zero) for j in range(n))
-        for i in range(n)
-    )
-    assert (a * b).entries == want
 
 
 def test_bareiss_determinant_int_cases():
@@ -410,7 +382,7 @@ def test_bareiss_determinant_int_cases():
     assert _bareiss_det(singular) == 0
     needs_swap = FusionMatrix(7, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     assert _bareiss_det(needs_swap) == -1
-    ident = FusionMatrix.identity(11)
+    ident = _identity(11)
     assert _bareiss_det(ident) == 1
     assert _bareiss_det(FusionMatrix(7, ((2, 1, 0), (1, 2, 1), (0, 1, 2)))) == 4
 
@@ -428,24 +400,7 @@ def test_bareiss_determinant_cyclotomic_case():
 
 def test_matrix_shape_errors():
     with pytest.raises(ValueError):
-        FusionMatrix.identity(5) * FusionMatrix.identity(7)
-    with pytest.raises(ValueError):
-        FusionMatrix.identity(5).apply((1, 2, 3))
-    with pytest.raises(ValueError, match="integer entries"):
-        FusionMatrix(5, ((Fraction(1, 2), 0), (0, 1))).charpoly()
-
-
-def test_matrix_product_needs_cyclotomic_entries_of_its_order():
-    # one matrix product, over Z[zeta_p]: int entries take apply or charpoly
-    z = CycNum.scalar(5, 0)
-    ints = FusionMatrix(5, ((1, 0), (0, 1)))
-    cyc = FusionMatrix(5, ((z, z), (z, z)))
-    other_order = FusionMatrix(5, ((z, z), (z, CycNum.scalar(7, 0))))
-    mixed = FusionMatrix(5, ((z, 1), (z, z)))
-    for a, b in ((ints, ints), (ints, cyc), (cyc, ints), (cyc, other_order), (mixed, cyc)):
-        with pytest.raises(ValueError, match="CycNum entries"):
-            a * b
-    assert (cyc * cyc).entries == cyc.entries
+        _identity(5).apply((1, 2, 3))
 
 
 def test_hopf_vandermonde_first_row():
@@ -702,6 +657,84 @@ def _flip_entry(monkeypatch, x, k, j):
     monkeypatch.setattr(fusion, "mul_matrix_even", build)
 
 
+S_CLAIMS = (claims.s_matrix_square, claims.z_diagonalization, claims.alternating_eigenvalues)
+
+
+@pytest.mark.parametrize("p", VERLINDE_PRIMES)
+def test_s_matrix_claims_hold_up_to_the_hopf_bound(p):
+    for claim in S_CLAIMS:
+        assert claim(p)[1] is True, claim.__name__
+
+
+@pytest.mark.parametrize("p", VERLINDE_PRIMES)
+def test_counting_matrix_has_the_same_eigenvector(monkeypatch, p):
+    # column 0 of S is an eigenvector of the counting matrix too, with
+    # eigenvalue lambda_count: the eigenvalue claim's check on that pair
+    monkeypatch.setattr(fusion, "alternating_element", counting_element)
+    monkeypatch.setattr(fusion, "alternating_eigenvalue", counting_eigenvalue)
+    assert claims.alternating_eigenvalues(p)[1] is True
+
+
+def _plant_counting_eigenvalue(monkeypatch, p):
+    monkeypatch.setattr(fusion, "alternating_eigenvalue", counting_eigenvalue)
+
+
+def _plant_flipped_z_entry(monkeypatch, p):
+    _flip_entry(monkeypatch, cheb_vector(p, 1), 1, 2)
+
+
+def _plant_shifted_exponent(monkeypatch, p):
+    """A fault in S's formula: a_1 = 3 becomes 5."""
+    true_exponents = claims._exponents
+
+    def shifted(p):
+        a = true_exponents(p)
+        a[1] += 2
+        return a
+
+    monkeypatch.setattr(claims, "_exponents", shifted)
+
+
+@pytest.mark.parametrize("p", (7, 13, 61))
+@pytest.mark.parametrize(
+    "claim,plant",
+    [
+        (claims.alternating_eigenvalues, _plant_counting_eigenvalue),
+        (claims.z_diagonalization, _plant_flipped_z_entry),
+        (claims.s_matrix_square, _plant_shifted_exponent),
+    ],
+    ids=["counting-eigenvalue", "flipped-z-entry", "shifted-exponent"],
+)
+def test_s_matrix_claims_fail_on_planted_faults(monkeypatch, claim, plant, p):
+    assert claim(p)[1] is True
+    plant(monkeypatch, p)
+    assert claim(p)[1] is False
+
+
+@pytest.mark.parametrize("claim", S_CLAIMS)
+@pytest.mark.parametrize("p", (4, 9, 7.0))
+def test_s_matrix_claims_refuse_a_non_prime(claim, p):
+    with pytest.raises(ValueError, match="p must be a prime >= 5"):
+        claim(p)
+
+
+def test_s_matrix_claims_build_no_s_and_multiply_no_cycnum(monkeypatch):
+    # S's formula is read as exponents: no matrix over Z[zeta_p], and no
+    # ring product, is formed
+    def refuse(*args):
+        raise AssertionError("a claim multiplied in Z[zeta_p]")
+
+    for name in ("smatrix", "qmatrix"):
+        assert not hasattr(fusion, name)
+    for name in ("__mul__", "charpoly", "identity"):
+        assert not hasattr(FusionMatrix, name)
+    for name in ("__mul__", "__pow__", "__add__", "__sub__"):
+        monkeypatch.setattr(CycNum, name, refuse)
+    for p in (5, 13, 61):
+        for claim in S_CLAIMS:
+            assert claim(p)[1] is True
+
+
 @pytest.mark.parametrize("p", (5, 7))
 def test_structure_constant_claim_fails_on_any_flipped_entry(monkeypatch, p):
     # the claim reads every entry of the matrix of every e_(2i)
@@ -865,8 +898,8 @@ def test_eigenvalue_claim_and_counting_eigenvalue_run_no_bareiss_or_inverse(
 
 
 def test_eigenvalue_claim_applies_no_galois_map(cold_fusion, monkeypatch):
-    # chi has integer coefficients, so one evaluation at lambda decides
-    # every conjugate: the claim applies no Galois map at all
+    # M is integral, so one eigenvector at lambda decides every conjugate:
+    # the claim applies no Galois map at all
     def refuse(*args):
         raise AssertionError("the eigenvalue claim applied a Galois map")
 

@@ -19,7 +19,7 @@ import pytest
 
 import tqftdims
 from tqftdims import cli, fusion, polylab, recursion
-from tqftdims.fusion import FusionMatrix, HopfCertificate
+from tqftdims.fusion import HopfCertificate
 from tqftdims.recursion import DimTable
 
 MODULES = sorted(
@@ -129,7 +129,7 @@ def _records() -> list:
     """One of each record, as the program builds it."""
     return [
         fusion.cheb_vector(7, 2),
-        fusion.smatrix(5),
+        fusion.mul_matrix_even(fusion.alternating_element(5)),
         fusion.hopf_certificate(7),
         recursion.dim_table(5, 2),
         polylab.conjecture_scan(2),
@@ -137,13 +137,6 @@ def _records() -> list:
 
 
 def test_records_that_callers_compare_compare_by_fields():
-    m = FusionMatrix(5, ((1, 2), (3, 4)))
-    assert m == FusionMatrix(5, ((1, 2), (3, 4)))
-    assert m != FusionMatrix(5, ((1, 2), (3, 5)))
-    assert m != FusionMatrix(7, ((1, 2), (3, 4)))
-    assert m != (5, ((1, 2), (3, 4)))
-    s = fusion.smatrix(5)
-    assert s * s == FusionMatrix.identity(5) * -5
     cert = HopfCertificate(p=7, valuation=3, unit_norm=1)
     assert (cert.p, cert.valuation, cert.unit_norm) == (7, 3, 1)
     assert cert == HopfCertificate(7, 3, 1) == fusion.hopf_certificate(7)
@@ -152,6 +145,14 @@ def test_records_that_callers_compare_compare_by_fields():
     assert t == DimTable(5, 3, t.even, t.odd)
     assert t != DimTable(5, 3, t.odd, t.even)
     assert recursion.dim_table(5, 2) != t
+
+
+def test_elements_and_matrices_compare_by_identity():
+    # no caller compares them whole; the tests compare coords and entries
+    for record in _records()[:2]:
+        twin = type(record)(*(getattr(record, name) for name in record.__slots__))
+        assert record == record and record != twin
+        assert twin._fields() == record._fields()
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
@@ -255,7 +256,6 @@ VERIFY_MISSES = {
     "fusion._eigenvalue_power": 32,
     "fusion._power_ladder": 8,
     "fusion.even_basis_permutation": 4,
-    "fusion.smatrix": 4,
     "polylab._interpolate": 6,
     "polylab.bernoulli": 23,
     "recursion._ladder": 18,

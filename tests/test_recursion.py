@@ -207,6 +207,20 @@ def test_bounds_checked():
         delta_direct(5, 0)
 
 
+@pytest.mark.parametrize("args,error", [((13.0, 2), ValueError), ((13, 2.0), TypeError)])
+def test_bad_table_request_raises_the_same_cold_and_warm(args, error):
+    # the cache is typed: a cached (13, 2) must not answer (13.0, 2) or (13, 2.0)
+    recursion.dim_table.cache_clear()
+    try:
+        with pytest.raises(error):
+            dim_table(*args)
+        dim_table(13, 2)
+        with pytest.raises(error):
+            dim_table(*args)
+    finally:
+        recursion.dim_table.cache_clear()
+
+
 @given(
     p=st.sampled_from(PRIMES_TO_61),
     g=st.integers(min_value=1, max_value=11),
