@@ -119,6 +119,12 @@ FLOAT_GUARD_TERMS = 10**7
 #: `verify`: `verify --p-list 167` is accepted and runs for about 13 s, nearly
 #: all of it the fusion suite (2-core x86-64, Python 3.11).
 HOPF_GUARD_P = 167
+#: Largest genus `poly` computes without --force, per method: about 1 s in
+#: process each (best of 3, shared 2-core x86-64, Python 3.11).
+#: `interpolate_total` took 0.76 s at g = 25 and 1.53 s at 30 (the delta fit,
+#: 0.26 s at 25, is cheaper), and `residue_total_poly` 0.89 s at g = 125 and
+#: 1.34 s at 140.  Nothing bounds either run but the genus.
+POLY_GUARD_G = {"interpolate": 25, "residue": 125}
 
 
 def _dims_digits(p: int, gmax: int) -> tuple[float, float]:
@@ -265,9 +271,13 @@ def _cmd_census(ns) -> int:
 
 
 def _cmd_poly(ns) -> int:
+    if ns.method == "residue" and ns.emit != "D":
+        raise ValueError("the residue route only produces the total-count polynomial")
+    # The guard runs before any fit or series; a genus below 1 is still
+    # invalid input, which the routes reject.
+    if ns.g > POLY_GUARD_G[ns.method]:
+        _guard(ns, f"g={ns.g} exceeds {POLY_GUARD_G[ns.method]} for --method {ns.method}")
     if ns.method == "residue":
-        if ns.emit != "D":
-            raise ValueError("the residue route only produces the total-count polynomial")
         poly = polylab.residue_total_poly(ns.g)
     elif ns.emit == "delta":
         poly = polylab.interpolate_delta(ns.g)
@@ -377,6 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--emit", choices=("delta", "D"), required=True)
     p_poly.add_argument("--method", choices=("interpolate", "residue"), default="interpolate")
     p_poly.add_argument("--format", choices=("text", "json"), default="text")
+    p_poly.add_argument("--force", action="store_true", help="override the size guard")
     p_poly.set_defaults(func=_cmd_poly)
 
     p_verify = sub.add_parser("verify", help="run cross-checks, report PASS/FAIL")

@@ -9,10 +9,14 @@ leading-term structure against closed Bernoulli forms.
 
 The interpolation builds one integer Lagrange basis per node set (the
 colors, then the fit primes), reads each prime's table once, and stays in
-integer numerators until the last step.  The arithmetic is exact and in
-integers throughout: interpolation, evaluation at integer points and the
-residue polynomial work on integer numerators over one common denominator,
-and Fraction appears only at the interface, one per coefficient returned.
+integer numerators until the last step.  Everything here computes on
+integers: a BiPoly holds integer numerators over one denominator, the
+Bernoulli numbers come from an integer recurrence for B_k (k + 1)!, and the
+fits, the residue polynomial and the leading-term forms hand their integer
+numerators to one BiPoly each.  Fraction appears only at the interface:
+where a coefficient leaves the module (BiPoly.monomials, coefficient, eval,
+canonical_str, to_json_obj, bernoulli and normalized_bernoulli) and where a
+caller passes one in (BiPoly({...}), BiPoly.const, a Fraction operand).
 Nothing here touches floats.
 """
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
 from .cyclotomic import Record, is_prime
@@ -43,9 +48,6 @@ __all__ = [
     "residue_total_poly",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class InterpolationError(ValueError):
     """Raised when an interpolant misses a held-out count."""
@@ -59,21 +61,40 @@ class LeadingTermError(AssertionError):
 
 
 # Unbounded: the keys are exactly 0..k for the largest k asked for, and the
-# recursion re-reads all of them, so any smaller bound makes it exponential.
+# recurrence re-reads all of them, so any smaller bound makes it exponential.
+# The Fraction it returns is the cache's only copy of B_k: _bern_num reads
+# the integer B_k (k + 1)! back from it, so no second table is kept.
 @lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k in the convention t/(e^t - 1) = sum B_k t^k / k!,
-    so B_1 = -1/2 and B_k = 0 for odd k >= 3."""
+    so B_1 = -1/2 and B_k = 0 for odd k >= 3.
+
+    N_k = B_k (k + 1)! is an integer: by von Staudt-Clausen the denominator
+    of B_k is the product of the primes p with p - 1 | k, all at most k + 1.
+    sum_{j<=n} C(n + 1, j) B_j = 0 times n! gives the integer recurrence
+    N_n = -sum_{j<n} C(n + 1, j) N_j n!/(j + 1)!, and B_k = N_k / (k + 1)!.
+    """
     if k < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if k == 0:
-        return _ONE
+        return Fraction(1)
     if k % 2 and k > 1:
-        return _ZERO
-    acc = _ZERO
+        return Fraction(0)
+    # N_j k!/(j + 1)! = B_j k!, and B_j's denominator divides k!.  Ascending j,
+    # so each miss finds every smaller index cached: the depth stays 2.
+    top = math.factorial(k)
+    acc = 0
     for j in range(k):
-        acc += math.comb(k + 1, j) * bernoulli(j)
-    return -acc / (k + 1)
+        b = bernoulli(j)
+        if b:
+            acc += math.comb(k + 1, j) * b.numerator * (top // b.denominator)
+    return Fraction(-acc, top * (k + 1))
+
+
+def _bern_num(k: int) -> int:
+    """The integer N_k = B_k (k + 1)!."""
+    b = bernoulli(k)
+    return b.numerator * (math.factorial(k + 1) // b.denominator)
 
 
 def normalized_bernoulli(n: int) -> Fraction:
@@ -81,18 +102,20 @@ def normalized_bernoulli(n: int) -> Fraction:
     equals zeta(2n) / (2 pi)^(2n).  Examples: 1/24, 1/1440, 1/60480, ..."""
     if n < 1:
         raise ValueError("index must be >= 1")
-    return Fraction((-1) ** (n + 1), 2) * bernoulli(2 * n) / math.factorial(2 * n)
+    den = 2 * math.factorial(2 * n) * math.factorial(2 * n + 1)
+    return Fraction((-1) ** (n + 1) * _bern_num(2 * n), den)
 
 
 def bern_identity_check(g: int) -> bool:
-    """sum_{k=0}^{2g+2} 2^k (2^k - 1) C(2g+2, k) B_k == 0."""
+    """sum_{k=0}^{2g+2} 2^k (2^k - 1) C(2g+2, k) B_k == 0, summed on the
+    numerators N_k over (2g + 3)!, a multiple of every (k + 1)!."""
     if g < 0:
         raise ValueError("g must be >= 0")
     n = 2 * g + 2
-    acc = _ZERO
-    for k in range(n + 1):
-        acc += (2**k) * (2**k - 1) * math.comb(n, k) * bernoulli(k)
-    return acc == 0
+    top = math.factorial(n + 1)
+    terms = (2**k * (2**k - 1) * math.comb(n, k) * _bern_num(k) * (top // math.factorial(k + 1))
+             for k in range(n + 1))
+    return sum(terms) == 0
 
 
 # -- exact bivariate polynomials ----------------------------------------------
@@ -102,6 +125,20 @@ def _sort_key(ij):
     return (-(ij[0] + ij[1]), -ij[0])
 
 
+def _power(name: str, e: int) -> str:
+    return "" if e == 0 else name if e == 1 else f"{name}^{e}"
+
+
+def _lowest(nums: dict, den: int) -> tuple[dict, int]:
+    """nums / den in lowest terms: zero numerators dropped, then one gcd of
+    den with every numerator divided out.  den must be positive."""
+    nums = {ij: n for ij, n in nums.items() if n}
+    g = math.gcd(den, *nums.values())
+    if g > 1:
+        nums = {ij: n // g for ij, n in nums.items()}
+    return nums, den // g
+
+
 class BiPoly:
     """Polynomial in P (prime) and C (half-color) over exact rationals.
 
@@ -109,36 +146,44 @@ class BiPoly:
     with other BiPoly and with int or Fraction constants (on the right of -),
     and ** to exponents n >= 0.  Instances are immutable but not hashable,
     and every instance is truthy: test the zero polynomial with `== 0`.
+
+    The coefficients are integer numerators over one positive denominator,
+    in lowest terms: no numerator is zero, and the gcd of the denominator
+    with all numerators is 1.  That form is unique, so == compares it.
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("_m", "_d")
 
     def __init__(self, monomials=None) -> None:
-        m = {}
-        if monomials:
-            for (i, j), q in monomials.items():
-                q = Fraction(q)
-                if q:
-                    m[(int(i), int(j))] = q
-        self._m = m
+        qs = {(int(i), int(j)): Fraction(q) for (i, j), q in (monomials or {}).items()}
+        den = math.lcm(*(q.denominator for q in qs.values()))
+        nums = {ij: q.numerator * (den // q.denominator) for ij, q in qs.items()}
+        self._m, self._d = _lowest(nums, den)
+
+    @classmethod
+    def _of(cls, nums: dict, den: int) -> "BiPoly":
+        """sum nums[i, j] P^i C^j / den, for integer nums and den > 0."""
+        self = object.__new__(cls)
+        self._m, self._d = _lowest(nums, den)
+        return self
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def const(cls, q) -> "BiPoly":
-        return cls({(0, 0): Fraction(q)})
+        return cls({(0, 0): q})
 
     @classmethod
     def var_c(cls) -> "BiPoly":
-        return cls({(0, 1): _ONE})
+        return cls._of({(0, 1): 1}, 1)
 
     # -- inspection ----------------------------------------------------------
 
     def monomials(self) -> dict:
-        return dict(self._m)
+        return {ij: Fraction(n, self._d) for ij, n in self._m.items()}
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self._m.get((i, j), _ZERO)
+        return Fraction(self._m.get((i, j), 0), self._d)
 
     def total_degree(self) -> int:
         return max((i + j for i, j in self._m), default=-1)
@@ -147,29 +192,37 @@ class BiPoly:
         return max((i for i, _ in self._m), default=-1)
 
     def homogeneous_part(self, n: int) -> "BiPoly":
-        return BiPoly({ij: q for ij, q in self._m.items() if ij[0] + ij[1] == n})
+        return BiPoly._of({ij: q for ij, q in self._m.items() if ij[0] + ij[1] == n}, self._d)
 
     def p_coefficient(self, i: int) -> "BiPoly":
         """Coefficient of P^i, as a polynomial in C alone."""
-        return BiPoly({(0, j): q for (ii, j), q in self._m.items() if ii == i})
+        return BiPoly._of({(0, j): q for (ii, j), q in self._m.items() if ii == i}, self._d)
 
     def subs_c(self, value) -> "BiPoly":
-        """Substitute a rational for C."""
+        """Substitute a rational a/b for C, over the denominator den b^top."""
         value = Fraction(value)
+        a, b = value.numerator, value.denominator
+        top = max((j for _, j in self._m), default=0)
         out: dict = {}
-        for (i, j), q in self._m.items():
-            out[(i, 0)] = out.get((i, 0), _ZERO) + q * value**j
-        return BiPoly(out)
+        for (i, j), n in self._m.items():
+            out[i, 0] = out.get((i, 0), 0) + n * a**j * b ** (top - j)
+        return BiPoly._of(out, self._d * b**top)
 
     def eval(self, p_value, c_value) -> Fraction:
-        """The value at int or Fraction points, summed on integer numerators
-        over the lcm of the coefficient denominators."""
-        den = math.lcm(*(q.denominator for q in self._m.values()))
+        """The value at int or Fraction points a/b and e/f, summed on integer
+        numerators n_ij a^i b^(I-i) e^j f^(J-j) over den b^I f^J, where I and
+        J are the degrees in P and C."""
+        if not isinstance(p_value, (int, Fraction)) or not isinstance(c_value, (int, Fraction)):
+            raise TypeError("BiPoly.eval takes int or Fraction points")
+        a, b = p_value.numerator, p_value.denominator
+        e, f = c_value.numerator, c_value.denominator
+        top_i = max((i for i, _ in self._m), default=0)
+        top_j = max((j for _, j in self._m), default=0)
         num = sum(
-            q.numerator * (den // q.denominator) * p_value**i * c_value**j
-            for (i, j), q in self._m.items()
+            n * a**i * b ** (top_i - i) * e**j * f ** (top_j - j)
+            for (i, j), n in self._m.items()
         )
-        return Fraction(num, den)
+        return Fraction(num, self._d * b**top_i * f**top_j)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -177,14 +230,16 @@ class BiPoly:
         if isinstance(other, BiPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return BiPoly.const(other)
+            return BiPoly._of({(0, 0): other.numerator}, other.denominator)
         return None
 
     def _add(self, o: "BiPoly", sign: int) -> "BiPoly":
-        out = dict(self._m)
-        for ij, q in o._m.items():
-            out[ij] = out.get(ij, _ZERO) + sign * q
-        return BiPoly(out)
+        den = math.lcm(self._d, o._d)
+        scale, other_scale = den // self._d, sign * (den // o._d)
+        out = {ij: n * scale for ij, n in self._m.items()}
+        for ij, n in o._m.items():
+            out[ij] = out.get(ij, 0) + n * other_scale
+        return BiPoly._of(out, den)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -205,18 +260,18 @@ class BiPoly:
         if o is None:
             return NotImplemented
         out: dict = {}
-        for (i1, j1), q1 in self._m.items():
-            for (i2, j2), q2 in o._m.items():
+        for (i1, j1), n1 in self._m.items():
+            for (i2, j2), n2 in o._m.items():
                 key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, _ZERO) + q1 * q2
-        return BiPoly(out)
+                out[key] = out.get(key, 0) + n1 * n2
+        return BiPoly._of(out, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = BiPoly.const(1)
+        result = BiPoly._of({(0, 0): 1}, 1)
         for _ in range(n):
             result = result * self
         return result
@@ -227,7 +282,7 @@ class BiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._m == o._m
+        return self._d == o._d and self._m == o._m
 
     def __repr__(self):
         return f"BiPoly({self.canonical_str()})"
@@ -239,36 +294,24 @@ class BiPoly:
             return "(0)"
         parts = []
         for i, j in sorted(self._m, key=_sort_key):
-            q = self._m[(i, j)]
-            coeff = f"({q.numerator})" if q.denominator == 1 else f"({q})"
-            body = ""
-            if j == 1:
-                body += "C"
-            elif j > 1:
-                body += f"C^{j}"
-            if i == 1:
-                body += "P"
-            elif i > 1:
-                body += f"P^{i}"
-            parts.append(coeff + body)
+            parts.append(f"({Fraction(self._m[i, j], self._d)})" + _power("C", j) + _power("P", i))
         return " + ".join(parts)
 
     def to_json_obj(self) -> dict:
         """JSON form: {"monomials": [{"p": i, "c": j, "num": n, "den": d}, ...]}."""
-        return {
-            "monomials": [
-                {
-                    "p": i,
-                    "c": j,
-                    "num": self._m[(i, j)].numerator,
-                    "den": self._m[(i, j)].denominator,
-                }
-                for i, j in sorted(self._m, key=_sort_key)
-            ]
-        }
+        out = []
+        for i, j in sorted(self._m, key=_sort_key):
+            q = Fraction(self._m[i, j], self._d)
+            out.append({"p": i, "c": j, "num": q.numerator, "den": q.denominator})
+        return {"monomials": out}
 
 
 # -- residue construction of the total-count polynomial -----------------------
+
+
+def _times_y(poly: list) -> list:
+    """The ascending C-coefficients of poly (2C + 1); [0] for poly = []."""
+    return [lo + 2 * hi for lo, hi in zip(poly + [0], [0] + poly)]
 
 
 def residue_total_poly(g: int) -> BiPoly:
@@ -281,43 +324,52 @@ def residue_total_poly(g: int) -> BiPoly:
     integer pass.  h = (t/sinh t)^(2g-1) is s^e for s = sinh t / t =
     sum u^k / (2k+1)! in u = t^2 and e = 1 - 2g.  Its u-coefficients come from
     J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) in O(g^2)
-    steps: n h_n = sum_{k=1}^n ((e+1)k - n) s_k h_(n-k).  Each h_n is exact,
-    and R reads only h_0..h_(g-1): the sum over i + j + 2k = 2g - 2 (j even,
-    hence i even) of a_i b_j h_k, with a_i = B_i (2P)^i / i! and
-    b_j = (2C+1)^j / (j+1)!.  Both terms then sit on integer numerators over
-    one denominator, and Fraction appears once per monomial.
+    steps: n h_n = sum_{k=1}^n ((e+1)k - n) s_k h_(n-k).  R reads only
+    h_0..h_(g-1): the sum over i + j + 2k = 2g - 2 (j even, hence i even) of
+    a_i b_j h_k, with a_i = B_i (2P)^i / i! and b_j = (2C+1)^j / (j+1)!.
+
+    The recurrence runs on the integers H_n = h_n (3n)!.  The series
+    sum a_k u^k / (3k)! with integer a_k form a ring, since
+    (3i)! (3j)! | (3i + 3j)!, and s lies in it with constant term 1, since
+    (2k + 1)! | (3k)!; so s^e does too, every H_n is an integer, and
+    n H_n = sum_k ((e+1)k - n) (3n)! / ((2k+1)! (3n-3k)!) H_(n-k), whose
+    factorial ratio is the integer C(3n, 3k) (3k)!/(2k+1)!, divides by n
+    exactly.  With B_i = N_i / (i+1)!, each R term has the denominator
+    (i+1)! i! (3k)! (j+1)!, which divides (3g - 1)! (2g - 2)!, because
+    (i+1)! (j+1)! (3k)! | (i + j + 3k + 2)! and i + j + 3k + 2 <= 3g - 1.
+    Both terms then sit on integer numerators over one denominator, and the
+    BiPoly takes them as they are.
     """
     if g < 2:
         raise ValueError("residue construction requires g >= 2")
     e = 1 - 2 * g
-    h = [_ONE]
+    top = 2 * g - 2
+    fact = list(accumulate(range(1, 3 * g), mul, initial=1))  # fact[n] = n!
+    h = [1]  # H_n = h_n (3n)!
     for n in range(1, g):
         acc = sum(
-            Fraction((e + 1) * k - n, math.factorial(2 * k + 1)) * h[n - k]
+            ((e + 1) * k - n) * (fact[3 * n] // (fact[2 * k + 1] * fact[3 * n - 3 * k])) * h[n - k]
             for k in range(1, n + 1)
         )
-        h.append(acc / n)
-    top = 2 * g - 2
-    terms = {}
-    for i in range(0, top + 1, 2):
-        a = bernoulli(i) * 2**i / math.factorial(i)
-        for j in range(0, top - i + 1, 2):
-            terms[i, j] = a * h[(top - i - j) // 2] / math.factorial(j + 1)
+        h.append(acc // n)
+    wide = fact[3 * g - 1]
     # (2g-2)! binom(C + g - 1, 2g - 2) = prod (C + r), r = g - 1 .. 2 - g, ascending in C
     binom = [1]
     for r in range(g - 1, 1 - g, -1):
         binom = [r * lo + hi for lo, hi in zip(binom + [0], [0] + binom)]
-    fact = math.factorial(top)
-    scale = 4 ** (g - 1)
-    den = math.lcm(fact, scale * math.lcm(*(w.denominator for w in terms.values())))
-    num = {(g, l): -b * (den // fact) for l, b in enumerate(binom)}
-    for (i, j), w in terms.items():
-        # w (2C+1)^(j+1) P^(g-1+i), expanded over den
-        w = w.numerator * (den // (scale * w.denominator))
-        for l in range(j + 2):
-            num[g - 1 + i, l] = num.get((g - 1 + i, l), 0) + (w * math.comb(j + 1, l) << l)
-    sign = (-1) ** g
-    return BiPoly({il: Fraction(sign * q, 2 * den) for il, q in num.items()})
+    scale, sign = 4 ** (g - 1), (-1) ** g
+    num = {(g, l): -sign * b * scale * wide for l, b in enumerate(binom)}
+    for i in range(0, top + 1, 2):
+        a = sign * _bern_num(i) * 2**i * (fact[top] // fact[i])
+        # sum_j w_ij (2C+1)^(j+1) P^(g-1+i) by Horner's rule in 2C+1, where w_ij is
+        # R's term over (3g - 1)! (2g - 2)!: N_i 2^i H_k (3g-1)! (2g-2)! / ((i+1)! i! (3k)! (j+1)!)
+        poly = []
+        for j in range(top - i, -1, -2):
+            k = (top - i - j) // 2
+            poly = _times_y(_times_y(poly))
+            poly[0] += a * h[k] * (wide // (fact[i + 1] * fact[j + 1] * fact[3 * k]))
+        num.update(((g - 1 + i, l), q) for l, q in enumerate(_times_y(poly)))
+    return BiPoly._of(num, 2 * scale * wide * fact[top])
 
 
 # -- exact interpolation from recursion tables --------------------------------
@@ -392,39 +444,37 @@ def _interpolate(g: int, deg: int, kind: str) -> BiPoly:
     c = 0..deg and the fit primes, each built once by _lagrange_rows.  Stage
     one turns each prime's counts into C-coefficient numerators over W_c,
     stage two turns each column of those into P-coefficient numerators over
-    W_c W_p; both stay in integers, and Fraction appears once per monomial.
-    Each prime's table is read once.
+    W_c W_p; both stay in integers, and the BiPoly takes the numerators over
+    W_c W_p as they are.  Each prime's table is read once, as its genus-g
+    even and odd rows.
     """
     # every fit prime must admit c = 0..deg, i.e. (p-3)/2 >= deg
     fit = [_next_prime(max(4 * g + 3, 2 * deg + 3) - 1)]
     while len(fit) < deg + 1:
         fit.append(_next_prime(fit[-1]))
     probe = _next_prime(fit[-1])
-    tables = {p: dim_table(p, g) for p in (*fit, probe)}
+    sign = 1 if kind == "total" else -1
+    tables = ((p, dim_table(p, g)) for p in (*fit, probe))
+    # p -> the genus-g counts of `kind` at every color, from two row reads
+    counts = {p: [e + sign * o for e, o in zip(t.even[g - 1], t.odd[g - 1])] for p, t in tables}
 
     c_rows, w_c = _lagrange_rows(range(deg + 1))
     p_rows, w_p = _lagrange_rows(fit)
     # by_prime[m][j]: W_c times the C^j coefficient of the fit at prime fit[m]
-    by_prime = []
-    for p in fit:
-        read = getattr(tables[p], kind)
-        ys = [read(g, c) for c in range(deg + 1)]
-        by_prime.append([sum(map(mul, ys, row)) for row in c_rows])
-    den = w_c * w_p
-    mono: dict = {}
-    for j, column in enumerate(zip(*by_prime)):
-        for i, row in enumerate(p_rows):
-            num = sum(map(mul, column, row))
-            if num:
-                mono[(i, j)] = Fraction(num, den)
-    poly = BiPoly(mono)
+    by_prime = [[sum(map(mul, counts[p], row)) for row in c_rows] for p in fit]
+    mono = {
+        (i, j): sum(map(mul, column, row))
+        for j, column in enumerate(zip(*by_prime))
+        for i, row in enumerate(p_rows)
+    }
+    poly = BiPoly._of(mono, w_c * w_p)
 
     # fit holds deg + 1 distinct odd primes >= 2 deg + 3 (7 and 11 when deg = 1),
     # so fit[-1] >= 2 deg + 7 admits the colors deg + 1 and deg + 2
     held = [(probe, 0), (probe, 1), (probe, 2), (fit[-1], deg + 1), (fit[-1], deg + 2)]
     for p, c in held:
         got = poly.eval(p, c)
-        want = getattr(tables[p], kind)(g, c)
+        want = counts[p][c]
         if got != want:
             raise InterpolationError(
                 f"held-out validation failed for {kind} at (p={p}, c={c}): "
@@ -438,40 +488,43 @@ def _interpolate(g: int, deg: int, kind: str) -> BiPoly:
 
 def delta_leading_form(g: int) -> BiPoly:
     """Top homogeneous part (degree 2g - 1) of the signed-count polynomial:
-    (-1)^(g-1) sum_{k=1}^{2g} 2 (2^k - 1) (B_k / k!) (C^(2g-k) / (2g-k)!) P^(k-1)."""
+    (-1)^(g-1) sum_{k=1}^{2g} 2 (2^k - 1) (B_k / k!) (C^(2g-k) / (2g-k)!) P^(k-1).
+
+    With B_k = N_k / (k+1)!, the k-th term has the denominator
+    (k+1)! k! (2g-k)!, which divides (2g + 1)! (2g)!: one integer numerator
+    per monomial over that."""
     if g < 1:
         raise ValueError("genus must be >= 1")
-    sign = Fraction((-1) ** (g - 1))
-    acc = BiPoly()
-    for k in range(1, 2 * g + 1):
-        q = (
-            sign
-            * 2
-            * (2**k - 1)
-            * bernoulli(k)
-            / math.factorial(k)
-            / math.factorial(2 * g - k)
-        )
-        acc = acc + BiPoly({(k - 1, 2 * g - k): q})
-    return acc
+    n = 2 * g
+    sign = (-1) ** (g - 1)
+    wide = math.factorial(n + 1)
+    mono = {
+        (k - 1, n - k): sign * 2 * (2**k - 1) * _bern_num(k) * math.comb(n, k)
+        * (wide // math.factorial(k + 1))
+        for k in range(1, n + 1)
+    }
+    return BiPoly._of(mono, math.factorial(n) * wide)
 
 
 def half_total_top_form(g: int) -> BiPoly:
     """The two top homogeneous layers (degrees 3g - 2 and 3g - 3) shared by the
     even and odd counts for g >= 3:
-    ((-1)^g / 4) sum_{k=0}^{2g-2} (B_k/k!) (C^(2g-2-k)/(2g-2-k)!) (1 + 2C/(2g-1-k)) P^(g-1+k)."""
+    ((-1)^g / 4) sum_{k=0}^{2g-2} (B_k/k!) (C^(2g-2-k)/(2g-2-k)!) (1 + 2C/(2g-1-k)) P^(g-1+k).
+
+    With m = 2g - 2 and B_k = N_k / (k+1)!, the two terms of each k have the
+    denominators 4 (k+1)! k! (m-k)! and 2 (k+1)! k! (m+1-k)!, which divide
+    4 ((m+1)!)^2: one integer numerator per monomial over that."""
     if g < 3:
         raise ValueError("shared top form needs g >= 3")
-    acc = BiPoly()
-    sign = Fraction((-1) ** g, 4)
-    for k in range(2 * g - 1):
-        base = sign * bernoulli(k) / math.factorial(k) / math.factorial(2 * g - 2 - k)
-        if not base:
-            continue
-        me = BiPoly({(g - 1 + k, 2 * g - 2 - k): base})
-        tail = BiPoly({(g - 1 + k, 2 * g - 1 - k): base * Fraction(2, 2 * g - 1 - k)})
-        acc = acc + me + tail
-    return acc
+    m = 2 * g - 2
+    sign = (-1) ** g
+    wide = math.factorial(m + 1)
+    mono = {}
+    for k in range(m + 1):
+        w = sign * _bern_num(k) * (wide // math.factorial(k + 1))
+        mono[g - 1 + k, m - k] = w * (m + 1) * math.comb(m, k)
+        mono[g - 1 + k, m + 1 - k] = 2 * w * math.comb(m + 1, k)
+    return BiPoly._of(mono, 4 * wide * wide)
 
 
 def leading_term_report(g: int) -> dict[str, bool]:
@@ -491,8 +544,9 @@ def leading_term_report(g: int) -> dict[str, bool]:
 
     dpoly = interpolate_delta(g)
     tpoly = interpolate_total(g)
-    epoly = (tpoly + dpoly) * Fraction(1, 2)
-    opoly = (tpoly - dpoly) * Fraction(1, 2)
+    half = Fraction(1, 2)
+    epoly = (tpoly + dpoly) * half
+    opoly = (tpoly - dpoly) * half
 
     claim("signed count has total degree 2g-1", dpoly.total_degree() == 2 * g - 1)
     claim("total count has total degree 3g-2", tpoly.total_degree() == 3 * g - 2)
@@ -504,7 +558,8 @@ def leading_term_report(g: int) -> dict[str, bool]:
         "signed top layer matches the Bernoulli form",
         dpoly.homogeneous_part(2 * g - 1) == delta_leading_form(g),
     )
-    lead = BiPoly.const(4 * (2 ** (2 * g) - 1) * normalized_bernoulli(g))
+    lead = normalized_bernoulli(g)
+    lead = BiPoly._of({(0, 0): 4 * (2 ** (2 * g) - 1) * lead.numerator}, lead.denominator)
     claim(
         "signed P-leading coefficient is 4(2^(2g)-1) times the normalized Bernoulli number",
         dpoly.p_coefficient(2 * g - 1) == lead,
@@ -521,20 +576,19 @@ def leading_term_report(g: int) -> dict[str, bool]:
         )
     else:
         top = half_total_top_form(g)
+        half_total = tpoly * half
         for n in (3 * g - 2, 3 * g - 3):
+            layer = top.homogeneous_part(n)
             claim(
                 f"even/odd counts share the half-total layer of degree {n}",
-                epoly.homogeneous_part(n) == top.homogeneous_part(n)
-                and opoly.homogeneous_part(n) == top.homogeneous_part(n),
+                epoly.homogeneous_part(n) == layer and opoly.homogeneous_part(n) == layer,
             )
         claim(
             "half of the total matches the shared top layers",
-            (tpoly * Fraction(1, 2)).homogeneous_part(3 * g - 2)
-            == top.homogeneous_part(3 * g - 2)
-            and (tpoly * Fraction(1, 2)).homogeneous_part(3 * g - 3)
-            == top.homogeneous_part(3 * g - 3),
+            half_total.homogeneous_part(3 * g - 2) == top.homogeneous_part(3 * g - 2)
+            and half_total.homogeneous_part(3 * g - 3) == top.homogeneous_part(3 * g - 3),
         )
-        want = (BiPoly.var_c() + Fraction(1, 2)) * normalized_bernoulli(g - 1)
+        want = (BiPoly.var_c() + half) * normalized_bernoulli(g - 1)
         claim(
             "even and odd counts have P-degree 3g-3 with leading coefficient (C+1/2) "
             "times the normalized Bernoulli number",
@@ -561,22 +615,18 @@ class ConjectureScan(Record):
     )
 
 
-#: P(P^2 - 1)/24 as ascending coefficients in P.
-_BASE = (_ZERO, Fraction(-1, 24), _ZERO, Fraction(1, 24))
-
-
 def _base_quotient(poly: BiPoly) -> BiPoly | None:
-    """poly / (P(P^2 - 1)/24) for poly in P alone; None if not divisible."""
-    num = [poly.coefficient(i, 0) for i in range(poly.degree_in_p() + 1)]
-    quo = [_ZERO] * max(len(num) - len(_BASE) + 1, 0)
+    """poly / (P(P^2 - 1)/24) for poly in P alone; None if not divisible.
+    P^3 - P is monic, so its quotient of the integer numerators is integral."""
+    num = [poly._m.get((i, 0), 0) for i in range(poly.degree_in_p() + 1)]
+    quo = [0] * max(len(num) - 3, 0)
     for k in reversed(range(len(quo))):
-        f = num[k + len(_BASE) - 1] / _BASE[-1]
-        quo[k] = f
-        for i, dv in enumerate(_BASE):
-            num[k + i] -= f * dv
+        quo[k] = f = num[k + 3]
+        num[k + 3] = 0
+        num[k + 1] += f
     if any(num):
         return None
-    return BiPoly({(i, 0): q for i, q in enumerate(quo) if q})
+    return BiPoly._of({(i, 0): 24 * q for i, q in enumerate(quo)}, poly._d)
 
 
 def conjecture_scan(g: int) -> ConjectureScan:

@@ -8,13 +8,14 @@ import time
 
 import pytest
 
-from tqftdims import census, cli, cyclotomic, fusion, recursion
+from tqftdims import census, cli, cyclotomic, fusion, polylab, recursion
 from tqftdims.cli import (
     EXIT_GUARD,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
     HOPF_GUARD_P,
+    POLY_GUARD_G,
     delta_float,
     main,
     total_float,
@@ -338,6 +339,61 @@ def test_poly_usage_errors():
     assert run_cli("poly", "--g", "1", "--emit", "D", "--method", "residue").returncode == EXIT_USAGE
     assert run_cli("poly", "--g", "2", "--emit", "delta", "--method", "residue").returncode == EXIT_USAGE
     assert run_cli("poly", "--g", "0", "--emit", "delta").returncode == EXIT_USAGE
+
+
+@pytest.fixture
+def no_polynomials(monkeypatch):
+    def refuse(g):
+        raise AssertionError("poly ran past its size guard")
+
+    for name in ("interpolate_delta", "interpolate_total", "residue_total_poly"):
+        monkeypatch.setattr(polylab, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--g", "1000000", "--emit", "D"),
+        ("--g", "1000000", "--emit", "delta", "--format", "json"),
+        ("--g", "1000000", "--emit", "D", "--method", "residue"),
+        ("--g", str(POLY_GUARD_G["interpolate"] + 1), "--emit", "delta"),
+        ("--g", str(POLY_GUARD_G["residue"] + 1), "--emit", "D", "--method", "residue"),
+    ],
+)
+def test_poly_size_guard_refuses_before_any_work(no_polynomials, capsys, argv):
+    method = "residue" if "residue" in argv else "interpolate"
+    start = time.perf_counter()
+    assert main(["poly", *argv]) == EXIT_GUARD
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"refusing poly: g={argv[1]} exceeds {POLY_GUARD_G[method]} for --method {method}; "
+        "pass --force to override\n"
+    )
+    # --force lifts the refusal, and the route runs
+    with pytest.raises(AssertionError, match="size guard"):
+        main(["poly", *argv, "--force"])
+
+
+def test_poly_guard_leaves_its_bounds_and_bad_input_alone(no_polynomials, capsys):
+    # at each bound the route runs; delta by residue is still invalid input
+    # (exit 2), however large the genus
+    for method, bound in POLY_GUARD_G.items():
+        with pytest.raises(AssertionError, match="size guard"):
+            main(["poly", "--g", str(bound), "--emit", "D", "--method", method])
+    argv = ["poly", "--g", "1000000", "--emit", "delta", "--method", "residue"]
+    assert main(argv) == EXIT_USAGE
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["interpolate", "residue"])
+def test_poly_force_prints_the_same_bytes(method):
+    for fmt in ("text", "json"):
+        argv = ("poly", "--g", "3", "--emit", "D", "--method", method, "--format", fmt)
+        plain, forced = run_cli(*argv, binary=True), run_cli(*argv, "--force", binary=True)
+        assert plain.returncode == forced.returncode == EXIT_OK
+        assert plain.stdout == forced.stdout and plain.stdout
 
 
 def test_verify_poly_suite():

@@ -1,6 +1,7 @@
 """Polynomial reconstruction, Bernoulli machinery, leading-term certificates."""
 
 import hashlib
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -66,6 +67,113 @@ def _fraction_eval(poly, p, c):
     reference for BiPoly.eval."""
     pv, cv = F(p), F(c)
     return sum((q * pv**i * cv**j for (i, j), q in poly.monomials().items()), F(0))
+
+
+def _fraction_bernoulli(k, _memo=[]):
+    """B_k by the Fraction recursion sum_{j<=k} C(k+1, j) B_j = 0, one
+    Fraction sum per index: the oracle for bernoulli's integer recurrence."""
+    while len(_memo) <= k:
+        n = len(_memo)
+        acc = sum((math.comb(n + 1, j) * _memo[j] for j in range(n)), F(0))
+        _memo.append(F(1) if n == 0 else -acc / (n + 1))
+    return _memo[k]
+
+
+class _FractionPoly:
+    """A polynomial in P and C as a dict of nonzero Fraction coefficients,
+    one Fraction sum or product per monomial: the oracle for BiPoly's
+    integer numerators over one denominator."""
+
+    def __init__(self, monomials=None):
+        self.m = {}
+        for (i, j), q in (monomials or {}).items():
+            if F(q):
+                self.m[int(i), int(j)] = F(q)
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, _FractionPoly):
+            return other
+        if isinstance(other, (int, F)):
+            return _FractionPoly({(0, 0): other})
+        return None
+
+    def _add(self, other, sign):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self.m)
+        for ij, q in o.m.items():
+            out[ij] = out.get(ij, F(0)) + sign * q
+        return _FractionPoly(out)
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = {}
+        for (i1, j1), q1 in self.m.items():
+            for (i2, j2), q2 in o.m.items():
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, F(0)) + q1 * q2
+        return _FractionPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = _FractionPoly({(0, 0): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.m == o.m
+
+    def homogeneous_part(self, n):
+        return _FractionPoly({ij: q for ij, q in self.m.items() if sum(ij) == n})
+
+    def p_coefficient(self, i):
+        return _FractionPoly({(0, j): q for (ii, j), q in self.m.items() if ii == i})
+
+    def subs_c(self, value):
+        out = {}
+        for (i, j), q in self.m.items():
+            out[i, 0] = out.get((i, 0), F(0)) + q * F(value) ** j
+        return _FractionPoly(out)
+
+    def eval(self, p, c):
+        return sum((q * F(p) ** i * F(c) ** j for (i, j), q in self.m.items()), F(0))
+
+    def coefficient(self, i, j):
+        return self.m.get((i, j), F(0))
+
+    def canonical_str(self):
+        if not self.m:
+            return "(0)"
+        parts = []
+        for i, j in sorted(self.m, key=lambda ij: (-(ij[0] + ij[1]), -ij[0])):
+            c = "" if j == 0 else "C" if j == 1 else f"C^{j}"
+            p = "" if i == 0 else "P" if i == 1 else f"P^{i}"
+            parts.append(f"({self.m[i, j]}){c}{p}")
+        return " + ".join(parts)
+
+    def to_json_obj(self):
+        keys = sorted(self.m, key=lambda ij: (-(ij[0] + ij[1]), -ij[0]))
+        return {
+            "monomials": [
+                {"p": i, "c": j, "num": self.m[i, j].numerator, "den": self.m[i, j].denominator}
+                for i, j in keys
+            ]
+        }
 
 
 def test_polylab_outputs_frozen():
@@ -240,6 +348,86 @@ def test_bipoly_eval_matches_fraction_oracle(mono, p, c):
     assert got == _fraction_eval(poly, p, c)
 
 
+def _same(got, want):
+    """got is a BiPoly in lowest terms with want's coefficients and text."""
+    assert isinstance(got, BiPoly)
+    assert got._d > 0 and all(got._m.values())
+    assert math.gcd(got._d, *got._m.values()) == 1
+    assert got.monomials() == want.m
+    assert all(type(q) is Fraction for q in got.monomials().values())
+    assert got.canonical_str() == want.canonical_str()
+    assert got.to_json_obj() == want.to_json_obj()
+
+
+_coefficients = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=36),
+)
+# small polynomials, the zero polynomial (empty, or all coefficients 0) among them
+_polys = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _coefficients, max_size=6)
+_constants = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+)
+
+
+@given(
+    a=_polys,
+    b=_polys,
+    k=_constants,
+    v=_constants,
+    p=_constants,
+    c=_constants,
+    n=st.integers(0, 3),
+    i=st.integers(0, 9),
+    j=st.integers(0, 5),
+)
+@settings(max_examples=150, deadline=None)
+def test_bipoly_matches_fraction_oracle(a, b, k, v, p, c, n, i, j):
+    f, g = BiPoly(a), BiPoly(b)
+    fo, go = _FractionPoly(a), _FractionPoly(b)
+    _same(f, fo)
+    for got, want in [
+        (f + g, fo + go),
+        (f - g, fo - go),
+        (f * g, fo * go),
+        (f**n, fo**n),
+        (f + k, fo + k),
+        (k + f, k + fo),
+        (f - k, fo - k),
+        (f * k, fo * k),
+        (k * f, k * fo),
+        (f.homogeneous_part(i), fo.homogeneous_part(i)),
+        (f.p_coefficient(i), fo.p_coefficient(i)),
+        (f.subs_c(v), fo.subs_c(v)),
+        (BiPoly.const(k), _FractionPoly({(0, 0): k})),
+    ]:
+        _same(got, want)
+    assert (f == g) is (fo == go)
+    assert (f == k) is (fo == k) and (k == f) is (k == fo)
+    assert f + g - g == f and f - f == 0
+    for x, y in ((p, c), (int(p), int(c)), (p, int(c))):
+        got = f.eval(x, y)
+        assert type(got) is Fraction and got == fo.eval(x, y)
+    assert f.coefficient(i, j) == fo.coefficient(i, j)
+    with pytest.raises(TypeError):
+        k - f
+
+
+def test_bipoly_is_in_lowest_terms():
+    x = BiPoly({(1, 0): 1})
+    assert BiPoly({(1, 0): F(2, 4)}) == BiPoly({(1, 0): F(1, 2)})
+    assert BiPoly({(1, 0): F(2, 4), (0, 1): 0}) == x * F(1, 2)
+    assert x - x == BiPoly() == 0
+    assert (x - x).canonical_str() == "(0)"
+    assert ((x * 6 + 4) * F(1, 2)).to_json_obj() == (x * 3 + 2).to_json_obj()
+
+
+def test_bernoulli_matches_fraction_recursion():
+    for k in range(61):
+        assert bernoulli(k) == _fraction_bernoulli(k), k
+
+
 def test_interpolated_delta_genus_one():
     f = interpolate_delta(1)
     want = BiPoly({(1, 0): F(1, 2), (0, 1): F(-1), (0, 0): F(-1, 2)})
@@ -351,22 +539,46 @@ def test_residue_route_matches_interpolation():
         residue_total_poly(1)
 
 
-def test_residue_route_builds_one_bipoly_by_no_arithmetic(monkeypatch):
-    # The route sums integer numerators and builds its BiPoly once, at the end.
+def _count_builds(monkeypatch) -> list:
+    """Record every BiPoly built, by the public or the private constructor,
+    and refuse BiPoly arithmetic."""
     built = []
-    init = BiPoly.__init__
+    init, of = BiPoly.__init__, BiPoly._of.__func__
 
-    def counting(self, monomials=None):
+    def counting_init(self, monomials=None):
         built.append(monomials)
         init(self, monomials)
 
-    def refuse(self, other):
-        raise AssertionError("the residue route did BiPoly arithmetic")
+    def counting_of(cls, nums, den):
+        built.append(nums)
+        return of(cls, nums, den)
 
-    monkeypatch.setattr(BiPoly, "__init__", counting)
+    def refuse(self, other):
+        raise AssertionError("BiPoly arithmetic")
+
+    monkeypatch.setattr(BiPoly, "__init__", counting_init)
+    monkeypatch.setattr(BiPoly, "_of", classmethod(counting_of))
     for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__pow__"):
         monkeypatch.setattr(BiPoly, name, refuse)
+    return built
+
+
+def test_residue_route_builds_one_bipoly_by_no_arithmetic(monkeypatch):
+    # The route sums integer numerators and builds its BiPoly once, at the end.
+    built = _count_builds(monkeypatch)
     residue_total_poly(8)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("g,deg,kind", [(3, 5, "delta"), (3, 7, "total")])
+def test_interpolation_builds_one_bipoly_by_no_arithmetic(monkeypatch, g, deg, kind):
+    # The fit hands its integer numerators over W_c W_p to one BiPoly.
+    built = _count_builds(monkeypatch)
+    polylab._interpolate.cache_clear()
+    try:
+        polylab._interpolate(g, deg, kind)
+    finally:
+        polylab._interpolate.cache_clear()
     assert len(built) == 1
 
 
