@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
+from operator import add, mul, sub
 
 from .cyclotomic import (
     CycNum,
@@ -55,21 +56,9 @@ def _rank(p: int) -> int:
 
 
 def _mul_by_z(p: int, vec):
-    """Coordinates of z * x given coordinates of x, folding e_d back to e_(d-1)."""
-    d = (p - 1) // 2
-    out = [0] * d
-    for k, c in enumerate(vec):
-        if not c:
-            continue
-        if k == 0:
-            out[1] += c
-        elif k < d - 1:
-            out[k - 1] += c
-            out[k + 1] += c
-        else:
-            out[d - 2] += c
-            out[d - 1] += c
-    return out
+    """Coordinates of z * x given coordinates of x, folding e_d back to e_(d-1):
+    (z x)_k = x_(k-1) + x_(k+1), with x_(-1) = 0 and x_d = x_(d-1)."""
+    return list(map(add, [0, *vec[:-1]], [*vec[1:], vec[-1]]))
 
 
 class FusionElement(Record):
@@ -101,7 +90,7 @@ def _ladder(p: int, yv):
         yield cur
         nxt = _mul_by_z(p, cur)
         if prev is not None:
-            nxt = [a - b for a, b in zip(nxt, prev)]
+            nxt = list(map(sub, nxt, prev))
         prev, cur = cur, nxt
 
 
@@ -126,13 +115,13 @@ def even_basis_permutation(p: int) -> tuple[int, ...]:
     """Position of e_{2j} in the standard basis: 2j if 2j <= d-1, else 2d-1-2j.
 
     Every e_{2j} is read from one ladder walk from e_0 and checked to be that
-    basis vector.
+    basis vector: a 1 at the target and d - 1 zeros.
     """
     d = _rank(p)
     perm = []
     for j, vec in enumerate(_even_steps(p, [1] + [0] * (d - 1))):
         target = 2 * j if 2 * j <= d - 1 else 2 * d - 1 - 2 * j
-        if vec != [1 if k == target else 0 for k in range(d)]:
+        if vec[target] != 1 or vec.count(0) != d - 1:
             raise ArithmeticError(f"fold of e_{2 * j} is not a basis vector at p={p}")
         perm.append(target)
     if sorted(perm) != list(range(d)):
@@ -154,9 +143,7 @@ class FusionMatrix(Record):
         """Matrix-vector product."""
         if len(vec) != self.size:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum(row[i] * vec[i] for i in range(self.size)) for row in self.entries
-        )
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
 
 def mul_matrix_even(x: FusionElement) -> FusionMatrix:
@@ -166,18 +153,17 @@ def mul_matrix_even(x: FusionElement) -> FusionMatrix:
     one ladder walk from x.
     """
     perm = even_basis_permutation(x.p)
-    cols = list(_even_steps(x.p, x.coords))
-    return FusionMatrix(x.p, tuple(tuple(col[k] for col in cols) for k in perm))
+    rows = list(zip(*_even_steps(x.p, x.coords)))
+    return FusionMatrix(x.p, tuple(rows[k] for k in perm))
 
 
 def _weighted_even_sum(p: int, sign: int) -> FusionElement:
-    """sum over n of sign^n (d - n) e_{2n}, from one ladder walk from e_0."""
+    """sum over n of sign^n (d - n) e_{2n}: even_basis_permutation has checked
+    each e_{2n} to be one basis vector, so the weight goes to its position."""
     d = _rank(p)
     acc = [0] * d
-    for n, vec in enumerate(_even_steps(p, [1] + [0] * (d - 1))):
-        w = sign**n * (d - n)
-        for k, a in enumerate(vec):
-            acc[k] += w * a
+    for n, k in enumerate(even_basis_permutation(p)):
+        acc[k] = sign**n * (d - n)
     return FusionElement(p, tuple(acc))
 
 

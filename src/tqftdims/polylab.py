@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import add, mul, sub
 
 from .cyclotomic import Record, is_prime
 from .recursion import dim_table
@@ -453,10 +453,10 @@ def _interpolate(g: int, deg: int, kind: str) -> BiPoly:
     while len(fit) < deg + 1:
         fit.append(_next_prime(fit[-1]))
     probe = _next_prime(fit[-1])
-    sign = 1 if kind == "total" else -1
+    op = add if kind == "total" else sub
     tables = ((p, dim_table(p, g)) for p in (*fit, probe))
     # p -> the genus-g counts of `kind` at every color, from two row reads
-    counts = {p: [e + sign * o for e, o in zip(t.even[g - 1], t.odd[g - 1])] for p, t in tables}
+    counts = {p: list(map(op, t.even[g - 1], t.odd[g - 1])) for p, t in tables}
 
     c_rows, w_c = _lagrange_rows(range(deg + 1))
     p_rows, w_p = _lagrange_rows(fit)

@@ -37,8 +37,8 @@ loops as oracles.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
-from operator import add, mul
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 from .census import beta_eta_closed
 from .cyclotomic import Record, _check_color, _check_prime
@@ -147,8 +147,8 @@ def delta_direct(p: int, g: int) -> tuple[int, ...]:
     for _ in range(g - 1):
         # below[c] = sum_{a<=c} cur_a; above[c] = sum_{a>c} (d - a) cur_a
         below = accumulate(cur)
-        above = list(accumulate((a * x for a, x in zip(range(1, d), cur[:0:-1])), initial=0))
-        cur = tuple((d - c) * lo + hi for c, lo, hi in zip(range(d), below, reversed(above)))
+        above = list(accumulate(map(mul, range(1, d), cur[:0:-1]), initial=0))
+        cur = tuple(map(add, map(mul, range(d, 0, -1), below), reversed(above)))
     return cur
 
 
@@ -160,9 +160,10 @@ def delta_split(p: int, g: int) -> tuple[int, ...]:
     d = (p - 1) // 2
     cur = tuple(d - c for c in range(d))
     for _ in range(g - 1):
-        base = sum((d - a) * cur[a] for a in range(d))
+        base = sum(map(mul, range(d, 0, -1), cur))
         # s0[c] = sum_{a<c} cur_a and s1[c] = sum_{a<c} a cur_a
         s0 = accumulate(cur, initial=0)
         s1 = accumulate(map(mul, range(d), cur), initial=0)
-        cur = tuple(base + t1 - c * t0 for c, t0, t1 in zip(range(d), s0, s1))
+        # cur[c] = base + s1[c] - c s0[c]; the map over range(d) stops at c = d - 1
+        cur = tuple(map(sub, map(add, repeat(base), s1), map(mul, range(d), s0)))
     return cur

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +34,52 @@ PRIMES = (5, 7, 11, 13)
 VERLINDE_PRIMES = tuple(p for p in range(5, 62) if is_prime(p)) + (101, 167)
 
 
-# -- oracles: ladder product, S and Q matrices with their termwise product,
-# -- Bareiss determinant, twist Vandermonde matrix ------------------------------
+# -- oracles: z-step, mat-vec and weighted sum as loops, ladder product, S and
+# -- Q matrices with their termwise product, Bareiss determinant, twist
+# -- Vandermonde matrix -----------------------------------------------------------
+
+
+def _sparse_mul_by_z(p, vec):
+    """z * x by scattering each nonzero coordinate of x to its neighbours,
+    folding e_d back to e_(d-1); the oracle for fusion._mul_by_z's shifted
+    sum."""
+    d = (p - 1) // 2
+    out = [0] * d
+    for k, c in enumerate(vec):
+        if not c:
+            continue
+        if k == 0:
+            out[1] += c
+        elif k < d - 1:
+            out[k - 1] += c
+            out[k + 1] += c
+        else:
+            out[d - 2] += c
+            out[d - 1] += c
+    return out
+
+
+def _index_sum_apply(m, vec):
+    """M x by an index loop per row; the oracle for FusionMatrix.apply."""
+    return tuple(sum(row[i] * vec[i] for i in range(m.size)) for row in m.entries)
+
+
+def _ladder_weighted_sum(p, sign):
+    """sum over n of sign^n (d - n) e_{2n}, every e_{2n} walked from e_0 with
+    _sparse_mul_by_z and summed in whole; the oracle for the weighted sums
+    that fusion places through even_basis_permutation."""
+    d = (p - 1) // 2
+    acc = [0] * d
+    prev, cur = None, [1] + [0] * (d - 1)
+    for i in range(2 * d - 1):
+        if i % 2 == 0:
+            w = sign ** (i // 2) * (d - i // 2)
+            acc = [a + w * x for a, x in zip(acc, cur)]
+        nxt = _sparse_mul_by_z(p, cur)
+        if prev is not None:
+            nxt = [a - b for a, b in zip(nxt, prev)]
+        prev, cur = cur, nxt
+    return tuple(acc)
 
 
 def _product(x, y):
@@ -200,9 +245,9 @@ def test_one_walk_matrix_matches_column_build(p):
 
 @pytest.mark.parametrize("p", [13, 61, 101])
 def test_matrix_build_walks_each_ladder_once(monkeypatch, p):
-    # A cold build walks three ladders of 2d - 2 z-steps each: the element's
-    # weighted sum, the permutation's and the matrix's own.  Walking every
-    # e_{2i} from e_0 on its own, _column_matrix alone makes 2d(d - 1).
+    # A cold build walks two ladders of 2d - 2 z-steps each: the permutation's,
+    # which the element's weighted sum reads, and the matrix's own.  Walking
+    # every e_{2i} from e_0 on its own, _column_matrix alone makes 2d(d - 1).
     steps = []
     mul_by_z = fusion._mul_by_z
 
@@ -217,7 +262,69 @@ def test_matrix_build_walks_each_ladder_once(monkeypatch, p):
         mul_matrix_even(alternating_element(p))
     finally:
         even_basis_permutation.cache_clear()
-    assert len(steps) == 3 * (2 * d - 2)
+    assert len(steps) == 2 * (2 * d - 2)
+
+
+ORACLE_PRIMES = tuple(p for p in range(5, 62) if is_prime(p))
+
+
+def _random_vectors(rng, d, n):
+    """n integer vectors of length d, about a third of their entries zero,
+    with negatives and multi-digit entries."""
+    return [
+        [rng.choice((0, rng.randint(-9, 9), rng.randint(-(10**30), 10**30))) for _ in range(d)]
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_mul_by_z_matches_sparse_oracle(p):
+    # p = 5 (d = 2) is the rank where the top fold lands next to e_0
+    d = (p - 1) // 2
+    rng = random.Random(p)
+    units = [[1 if k == j else 0 for k in range(d)] for j in range(d)]
+    for vec in units + _random_vectors(rng, d, 20) + [[0] * d]:
+        assert fusion._mul_by_z(p, vec) == _sparse_mul_by_z(p, vec)
+        assert fusion._mul_by_z(p, tuple(vec)) == _sparse_mul_by_z(p, vec)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_apply_matches_index_sum_oracle(p):
+    d = (p - 1) // 2
+    rng = random.Random(-p)
+    mats = [mul_matrix_even(alternating_element(p)), mul_matrix_even(counting_element(p))]
+    mats.append(FusionMatrix(p, tuple(map(tuple, _random_vectors(rng, d, d)))))
+    for mat in mats:
+        for vec in _random_vectors(rng, d, 5) + [[0] * d]:
+            assert mat.apply(tuple(vec)) == _index_sum_apply(mat, vec)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_weighted_sums_match_ladder_walk_oracle(p):
+    assert alternating_element(p).coords == _ladder_weighted_sum(p, -1)
+    assert counting_element(p).coords == _ladder_weighted_sum(p, 1)
+
+
+@pytest.mark.parametrize("p", (5, 7, 13, 61))
+@pytest.mark.parametrize("element", (alternating_element, counting_element))
+def test_weighted_sums_refuse_a_misfolded_z_step(monkeypatch, p, element):
+    # The z-step drops the fold e_d -> e_(d-1) of the top coordinate.  The
+    # weighted sums read no ladder of their own, so they refuse it through
+    # the permutation's basis-vector check.
+    true_step = fusion._mul_by_z
+
+    def misfolded(p, vec):
+        out = true_step(p, vec)
+        out[-1] -= vec[-1]
+        return out
+
+    monkeypatch.setattr(fusion, "_mul_by_z", misfolded)
+    even_basis_permutation.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not a basis vector"):
+            element(p)
+    finally:
+        even_basis_permutation.cache_clear()
 
 
 def test_product_ring_axioms():
