@@ -9,6 +9,8 @@ in verify's order; ``tests/test_acceptance.py`` calls them directly.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from . import census, fusion, polylab, recursion
 from .cyclotomic import _check_prime, inverse_run, quantum_int, run
 
@@ -46,24 +48,24 @@ def two_point_closed_forms(p: int) -> Claim:
     return f"two-point balanced/unbalanced closed forms match enumeration (p={p})", ok
 
 
-def _reproduces_table(p: int, gcap: int, delta, total) -> bool:
-    table = recursion.dim_table(p, gcap)
-    return all(
-        delta(p, g, c) == table.delta(g, c) and total(p, g, c) == table.total(g, c)
-        for g in range(1, gcap + 1)
-        for c in range((p - 1) // 2)
-    )
-
-
 def matrix_powers(p: int, gmax: int) -> Claim:
     gcap = min(gmax, 8)
-    ok = _reproduces_table(p, gcap, fusion.delta_via_matrix, fusion.total_via_matrix)
+    rows = recursion.dim_table(p, gcap).rows()
+    # M^g e_0 holds (-1)^c delta for the alternating element and the total
+    # for the counting one: rows 1..gcap of both tables, in one equality
+    want = [((-1) ** c * delta, total) for _g, c, _fe, _fo, total, delta in rows]
+    alt, cnt = (fusion._power_table(p, gcap, counting)[1:] for counting in (False, True))
+    ok = [cell for a, t in zip(alt, cnt) for cell in zip(a, t)] == want
     return f"matrix powers reproduce signed and total counts (p={p}, g<={gcap})", ok
 
 
 def galois_sums(p: int, gmax: int) -> Claim:
     gcap = min(gmax, 8)
-    ok = _reproduces_table(p, gcap, fusion.galois_sum_delta, fusion.galois_sum_total)
+    rows = recursion.dim_table(p, gcap).rows()
+    ok = all(
+        fusion.galois_sum_delta(p, g, c) == delta and fusion.galois_sum_total(p, g, c) == total
+        for g, c, _fe, _fo, total, delta in rows
+    )
     return f"galois sums reproduce signed and total counts (p={p}, g<={gcap})", ok
 
 
@@ -136,11 +138,10 @@ def z_diagonalization(p: int) -> Claim:
 
 
 def ladder_fold(p: int) -> Claim:
-    d = (p - 1) // 2
-    ok = all(
-        fusion.cheb_vector(p, d + i).coords == fusion.cheb_vector(p, d - 1 - i).coords
-        for i in range(d)
-    )
+    d = (_check_prime(p) - 1) // 2
+    # e_0..e_(2d-1) from one ladder walk: e_(d+i) must fold to e_(d-1-i)
+    steps = list(islice(fusion._ladder(p, [1] + [0] * (d - 1)), 2 * d))
+    ok = steps[d:] == steps[d - 1 :: -1]
     return f"ladder fold symmetry across the quotient relation (p={p})", ok
 
 

@@ -9,11 +9,14 @@ Everything here is exact: integer matrices, and eigenvalues in Z[zeta_p].
 Two distinguished elements drive the dimension counts: the alternating
 element sum (-1)^n (d - n) e_{2n}, whose matrix powers produce the signed
 counts, and the plain counting element sum (d - n) e_{2n} for the totals.
-Their matrices diagonalize through the S-matrix
+
+The matrix route is a table: one matrix build and one mat-vec per genus
+give M^g e_0 for every g up to the genus asked, cached whole and never
+changed.  The matrices diagonalize through the S-matrix
 S_ij = zeta^(a_i a_j) - zeta^(-a_i a_j), a_i = 2i + 1, which squares to -p
 times the identity and turns matrix entries into trace reads: the Galois
-sums read one eigenvalue power per genus.  S itself is never built;
-claims.py checks its identities from that formula.
+sums read four coordinates of one eigenvalue power per genus.  S itself is
+never built; claims.py checks its identities from that formula.
 """
 
 from __future__ import annotations
@@ -177,49 +180,52 @@ def counting_element(p: int) -> FusionElement:
     return _weighted_even_sum(p, 1)
 
 
-# A ladder keeps M^g e_0 up to this genus and walks on from there without
-# keeping: entries grow with g, so keeping every power of a deep read would
-# hold O(g^2) digits per coordinate.
-_LADDER_DEPTH = 64
-
-
-# Bounded: a sweep over every trunk color reads one ladder, and a claim
-# sweep alternates the two elements at one prime.
+# Bounded: a sweep over every trunk color at one (p, g) reads one table, and
+# a claim reads the two elements' tables at one (p, gmax).
 @lru_cache(maxsize=2)
-def _power_ladder(p: int, counting: bool) -> tuple[FusionMatrix, list]:
-    """The multiplication matrix M of the counting (or alternating) element,
-    with the vectors M^g e_0 kept so far (g <= _LADDER_DEPTH); the list only
-    grows."""
-    d = _rank(p)
+def _power_table(p: int, gmax: int, counting: bool) -> tuple[tuple[int, ...], ...]:
+    """M^g e_0 for g = 0..gmax, M the multiplication matrix of the counting
+    (or alternating) element: one build and gmax mat-vecs."""
     mat = mul_matrix_even(counting_element(p) if counting else alternating_element(p))
-    return mat, [tuple(1 if j == 0 else 0 for j in range(d))]
+    vecs = [(1,) + (0,) * (mat.size - 1)]
+    for _ in range(gmax):
+        vecs.append(mat.apply(vecs[-1]))
+    return tuple(vecs)
 
 
-def _matrix_power_entry(p: int, g: int, c: int, counting: bool) -> int:
+def _matrix_entry(p: int, g: int, c: int, counting: bool) -> int:
+    return _power_table(p, g, counting)[g][c]
+
+
+def _read(entry, p: int, g: int, c: int, counting: bool) -> int:
+    """entry(p, g, c, counting) once the prime, color and genus are checked,
+    times (-1)^c for the alternating element: the four readers' one body."""
     _check_color(_check_prime(p), c)
     if g < 0:
         raise ValueError("genus must be >= 0")
-    mat, vecs = _power_ladder(p, counting)
-    vec = vecs[min(g, len(vecs) - 1)]
-    for _ in range(len(vecs) - 1, g):
-        vec = mat.apply(vec)
-        if len(vecs) <= _LADDER_DEPTH:
-            vecs.append(vec)
-    return vec[c]
+    val = entry(p, g, c, counting)
+    return -val if c % 2 and not counting else val
 
 
 def delta_via_matrix(p: int, g: int, c: int) -> int:
     """Signed count even - odd from the g-th power of the alternating matrix."""
-    val = _matrix_power_entry(p, g, c, counting=False)
-    return -val if c % 2 else val
+    return _read(_matrix_entry, p, g, c, counting=False)
 
 
 def total_via_matrix(p: int, g: int, c: int) -> int:
     """Total count from the g-th power of the counting matrix."""
-    return _matrix_power_entry(p, g, c, counting=True)
+    return _read(_matrix_entry, p, g, c, counting=True)
 
 
 # -- eigenvalues and Galois sums over Z[zeta_p] -------------------------------
+
+
+def _real_sum(p: int, weights) -> CycNum:
+    """w_0 + sum_{k=1}^{d-1} w_k (q^2k + q^-2k) for the weights w_0..w_(d-1)."""
+    vec = [0] * p
+    for k, w in enumerate(weights):
+        vec[2 * k] = vec[-2 * k] = w
+    return CycNum(p, vec)
 
 
 def alternating_eigenvalue(p: int) -> CycNum:
@@ -229,12 +235,7 @@ def alternating_eigenvalue(p: int) -> CycNum:
     Its Galois images under zeta -> zeta^(2j+1) give the full spectrum.
     """
     d = _rank(p)
-    vec = [0] * p
-    vec[0] = (d + 1) // 2
-    for k in range(1, d):
-        w = (d - k + 1) // 2
-        vec[2 * k] = vec[p - 2 * k] = -w if k % 2 else w
-    return CycNum(p, vec)
+    return _real_sum(p, [(-1) ** k * ((d - k + 1) // 2) for k in range(d)])
 
 
 def counting_eigenvalue(p: int) -> CycNum:
@@ -243,37 +244,32 @@ def counting_eigenvalue(p: int) -> CycNum:
     with T(m) = m(m + 1)/2; it equals -p / (q - q^-1)^2.
     """
     d = _rank(p)
-    vec = [0] * p
-    vec[0] = d * (d + 1) // 2
-    for k in range(1, d):
-        vec[2 * k] = vec[p - 2 * k] = (d - k) * (d - k + 1) // 2
-    return CycNum(p, vec)
+    return _real_sum(p, [(d - k) * (d - k + 1) // 2 for k in range(d)])
 
 
 # Bounded: a sweep over every trunk color at one (p, g) reads one power, or
 # alternates the two kinds.
 @lru_cache(maxsize=2)
 def _eigenvalue_power(p: int, g: int, counting: bool) -> CycNum:
-    return (counting_eigenvalue(p) if counting else alternating_eigenvalue(p)) ** g
+    """lam^g, checked to be fixed by zeta -> zeta^-1: the Galois read halves
+    a field trace, which needs a real element."""
+    lam = (counting_eigenvalue(p) if counting else alternating_eigenvalue(p)) ** g
+    if galois(lam, -1) != lam:
+        raise ArithmeticError("eigenvalue power is not fixed by zeta -> zeta^-1")
+    return lam
 
 
 def _galois_entry(p: int, g: int, c: int, counting: bool) -> int:
     """-(1/p) * sum_{j=1}^{d} G_j(w) for w = (q^k - q^-k)(q - q^-1) * lam^g,
     k = 2c + 1, read from four coordinates of lam^g.
 
-    w is fixed by zeta -> zeta^-1, so the half-sum over j = 1..d is half the
-    field trace.  Tr(zeta^m x) = p a_(-m) - sum(a) for x = sum a_i zeta^i
-    (a_(p-1) = 0), and the four monomials of the bracket cancel the sum(a)
-    terms: the entry is -(a_(-k-1) - a_(1-k) - a_(k-1) + a_(k+1)) / 2.
-    Both the reality of lam^g and the integrality are checked.
+    w is fixed by zeta -> zeta^-1 (_eigenvalue_power checks lam^g), so the
+    half-sum over j = 1..d is half the field trace.  Tr(zeta^m x) =
+    p a_(-m) - sum(a) for x = sum a_i zeta^i (a_(p-1) = 0), and the four
+    monomials of the bracket cancel the sum(a) terms: the entry is
+    -(a_(-k-1) - a_(1-k) - a_(k-1) + a_(k+1)) / 2, checked to be an integer.
     """
-    _check_color(_check_prime(p), c)
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    lam = _eigenvalue_power(p, g, counting)
-    if galois(lam, -1) != lam:
-        raise ArithmeticError("eigenvalue power is not fixed by zeta -> zeta^-1")
-    a = lam.num + (0,)
+    a = _eigenvalue_power(p, g, counting).num + (0,)
     k = 2 * c + 1
     s = a[(-k - 1) % p] - a[(1 - k) % p] - a[(k - 1) % p] + a[(k + 1) % p]
     val, rem = divmod(s, 2)
@@ -284,13 +280,12 @@ def _galois_entry(p: int, g: int, c: int, counting: bool) -> int:
 
 def galois_sum_delta(p: int, g: int, c: int) -> int:
     """Signed count even - odd as a closed Galois sum over Q(zeta_p)."""
-    val = _galois_entry(p, g, c, counting=False)
-    return -val if c % 2 else val
+    return _read(_galois_entry, p, g, c, counting=False)
 
 
 def galois_sum_total(p: int, g: int, c: int) -> int:
     """Total count as the same Galois sum with the counting eigenvalue."""
-    return _galois_entry(p, g, c, counting=True)
+    return _read(_galois_entry, p, g, c, counting=True)
 
 
 # -- twist Vandermonde (Hopf pairing) matrix ---------------------------------

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tqftdims import claims, cyclotomic, fusion
@@ -205,6 +205,31 @@ def test_ladder_folds_back(p):
     # past the folded block the ladder hits zero, then restarts negated
     assert cheb_vector(p, 2 * d).coords == tuple(0 for _ in range(d))
     assert cheb_vector(p, 2 * d + 1).coords == tuple(-x for x in cheb_vector(p, 0).coords)
+
+
+@pytest.mark.parametrize("p", VERLINDE_PRIMES)
+def test_ladder_fold_claim_walks_once(monkeypatch, p):
+    # one walk of 2d steps, 2d - 1 z-steps; a walk from e_0 per step took
+    # d(2d - 1).  Dropping the top fold e_d -> e_(d-1) fails the claim.
+    steps = []
+    true_step = fusion._mul_by_z
+
+    def counted(p, vec):
+        steps.append(vec)
+        return true_step(p, vec)
+
+    monkeypatch.setattr(fusion, "_mul_by_z", counted)
+    text = f"ladder fold symmetry across the quotient relation (p={p})"
+    assert claims.ladder_fold(p) == (text, True)
+    assert len(steps) == p - 2
+
+    def misfolded(p, vec):
+        out = true_step(p, vec)
+        out[-1] -= vec[-1]
+        return out
+
+    monkeypatch.setattr(fusion, "_mul_by_z", misfolded)
+    assert claims.ladder_fold(p) == (text, False)
 
 
 def test_even_basis_permutation_frozen():
@@ -571,32 +596,44 @@ def test_product_distributes_property(coords_x, coords_y):
     assert lhs.coords == rhs
 
 
-def _check_matrix_routes(p, g, t):
+def _check_readers(p, g, t):
     d = (p - 1) // 2
     for c in range(d):
-        if g == 0:
-            assert delta_via_matrix(p, 0, c) == total_via_matrix(p, 0, c) == int(c == 0)
-        else:
-            assert delta_via_matrix(p, g, c) == t.delta(g, c)
-            assert total_via_matrix(p, g, c) == t.total(g, c)
+        want = (int(c == 0),) * 2 if g == 0 else (t.delta(g, c), t.total(g, c))
+        assert (delta_via_matrix(p, g, c), total_via_matrix(p, g, c)) == want
+        assert (galois_sum_delta(p, g, c), galois_sum_total(p, g, c)) == want
 
 
-@pytest.mark.parametrize("p,gmax", [(11, 7), (5, fusion._LADDER_DEPTH + 3)])
-def test_power_ladder_cold_order(p, gmax):
-    # a cold ladder read deepest first must hold the same powers as one
-    # grown a genus at a time, also past the depth it keeps
+# Work bound: p * gmax <= 61 * 60, so gmax reaches p - 1 at every p <= 61.
+_TABLE_WORK = 61 * 60
+
+
+@st.composite
+def _table_inputs(draw):
+    p = draw(st.sampled_from([p for p in range(5, 102) if is_prime(p)]))
+    return p, draw(st.integers(1, min(p - 1, _TABLE_WORK // p)))
+
+
+@given(_table_inputs())
+@example((5, 67))
+@settings(max_examples=12, deadline=None)
+def test_fusion_tables_match_recursion_property(inputs):
+    # both power tables equal dim_table at every (g, c), e_0 at g = 0; the
+    # cell readers agree read deepest genus first and then in order
+    p, gmax = inputs
     t = dim_table(p, gmax)
-    fusion._power_ladder.cache_clear()
-    try:
-        for g in range(gmax, -1, -1):
-            _check_matrix_routes(p, g, t)
-        for g in range(gmax + 1):
-            _check_matrix_routes(p, g, t)
-        kept = min(gmax, fusion._LADDER_DEPTH) + 1
-        assert len(fusion._power_ladder(p, False)[1]) == kept
-        assert len(fusion._power_ladder(p, True)[1]) == kept
-    finally:
-        fusion._power_ladder.cache_clear()
+    signs = [(-1) ** c for c in range(t.d)]
+    unit = (1,) + (0,) * (t.d - 1)
+    fusion._power_table.cache_clear()
+    fusion._eigenvalue_power.cache_clear()
+    alt = fusion._power_table(p, gmax, False)
+    cnt = fusion._power_table(p, gmax, True)
+    assert alt[0] == cnt[0] == unit
+    for g in range(1, gmax + 1):
+        assert alt[g] == tuple(s * t.delta(g, c) for c, s in enumerate(signs))
+        assert cnt[g] == tuple(t.total(g, c) for c in range(t.d))
+    for g in [*range(gmax, -1, -1), *range(gmax + 1)]:
+        _check_readers(p, g, t)
 
 
 def test_trunk_color_sweep_builds_once(monkeypatch):
@@ -617,7 +654,7 @@ def test_trunk_color_sweep_builds_once(monkeypatch):
 
     monkeypatch.setattr(FusionMatrix, "apply", counted_apply)
     monkeypatch.setattr(fusion, "mul_matrix_even", counted_build)
-    fusion._power_ladder.cache_clear()
+    fusion._power_table.cache_clear()
     fusion._eigenvalue_power.cache_clear()
     try:
         for n, route in enumerate((delta_via_matrix, total_via_matrix), start=1):
@@ -630,7 +667,7 @@ def test_trunk_color_sweep_builds_once(monkeypatch):
         info = fusion._eigenvalue_power.cache_info()
         assert (info.misses, info.hits) == (2, 2 * (d - 1))
     finally:
-        fusion._power_ladder.cache_clear()
+        fusion._power_table.cache_clear()
         fusion._eigenvalue_power.cache_clear()
 
 
@@ -729,12 +766,13 @@ def cold_fusion():
 @pytest.mark.parametrize(
     "planted,message",
     [
-        (lambda p: monomial(p, 1), "zeta"),  # not fixed by zeta -> zeta^-1
+        (lambda p: monomial(p, 1), "zeta"),  # its power is not fixed by zeta -> zeta^-1
         (lambda p: monomial(p, 2), "integer"),  # odd read, reality check bypassed
     ],
 )
 def test_galois_entry_refuses_planted_power(cold_fusion, monkeypatch, capsys, planted, message):
-    monkeypatch.setattr(fusion, "_eigenvalue_power", lambda p, g, counting: planted(p))
+    monkeypatch.setattr(fusion, "alternating_eigenvalue", planted)
+    monkeypatch.setattr(fusion, "counting_eigenvalue", planted)
     if message == "integer":
         # A real element of Z[zeta_p] always reads even (the read is p times
         # a full trace, twice a real one), so only a power that skips the
@@ -742,7 +780,7 @@ def test_galois_entry_refuses_planted_power(cold_fusion, monkeypatch, capsys, pl
         monkeypatch.setattr(fusion, "galois", lambda x, j: x)
     for route in (galois_sum_delta, galois_sum_total):
         with pytest.raises(ArithmeticError, match=message):
-            route(7, 2, 0)
+            route(7, 1, 0)
     assert main(["verify", "--suite", "fusion", "--p-list", "5", "--gmax", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1

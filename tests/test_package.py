@@ -254,7 +254,7 @@ VERIFY_MISSES = {
     "cli._sine_bases": 0,
     "cyclotomic._check_prime": 18,
     "fusion._eigenvalue_power": 32,
-    "fusion._power_ladder": 8,
+    "fusion._power_table": 8,
     "fusion.even_basis_permutation": 4,
     "polylab._interpolate": 6,
     "polylab.bernoulli": 23,
