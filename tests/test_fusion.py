@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqftdims import claims, cyclotomic, fusion
@@ -614,8 +614,15 @@ def _table_inputs(draw):
     return p, draw(st.integers(1, min(p - 1, _TABLE_WORK // p)))
 
 
+def _read_cold(p, gmax, t):
+    # the cell readers from cold caches, deepest genus first and then in order
+    fusion._power_table.cache_clear()
+    fusion._eigenvalue_power.cache_clear()
+    for g in [*range(gmax, -1, -1), *range(gmax + 1)]:
+        _check_readers(p, g, t)
+
+
 @given(_table_inputs())
-@example((5, 67))
 @settings(max_examples=12, deadline=None)
 def test_fusion_tables_match_recursion_property(inputs):
     # both power tables equal dim_table at every (g, c), e_0 at g = 0; the
@@ -625,15 +632,28 @@ def test_fusion_tables_match_recursion_property(inputs):
     signs = [(-1) ** c for c in range(t.d)]
     unit = (1,) + (0,) * (t.d - 1)
     fusion._power_table.cache_clear()
-    fusion._eigenvalue_power.cache_clear()
     alt = fusion._power_table(p, gmax, False)
     cnt = fusion._power_table(p, gmax, True)
     assert alt[0] == cnt[0] == unit
     for g in range(1, gmax + 1):
         assert alt[g] == tuple(s * t.delta(g, c) for c, s in enumerate(signs))
         assert cnt[g] == tuple(t.total(g, c) for c in range(t.d))
-    for g in [*range(gmax, -1, -1), *range(gmax + 1)]:
-        _check_readers(p, g, t)
+    _read_cold(p, gmax, t)
+
+
+@pytest.mark.parametrize("p,gmax", [(11, 7), (5, 67)])
+def test_power_ladder_cold_order(p, gmax):
+    # cold reads in either genus order agree with dim_table, and the last
+    # read leaves just the two gmax tables of gmax + 1 rows cached
+    t = dim_table(p, gmax)
+    try:
+        _read_cold(p, gmax, t)
+        assert fusion._power_table.cache_info().currsize == 2
+        for counting in (False, True):
+            assert len(fusion._power_table(p, gmax, counting)) == gmax + 1
+        assert fusion._power_table.cache_info().misses == 4 * gmax + 2
+    finally:
+        fusion._power_table.cache_clear()
 
 
 def test_trunk_color_sweep_builds_once(monkeypatch):
