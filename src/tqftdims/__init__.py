@@ -12,7 +12,7 @@ Four independent computations of the same numbers live side by side:
   and the boundary color, with Bernoulli-number leading-term certificates.
 
 All core arithmetic is exact (integers, fractions, cyclotomic numbers).
-Floating point appears only in optional display columns of the CLI.
+Floating point appears only in the `dims` size guard's estimate.
 """
 
 from .census import count_parities

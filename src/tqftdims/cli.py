@@ -13,11 +13,9 @@ verify runs the same claim functions as tests/test_acceptance.py.
 Exit codes: 0 success, 1 verification failure (including an internal
 ArithmeticError, reported as one line) or stdout closed by its reader
 (a broken pipe, reported by nothing), 2 invalid input, 3 refused by a
-size guard (census, dims, hopf, quadruple or verify) or by a genus too
-deep for the census walk to recurse.
-All exact output is deterministic; the optional float columns are
-display-only and never influence exit codes (a float that overflows
-displays as inf).
+size guard (census, dims, hopf, poly, quadruple or verify) or by a genus
+too deep for the census walk to recurse.
+All output is exact and deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from functools import lru_cache
 
 from . import census, claims, fusion, polylab, recursion
 from .cyclotomic import _check_order, _check_prime
@@ -39,53 +36,6 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 DIM_COLUMNS = ["p", "g", "c", "fe", "fo", "D", "delta"]
-
-
-# -- float display helpers (never on an exit-code path) -----------------------
-
-
-# Bounded: a display table reads one prime; 8 serve a few tables in one process.
-@lru_cache(maxsize=8)
-def _sine_bases(p: int) -> tuple[float, ...]:
-    """The d eigenvalues of the sine form; a cell raises them to the genus."""
-    d = (p - 1) // 2
-    bases = []
-    for j in range(1, d + 1):
-        lam = math.ceil((p - 1) / 4)
-        for k in range(1, d):
-            lam += 2 * (-1) ** k * math.ceil((p - 2 * k - 1) / 4) * math.cos(
-                2 * math.pi * k * j / p
-            )
-        bases.append(lam)
-    return tuple(bases)
-
-
-def delta_float(p: int, g: int, c: int) -> float:
-    """Signed count from the sine form; display-only sanity value."""
-    acc = 0.0
-    for j, lam in enumerate(_sine_bases(p), start=1):
-        acc += math.sin(math.pi * j * (2 * c + 1) / p) * math.sin(math.pi * j / p) * lam**g
-    return (-1) ** c * 4.0 * acc / p
-
-
-def total_float(p: int, g: int, c: int) -> float:
-    """Total count from the sine form; display-only sanity value."""
-    d = (p - 1) // 2
-    acc = 0.0
-    for j in range(1, d + 1):
-        acc += math.sin(math.pi * j * (2 * c + 1) / p) * math.sin(math.pi * j / p) ** (
-            1 - 2 * g
-        )
-    return (p / 4.0) ** (g - 1) * acc
-
-
-def _display(value, p: int, g: int, c: int) -> str:
-    """One float display cell; a float that overflows shows as inf, since
-    every count is >= 0."""
-    try:
-        return f"{value(p, g, c):.6f}"
-    except OverflowError:
-        return "inf"
 
 
 # -- size guards ---------------------------------------------------------------
@@ -110,8 +60,6 @@ def _guard(ns, reason: str | None) -> None:
 DIMS_BYTES = (115, 1.0)
 #: Estimated growth, in MiB, above which `dims` refuses.
 DIMS_GUARD_MIB = 256
-#: Sine-form terms above which `dims --float-display` refuses (about 1.2 us each).
-FLOAT_GUARD_TERMS = 10**7
 #: Largest prime `hopf` certifies without --force, and the largest `verify`
 #: takes in its --p-list.  Fitted to `hopf` when U and U^-1 were built whole
 #: (3 s at 167); checking each of the under 3p/2 run shapes against its
@@ -159,9 +107,6 @@ def _dims_refusal(ns) -> str | None:
         mib = math.inf
     if mib > DIMS_GUARD_MIB:
         return f"estimated peak of {mib:.3g} MiB exceeds {DIMS_GUARD_MIB} MiB"
-    terms = d * (d + cells)  # the sine bases, then d terms per display cell
-    if ns.float_display and terms > FLOAT_GUARD_TERMS:
-        return f"--float-display would sum {terms:.3g} sine terms, over {FLOAT_GUARD_TERMS:.0e}"
     return _text_refusal(top)
 
 
@@ -216,19 +161,11 @@ def _cmd_dims(ns) -> int:
     limit = _text_limit()
     if limit and max(table.total(ns.gmax, c) for c in range(table.d)) >= 10**limit:
         raise _Refusal(f"counts pass the {limit}-digit int-to-text limit")
-    cols = list(DIM_COLUMNS)
-    if ns.float_display:
-        cols += ["delta_sine", "D_sine"]
-
-    def rows():
-        for g, c, fe, fo, total, delta in table.rows():
-            row = {"p": p, "g": g, "c": c, "fe": fe, "fo": fo, "D": total, "delta": delta}
-            if ns.float_display:
-                row["delta_sine"] = _display(delta_float, p, g, c)
-                row["D_sine"] = _display(total_float, p, g, c)
-            yield row
-
-    _emit_rows(rows(), cols, ns.format)
+    rows = (
+        {"p": p, "g": g, "c": c, "fe": fe, "fo": fo, "D": total, "delta": delta}
+        for g, c, fe, fo, total, delta in table.rows()
+    )
+    _emit_rows(rows, DIM_COLUMNS, ns.format)
     return EXIT_OK
 
 
@@ -370,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dims.add_argument("--p", type=int, required=True)
     p_dims.add_argument("--gmax", type=int, default=3)
     p_dims.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_dims.add_argument("--float-display", action="store_true")
     p_dims.add_argument("--force", action="store_true", help="override the size guard")
     p_dims.set_defaults(func=_cmd_dims)
 

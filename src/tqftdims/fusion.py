@@ -208,12 +208,18 @@ def _read(entry, p: int, g: int, c: int, counting: bool) -> int:
 
 
 def delta_via_matrix(p: int, g: int, c: int) -> int:
-    """Signed count even - odd from the g-th power of the alternating matrix."""
+    """Signed count even - odd from the g-th power of the alternating matrix.
+
+    Reads the table built to genus g; two tables are cached, so every color
+    at one (p, g) costs one build and g mat-vecs, but reading g = 1..G in
+    turn builds G tables, about G^2/2 mat-vecs.
+    """
     return _read(_matrix_entry, p, g, c, counting=False)
 
 
 def total_via_matrix(p: int, g: int, c: int) -> int:
-    """Total count from the g-th power of the counting matrix."""
+    """Total count from the g-th power of the counting matrix; reads cost as
+    for delta_via_matrix (G tables, about G^2/2 mat-vecs for g = 1..G)."""
     return _read(_matrix_entry, p, g, c, counting=True)
 
 

@@ -16,9 +16,7 @@ from tqftdims.cli import (
     EXIT_VERIFY,
     HOPF_GUARD_P,
     POLY_GUARD_G,
-    delta_float,
     main,
-    total_float,
 )
 from tqftdims.cyclotomic import is_prime
 from tqftdims.recursion import dim_table
@@ -60,53 +58,14 @@ def test_dims_json_shape():
     ]
 
 
-@pytest.mark.parametrize("float_display", [(), ("--float-display",)])
-def test_dims_json_streams_the_bytes_of_one_dump(capsys, float_display):
+def test_dims_json_streams_the_bytes_of_one_dump(capsys):
     # rows are written one at a time, and must read as json.dumps of them all
-    assert main(["dims", "--p", "7", "--gmax", "3", "--format", "json", *float_display]) == EXIT_OK
-    rows = []
-    for g, c, fe, fo, total, delta in dim_table(7, 3).rows():
-        row = {"p": 7, "g": g, "c": c, "fe": fe, "fo": fo, "D": total, "delta": delta}
-        if float_display:
-            row["delta_sine"] = f"{delta_float(7, g, c):.6f}"
-            row["D_sine"] = f"{total_float(7, g, c):.6f}"
-        rows.append(row)
+    assert main(["dims", "--p", "7", "--gmax", "3", "--format", "json"]) == EXIT_OK
+    rows = [
+        {"p": 7, "g": g, "c": c, "fe": fe, "fo": fo, "D": total, "delta": delta}
+        for g, c, fe, fo, total, delta in dim_table(7, 3).rows()
+    ]
     assert capsys.readouterr().out == json.dumps(rows) + "\n"
-
-
-def test_dims_float_display_columns():
-    res = run_cli("dims", "--p", "7", "--gmax", "3", "--format", "csv", "--float-display")
-    lines = res.stdout.splitlines()
-    assert lines[0] == "p,g,c,fe,fo,D,delta,delta_sine,D_sine"
-    t = dim_table(7, 3)
-    for line in lines[1:]:
-        cells = line.split(",")
-        g, c = int(cells[1]), int(cells[2])
-        assert abs(float(cells[7]) - t.delta(g, c)) < 1e-6
-        assert abs(float(cells[8]) - t.total(g, c)) < 1e-6
-
-
-def test_dims_float_display_overflow_shows_inf():
-    # the sine form overflows a float long before the exact counts stop;
-    # display columns must not change the exit code or the exact columns
-    args = ("dims", "--p", "11", "--gmax", "400", "--format", "csv")
-    plain = run_cli(*args)
-    res = run_cli(*args, "--float-display")
-    assert res.returncode == EXIT_OK
-    assert res.stderr == ""
-    lines = res.stdout.splitlines()
-    assert [line.rsplit(",", 2)[0] for line in lines] == plain.stdout.splitlines()
-    assert any(line.endswith(",inf") for line in lines)
-
-
-def test_dims_float_display_bytes_frozen():
-    # sha256 frozen from the display that recomputed the sine eigenvalues
-    # for every cell: computing them once per prime must not move a digit
-    argv = ("dims", "--p", "31", "--gmax", "12", "--format", "csv", "--float-display")
-    res = run_cli(*argv, binary=True)
-    assert res.returncode == EXIT_OK
-    digest = "9990de00b19706e15f8436afd0661e575bc9df7bacd7a44602a63741b8a2e409"
-    assert hashlib.sha256(res.stdout).hexdigest() == digest
 
 
 # sha256 of `dims --format csv` stdout, frozen from the program before it had
@@ -114,8 +73,6 @@ def test_dims_float_display_bytes_frozen():
 DIMS_UNDER_GUARD = {
     ("--p", "101", "--gmax", "110"):
         "1fb14b5ca3c867affe7c535fad026142843a205afe3e17de71bf69e242ac6a9a",
-    ("--p", "101", "--gmax", "110", "--float-display"):
-        "8986b7060d84e4679e372e5bffc2697b1433c7bfd4368c8ae7f89329381be308",
     ("--p", "11", "--gmax", "400"):
         "d3369749c41453b1d2d946e5de8e97cb7efedf682ed7e29a362ae324e616b5f9",
 }
@@ -148,7 +105,6 @@ def no_tables(monkeypatch):
         ("--p", "5", "--gmax", "200000"),  # digits
         ("--p", "20011", "--gmax", "100", "--format", "json"),  # digits, as json
         ("--p", "5", "--gmax", "9000"),  # counts past Python's int-to-text limit
-        ("--p", "4001", "--gmax", "4", "--float-display"),  # sine terms
     ],
 )
 def test_dims_size_guard_refuses_before_building(no_tables, capsys, args):
@@ -188,7 +144,6 @@ def test_dims_force_refuses_counts_past_the_text_limit(capsys):
         ("--p", "5", "--gmax", "6500"),
         ("--p", "4001", "--gmax", "4"),
         ("--p", "1009", "--gmax", "30"),
-        ("--p", "1009", "--gmax", "10", "--float-display"),
         # refused at 265 and 520 MiB by a fit from before rows streamed;
         # they peak at 38 and 71 MB
         ("--p", "5", "--gmax", "6500", "--format", "json"),
@@ -612,7 +567,11 @@ def test_config_validation_direct(capsys):
         assert main(argv) == EXIT_USAGE, argv
     # every refusal comes before any output, for verify before any claim runs
     assert capsys.readouterr().out == ""
-    for argv in (["dims", "--p", "5", "--format", "yaml"], ["verify", "--suite", "everything"]):
+    for argv in (
+        ["dims", "--p", "5", "--format", "yaml"],
+        ["dims", "--p", "7", "--float-display"],
+        ["verify", "--suite", "everything"],
+    ):
         with pytest.raises(SystemExit, match=f"^{EXIT_USAGE}$"):
             main(argv)
 
@@ -678,12 +637,3 @@ def test_main_callable_in_process(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "p,g,c,fe,fo,D,delta"
     assert main(["dims", "--p", "6", "--gmax", "1"]) == EXIT_USAGE
-
-
-def test_float_display_helpers_match_exact():
-    for p in (5, 7, 11):
-        t = dim_table(p, 4)
-        for g in range(1, 5):
-            for c in range(t.d):
-                assert abs(delta_float(p, g, c) - t.delta(g, c)) < 1e-6
-                assert abs(total_float(p, g, c) - t.total(g, c)) < 1e-6

@@ -1,8 +1,9 @@
 """Package hygiene: exported names resolve, the independent routes stay
 independent at the import level, the CLI's import loads no module that no
-command runs, the read-only records behave as their callers need, every
-cache but one is bounded by the reuse its callers need, and every benchmark
-op still runs."""
+command runs, floats stay out of every count path, the read-only records
+behave as their callers need, every cache but one is bounded by the reuse
+its callers need, every README example runs, and every benchmark op still
+runs."""
 
 import ast
 import contextlib
@@ -11,6 +12,7 @@ import importlib.util
 import io
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +108,68 @@ def test_cli_import_loads_none_of_the_start_up_diet():
     loaded = set(res.stdout.split())
     assert "tqftdims.cli" in loaded
     assert loaded & NOT_AT_START_UP == set()
+
+
+# -- floats: only the `dims` size guard estimates in floating point ------------
+
+#: The math names whose value is an int on int arguments; every other name
+#: read from math (sin, log10, pi, inf, ceil, ...) is float-valued.
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+#: Where floats may appear: the guard's digit bound, its memory estimate and
+#: the fitted bytes that estimate reads.
+FLOAT_SITES = {"cli._dims_digits", "cli._dims_refusal", "cli.DIMS_BYTES"}
+
+
+def _float_nodes(tree, aliases: set[str]) -> list:
+    """The true divisions, float literals and float-valued math names, with
+    `aliases` the names the module binds math to."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(node)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(node)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr not in INTEGER_MATH
+        ):
+            found.append(node)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            if any(a.name not in INTEGER_MATH for a in node.names):
+                found.append(node)
+    return found
+
+
+def _float_sites(module: str) -> set[str]:
+    """The top-level definitions (function, class or assigned name) that
+    hold a float node."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "math"}
+    sites = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            name = top.name
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            name = ",".join(getattr(t, "id", "?") for t in targets)
+        else:
+            name = f"line {top.lineno}"
+        if _float_nodes(top, aliases):
+            sites.add(f"{module}.{name}")
+    return sites
+
+
+def test_floats_stay_in_the_dims_size_guard():
+    # Every count is exact; a float may only estimate whether `dims` fits.
+    sites = set()
+    for name in MODULES:
+        sites |= _float_sites(name)
+    assert sites == FLOAT_SITES
 
 
 # -- read-only records -----------------------------------------------------------
@@ -251,7 +315,6 @@ def _cold_misses(run) -> dict[str, int]:
 # Misses of the default verify with every cache unbounded: a bound that drops
 # an entry some caller re-reads shows up as an extra miss.
 VERIFY_MISSES = {
-    "cli._sine_bases": 0,
     "cyclotomic._check_prime": 18,
     "fusion._eigenvalue_power": 32,
     "fusion._power_table": 8,
@@ -299,3 +362,23 @@ def test_benchmark_ops_run_on_the_program():
             assert ops.observe(op, ops.run(op)) == ops.expect(op), (name, op)
     # perfbench/layers.py reads the table cache's statistics
     assert callable(recursion.dim_table.cache_info)
+
+
+# -- README examples ------------------------------------------------------------
+
+
+def test_every_readme_example_runs():
+    # an option that is removed or renamed cannot stay documented
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = [shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("tqftdims ")]
+    assert examples
+    failed = {}
+    for argv in examples:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the line
+            code = exc.code
+        if code != 0:
+            failed[shlex.join(argv)] = code
+    assert failed == {}
