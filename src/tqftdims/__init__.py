@@ -12,7 +12,9 @@ Four independent computations of the same numbers live side by side:
   and the boundary color, with Bernoulli-number leading-term certificates.
 
 All core arithmetic is exact (integers, fractions, cyclotomic numbers).
-Floating point appears only in the `dims` size guard's estimate.
+Floating point appears only in the CLI's estimate of a count's digits
+(`cli._dims_digits`), which the `dims` size guard and `quadruple`'s refusal
+of counts too long to print both read.
 """
 
 from .census import count_parities

@@ -10,8 +10,9 @@ in verify's order; ``tests/test_acceptance.py`` calls them directly.
 from __future__ import annotations
 
 from itertools import islice
+from operator import sub
 
-from . import census, fusion, polylab, recursion
+from . import census, cyclotomic, fusion, polylab, recursion
 from .cyclotomic import _check_prime, inverse_run, quantum_int, run
 
 Claim = tuple[str, bool]
@@ -72,11 +73,8 @@ def galois_sums(p: int, gmax: int) -> Claim:
 # -- S's identities, read from its formula --------------------------------------
 #
 # S_ij = zeta^(a_i a_j) - zeta^(-a_i a_j) with a_i = 2i + 1, i, j = 0..d-1.  No
-# entry of S is built: each claim expands its products by this formula.  An
-# element of Z[zeta_p] is held unfolded, as p integers over zeta^0..zeta^(p-1).
-# The kernel of Z[t]/(t^p - 1) -> Z[zeta_p] is Z (1 + t + ... + t^(p-1)), so
-# two unfolded vectors name the same element exactly when their difference is
-# constant.
+# entry of S is built: each claim expands its products by this formula, over
+# elements of Z[zeta_p] held unfolded (cyclotomic's unfolded elements).
 
 
 def _exponents(p: int) -> list[int]:
@@ -84,23 +82,11 @@ def _exponents(p: int) -> list[int]:
     return list(range(1, _check_prime(p) - 1, 2))
 
 
-def _differs_by(x, y, n: int) -> bool:
-    """Whether the unfolded x and y name elements with x = y + n, n an integer."""
-    diff = [xi - yi for xi, yi in zip(x, y)]
-    diff[0] -= n
-    return len(set(diff)) == 1
-
-
 def _g_sums(p: int, a) -> list[list[int]]:
     """G(m) = sum_k (zeta^(a_k m) + zeta^(-a_k m)), unfolded, for m = 0..p-1."""
-    sums = []
-    for m in range(p):
-        g = [0] * p
-        for ak in a:
-            g[ak * m % p] += 1
-            g[-ak * m % p] += 1
-        sums.append(g)
-    return sums
+    return [
+        cyclotomic._unfolded(p, [(e, 1) for ak in a for e in (ak * m, -ak * m)]) for m in range(p)
+    ]
 
 
 def s_matrix_square(p: int) -> Claim:
@@ -110,7 +96,7 @@ def s_matrix_square(p: int) -> Claim:
     a = _exponents(p)
     g = _g_sums(p, a)
     ok = all(
-        _differs_by(g[(ai + aj) % p], g[(ai - aj) % p], -p if i == j else 0)
+        cyclotomic._names(g[(ai + aj) % p], g[(ai - aj) % p], -p if i == j else 0)
         for i, ai in enumerate(a)
         for j, aj in enumerate(a)
     )
@@ -130,7 +116,7 @@ def z_diagonalization(p: int) -> Claim:
     h = [[x + y for x, y in zip(g[(m + 1) % p], g[m - 1])] for m in range(p)]
     mz = fusion.mul_matrix_even(fusion.cheb_vector(p, 1)).entries
     ok = all(
-        _differs_by(h[(ai + aj) % p], h[(ai - aj) % p], p * mz[i][j])
+        cyclotomic._names(h[(ai + aj) % p], h[(ai - aj) % p], p * mz[i][j])
         for i, ai in enumerate(a)
         for j, aj in enumerate(a)
     )
@@ -145,12 +131,6 @@ def ladder_fold(p: int) -> Claim:
     return f"ladder fold symmetry across the quotient relation (p={p})", ok
 
 
-def _times(x: list[int], k: int) -> list[int]:
-    """zeta^k x, for x unfolded: a rotation of its p integers."""
-    r = -k % len(x)
-    return x[r:] + x[:r]
-
-
 def alternating_eigenvalues(p: int) -> Claim:
     """M s = lambda s: lambda = alternating_eigenvalue(p) is an eigenvalue of M,
     the integer matrix of the alternating element, with eigenvector s, column 0
@@ -163,38 +143,38 @@ def alternating_eigenvalues(p: int) -> Claim:
     annihilates chi."""
     a = _exponents(p)
     mat = fusion.mul_matrix_even(fusion.alternating_element(p)).entries
-    lam = list(fusion.alternating_eigenvalue(p).num) + [0]
+    lam = cyclotomic._unfold(fusion.alternating_eigenvalue(p))
 
     def s_sum(coeffs) -> list[int]:
         """sum_k c_k s_k, unfolded."""
-        out = [0] * p
-        for ak, c in zip(a, coeffs):
-            out[ak % p] += c
-            out[-ak % p] -= c
-        return out
+        terms = [t for ak, c in zip(a, coeffs) for t in ((ak, c), (-ak, -c))]
+        return cyclotomic._unfolded(p, terms)
 
     # s_0 != 0, and row r of M s names lambda s_r = (zeta^(a_r) - zeta^(-a_r)) lambda
-    ok = len(set(s_sum([1]))) > 1 and all(
-        _differs_by(s_sum(row), [x - y for x, y in zip(_times(lam, ar), _times(lam, -ar))], 0)
-        for row, ar in zip(mat, a)
+    lam_s = [list(map(sub, cyclotomic._rotate(lam, ar), cyclotomic._rotate(lam, -ar))) for ar in a]
+    ok = not cyclotomic._names(s_sum([1]), s_sum([])) and all(
+        cyclotomic._names(s_sum(row), lam_sr) for row, lam_sr in zip(mat, lam_s)
     )
     return f"alternating eigenvalue family annihilates its matrix (p={p})", ok
 
 
+def _admissible_column(d: int, i: int, j: int) -> tuple[int, ...]:
+    """k -> 1 if (2i, 2j, 2k) is admissible, else 0, for k = 0..d-1: a run of
+    ones over |i - j| <= k <= min(i + j, p - 2 - i - j), p = 2d + 1."""
+    lo, hi = abs(i - j), min(i + j, 2 * d - 1 - i - j)
+    return (0,) * lo + (1,) * (hi + 1 - lo) + (0,) * (d - 1 - hi)
+
+
 def structure_constants(p: int) -> Claim:
-    d = (p - 1) // 2
-    ok = True
-    for i in range(d):
-        # column j holds the even coordinates of e_(2i) e_(2j)
-        rows = fusion.mul_matrix_even(fusion.cheb_vector(p, 2 * i)).entries
-        for j in range(d):
-            for k in range(d):
-                admissible = (
-                    abs(2 * i - 2 * j) <= 2 * k <= 2 * i + 2 * j
-                    and 2 * i + 2 * j + 2 * k <= 2 * p - 4
-                )
-                if rows[k][j] != (1 if admissible else 0):
-                    ok = False
+    e0 = fusion.cheb_vector(p, 0).coords
+    d = len(e0)
+    # e_0, e_2, ..., e_(2d-2) from one ladder walk; column j of the matrix of
+    # e_(2i) holds the even coordinates of e_(2i) e_(2j)
+    ok = all(
+        list(zip(*fusion.mul_matrix_even(fusion.FusionElement(p, tuple(e2i))).entries))
+        == [_admissible_column(d, i, j) for j in range(d)]
+        for i, e2i in enumerate(fusion._even_steps(p, e0))
+    )
     return f"even structure constants are 0/1 and encode admissibility (p={p})", ok
 
 

@@ -64,7 +64,7 @@ DIMS_GUARD_MIB = 256
 #: takes in its --p-list.  Fitted to `hopf` when U and U^-1 were built whole
 #: (3 s at 167); checking each of the under 3p/2 run shapes against its
 #: inverse run instead takes 0.015 s there (README.md).  It was not fitted to
-#: `verify`: `verify --p-list 167` is accepted and takes 0.6-0.8 s as one
+#: `verify`: `verify --p-list 167` is accepted and takes 0.6-0.75 s as one
 #: command, since the S-matrix claims read S's formula (README.md; shared
 #: 2-core x86-64, Python 3.11).
 HOPF_GUARD_P = 167
@@ -234,15 +234,15 @@ def _cmd_hopf(ns) -> int:
     # The guard runs before hopf_certificate tests p for primality.
     if _check_order(ns.p) > HOPF_GUARD_P:
         _guard(ns, f"p={ns.p} exceeds {HOPF_GUARD_P}")
+    # hopf_certificate returns only a certified determinant, valuation
+    # d(d-1)/2 and unit norm 1; it raises ArithmeticError, exit 1, otherwise.
     cert = fusion.hopf_certificate(ns.p)
     d = (ns.p - 1) // 2
-    expected = d * (d - 1) // 2
-    ok = cert.valuation == expected
     print(
-        f"p={ns.p} valuation={cert.valuation} expected={expected} "
-        f"unit_norm={cert.unit_norm} certified={'yes' if ok else 'no'}"
+        f"p={ns.p} valuation={cert.valuation} expected={d * (d - 1) // 2} "
+        f"unit_norm={cert.unit_norm} certified=yes"
     )
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK
 
 
 def _cmd_quadruple(ns) -> int:

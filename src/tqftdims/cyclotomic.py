@@ -34,6 +34,7 @@ every other module already builds on this one.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import sub
 
 __all__ = [
     "CycNum",
@@ -443,8 +444,43 @@ def norm(x: CycNum) -> int:
     return _adjugate_norm(x.p, x.num)[1]
 
 
+# -- unfolded elements -----------------------------------------------------------
+#
+# An element of Z[zeta_p] can also be held unfolded: p integers over
+# zeta^0..zeta^(p-1), an element of Z[t]/(t^p - 1), which sums, rotates and
+# multiplies with no fold.  The kernel of Z[t]/(t^p - 1) -> Z[zeta_p] is
+# Z (1 + t + ... + t^(p-1)), so two unfolded vectors name the same element
+# exactly when their difference is constant (_names), and _fold reads the
+# coordinates off either.
+
+
+def _unfolded(p: int, terms) -> list:
+    """sum c zeta^e over the (e, c) pairs of terms, any integer e, unfolded."""
+    vec = [0] * p
+    for e, c in terms:
+        vec[e % p] += c
+    return vec
+
+
+def _names(x, y, n: int = 0) -> bool:
+    """Whether the unfolded x names the element y + n, for y unfolded and n
+    an integer: whether x - y - n is constant."""
+    return len({x[0] - y[0] - n, *map(sub, x[1:], y[1:])}) == 1
+
+
+def _rotate(x, k: int) -> list:
+    """zeta^k x, for x unfolded: a rotation of its p integers."""
+    r = -k % len(x)
+    return [*x[r:], *x[:r]]
+
+
+def _unfold(x: CycNum) -> list:
+    """x unfolded: its p - 1 coordinates, then 0 at zeta^(p-1)."""
+    return [*x.num, 0]
+
+
 def _run_coeffs(p: int, s: int, n: int, t: int) -> list:
-    """The p coefficients modulo t^p - 1 of the run (s, n, t)."""
+    """The run (s, n, t) unfolded."""
     vec = [0] * p
     for k in range(n):
         vec[(s + k * t) % p] += 1
@@ -470,9 +506,8 @@ def _runs_multiply_to_one(p: int, x: tuple, y: tuple) -> bool:
 
     Such runs have 0/1 coefficients, so every coefficient of their cyclic
     product lies in [0, min(n_x, n_y)], and its packed residue r holds them
-    as its digits c_0..c_(p-1).  The kernel of Z[t]/(t^p - 1) -> Z[zeta_p]
-    is Z (1 + t + ... + t^(p-1)), so the product is 1 exactly when
-    c_0 - 1 = c_1 = ... = c_(p-1), that is when
+    as its digits c_0..c_(p-1).  The product is 1 exactly when it names 1
+    (_names), c_0 - 1 = c_1 = ... = c_(p-1), that is when
     r = 1 + (c_0 - 1) (1 + 2^w + ... + 2^(w(p-1))), c_0 being r mod 2^w.
     """
     k = _digit_bytes(min(x[1], y[1]))

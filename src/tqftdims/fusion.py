@@ -22,7 +22,7 @@ never built; claims.py checks its identities from that formula.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from operator import add, mul, sub
 
 from .cyclotomic import (
@@ -31,6 +31,8 @@ from .cyclotomic import (
     _check_color,
     _check_prime,
     _runs_multiply_to_one,
+    _unfold,
+    _unfolded,
     galois,
     inverse_run,
 )
@@ -228,10 +230,8 @@ def total_via_matrix(p: int, g: int, c: int) -> int:
 
 def _real_sum(p: int, weights) -> CycNum:
     """w_0 + sum_{k=1}^{d-1} w_k (q^2k + q^-2k) for the weights w_0..w_(d-1)."""
-    vec = [0] * p
-    for k, w in enumerate(weights):
-        vec[2 * k] = vec[-2 * k] = w
-    return CycNum(p, vec)
+    terms = chain(zip(range(0, p, 2), weights), zip(range(-2, -p, -2), weights[1:]))
+    return CycNum(p, _unfolded(p, terms))
 
 
 def alternating_eigenvalue(p: int) -> CycNum:
@@ -274,8 +274,18 @@ def _galois_entry(p: int, g: int, c: int, counting: bool) -> int:
     p a_(-m) - sum(a) for x = sum a_i zeta^i (a_(p-1) = 0), and the four
     monomials of the bracket cancel the sum(a) terms: the entry is
     -(a_(-k-1) - a_(1-k) - a_(k-1) + a_(k+1)) / 2, checked to be an integer.
+
+    This is entry (c, 0) of M^g, the matrix route's cell, at every genus g.
+    Column j of S is sigma_(a_j)(s) for s its column 0, and M is integral,
+    so M s = lam s (claims.alternating_eigenvalues) gives M S = S Lam with
+    Lam = diag(sigma_(a_j)(lam)); with S S = -p I (claims.s_matrix_square),
+    M^g = -(1/p) S Lam^g S.  Its entry (c, 0) is
+    -(1/p) sum_j S_cj sigma_(a_j)(lam)^g S_j0, and S_cj = sigma_(a_j)(q^k - q^-k),
+    S_j0 = sigma_(a_j)(q - q^-1), so each term is sigma_(a_j)(w): the sum
+    above, as a_j = 2j + 1 and -a_j run over every unit mod p once.  The
+    counting matrix has the same eigenvector s, at lam_count.
     """
-    a = _eigenvalue_power(p, g, counting).num + (0,)
+    a = _unfold(_eigenvalue_power(p, g, counting))
     k = 2 * c + 1
     s = a[(-k - 1) % p] - a[(1 - k) % p] - a[(k - 1) % p] + a[(k + 1) % p]
     val, rem = divmod(s, 2)

@@ -230,6 +230,67 @@ def test_norm_is_multiplicative(x, y):
     assert norm(x * y) == norm(x) * norm(y)
 
 
+# -- unfolded elements, against CycNum ------------------------------------------
+
+UNFOLDED_PRIMES = (5, 7, 13, 31)
+
+
+def _unfolded_vectors(p):
+    return st.lists(st.integers(-50, 50), min_size=p, max_size=p)
+
+
+@st.composite
+def _name_pairs(draw):
+    """(p, x, y, n) with x = y + n + c (1, ..., 1) plus a perturbation that
+    is zero about half the time, so that x names y + n in about half."""
+    p = draw(st.sampled_from(UNFOLDED_PRIMES))
+    y = draw(_unfolded_vectors(p))
+    n, c = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    bump = draw(st.one_of(st.just([0] * p), _unfolded_vectors(p)))
+    x = [yi + c + b for yi, b in zip(y, bump)]
+    x[0] += n
+    return p, x, y, n
+
+
+@given(data=_name_pairs())
+@settings(max_examples=200, deadline=None)
+def test_names_decides_equality_of_the_folded_elements(data):
+    p, x, y, n = data
+    assert cyclotomic._names(x, y, n) == (CycNum(p, x) == CycNum(p, y) + n)
+    assert cyclotomic._names(x, y, n) == cyclotomic._names(x, [yi + 7 for yi in y], n)
+
+
+@given(data=st.sampled_from(UNFOLDED_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), _unfolded_vectors(p), st.integers(-3 * p, 3 * p))
+))
+@settings(max_examples=100, deadline=None)
+def test_rotate_multiplies_by_a_monomial(data):
+    p, x, k = data
+    rotated = cyclotomic._rotate(x, k)
+    assert len(rotated) == p
+    assert CycNum(p, rotated) == CycNum(p, x) * monomial(p, k)
+
+
+@given(data=st.sampled_from(UNFOLDED_PRIMES).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.lists(st.tuples(st.integers(-3 * p, 3 * p), st.integers(-50, 50)), max_size=2 * p),
+    )
+))
+@settings(max_examples=100, deadline=None)
+def test_unfolded_sums_monomials(data):
+    p, terms = data
+    vec = cyclotomic._unfolded(p, terms)
+    assert len(vec) == p
+    want = CycNum.scalar(p, 0)
+    for e, c in terms:
+        want = want + c * monomial(p, e)
+    assert CycNum(p, vec) == want
+    # and _unfold is a right inverse of the fold
+    assert CycNum(p, cyclotomic._unfold(want)) == want
+    assert len(cyclotomic._unfold(want)) == p
+
+
 # -- the dense product: Kronecker substitution --------------------------------
 
 DENSE_PRIMES = (17, 19, 23, 29, 31, 59)

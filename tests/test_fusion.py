@@ -3,12 +3,14 @@
 import itertools
 import math
 import random
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftdims import claims, cyclotomic, fusion
+from tqftdims import census, claims, cyclotomic, fusion, polylab, recursion
 from tqftdims.cli import main
 from tqftdims.cyclotomic import CycNum, galois, is_prime, monomial, norm, quantum_int
 from tqftdims.fusion import (
@@ -760,6 +762,19 @@ def test_trace_read_matches_conjugate_half_sum_property(p, g):
         assert galois_sum_total(p, g, c) == _conjugate_entry(p, g, c, True)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_galois_route_equals_matrix_route_at_every_genus(p):
+    # _galois_entry's argument: the S-matrix claims give M^g = -(1/p) S Lam^g S
+    # at every g, so the Galois read is the matrix cell with no window of
+    # genera; checked here to g = 4d, twice the recursion's window of 2d
+    d = (p - 1) // 2
+    for counting in (False, True):
+        table = fusion._power_table(p, 4 * d, counting)
+        for g in range(4 * d + 1):
+            cells = [fusion._galois_entry(p, g, c, counting) for c in range(d)]
+            assert cells == list(table[g]), (counting, g)
+
+
 def test_trace_read_sweep_matches_recursion_at_p211():
     p, g = 211, 8
     t = dim_table(p, g)
@@ -948,6 +963,140 @@ def test_hopf_certificate_refuses_wrong_inverse_run_at_large_p(monkeypatch, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "not a unit" in err
+
+
+# -- one planted fault per verify claim -------------------------------------------
+
+
+def _bump_closed_form(monkeypatch, p):
+    """A fault in the two-point closed forms, where the census and the
+    recursion both read them: balanced (1, 2) is one too many."""
+    true_closed = census.beta_eta_closed
+
+    def bumped(p, c1, c2):
+        beta, eta = true_closed(p, c1, c2)
+        return (beta + 1, eta) if (c1, c2) == (1, 2) else (beta, eta)
+
+    for module in (census, recursion):
+        monkeypatch.setattr(module, "beta_eta_closed", bumped)
+
+
+def _widen_chain_ranges(monkeypatch, p):
+    """A fault in the census walk: each chain range lo..hi admits hi + 1 too,
+    up to d - 1."""
+    true_moves = census._moves
+
+    def widened(p, d):
+        return [[(a, lo, min(hi + 1, d - 1)) for a, lo, hi in row] for row in true_moves(p, d)]
+
+    monkeypatch.setattr(census, "_moves", widened)
+
+
+def _flip_alternating_entry(monkeypatch, p):
+    _flip_entry(monkeypatch, alternating_element(p), 0, 0)
+
+
+def _flip_unit_entry(monkeypatch, p):
+    _flip_entry(monkeypatch, cheb_vector(p, 0), 0, 1)
+
+
+def _misfold_z_step(monkeypatch, p):
+    """The z-step drops the fold e_d -> e_(d-1) of the top coordinate."""
+    true_step = fusion._mul_by_z
+
+    def misfolded(p, vec):
+        out = true_step(p, vec)
+        out[-1] -= vec[-1]
+        return out
+
+    monkeypatch.setattr(fusion, "_mul_by_z", misfolded)
+
+
+def _bump_bernoulli(monkeypatch, p):
+    """B_2 = 1/6 becomes 7/6, and every B_k the recurrence builds from it."""
+    true_bernoulli = polylab.bernoulli
+    monkeypatch.setattr(polylab, "bernoulli", lambda k: true_bernoulli(k) + (k == 2))
+
+
+def _repeat_a_twist(monkeypatch, p):
+    monkeypatch.setattr(fusion, "_twist_exponents", lambda p: [0, 1, 1, 2, 3][: (p - 1) // 2])
+
+
+def _wrong_inverse_run(monkeypatch, p):
+    monkeypatch.setattr(claims, "inverse_run", lambda p, s, n, t: (-s, n, t))
+
+
+#: Every claim of claims.SUITES -> (its arguments, a fault to plant at p = 7,
+#: and what the claim does under it: "FAIL", or the message of the
+#: ArithmeticError it raises instead).
+PLANTED_FAULTS = {
+    claims.census_matches_recursion: ((7, 3), _bump_closed_form, "FAIL"),
+    claims.census_parity_convention: ((7,), _widen_chain_ranges, "odd coloring"),
+    claims.two_point_closed_forms: ((7,), _bump_closed_form, "FAIL"),
+    claims.matrix_powers: ((7, 3), _flip_alternating_entry, "FAIL"),
+    claims.galois_sums: ((7, 3), _plant_counting_eigenvalue, "FAIL"),
+    claims.s_matrix_square: ((7,), _plant_shifted_exponent, "FAIL"),
+    claims.z_diagonalization: ((7,), _plant_flipped_z_entry, "FAIL"),
+    claims.ladder_fold: ((7,), _misfold_z_step, "FAIL"),
+    claims.alternating_eigenvalues: ((7,), _plant_counting_eigenvalue, "FAIL"),
+    claims.structure_constants: ((7,), _flip_unit_entry, "FAIL"),
+    claims.leading_terms: ((2,), _bump_bernoulli, "FAIL"),
+    claims.residue_route: ((2,), _bump_bernoulli, "FAIL"),
+    claims.bernoulli_identity: ((), _bump_bernoulli, "FAIL"),
+    claims.hopf_valuation: ((7,), _repeat_a_twist, "vanished"),
+    claims.quantum_integer_units: ((7,), _wrong_inverse_run, "FAIL"),
+}
+
+
+def _clear_package_caches():
+    for module in (census, cyclotomic, fusion, polylab, recursion):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def _claims_run_by(suite):
+    """The public functions of claims that SUITES[suite] calls at p = 7, gmax = 2."""
+    codes = {
+        f.__code__: f for name, f in vars(claims).items()
+        if isinstance(f, types.FunctionType) and f.__module__ == claims.__name__
+        and not name.startswith("_")
+    }
+    seen = {}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen.setdefault(codes[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        claims.SUITES[suite]((7,), 2)
+    finally:
+        sys.setprofile(None)
+    return list(seen)
+
+
+@pytest.mark.parametrize("suite", claims.SUITES)
+def test_every_claim_fails_on_its_planted_fault(monkeypatch, suite):
+    # No claim can only pass: under its fault each prints FAIL or raises
+    run = _claims_run_by(suite)
+    assert run
+    for claim in run:
+        assert claim in PLANTED_FAULTS, f"{claim.__name__} has no planted fault"
+        args, plant, outcome = PLANTED_FAULTS[claim]
+        assert claim(*args)[1] is True, claim.__name__
+        _clear_package_caches()
+        try:
+            with monkeypatch.context() as planted:
+                plant(planted, 7)
+                if outcome == "FAIL":
+                    assert claim(*args)[1] is False, claim.__name__
+                else:
+                    with pytest.raises(ArithmeticError, match=outcome):
+                        claim(*args)
+        finally:
+            # a planted fault may have reached a cache
+            _clear_package_caches()
 
 
 @pytest.mark.parametrize("p", VERLINDE_PRIMES[:-2])
