@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Print the interpolated count polynomials and their verified leading terms.
 
+Each leading-term claim prints as "verified: <claim>" when it holds and
+"FAILED: <claim>" when it does not; the script exits 1 if any claim failed,
+so it can serve as a check.
+
 Example:
     python scripts/leading_terms.py --gmax 4
 """
@@ -23,6 +27,7 @@ def main() -> int:
     ap.add_argument("--full", action="store_true", help="print whole polynomials")
     ns = ap.parse_args()
 
+    failed = False
     for g in range(ns.gmin, ns.gmax + 1):
         dpoly = interpolate_delta(g)
         tpoly = interpolate_total(g)
@@ -38,9 +43,10 @@ def main() -> int:
         if g >= 3:
             b = normalized_bernoulli(g - 1)
             print(f"even/odd P^{3 * g - 3} coefficient: ({b})C + {Fraction(b, 2)}")
-        for claim in leading_term_report(g):
-            print(f"  verified: {claim}")
-    return 0
+        for claim, ok in leading_term_report(g).items():
+            print(f"  {'verified' if ok else 'FAILED'}: {claim}")
+            failed = failed or not ok
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -13,13 +13,13 @@ from itertools import islice
 from operator import sub
 
 from . import census, cyclotomic, fusion, polylab, recursion
-from .cyclotomic import _check_prime, inverse_run, quantum_int, run
+from .cyclotomic import _check_prime, _rank, inverse_run
 
 Claim = tuple[str, bool]
 
 
 def census_matches_recursion(p: int, gmax: int) -> Claim:
-    d = (p - 1) // 2
+    d = _rank(p)
     gcap = min(gmax, 4)
     while census.state_estimate(p, gcap) > census.STATE_GUARD and gcap > 1:
         gcap -= 1
@@ -33,14 +33,14 @@ def census_matches_recursion(p: int, gmax: int) -> Claim:
 
 
 def census_parity_convention(p: int) -> Claim:
-    d = (p - 1) // 2
+    d = _rank(p)
     ok = all(census.count_parities(p, 1, c)[1] == 0 for c in range(d))
     ok = ok and census.count_parities(p, 2, 0)[1] == 0
     return f"no odd colorings at genus one or at (g, c) = (2, 0) (p={p})", ok
 
 
 def two_point_closed_forms(p: int) -> Claim:
-    d = (p - 1) // 2
+    d = _rank(p)
     ok = all(
         census.beta_eta_bruteforce(p, c1, c2) == census.beta_eta_closed(p, c1, c2)
         for c1 in range(d)
@@ -79,7 +79,7 @@ def galois_sums(p: int, gmax: int) -> Claim:
 
 def _exponents(p: int) -> list[int]:
     """a_i = 2i + 1 for i = 0..d-1, after the prime check every claim makes."""
-    return list(range(1, _check_prime(p) - 1, 2))
+    return list(range(1, 2 * _rank(p), 2))
 
 
 def _g_sums(p: int, a) -> list[list[int]]:
@@ -124,7 +124,7 @@ def z_diagonalization(p: int) -> Claim:
 
 
 def ladder_fold(p: int) -> Claim:
-    d = (_check_prime(p) - 1) // 2
+    d = _rank(p)
     # e_0..e_(2d-1) from one ladder walk: e_(d+i) must fold to e_(d-1-i)
     steps = list(islice(fusion._ladder(p, [1] + [0] * (d - 1)), 2 * d))
     ok = steps[d:] == steps[d - 1 :: -1]
@@ -179,11 +179,7 @@ def structure_constants(p: int) -> Claim:
 
 
 def leading_terms(g: int) -> Claim:
-    try:
-        report = polylab.leading_term_report(g)
-        ok = bool(report) and all(report.values())
-    except polylab.LeadingTermError:
-        ok = False
+    ok = all(polylab.leading_term_report(g).values())
     return f"interpolated polynomials satisfy the leading-term claims (g={g})", ok
 
 
@@ -198,15 +194,19 @@ def bernoulli_identity() -> Claim:
 
 
 def hopf_valuation(p: int) -> Claim:
-    d = (p - 1) // 2
+    d = _rank(p)
     cert = fusion.hopf_certificate(p)
-    ok = cert.valuation == d * (d - 1) // 2 and cert.unit_norm in (1, -1)
+    ok = cert.valuation == d * (d - 1) // 2 and cert.unit_norm == 1
     return f"twist Vandermonde determinant has valuation d(d-1)/2 with unit cofactor (p={p})", ok
 
 
 def quantum_integer_units(p: int) -> Claim:
-    # [n] is the run (1 - n, n, 2); an integral inverse proves it a unit.
-    ok = all(quantum_int(p, n) * run(p, *inverse_run(p, 1 - n, n, 2)) == 1 for n in range(1, p))
+    # [n] is the run (1 - n, n, 2); an integral inverse run proves it a unit,
+    # checked packed, as hopf_certificate checks its cofactor's runs.
+    ok = all(
+        cyclotomic._runs_multiply_to_one(p, (1 - n, n, 2), inverse_run(p, 1 - n, n, 2))
+        for n in range(1, _check_prime(p))
+    )
     return f"quantum integers are units (p={p})", ok
 
 

@@ -126,6 +126,12 @@ def _text_refusal(top: float) -> str | None:
 # -- row emission --------------------------------------------------------------
 
 
+def _dims_row(p: int, g: int, c: int, fe: int, fo: int) -> dict:
+    """One row of DIM_COLUMNS: the even and odd counts at (p, g, c), their
+    total D and their difference delta."""
+    return {"p": p, "g": g, "c": c, "fe": fe, "fo": fo, "D": fe + fo, "delta": fe - fo}
+
+
 def _emit_rows(rows: Iterable[dict], cols: list[str], fmt: str) -> None:
     """Format and write rows one at a time, building no list of rows and no
     whole json string."""
@@ -161,10 +167,7 @@ def _cmd_dims(ns) -> int:
     limit = _text_limit()
     if limit and max(table.total(ns.gmax, c) for c in range(table.d)) >= 10**limit:
         raise _Refusal(f"counts pass the {limit}-digit int-to-text limit")
-    rows = (
-        {"p": p, "g": g, "c": c, "fe": fe, "fo": fo, "D": total, "delta": delta}
-        for g, c, fe, fo, total, delta in table.rows()
-    )
+    rows = (_dims_row(p, g, c, fe, fo) for g, c, fe, fo, _total, _delta in table.rows())
     _emit_rows(rows, DIM_COLUMNS, ns.format)
     return EXIT_OK
 
@@ -195,16 +198,7 @@ def _cmd_census(ns) -> int:
     if ns.format == "text":
         print(f"fe={fe} fo={fo}")
     else:
-        row = {
-            "p": ns.p,
-            "g": ns.g,
-            "c": ns.c,
-            "fe": fe,
-            "fo": fo,
-            "D": fe + fo,
-            "delta": fe - fo,
-        }
-        _emit_rows([row], DIM_COLUMNS, ns.format)
+        _emit_rows([_dims_row(ns.p, ns.g, ns.c, fe, fo)], DIM_COLUMNS, ns.format)
     return EXIT_OK
 
 
@@ -252,17 +246,16 @@ def _cmd_quadruple(ns) -> int:
     if refusal:
         raise _Refusal(refusal)
     table = recursion.dim_table(5, ns.gmax)
-    rows = []
-    for g in range(ns.gmin, ns.gmax + 1):
-        rows.append(
-            {
-                "g": g,
-                "fe0": table.n_even(g, 0),
-                "fe2": table.n_even(g, 1),
-                "fo2": table.n_odd(g, 1),
-                "fo0": table.n_odd(g, 0),
-            }
-        )
+    rows = (
+        {
+            "g": g,
+            "fe0": table.n_even(g, 0),
+            "fe2": table.n_even(g, 1),
+            "fo2": table.n_odd(g, 1),
+            "fo0": table.n_odd(g, 0),
+        }
+        for g in range(ns.gmin, ns.gmax + 1)
+    )
     _emit_rows(rows, ["g", "fe0", "fe2", "fo2", "fo0"], ns.format)
     return EXIT_OK
 

@@ -86,6 +86,11 @@ def _check_prime(p: int) -> int:
     return p
 
 
+def _rank(p: int) -> int:
+    """d = (p - 1)/2 of a checked prime p: _check_prime's ValueError otherwise."""
+    return (_check_prime(p) - 1) // 2
+
+
 def _check_color(p: int, *colors: int) -> int:
     """Return d = (p - 1)/2 if every half-color lies in 0..d-1, else raise
     ValueError.  p is not tested: a caller that needs a prime passes

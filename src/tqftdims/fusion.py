@@ -30,6 +30,7 @@ from .cyclotomic import (
     Record,
     _check_color,
     _check_prime,
+    _rank,
     _runs_multiply_to_one,
     _unfold,
     _unfolded,
@@ -54,10 +55,6 @@ __all__ = [
     "mul_matrix_even",
     "total_via_matrix",
 ]
-
-
-def _rank(p: int) -> int:
-    return (_check_prime(p) - 1) // 2
 
 
 def _mul_by_z(p: int, vec):

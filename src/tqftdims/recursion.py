@@ -41,7 +41,7 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub
 
 from .census import beta_eta_closed
-from .cyclotomic import Record, _check_color, _check_prime
+from .cyclotomic import Record, _check_color, _check_prime, _rank
 
 __all__ = ["DimTable", "delta_direct", "delta_split", "dim_table"]
 
@@ -139,10 +139,9 @@ def dim_table(p: int, gmax: int) -> DimTable:
 
 def delta_direct(p: int, g: int) -> tuple[int, ...]:
     """delta for all c via the collapsed kernel d - max(a, c)."""
-    _check_prime(p)
+    d = _rank(p)
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
-    d = (p - 1) // 2
     cur = tuple(d - c for c in range(d))
     for _ in range(g - 1):
         # below[c] = sum_{a<=c} cur_a; above[c] = sum_{a>c} (d - a) cur_a
@@ -154,10 +153,9 @@ def delta_direct(p: int, g: int) -> tuple[int, ...]:
 
 def delta_split(p: int, g: int) -> tuple[int, ...]:
     """Same recursion with the kernel split as (d - a) plus an a < c correction."""
-    _check_prime(p)
+    d = _rank(p)
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
-    d = (p - 1) // 2
     cur = tuple(d - c for c in range(d))
     for _ in range(g - 1):
         base = sum(map(mul, range(d, 0, -1), cur))

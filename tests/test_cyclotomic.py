@@ -384,9 +384,9 @@ def test_sparse_products_never_pack(monkeypatch):
 
 
 def test_default_verify_runs_no_dense_product(monkeypatch, capsys):
-    # every factor at p <= 13 has at most 13 nonzero coordinates, so the
-    # default verify multiplies pairwise only; what it packs is its Galois
-    # powers (CycNum.__pow__) and its Hopf unit checks (_runs_multiply_to_one)
+    # the default verify makes no ring product at all, so no product of it
+    # takes the Kronecker path; what it packs is its Galois powers
+    # (CycNum.__pow__) and its unit checks of runs (_runs_multiply_to_one)
     from tqftdims import cli
 
     def refuse(*args):

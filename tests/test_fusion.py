@@ -1099,6 +1099,39 @@ def test_every_claim_fails_on_its_planted_fault(monkeypatch, suite):
             _clear_package_caches()
 
 
+#: The per-prime claims, with their arguments past p.  Every claim that
+#: claims.SUITES runs has a planted fault above, so this list misses none.
+PER_PRIME_CLAIMS = [
+    pytest.param(claim, args[1:], id=claim.__name__)
+    for claim, (args, _plant, _outcome) in PLANTED_FAULTS.items()
+    if args[:1] == (7,)
+]
+
+
+@pytest.mark.parametrize("bad", (7.0, 9))
+@pytest.mark.parametrize("claim,rest", PER_PRIME_CLAIMS)
+def test_every_per_prime_claim_refuses_a_bad_p_first(claim, rest, bad):
+    # one door for p: the prime check, before anything reads (p - 1) // 2
+    with pytest.raises(ValueError) as exc:
+        claim(bad, *rest)
+    assert str(exc.value) == f"p must be a prime >= 5, got {bad}"
+
+
+def test_leading_term_report_gives_false_verdicts_under_a_fault(monkeypatch):
+    # a false claim is a False verdict, not an exception, and every claim
+    # still has its verdict
+    clean = polylab.leading_term_report(2)
+    _clear_package_caches()
+    try:
+        with monkeypatch.context() as planted:
+            _bump_bernoulli(planted, 7)
+            report = polylab.leading_term_report(2)
+    finally:
+        _clear_package_caches()
+    assert report.keys() == clean.keys() and all(clean.values())
+    assert False in report.values()
+
+
 @pytest.mark.parametrize("p", VERLINDE_PRIMES[:-2])
 def test_packed_run_check_matches_ring_product(p):
     # every shape (n, t), against its inverse run and, shifted by zeta^t,

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqftdims import polylab
+from tqftdims.cli import main
 from tqftdims.cyclotomic import is_prime
 from tqftdims.polylab import (
     BiPoly,
-    InterpolationError,
     bern_identity_check,
     bernoulli,
     conjecture_scan,
@@ -516,10 +516,38 @@ def test_held_out_check_catches_a_wrong_count(monkeypatch):
     monkeypatch.setattr(polylab, "dim_table", corrupted)
     polylab._interpolate.cache_clear()
     try:
-        with pytest.raises(InterpolationError, match="held-out"):
+        with pytest.raises(ArithmeticError, match="held-out"):
             interpolate_delta(2)
     finally:
         polylab._interpolate.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv", [["poly", "--g", "2", "--emit", "D"], ["verify", "--suite", "poly", "--gmax", "2"]]
+)
+def test_held_out_miss_is_a_verification_failure(monkeypatch, capsys, argv):
+    # For g = 2 the total fit uses p = 11..23; p = 29 is held out.  A miss
+    # there is a failed check, exit 1 with nothing on stdout, not bad input.
+    real = polylab.dim_table
+
+    def corrupted(p, gmax):
+        t = real(p, gmax)
+        if p != 29:
+            return t
+        even = (t.even[0], (t.even[1][0] + 1,) + t.even[1][1:]) + t.even[2:]
+        return DimTable(t.p, t.gmax, even, t.odd)
+
+    monkeypatch.setattr(polylab, "dim_table", corrupted)
+    polylab._interpolate.cache_clear()
+    try:
+        assert main(argv) == 1
+    finally:
+        polylab._interpolate.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == ""
+    total = dim_table(29, 2).total(2, 0)
+    want = f"held-out validation failed for total at (p=29, c=0): {total} != {total + 1}"
+    assert err == f"error: {want}\n"
 
 
 def test_interpolants_evaluate_on_fresh_primes():
