@@ -173,6 +173,8 @@ def _cmd_dims(ns) -> int:
 
 
 def _cmd_census(ns) -> int:
+    if ns.list and ns.format != "text":
+        raise ValueError(f"--list streams text records; --format {ns.format} formats counts only")
     # The guard runs before the primality test, so a huge p is refused at
     # once; a bad genus or color is still invalid input, checked first.
     if census.state_estimate(_check_order(ns.p), ns.g) > census.STATE_GUARD:

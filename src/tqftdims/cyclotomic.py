@@ -6,19 +6,14 @@ x = a_0 + a_1 zeta + ... + a_(p-2) zeta^(p-2).  The relation
 have identical coordinates and `==` is decidable.  Ring operations and the
 Galois action run on plain ints.
 
-A product takes one of two paths.  When the sparser factor has fewer than
-_PAIRWISE_BELOW nonzero coordinates (always at p <= 13), it is a loop over
-the pairs of nonzero coordinates.  Otherwise it is one big-int product by
-Kronecker substitution: each factor is packed into one int as its values
-at t = 2^w, with w whole bytes and w - 1 at least the bits of the bound
-min(len a, len b) max|a| max|b| on every product coefficient, so that the
-signed digits of the product, reduced modulo 2^(wp) - 1, are exactly the
-coefficients modulo t^p - 1.
+A product has one path: a loop over the pairs of nonzero coordinates of
+its factors modulo t^p - 1, then one fold.  It costs O(p) with a 2-sparse
+factor and O(p^2) with two dense ones.
 
-Two more users share that packed codec and stay packed between products.
-A power x ** n packs x once, at the width of ||x||_1^n, runs its whole
-square-and-multiply chain on reduced ints and unpacks once, at every p.  A
-unit check "run times run == 1" (_runs_multiply_to_one, which
+The packed codec below serves the two users that stay packed between
+products.  A power x ** n packs x once, at the width of ||x||_1^n, runs its
+whole square-and-multiply chain on reduced ints and unpacks once.  A unit
+check "run times run == 1" (_runs_multiply_to_one, which
 fusion.hopf_certificate calls) packs both runs, makes one product and reads
 the answer off the packed residue, never unpacking it.
 
@@ -128,16 +123,11 @@ def _mul_into(acc: list, a: list, b: list) -> list:
     return acc
 
 
-#: Nonzero coordinates of the sparser factor below which _int_mul multiplies
-#: pairwise.  Fitted by timing both paths on a factor with s nonzero
-#: coordinates times a dense one, p = 5..61 (Python 3.11, 2-core x86-64).
-#: With coordinates of 8 and 64 bits, the sizes the Galois sums and norms
-#: produce, Kronecker wins from s = 8..13 on at p >= 17, and pairwise at
-#: every s at p <= 7; with 300-bit coordinates Kronecker wins from s = 20..39
-#: on at p >= 23.  Dense at p = 61, 64 bits: 714 us pairwise, 158 us
-#: Kronecker; 2-sparse: 35 us against 124 us.  16 also keeps every product
-#: at p <= 13, whose factors have at most 13 nonzero coordinates, pairwise.
-_PAIRWISE_BELOW = 16
+def _int_mul(p: int, a, b) -> list:
+    """Product of two integral elements given by coordinates, reduced to
+    the p - 1 basis coordinates: an integer convolution modulo t^p - 1 over
+    the nonzero coordinates of both (_mul_into), then one fold."""
+    return _fold(_mul_into([0] * p, _nonzero(a), _nonzero(b)))
 
 
 # -- the packed codec ----------------------------------------------------------
@@ -183,42 +173,6 @@ def _unpack(r: int, p: int, k: int) -> list:
     bias = int.from_bytes(half.to_bytes(k, "little") * p, "little")
     out = (r + bias).to_bytes(p * k, "little")
     return _fold([int.from_bytes(out[i:i + k], "little") - half for i in range(0, p * k, k)])
-
-
-def _kronecker(p: int, a, b) -> list:
-    """Product of two coordinate lists of length <= p by Kronecker
-    substitution: both factors packed, one int product, its cyclic residue
-    unpacked and folded.  For each k at most min(len a, len b) pairs (i, j)
-    have i + j = k mod p, so no coefficient exceeds
-    bound = min(len a, len b) max|a| max|b| in absolute value: the digits
-    hold it, and so every coordinate of a nonzero factor.
-    """
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    if not bound:
-        return [0] * (p - 1)
-    k = _digit_bytes(bound)
-    packed = _pack(a, k)
-    return _unpack(_cyclic(packed * (packed if a is b else _pack(b, k)), p, k), p, k)
-
-
-def _int_mul(p: int, a, b) -> list:
-    """Product of two integral elements given by coordinates, reduced to
-    the p - 1 basis coordinates.  Two paths:
-
-    - pairwise, when the sparser factor has fewer than _PAIRWISE_BELOW
-      nonzero coordinates: an integer convolution modulo t^p - 1 over the
-      nonzero coordinates of both (_mul_into), then one fold;
-    - dense otherwise: one big-int product by Kronecker substitution
-      (_kronecker), with digits of min(len a, len b) max|a| max|b| plus a
-      sign bit, in whole bytes.
-
-    At p <= 13 no factor reaches _PAIRWISE_BELOW nonzero coordinates, so
-    every product there is pairwise.
-    """
-    na, nb = _nonzero(a), _nonzero(b)
-    if min(len(na), len(nb)) < _PAIRWISE_BELOW:
-        return _fold(_mul_into([0] * p, na, nb))
-    return _kronecker(p, a, b)
 
 
 def _int_galois(p: int, a, j: int) -> list:
@@ -445,7 +399,12 @@ def galois(x: CycNum, j: int) -> CycNum:
 
 
 def norm(x: CycNum) -> int:
-    """Field norm: the product of all p-1 Galois conjugates, a rational integer."""
+    """Field norm: the product of all p-1 Galois conjugates, a rational integer.
+
+    It makes O(log p) products of dense elements, each pairwise at O(p^2):
+    per quantum integer [n], about 0.1 ms at p = 17..23, the primes the
+    benchmark reaches, but 1.3 ms at p = 61 and 4.4 ms at p = 101, which
+    only the tests reach (shared 2-core x86-64, Python 3.11)."""
     return _adjugate_norm(x.p, x.num)[1]
 
 

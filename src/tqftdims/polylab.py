@@ -138,7 +138,8 @@ def _lowest(nums: dict, den: int) -> tuple[dict, int]:
 class BiPoly:
     """Polynomial in P (prime) and C (half-color) over exact rationals.
 
-    Monomial keys are (p_exponent, c_exponent).  Supports +, -, * and ==
+    Monomial keys are (p_exponent, c_exponent), two ints >= 0; the
+    constructor raises ValueError on any other key.  Supports +, -, * and ==
     with other BiPoly and with int or Fraction constants (on the right of -),
     and ** to exponents n >= 0.  Instances are immutable but not hashable,
     and every instance is truthy: test the zero polynomial with `== 0`.
@@ -151,7 +152,10 @@ class BiPoly:
     __slots__ = ("_m", "_d")
 
     def __init__(self, monomials=None) -> None:
-        qs = {(int(i), int(j)): Fraction(q) for (i, j), q in (monomials or {}).items()}
+        qs = {ij: Fraction(q) for ij, q in (monomials or {}).items()}
+        for ij in qs:
+            if type(ij) is not tuple or [type(e) for e in ij] != [int, int] or min(ij) < 0:
+                raise ValueError(f"a monomial key is two ints >= 0, got {ij!r}")
         den = math.lcm(*(q.denominator for q in qs.values()))
         nums = {ij: q.numerator * (den // q.denominator) for ij, q in qs.items()}
         self._m, self._d = _lowest(nums, den)

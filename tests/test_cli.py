@@ -225,6 +225,18 @@ def test_census_json_row(capsys):
     assert capsys.readouterr().out == json.dumps([row]) + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_census_list_refuses_a_non_text_format(capsys, fmt):
+    # the records stream as text only; the refusal is invalid input, made
+    # before the size guard, which the second shape would trip
+    for p, g in ((7, 2), (101, 30)):
+        argv = ["census", "--p", str(p), "--g", str(g), "--c", "1", "--list", "--format", fmt]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --list streams text records; --format {fmt} formats counts only\n"
+
+
 def test_census_size_guard():
     res = run_cli("census", "--p", "13", "--g", "5", "--c", "0")
     assert res.returncode == EXIT_GUARD

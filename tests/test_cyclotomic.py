@@ -1,6 +1,5 @@
 """Exact cyclotomic arithmetic: ring axioms, Galois action, norms."""
 
-import math
 import random
 import sys
 from fractions import Fraction
@@ -291,106 +290,53 @@ def test_unfolded_sums_monomials(data):
     assert len(cyclotomic._unfold(want)) == p
 
 
-# -- the dense product: Kronecker substitution --------------------------------
-
-DENSE_PRIMES = (17, 19, 23, 29, 31, 59)
+# -- the product: one pairwise path --------------------------------------------
 
 
-def _pairwise(p, a, b):
-    """The product by the pairwise loop, the oracle of the dense path."""
-    return cyclotomic._fold(
-        cyclotomic._mul_into([0] * p, cyclotomic._nonzero(a), cyclotomic._nonzero(b))
-    )
-
-
-@st.composite
-def _dense_pairs(draw):
-    """An order p >= 17 and two coordinate lists of length p - 1 or p, with
-    coordinates up to 2^300 in absolute value."""
-    p = draw(st.sampled_from(DENSE_PRIMES))
-    coords = st.sampled_from((p - 1, p)).flatmap(
-        lambda n: st.lists(st.integers(-(2**300), 2**300), min_size=n, max_size=n)
-    )
-    return p, draw(coords), draw(coords)
-
-
-@given(data=_dense_pairs())
-@settings(max_examples=80, deadline=None)
-def test_dense_product_matches_pairwise(data):
-    p, a, b = data
-    want = _pairwise(p, a, b)
-    assert cyclotomic._kronecker(p, a, b) == want
-    assert cyclotomic._kronecker(p, a, a) == _pairwise(p, a, a)
-    assert cyclotomic._int_mul(p, a, b) == want
-
-
-@pytest.mark.parametrize("p", DENSE_PRIMES)
+@pytest.mark.parametrize("p", (17, 19, 23, 29, 31, 59))
 def test_dense_product_edge_cases(p):
     rng = random.Random(p)
     dense = [rng.randint(-(2**64), 2**64) for _ in range(p - 1)]
-    # a zero factor, on either side and on both paths
+    # a zero factor, on either side, of either length
     for zero in ([0] * (p - 1), [0] * p):
-        assert cyclotomic._kronecker(p, zero, dense) == [0] * (p - 1)
-        assert cyclotomic._kronecker(p, dense, zero) == [0] * (p - 1)
         assert cyclotomic._int_mul(p, zero, dense) == [0] * (p - 1)
-    # all-equal extreme coordinates: with n = len(a) = len(b), a cyclic
-    # coefficient of the product is +-n m^2, the width bound itself, and m
-    # is the largest value whose bound for n = p still has 8k - 1 bits, so
-    # the digits of 8k bits are exactly full
-    for k in (2, 16, 40):
-        m = math.isqrt((2 ** (8 * k - 1) - 1) // p)
-        assert (p * m * m).bit_length() == 8 * k - 1
-        for n in (p - 1, p):
-            for sign in (1, -1):
-                a, b = [m] * n, [sign * m] * n
-                cyclic = cyclotomic._mul_into(
-                    [0] * p, cyclotomic._nonzero(a), cyclotomic._nonzero(b)
-                )
-                assert max(map(abs, cyclic)) == n * m * m
-                assert cyclotomic._kronecker(p, a, b) == cyclotomic._fold(cyclic)
-    # mixed signs, alternating and random
-    alt = [(-1) ** i * (2**200 + i) for i in range(p)]
-    mixed = [rng.choice((-1, 1)) * rng.randint(0, 2**90) for _ in range(p)]
-    for a, b in ((alt, mixed), (mixed, alt), (alt, alt), (mixed, [-x for x in mixed])):
-        assert cyclotomic._kronecker(p, a, b) == _pairwise(p, a, b)
+        assert cyclotomic._int_mul(p, dense, zero) == [0] * (p - 1)
 
 
-def test_dense_product_packs_without_the_pairwise_loop(monkeypatch):
+def _pairwise(p, a, b):
+    """The product by the pairwise loop over every pair of coordinates."""
+    acc = [0] * p
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            acc[(i + j) % p] += ai * bj
+    return cyclotomic._fold(acc)
+
+
+def test_products_never_pack(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a dense product ran the pairwise loop")
+        raise AssertionError("a product was packed")
 
-    rng = random.Random(31)
-    x = CycNum(31, [rng.randint(1, 2**40) for _ in range(30)])
-    y = CycNum(31, [rng.randint(-(2**40), -1) for _ in range(30)])
-    square = tuple(_pairwise(31, x.num, x.num))
-    want = tuple(_pairwise(31, x.num, y.num)), square, square
-    monkeypatch.setattr(cyclotomic, "_mul_into", refuse)
-    assert ((x * y).num, (x * x).num, (x**2).num) == want
-
-
-def test_sparse_products_never_pack(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a sparse product was packed")
-
-    monkeypatch.setattr(cyclotomic, "_kronecker", refuse)
+    monkeypatch.setattr(cyclotomic, "_pack", refuse)
+    rng = random.Random(61)
     for p in (31, 61):
         dense = CycNum(p, range(1, p))
         two_sparse = -monomial(p, 1) + 1
         assert two_sparse * dense == dense - monomial(p, 1) * dense
         assert dense * two_sparse == two_sparse * dense
-        # one nonzero coordinate fewer than the cutover, against a dense factor
-        few = CycNum(p, [1] * (cyclotomic._PAIRWISE_BELOW - 1))
-        assert (few * dense).num == tuple(_pairwise(p, few.num, dense.num))
+        # dense times dense, with coordinates of 64 bits
+        other = CycNum(p, [rng.randint(-(2**64), 2**64) for _ in range(p - 1)])
+        assert (dense * other).num == tuple(_pairwise(p, dense.num, other.num))
+        assert (other * other).num == tuple(_pairwise(p, other.num, other.num))
 
 
 def test_default_verify_runs_no_dense_product(monkeypatch, capsys):
-    # the default verify makes no ring product at all, so no product of it
-    # takes the Kronecker path; what it packs is its Galois powers
-    # (CycNum.__pow__) and its unit checks of runs (_runs_multiply_to_one)
+    # the default verify makes no ring product at all; what it packs is its
+    # Galois powers (CycNum.__pow__) and its unit checks of runs
+    # (_runs_multiply_to_one)
     from tqftdims import cli
 
     def refuse(*args):
-        raise AssertionError("verify packed a product")
+        raise AssertionError("verify made a ring product")
 
     packers = []
     true_pack = cyclotomic._pack
@@ -399,8 +345,7 @@ def test_default_verify_runs_no_dense_product(monkeypatch, capsys):
         packers.append(sys._getframe(1).f_code.co_name)
         return true_pack(x, k)
 
-    assert cyclotomic._PAIRWISE_BELOW > 13
-    monkeypatch.setattr(cyclotomic, "_kronecker", refuse)
+    monkeypatch.setattr(cyclotomic, "_int_mul", refuse)
     monkeypatch.setattr(cyclotomic, "_pack", counted)
     assert cli.main(["verify"]) == 0
     assert capsys.readouterr().out.endswith(" 0 failures\n")

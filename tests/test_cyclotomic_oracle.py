@@ -1,6 +1,5 @@
-"""The integer CycNum core, on both its pairwise and its Kronecker path,
-checked against sympy's polynomial arithmetic modulo the p-th cyclotomic
-polynomial."""
+"""The integer CycNum core checked against sympy's polynomial arithmetic
+modulo the p-th cyclotomic polynomial."""
 
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tqftdims import cyclotomic
-from tqftdims.cyclotomic import CycNum, _int_mul, _kronecker
+from tqftdims.cyclotomic import CycNum, _int_mul
 
 sympy = pytest.importorskip("sympy")
 
@@ -86,14 +85,13 @@ def test_sparse_kernel_matches_sympy_product(data):
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_dense_product_matches_sympy_reduction(data):
-    # p >= 17 and coordinates up to 2^300: the factors reach the Kronecker path
-    p = data.draw(st.sampled_from((17, 19)))
+    # large products at large p: p >= 17 and coordinates up to 2^300
+    p = data.draw(st.sampled_from((17, 19, 23, 31, 59)))
     coords = st.sampled_from((p - 1, p)).flatmap(
         lambda n: st.lists(st.integers(-(2**300), 2**300), min_size=n, max_size=n)
     )
     a, b = data.draw(coords), data.draw(coords)
     want = _reduced_coords((_poly(a) * _poly(b)).rem(_phi(p)), p)
-    assert tuple(map(Fraction, _kronecker(p, a, b))) == want
     assert tuple(map(Fraction, _int_mul(p, a, b))) == want
 
 

@@ -2,19 +2,21 @@
 independent at the import level, the CLI's import loads no module that no
 command runs, floats stay out of every count path, the read-only records
 behave as their callers need, every cache but one is bounded by the reuse
-its callers need, every README example runs, and every benchmark op still
-runs."""
+its callers need, every README example runs, every benchmark op still
+runs, and every function in the package is reached by something that runs."""
 
 import ast
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import os
 import pkgutil
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -351,15 +353,22 @@ def _load_by_path(path: Path):
     return module
 
 
-def test_benchmark_ops_run_on_the_program():
-    # perfbench calls the program by name; a deletion that breaks one of its
-    # ops, at toy sizes, fails here rather than only in the benchmark's suite
-    bench = Path(__file__).resolve().parent.parent / "perfbench"
-    workloads = _load_by_path(bench / "workloads.py")
-    ops = _load_by_path(bench / "ops.py")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_benchmark_ops() -> None:
+    """Run every perfbench op at toy sizes and check it against its oracle."""
+    workloads = _load_by_path(ROOT / "perfbench" / "workloads.py")
+    ops = _load_by_path(ROOT / "perfbench" / "ops.py")
     for name in workloads.WORKLOADS:
         for op in workloads.generate(name, 1, small=True):
             assert ops.observe(op, ops.run(op)) == ops.expect(op), (name, op)
+
+
+def test_benchmark_ops_run_on_the_program():
+    # perfbench calls the program by name; a deletion that breaks one of its
+    # ops, at toy sizes, fails here rather than only in the benchmark's suite
+    _run_benchmark_ops()
     # perfbench/layers.py reads the table cache's statistics
     assert callable(recursion.dim_table.cache_info)
 
@@ -367,18 +376,95 @@ def test_benchmark_ops_run_on_the_program():
 # -- README examples ------------------------------------------------------------
 
 
+def _readme_examples() -> list[list[str]]:
+    """The arguments of every README line that starts with `tqftdims `."""
+    readme = (ROOT / "README.md").read_text()
+    return [shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("tqftdims ")]
+
+
+def _exit_code(argv) -> int:
+    """cli.main's exit code for argv, its stdout dropped."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+    except SystemExit as exc:  # argparse rejected the line
+        return exc.code
+
+
 def test_every_readme_example_runs():
     # an option that is removed or renamed cannot stay documented
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    examples = [shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("tqftdims ")]
+    examples = _readme_examples()
     assert examples
-    failed = {}
-    for argv in examples:
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejected the line
-            code = exc.code
-        if code != 0:
-            failed[shlex.join(argv)] = code
+    failed = {shlex.join(argv): code for argv in examples if (code := _exit_code(argv))}
     assert failed == {}
+
+
+# -- reachability: src/ holds only what something runs ----------------------------
+
+#: The scripts, at the arguments tests/test_scripts.py pins their output at.
+SCRIPT_RUNS = {
+    "conjecture_scan.py": ["--gmax", "5"],
+    "dimension_tables.py": ["--primes", "5,7,11", "--gmax", "4", "--c", "0"],
+    "leading_terms.py": ["--gmax", "3", "--full"],
+}
+
+#: Public API that no command, script or benchmark op runs, but the tests
+#: drive: CycNum's and BiPoly's operators and constructors, and the parts of
+#: Record that only refuse, compare or describe.  This set may only shrink.
+TEST_DRIVEN = {
+    "cyclotomic.CycNum.scalar", "cyclotomic.CycNum._add", "cyclotomic.CycNum.__add__",
+    "cyclotomic.CycNum.__sub__", "cyclotomic.CycNum.__neg__", "cyclotomic.CycNum.__mul__",
+    "cyclotomic.CycNum.__bool__", "cyclotomic.CycNum.__repr__", "cyclotomic.monomial",
+    "polylab.BiPoly.__init__", "polylab.BiPoly.const", "polylab.BiPoly.coefficient",
+    "polylab.BiPoly.__pow__", "polylab.BiPoly.__repr__",
+    "cyclotomic.Record.__setattr__", "cyclotomic.Record.__delattr__", "cyclotomic.Record._fields",
+    "cyclotomic.Record._fields_eq", "cyclotomic.Record.__repr__",
+}
+
+
+def _defined_functions(bodies) -> dict:
+    """Every def and method in the compiled module bodies, keyed as its code
+    object names itself: file, first line and qualified name."""
+    found = {}
+    stack = list(bodies)
+    while stack:
+        code = stack.pop()
+        stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        # a function's body, not a class's, a lambda's or a comprehension's
+        if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
+            key = code.co_filename, code.co_firstlineno, code.co_qualname
+            found[key] = f"{Path(code.co_filename).stem}.{code.co_qualname}"
+    return found
+
+
+def test_every_src_function_is_reached(monkeypatch):
+    # a function that no command, script or benchmark op runs, and that is
+    # not public API the tests drive, is dead code.  Every cache starts
+    # empty, so a function behind one is called, not read from it.
+    for cache in _module_caches().values():
+        cache.cache_clear()
+    bodies = [compile(path.read_text(), str(path), "exec") for path in sorted(SRC.glob("*.py"))]
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        # the module bodies, whose calls ran at import, run again unregistered
+        for body in bodies:
+            name = f"tqftdims.{Path(body.co_filename).stem}"
+            exec(body, {"__name__": name, "__package__": "tqftdims"})
+        for argv in [*_readme_examples(), ["verify"]]:
+            assert _exit_code(argv) == 0, argv
+        for script, args in SCRIPT_RUNS.items():
+            monkeypatch.setattr(sys, "argv", [script, *args])
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert _load_by_path(ROOT / "scripts" / script).main() == 0, script
+        _run_benchmark_ops()
+    finally:
+        sys.setprofile(None)
+    reached = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in codes}
+    missed = {name for key, name in _defined_functions(bodies).items() if key not in reached}
+    assert missed == TEST_DRIVEN

@@ -237,6 +237,16 @@ def test_bipoly_basics():
     assert BiPoly().total_degree() == -1
 
 
+@pytest.mark.parametrize(
+    "key", [(1.5, 0), ("2", 0), (-1, 0), (0, -2), (True, 0), (1,), (1, 2, 3), 2], ids=repr
+)
+def test_bipoly_refuses_a_key_that_is_not_two_exponents(key):
+    # an exponent is coerced from nothing: no float, string or bool, and
+    # none negative, whose polynomial would report the zero polynomial's degree
+    with pytest.raises(ValueError, match="two ints >= 0"):
+        BiPoly({key: 1})
+
+
 def test_bipoly_parts():
     p = BiPoly({(1, 0): 1})
     c = BiPoly.var_c()
