@@ -14,12 +14,13 @@ every loop color by (p-3)/2.  The far end u_g has degree two and is modeled
 with a phantom color-0 edge, which pins a_g to the incoming chain color.
 
 There are two walks, one per job: count_parities counts, and the private
-_records streams `census --list`.  Both read their ranges from one table,
-built per call from the vertex inequalities: for each incoming chain color
-x, the stick colors a that admit a next chain color, with that color's
-range lo..hi.  The reference for the record stream is the whole-graph
-enumerator in tests/test_census.py, which colors raw edges and shares no
-code with that table.
+_records streams `census --list`.  Both read their ranges from one table
+per prime, _moves, built from the vertex inequalities and cached as tuples:
+for each incoming chain color x, the stick colors a that admit a next chain
+color, with that color's range lo..hi.  The table holds no count, only
+what the inequalities admit.  The reference for the record stream is the
+whole-graph enumerator in tests/test_census.py, which colors raw edges and
+shares no code with that table.
 
 The loop half-color b_i constrains nothing outside its own vertex, and it
 ranges over 0..d-1-a_i.  So count_parities walks only the (a, e)
@@ -27,13 +28,16 @@ skeletons, and counts each with weight prod(d - a_i).  It walks them down
 to the vertex u_(g-1) only: there the last chain color e pins a_g = e and
 leaves d - e loop choices at u_g, so each last chain range lo..hi is summed
 in closed form, sum(d - e) over its even e and over its odd e, from two
-prefix arrays of d - e that are built from d alone before the walk.  The
-cost stays exponential in g, in the skeletons down to u_(g-1) rather than
-in the colorings.  Nothing is memoized across subtrees: caching on (level,
-chain color, parity) would rebuild the transfer recursion, and the census
-would stop being an independent check on it.  The range sums are not such a
-cache: they are read off one vertex's inequalities, the walk writes nothing
-into them, and no count found in one subtree is read in another.
+prefix arrays of d - e that are built from d alone before the walk.  One
+visit to u_(g-1) loops over its row of moves, adds d - a times those two
+sums into two locals by the parity of a, and adds weight times each to the
+counts once.  The cost stays exponential in g, in the skeletons down to
+u_(g-1) rather than in the colorings.  Nothing is memoized across subtrees:
+caching on (level, chain color, parity) would rebuild the transfer
+recursion, and the census would stop being an independent check on it.
+The range sums are not such a cache: they are read off one vertex's
+inequalities, each visit recomputes its sums and stores none of them, and
+no count found in one subtree is read in another.
 
 _records streams lists of records, one per (a_(g-1), b_(g-1)): it recurses
 over the vertices u_1..u_(g-2) and builds the last two levels, (e_(g-1),
@@ -47,6 +51,8 @@ from the defining inequalities and summing d - e over the last of them.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .cyclotomic import _check_color, _check_prime
 
@@ -69,11 +75,16 @@ def _check_shape(p: int, g: int, c: int) -> int:
     return _check_color(p, c)
 
 
-def _moves(p: int, d: int) -> list[list[tuple[int, int, int]]]:
+# Bounded to one table: every caller finishes with one prime before the next.
+# The default verify reads it 52 times (4 misses, one per prime), as does
+# verify --gmax 8, and the census workload's ops 4 times (2 misses); every hit
+# re-reads the latest entry, so a larger cache would only hold dead tables.
+@lru_cache(maxsize=1)
+def _moves(p: int, d: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Admissibility table: moves[x] lists (a, lo, hi) for every stick
     half-color a at a vertex entered by chain half-color x, where lo..hi is
     the nonempty range of outgoing chain half-colors e that make
-    (2x, 2a, 2e) admissible."""
+    (2x, 2a, 2e) admissible.  Immutable, as the cache hands out one copy."""
     top = p - 2
     table = []
     for x in range(d):
@@ -83,8 +94,8 @@ def _moves(p: int, d: int) -> list[list[tuple[int, int, int]]]:
             hi = min(x + a, top - x - a, d - 1)
             if lo <= hi:
                 row.append((a, lo, hi))
-        table.append(row)
-    return table
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _records(p: int, g: int, c: int):
@@ -141,8 +152,12 @@ def count_parities(p: int, g: int, c: int) -> tuple[int, int]:
     color e pins a_g = e and leaves d - e loop choices at u_g, with parity
     that of the path plus e, so each last chain range lo..hi is summed, not
     walked: sum(d - e) over its even e and over its odd e, read off two
-    prefix arrays of d - e built from d alone.  The cost stays exponential
-    in g, in the skeletons down to u_(g-1).
+    prefix arrays of d - e built from d alone.  A visit to u_(g-1) sums its
+    whole row of moves, each range times d - a, into `same` and `flip` (the
+    path's parity and the other), then adds weight times each to the counts
+    once; it recomputes them on every visit.  Every level reads the prime's
+    cached _moves table.  The cost stays exponential in g, in the skeletons
+    down to u_(g-1): one walk call per skeleton prefix down to u_(g-2).
     """
     d = _check_shape(_check_prime(p), g, c)
     if g == 1:
@@ -158,13 +173,24 @@ def count_parities(p: int, g: int, c: int) -> tuple[int, int]:
     counts = [0, 0]
 
     def walk(i: int, x: int, par: int, weight: int) -> None:
+        if i == g - 2:
+            # u_(g-1): each move's range sums, times its d - a loop choices;
+            # an even e keeps the parity par + a, so an odd a swaps the two
+            same = flip = 0
+            for a, lo, hi in moves[x]:
+                k = d - a
+                ev = even[hi + 1] - even[lo]
+                od = odd[hi + 1] - odd[lo]
+                if a & 1:
+                    ev, od = od, ev
+                same += k * ev
+                flip += k * od
+            counts[par] += weight * same
+            counts[par ^ 1] += weight * flip
+            return
         for a, lo, hi in moves[x]:
             nxt = (par + a) & 1
             w = weight * (d - a)
-            if i == g - 2:
-                counts[nxt] += w * (even[hi + 1] - even[lo])
-                counts[nxt ^ 1] += w * (odd[hi + 1] - odd[lo])
-                continue
             for e in range(lo, hi + 1):
                 walk(i + 1, e, nxt, w)
 

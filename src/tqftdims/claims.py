@@ -50,6 +50,23 @@ def two_point_closed_forms(p: int) -> Claim:
 
 
 def matrix_powers(p: int, gmax: int) -> Claim:
+    """M^g e_0 equals the table's signed and total counts for g = 1..gcap.
+
+    A window of 2d = p - 1 genera would fix every genus.  The table's totals
+    T_g and signed counts delta_g each evolve by a d x d map: with B and H
+    the balanced and unbalanced kernels, T_(g+1) = (B + H) T_g and
+    delta_(g+1) = (B - H) delta_g, where B and H are two-point counts of p
+    alone, the same at every genus.  The matrix route reads M^g e_0 for M
+    the multiplication matrix of one element of the fusion ring, also fixed.
+    So each pair (table, matrix), with the alternating side's signs (-1)^c
+    folded in, is a sequence x_(g+1) = A x_g for a fixed 2d x 2d block
+    diagonal A, and by Cayley-Hamilton the characteristic polynomial of A,
+    of degree 2d, gives a linear recurrence of order at most 2d that both
+    halves and their difference satisfy.  A difference that is 0 at
+    g = 1..2d is then 0 at every g >= 1.  gcap covers that window only at
+    p = 5 (gmax >= 4) and p = 7 (gmax >= 6); tests/test_fusion.py compares
+    the two routes to g = 4d at p = 5..13.
+    """
     gcap = min(gmax, 8)
     rows = recursion.dim_table(p, gcap).rows()
     # M^g e_0 holds (-1)^c delta for the alternating element and the total

@@ -7,6 +7,21 @@ independent ways - exact interpolation through recursion-table samples, and
 a Bernoulli-series residue construction - and checks their degree and
 leading-term structure against closed Bernoulli forms.
 
+Why a fit is the count at every prime.  With d = (p - 1)/2, one genus step
+of the transfer recursion is, for 0 <= c <= d - 1,
+  D'(c) = sum_{a<=c} (2a + 1)(d - c) D(a) + sum_{c<a<d} (2c + 1)(d - a) D(a),
+  delta'(c) = sum_{a<=c} (d - c) delta(a) + sum_{c<a<d} (d - a) delta(a),
+from D = delta = d - c at genus one.  By Faulhaber, sum_{a<n} a^k is a
+polynomial of degree k + 1 in n whose coefficients are Bernoulli numbers,
+so either range sum of a polynomial of total degree n in (d, a) is one of
+total degree at most n + 1 in (d, c).  The kernels add 2 more for D and 1
+for delta, so D has total degree at most 3g - 2 and delta at most 2g - 1,
+in (d, c) and so in (P, C), at every prime and color.  A polynomial of
+total degree at most n is fixed by its values on an (n + 1) x (n + 1)
+tensor grid, so each fit is the count off its grid too: the held-out
+checks test the code, not the argument.  tests/test_polylab.py runs this
+step on polynomials for g <= 6 and finds both degrees exact.
+
 The interpolation builds one integer Lagrange basis per node set (the
 colors, then the fit primes), reads each prime's table once, and stays in
 integer numerators until the last step.  Everything here computes on

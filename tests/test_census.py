@@ -9,7 +9,9 @@ colors must then emerge on its own.
 
 import contextlib
 import itertools
+import sys
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -180,13 +182,54 @@ def test_count_matches_skeleton_walk_property(p, g, c):
         assert count_parities(p, g, c) == _skeleton_walk(p, g, c)
 
 
+def _skeleton_prefixes(p, g, c):
+    """Skeleton prefixes (a_1, e_1, ..., a_i, e_i) from chain color c, for
+    i = 0..g-2, each step an admissible (2x, 2a, 2e) with a, e <= d - 1."""
+    d = (p - 1) // 2
+    ends = [c]  # the last chain color of each prefix of the current length
+    total = 1
+    for _ in range(g - 2):
+        ends = [e for x in ends for a in range(d) for e in range(d) if _ok3(p, 2 * x, 2 * a, 2 * e)]
+        total += len(ends)
+    return total
+
+
+def _walk_calls(p, g, c):
+    """Calls of count_parities' inner walk during count_parities(p, g, c)."""
+    (code,) = [k for k in count_parities.__code__.co_consts
+               if isinstance(k, types.CodeType) and k.co_name == "walk"]
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        count_parities(p, g, c)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("p,g", itertools.product((7, 11, 13), (2, 3, 4)))
+def test_count_walks_every_skeleton_prefix(p, g):
+    # one walk call per skeleton prefix down to u_(g-2): a walk that reused
+    # a subtree's count for a repeated chain color would make fewer calls
+    for c in range((p - 1) // 2):
+        assert _walk_calls(p, g, c) == _skeleton_prefixes(p, g, c)
+
+
 def test_count_builds_one_move_table():
     # the range sums read two length-(d + 1) prefix arrays; a second
-    # d^2-sized table beside the move table would double this peak
+    # d^2-sized table beside the move table would double this peak.  Each
+    # run starts with the table's cache empty: a warm count builds nothing.
     p, d = 401, 200
     _check_prime(p)  # fill the primality cache outside the trace
     peaks = []
     for run in (lambda: _moves(p, d), lambda: count_parities(p, 2, 0)):
+        _moves.cache_clear()
         tracemalloc.start()
         try:
             run()

@@ -775,6 +775,20 @@ def test_galois_route_equals_matrix_route_at_every_genus(p):
             assert cells == list(table[g]), (counting, g)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_matrix_route_equals_recursion_past_the_window(p):
+    # matrix_powers' argument: the table and the matrix route each evolve by
+    # a fixed d x d map, so agreement at g = 1..2d is agreement at every g;
+    # checked here to g = 4d, twice that window
+    d = (p - 1) // 2
+    t = dim_table(p, 4 * d)
+    for counting in (False, True):
+        table = fusion._power_table(p, 4 * d, counting)
+        for g in range(1, 4 * d + 1):
+            want = [t.total(g, c) if counting else (-1) ** c * t.delta(g, c) for c in range(d)]
+            assert list(table[g]) == want, (counting, g)
+
+
 def test_trace_read_sweep_matches_recursion_at_p211():
     p, g = 211, 8
     t = dim_table(p, g)

@@ -482,6 +482,65 @@ def test_interpolation_matches_newton_oracle(g):
         assert polylab._interpolate(g, deg, kind) == _newton_fit(g, deg, kind)
 
 
+# Polynomials in (d, c), held as BiPoly with its P slot standing for d.
+_D = BiPoly({(1, 0): 1})
+_C = BiPoly.var_c()
+
+
+def _faulhaber(k):
+    """sum_{a<n} a^k = (1/(k + 1)) sum_j C(k + 1, j) B_j n^(k+1-j), as
+    ascending coefficients in n, with B_1 = -1/2."""
+    coeffs = [F(0)] * (k + 2)
+    for j in range(k + 1):
+        coeffs[k + 1 - j] += math.comb(k + 1, j) * bernoulli(j) / (k + 1)
+    return coeffs
+
+
+def _range_sums(poly):
+    """(sum_{a<=c}, sum_{c<a<d}) of poly(d, a), as polynomials in (d, c)."""
+    low = high = BiPoly()
+    for (i, k), q in poly.monomials().items():
+        s = _faulhaber(k)
+        to_c = sum((q_m * (_C + 1) ** m for m, q_m in enumerate(s)), BiPoly())
+        to_d = BiPoly({(m, 0): q_m for m, q_m in enumerate(s)})
+        d_i = BiPoly({(i, 0): q})
+        low = low + d_i * to_c
+        high = high + d_i * (to_d - to_c)
+    return low, high
+
+
+def _total_step(poly):
+    low, _ = _range_sums((2 * _C + 1) * poly)
+    _, high = _range_sums((_D - _C) * poly)
+    return (_D - _C) * low + (2 * _C + 1) * high
+
+
+def _delta_step(poly):
+    low, _ = _range_sums(poly)
+    _, high = _range_sums((_D - _C) * poly)
+    return (_D - _C) * low + high
+
+
+def _in_p(poly):
+    """poly(d, c) at d = (P - 1)/2."""
+    d_of_p = BiPoly({(1, 0): F(1, 2), (0, 0): F(-1, 2)})
+    return sum(
+        (q * d_of_p**i * _C**j for (i, j), q in poly.monomials().items()), BiPoly()
+    )
+
+
+def test_genus_step_on_polynomials_is_the_fit():
+    # polylab's degree argument, run: the transfer step on polynomials in
+    # (d, c), with Faulhaber range sums, gives each fit at every genus
+    total = delta = _D - _C
+    for g in range(1, 7):
+        if g > 1:
+            total, delta = _total_step(total), _delta_step(delta)
+        assert (total.total_degree(), delta.total_degree()) == (3 * g - 2, 2 * g - 1)
+        assert _in_p(total) == interpolate_total(g)
+        assert _in_p(delta) == interpolate_delta(g)
+
+
 @pytest.mark.parametrize(
     "fit,primes",
     [(interpolate_delta, [11, 13, 17, 19, 23]), (interpolate_total, [11, 13, 17, 19, 23, 29])],
