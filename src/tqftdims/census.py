@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import _check_color, _check_prime
+from .cyclotomic import _check_color, _check_genus, _check_prime
 
 __all__ = [
     "STATE_GUARD",
@@ -66,12 +66,11 @@ __all__ = [
 
 
 def _check_shape(p: int, g: int, c: int) -> int:
-    """Return d = (p - 1)/2 if the genus g is >= 1 and the trunk half-color
-    c lies in 0..d-1, for any int p >= 5, else raise ValueError.  The walks
-    test p with _check_prime first; the CLI runs this before its size guard,
-    which runs before the primality test."""
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    """Return d = (p - 1)/2 if the genus g is an int >= 1 and the trunk
+    half-color c lies in 0..d-1, for any int p >= 5, else raise ValueError.
+    The walks test p with _check_prime first; the CLI runs this before its
+    size guard, which runs before the primality test."""
+    _check_genus(g)
     return _check_color(p, c)
 
 

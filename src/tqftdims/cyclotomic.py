@@ -97,6 +97,20 @@ def _check_color(p: int, *colors: int) -> int:
     return d
 
 
+def _check_genus(g: int, top: int | None = None, name: str = "genus") -> int:
+    """Return g if it is an int in 1..top (any g >= 1 when top is None), else
+    raise ValueError.  A float is refused even when it is whole, as _check_prime
+    refuses 5.0, so that no genus reaches a range, a slice or a recursion
+    depth as anything but an int."""
+    if not isinstance(g, int):
+        raise ValueError(f"{name} must be an int, got {g!r}")
+    if top is not None and not 1 <= g <= top:
+        raise ValueError(f"{name} must lie in 1..{top}, got {g}")
+    if g < 1:
+        raise ValueError(f"{name} must be >= 1, got {g}")
+    return g
+
+
 def _fold(acc: list) -> list:
     """Reduce p coefficients over 1, t, ..., t^(p-1) to the p-1 basis
     coordinates, using zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""

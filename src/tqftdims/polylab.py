@@ -47,9 +47,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import mul
 
-from .cyclotomic import Record, is_prime
+from .cyclotomic import Record, _check_genus, is_prime
 from .recursion import dim_table
 
 __all__ = [
@@ -433,8 +433,7 @@ def interpolate_delta(g: int) -> BiPoly:
     ArithmeticError: c = 0, 1, 2 at the next prime and c = 2g, 2g + 1 at the
     largest fit prime.
     """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
+    _check_genus(g)
     return _interpolate(g, 2 * g - 1, "delta")
 
 
@@ -445,8 +444,7 @@ def interpolate_total(g: int) -> BiPoly:
     >= max(4g + 3, 6g - 1), held out as in interpolate_delta (with
     c = 3g - 1, 3g at the largest fit prime).
     """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
+    _check_genus(g)
     return _interpolate(g, 3 * g - 2, "total")
 
 
@@ -461,17 +459,16 @@ def _interpolate(g: int, deg: int, kind: str) -> BiPoly:
     stage two turns each column of those into P-coefficient numerators over
     W_c W_p; both stay in integers, and the BiPoly takes the numerators over
     W_c W_p as they are.  Each prime's table is read once, as its genus-g
-    even and odd rows.
+    total or signed row.
     """
     # every fit prime must admit c = 0..deg, i.e. (p-3)/2 >= deg
     fit = [_next_prime(max(4 * g + 3, 2 * deg + 3) - 1)]
     while len(fit) < deg + 1:
         fit.append(_next_prime(fit[-1]))
     probe = _next_prime(fit[-1])
-    op = add if kind == "total" else sub
-    tables = ((p, dim_table(p, g)) for p in (*fit, probe))
-    # p -> the genus-g counts of `kind` at every color, from two row reads
-    counts = {p: list(map(op, t.even[g - 1], t.odd[g - 1])) for p, t in tables}
+    rows = "totals" if kind == "total" else "deltas"
+    # p -> the genus-g counts of `kind` at every color, from one row read
+    counts = {p: getattr(dim_table(p, g), rows)[g - 1] for p in (*fit, probe)}
 
     c_rows, w_c = _lagrange_rows(range(deg + 1))
     p_rows, w_p = _lagrange_rows(fit)

@@ -181,7 +181,7 @@ RECORD_FIELDS = {
     "FusionElement": ("p", "coords"),
     "FusionMatrix": ("p", "entries"),
     "HopfCertificate": ("p", "valuation", "unit_norm"),
-    "DimTable": ("p", "gmax", "even", "odd"),
+    "DimTable": ("p", "gmax", "totals", "deltas"),
     "ConjectureScan": (
         "g",
         "no_positive_even_p_powers",
@@ -208,8 +208,8 @@ def test_records_that_callers_compare_compare_by_fields():
     assert cert == HopfCertificate(7, 3, 1) == fusion.hopf_certificate(7)
     assert cert != HopfCertificate(p=7, valuation=2, unit_norm=1)
     t = recursion.dim_table(5, 3)
-    assert t == DimTable(5, 3, t.even, t.odd)
-    assert t != DimTable(5, 3, t.odd, t.even)
+    assert t == DimTable(5, 3, t.totals, t.deltas)
+    assert t != DimTable(5, 3, t.deltas, t.totals)
     assert recursion.dim_table(5, 2) != t
 
 
@@ -244,10 +244,10 @@ def test_record_constructor_takes_every_field_once(record):
 def test_a_cached_table_cannot_be_changed():
     # dim_table hands this one object to every caller that asks for (5, 3)
     t = recursion.dim_table(5, 3)
-    even = t.even
-    with pytest.raises(AttributeError, match="cannot assign to field 'even' of DimTable"):
-        t.even = ()
-    assert recursion.dim_table(5, 3) is t and t.even is even
+    totals = t.totals
+    with pytest.raises(AttributeError, match="cannot assign to field 'totals' of DimTable"):
+        t.totals = ()
+    assert recursion.dim_table(5, 3) is t and t.totals is totals
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)

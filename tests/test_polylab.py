@@ -579,8 +579,9 @@ def test_held_out_check_catches_a_wrong_count(monkeypatch):
         t = real(p, gmax)
         if p != 23:
             return t
-        even = (t.even[0], (t.even[1][0] + 1,) + t.even[1][1:]) + t.even[2:]
-        return DimTable(t.p, t.gmax, even, t.odd)
+        # one more even coloring at (g, c) = (2, 0): total and delta both + 1
+        totals, deltas = ((r[0], (r[1][0] + 1,) + r[1][1:]) + r[2:] for r in (t.totals, t.deltas))
+        return DimTable(t.p, t.gmax, totals, deltas)
 
     monkeypatch.setattr(polylab, "dim_table", corrupted)
     polylab._interpolate.cache_clear()
@@ -603,8 +604,9 @@ def test_held_out_miss_is_a_verification_failure(monkeypatch, capsys, argv):
         t = real(p, gmax)
         if p != 29:
             return t
-        even = (t.even[0], (t.even[1][0] + 1,) + t.even[1][1:]) + t.even[2:]
-        return DimTable(t.p, t.gmax, even, t.odd)
+        # one more even coloring at (g, c) = (2, 0): total and delta both + 1
+        totals, deltas = ((r[0], (r[1][0] + 1,) + r[1][1:]) + r[2:] for r in (t.totals, t.deltas))
+        return DimTable(t.p, t.gmax, totals, deltas)
 
     monkeypatch.setattr(polylab, "dim_table", corrupted)
     polylab._interpolate.cache_clear()

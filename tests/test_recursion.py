@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqftdims import recursion
+from tqftdims import census, polylab, recursion
 from tqftdims.census import beta_eta_closed, count_parities
 from tqftdims.cyclotomic import is_prime
-from tqftdims.recursion import DimTable, delta_direct, delta_split, dim_table
+from tqftdims.recursion import delta_direct, delta_split, dim_table
 
 PRIMES_TO_61 = [p for p in range(5, 62) if is_prime(p)]
 PRIMES_TO_97 = [p for p in range(5, 98) if is_prime(p)]
 
 
 def _dense_table(p, gmax):
-    """The transfer recursion as a dense double loop over every kernel entry:
-    d^2 calls to beta_eta_closed per genus."""
+    """The transfer recursion on (even, odd) as a dense double loop over every
+    kernel entry: d^2 calls to beta_eta_closed per genus.  Returns the even
+    rows and the odd rows, genus one first."""
     d = (p - 1) // 2
     evens = [tuple(d - c for c in range(d))]
     odds = [(0,) * d]
@@ -34,20 +35,53 @@ def _dense_table(p, gmax):
             row_o.append(so)
         evens.append(tuple(row_e))
         odds.append(tuple(row_o))
-    return DimTable(p, gmax, tuple(evens), tuple(odds))
+    return evens, odds
+
+
+def _assert_matches_dense(t, p, gmax):
+    # through the readers, cell by cell: the table steps (total, delta), the
+    # oracle (even, odd)
+    evens, odds = _dense_table(p, gmax)
+    assert (t.p, t.gmax) == (p, gmax)
+    got = [
+        (t.n_even(g, c), t.n_odd(g, c), t.total(g, c), t.delta(g, c))
+        for g in range(1, gmax + 1)
+        for c in range(t.d)
+    ]
+    want = [
+        (e, o, e + o, e - o)
+        for row_e, row_o in zip(evens, odds)
+        for e, o in zip(row_e, row_o)
+    ]
+    assert got == want
 
 
 @pytest.mark.parametrize(
     "p,gmax", [(5, 1), (5, 40), (7, 2), (13, 8), (101, 20), (149, 10), (211, 10)]
 )
 def test_table_matches_dense_oracle(p, gmax):
-    assert dim_table(p, gmax) == _dense_table(p, gmax)
+    _assert_matches_dense(dim_table(p, gmax), p, gmax)
 
 
 @given(p=st.sampled_from(PRIMES_TO_97), gmax=st.integers(min_value=1, max_value=15))
 @settings(max_examples=40, deadline=None)
 def test_table_matches_dense_oracle_property(p, gmax):
-    assert dim_table(p, gmax) == _dense_table(p, gmax)
+    _assert_matches_dense(dim_table(p, gmax), p, gmax)
+
+
+@given(p=st.sampled_from(PRIMES_TO_97), gmax=st.integers(min_value=1, max_value=25))
+@settings(max_examples=40, deadline=None)
+def test_halves_split_into_whole_counts_property(p, gmax):
+    # total and delta share their parity, so even and odd are whole and
+    # nonnegative and add up to the total, in every cell
+    t = dim_table(p, gmax)
+    for g in range(1, gmax + 1):
+        for c in range(t.d):
+            total, delta = t.total(g, c), t.delta(g, c)
+            assert (total - delta) % 2 == 0
+            even, odd = t.n_even(g, c), t.n_odd(g, c)
+            assert even >= 0 and odd >= 0
+            assert even + odd == total
 
 
 @pytest.mark.parametrize("p", [5, 13, 101])
@@ -89,7 +123,7 @@ def test_ladder_views_match_dense_oracle_property(p, gmaxes):
     recursion._ladder.cache_clear()
     for gmax in gmaxes:
         t = dim_table(p, gmax)
-        assert t == _dense_table(p, gmax)
+        _assert_matches_dense(t, p, gmax)
         with pytest.raises(ValueError):
             t.n_even(gmax + 1, 0)
         with pytest.raises(ValueError):
@@ -100,8 +134,8 @@ def test_base_row_is_all_even():
     for p in (5, 7, 11, 13):
         t = dim_table(p, 1)
         d = (p - 1) // 2
-        assert t.even[0] == tuple(d - c for c in range(d))
-        assert t.odd[0] == tuple(0 for _ in range(d))
+        assert t.totals[0] == tuple(d - c for c in range(d))
+        assert t.deltas[0] == t.totals[0]  # no odd coloring
 
 
 @pytest.mark.parametrize("p,gmax", [(5, 3), (7, 3), (11, 2)])
@@ -207,7 +241,7 @@ def test_bounds_checked():
         delta_direct(5, 0)
 
 
-@pytest.mark.parametrize("args,error", [((13.0, 2), ValueError), ((13, 2.0), TypeError)])
+@pytest.mark.parametrize("args,error", [((13.0, 2), ValueError), ((13, 2.0), ValueError)])
 def test_bad_table_request_raises_the_same_cold_and_warm(args, error):
     # the cache is typed: a cached (13, 2) must not answer (13.0, 2) or (13, 2.0)
     recursion.dim_table.cache_clear()
@@ -219,6 +253,35 @@ def test_bad_table_request_raises_the_same_cold_and_warm(args, error):
             dim_table(*args)
     finally:
         recursion.dim_table.cache_clear()
+
+
+def _genus_readers(t):
+    """The functions behind the genus door, each as a call on the genus
+    alone; the DimTable readers read the table t."""
+    return {
+        "count_parities": lambda g: count_parities(7, g, 1),
+        "_records": lambda g: next(census._records(7, g, 0)),
+        "dim_table": lambda g: dim_table(7, g),
+        "n_even": lambda g: t.n_even(g, 0),
+        "n_odd": lambda g: t.n_odd(g, 0),
+        "total": lambda g: t.total(g, 0),
+        "delta": lambda g: t.delta(g, 0),
+        "delta_direct": lambda g: delta_direct(7, g),
+        "delta_split": lambda g: delta_split(7, g),
+        "interpolate_delta": polylab.interpolate_delta,
+        "interpolate_total": polylab.interpolate_total,
+    }
+
+
+@pytest.mark.parametrize("g", [3.0, 2.5])
+@pytest.mark.parametrize("name", sorted(_genus_readers(None)))
+def test_a_float_genus_is_refused_before_any_work(name, g):
+    # one genus door: a whole float is as bad as 2.5, and neither grows a ladder
+    read = _genus_readers(dim_table(7, 3))[name]
+    before = recursion._ladder.cache_info()
+    with pytest.raises(ValueError, match="genus must be an int|gmax must be an int"):
+        read(g)
+    assert recursion._ladder.cache_info() == before
 
 
 @given(
@@ -239,5 +302,5 @@ def test_table_prefix_stability(p, g):
     # extending gmax never changes earlier rows
     small = dim_table(p, g)
     big = dim_table(p, g + 1)
-    assert big.even[: g] == small.even
-    assert big.odd[: g] == small.odd
+    assert big.totals[: g] == small.totals
+    assert big.deltas[: g] == small.deltas
