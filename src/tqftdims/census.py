@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import _check_color, _check_genus, _check_prime
+from .cyclotomic import _check_color, _check_index, _check_prime
 
 __all__ = [
     "STATE_GUARD",
@@ -68,9 +68,8 @@ __all__ = [
 def _check_shape(p: int, g: int, c: int) -> int:
     """Return d = (p - 1)/2 if the genus g is an int >= 1 and the trunk
     half-color c lies in 0..d-1, for any int p >= 5, else raise ValueError.
-    The walks test p with _check_prime first; the CLI runs this before its
-    size guard, which runs before the primality test."""
-    _check_genus(g)
+    The walks test p with _check_prime first."""
+    _check_index(g)
     return _check_color(p, c)
 
 
@@ -236,11 +235,12 @@ def state_estimate(p: int, g: int) -> int:
     the CLI size guard and verify's census cap.  Only its comparison with
     STATE_GUARD matters, so the product stops at its first factor past the
     guard: the value is exact up to the guard, past it only a lower bound,
-    and a large genus costs a dozen products, not a power of g digits."""
+    and a large genus costs a dozen products, not a power of g digits.
+    ValueError unless g is an int >= 1; p is read, not tested."""
     d = (p - 1) // 2
     pairs = d * (d + 1) // 2
     estimate = pairs
-    for _ in range(g - 1):
+    for _ in range(_check_index(g) - 1):
         if estimate > STATE_GUARD:
             break
         estimate *= d * pairs

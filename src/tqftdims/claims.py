@@ -13,14 +13,14 @@ from itertools import islice
 from operator import sub
 
 from . import census, cyclotomic, fusion, polylab, recursion
-from .cyclotomic import _check_prime, _rank, inverse_run
+from .cyclotomic import _check_index, _check_prime, _rank, inverse_run
 
 Claim = tuple[str, bool]
 
 
 def census_matches_recursion(p: int, gmax: int) -> Claim:
     d = _rank(p)
-    gcap = min(gmax, 4)
+    gcap = min(_check_index(gmax, name="gmax"), 4)
     while census.state_estimate(p, gcap) > census.STATE_GUARD and gcap > 1:
         gcap -= 1
     table = recursion.dim_table(p, gcap)
@@ -52,22 +52,22 @@ def two_point_closed_forms(p: int) -> Claim:
 def matrix_powers(p: int, gmax: int) -> Claim:
     """M^g e_0 equals the table's signed and total counts for g = 1..gcap.
 
-    A window of 2d = p - 1 genera would fix every genus.  The table's totals
-    T_g and signed counts delta_g each evolve by a d x d map: with B and H
-    the balanced and unbalanced kernels, T_(g+1) = (B + H) T_g and
-    delta_(g+1) = (B - H) delta_g, where B and H are two-point counts of p
-    alone, the same at every genus.  The matrix route reads M^g e_0 for M
-    the multiplication matrix of one element of the fusion ring, also fixed.
-    So each pair (table, matrix), with the alternating side's signs (-1)^c
-    folded in, is a sequence x_(g+1) = A x_g for a fixed 2d x 2d block
-    diagonal A, and by Cayley-Hamilton the characteristic polynomial of A,
-    of degree 2d, gives a linear recurrence of order at most 2d that both
-    halves and their difference satisfy.  A difference that is 0 at
-    g = 1..2d is then 0 at every g >= 1.  gcap covers that window only at
-    p = 5 (gmax >= 4) and p = 7 (gmax >= 6); tests/test_fusion.py compares
-    the two routes to g = 4d at p = 5..13.
+    Both routes step the same matrices, so they agree at every genus.  The
+    table steps its totals T_g and signed counts delta_g by the transfer
+    kernels, T_(g+1) = (B + H) T_g and delta_(g+1) = (B - H) delta_g, with B
+    and H the balanced and unbalanced two-point counts.  In the even basis
+    these kernels are the fusion matrices, entry for entry: B + H = M_count,
+    the multiplication matrix of the counting element, and B - H = D M_alt D,
+    with M_alt that of the alternating element and D = diag((-1)^c); they
+    read (2 min(a, c) + 1)(d - max(a, c)) and d - max(a, c)
+    (tests/test_fusion.py checks this at every prime below 200).  Genus one
+    is column 0 of M_count, T_1 = d - c = M_count e_0, so by induction
+    T_g = M_count^g e_0 at every g >= 1.  As D e_0 = e_0 and D D = I,
+    delta_1 = D M_alt D e_0 and delta_g = D M_alt^g e_0: the alternating
+    side's signs (-1)^c.  The comparison below, capped at g <= 8, checks the
+    two programs against each other; the induction needs no window.
     """
-    gcap = min(gmax, 8)
+    gcap = min(_check_index(gmax, name="gmax"), 8)
     rows = recursion.dim_table(p, gcap).rows()
     # M^g e_0 holds (-1)^c delta for the alternating element and the total
     # for the counting one: rows 1..gcap of both tables, in one equality
@@ -78,7 +78,7 @@ def matrix_powers(p: int, gmax: int) -> Claim:
 
 
 def galois_sums(p: int, gmax: int) -> Claim:
-    gcap = min(gmax, 8)
+    gcap = min(_check_index(gmax, name="gmax"), 8)
     rows = recursion.dim_table(p, gcap).rows()
     ok = all(
         fusion.galois_sum_delta(p, g, c) == delta and fusion.galois_sum_total(p, g, c) == total

@@ -28,7 +28,7 @@ import sys
 from collections.abc import Iterable
 
 from . import census, claims, fusion, polylab, recursion
-from .cyclotomic import _check_order, _check_prime
+from .cyclotomic import _check_color, _check_index, _check_order, _check_prime
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -96,8 +96,7 @@ def _dims_refusal(ns) -> str | None:
     """Why `dims` is too big to run, or None if the guard lets it through.
     It tests no primality, so a huge p is refused before its trial division."""
     d = (_check_order(ns.p) - 1) // 2
-    if ns.gmax < 1:
-        raise ValueError(f"gmax must be >= 1, got {ns.gmax}")
+    _check_index(ns.gmax, name="gmax")
     cells = d * ns.gmax
     top, digits = _dims_digits(ns.p, ns.gmax)
     per_cell, per_digit = DIMS_BYTES
@@ -176,9 +175,10 @@ def _cmd_census(ns) -> int:
     if ns.list and ns.format != "text":
         raise ValueError(f"--list streams text records; --format {ns.format} formats counts only")
     # The guard runs before the primality test, so a huge p is refused at
-    # once; a bad genus or color is still invalid input, checked first.
+    # once; a bad genus (state_estimate's door) or color is still invalid
+    # input, checked first.
     if census.state_estimate(_check_order(ns.p), ns.g) > census.STATE_GUARD:
-        census._check_shape(ns.p, ns.g, ns.c)
+        _check_color(ns.p, ns.c)
         _guard(ns, f"estimated search states exceed {census.STATE_GUARD}")
     if ns.list:
         records = census._records(ns.p, ns.g, ns.c)
@@ -242,8 +242,7 @@ def _cmd_hopf(ns) -> int:
 
 
 def _cmd_quadruple(ns) -> int:
-    if ns.gmin < 1 or ns.gmax < ns.gmin:
-        raise ValueError("need 1 <= gmin <= gmax")
+    _check_index(ns.gmin, top=_check_index(ns.gmax, name="gmax"), name="gmin")
     refusal = _text_refusal(_dims_digits(5, ns.gmax)[0])
     if refusal:
         raise _Refusal(refusal)
@@ -272,8 +271,7 @@ def _cmd_verify(ns) -> int:
     primes = [_check_prime(p) for p in orders]
     if not primes and ns.suite != "poly":
         raise ValueError("--p-list names no prime")
-    if ns.gmax < 1:
-        raise ValueError(f"gmax must be >= 1, got {ns.gmax}")
+    _check_index(ns.gmax, name="gmax")
     # Every claim runs before the first line is printed, so an exception
     # leaves stdout empty.
     checks = []

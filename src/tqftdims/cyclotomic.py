@@ -22,6 +22,11 @@ conjugates sigma_j(y), j = 2..p-1, satisfies y * adj(y) = N(y).
 
 No floating point appears anywhere in this module.
 
+The validators here are the package's one door for integer inputs:
+_check_order and _check_prime for p, _check_color for half-colors, and
+_check_index for every genus, genus bound and index.  Each refuses a float
+with ValueError, even a whole one, before any work.
+
 Record, the base of the package's read-only records, lives here because
 every other module already builds on this one.
 """
@@ -44,8 +49,9 @@ __all__ = [
 ]
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for the small primes used here."""
-    if n < 2:
+    """Trial-division primality test of an int n >= 0, adequate for the small
+    primes used here."""
+    if _check_index(n, low=0, name="n") < 2:
         return False
     if n < 4:
         return True
@@ -87,28 +93,29 @@ def _rank(p: int) -> int:
 
 
 def _check_color(p: int, *colors: int) -> int:
-    """Return d = (p - 1)/2 if every half-color lies in 0..d-1, else raise
-    ValueError.  p is not tested: a caller that needs a prime passes
-    _check_prime(p)."""
+    """Return d = (p - 1)/2 if every half-color is an int in 0..d-1, else
+    raise ValueError; a float is refused as _check_order refuses 5.0.  p is
+    not tested: a caller that needs a prime passes _check_prime(p)."""
     d = (p - 1) // 2
     for c in colors:
-        if not 0 <= c < d:
+        if not isinstance(c, int) or not 0 <= c < d:
             raise ValueError(f"half-color must lie in 0..{d - 1} for p={p}, got {c}")
     return d
 
 
-def _check_genus(g: int, top: int | None = None, name: str = "genus") -> int:
-    """Return g if it is an int in 1..top (any g >= 1 when top is None), else
-    raise ValueError.  A float is refused even when it is whole, as _check_prime
-    refuses 5.0, so that no genus reaches a range, a slice or a recursion
-    depth as anything but an int."""
-    if not isinstance(g, int):
-        raise ValueError(f"{name} must be an int, got {g!r}")
-    if top is not None and not 1 <= g <= top:
-        raise ValueError(f"{name} must lie in 1..{top}, got {g}")
-    if g < 1:
-        raise ValueError(f"{name} must be >= 1, got {g}")
-    return g
+def _check_index(n: int, *, low: int = 1, top: int | None = None, name: str = "genus") -> int:
+    """Return n if it is an int in low..top (any n >= low when top is None),
+    else raise ValueError naming it `name`.  Every genus, genus bound and
+    index of the package passes here.  A float is refused even when it is
+    whole, as _check_prime refuses 5.0, so that none reaches a range, a
+    slice, an exponent or a recursion depth as anything but an int."""
+    if not isinstance(n, int):
+        raise ValueError(f"{name} must be an int, got {n!r}")
+    if top is not None and not low <= n <= top:
+        raise ValueError(f"{name} must lie in {low}..{top}, got {n}")
+    if n < low:
+        raise ValueError(f"{name} must be >= {low}, got {n}")
+    return n
 
 
 def _fold(acc: list) -> list:
@@ -502,6 +509,5 @@ def quantum_int(p: int, n: int) -> CycNum:
     inverse is the run inverse_run(p, 1 - n, n, 2).
     """
     _check_prime(p)
-    if n < 0:
-        raise ValueError("quantum integer index must be >= 0")
+    _check_index(n, low=0, name="quantum integer index")
     return run(p, 1 - n, n, 2)

@@ -29,6 +29,7 @@ from .cyclotomic import (
     CycNum,
     Record,
     _check_color,
+    _check_index,
     _check_prime,
     _rank,
     _runs_multiply_to_one,
@@ -99,8 +100,7 @@ def _ladder(p: int, yv):
 def cheb_vector(p: int, n: int) -> FusionElement:
     """e_n reduced into the quotient, computed honestly along the ladder."""
     d = _rank(p)
-    if n < 0:
-        raise ValueError("ladder index must be >= 0")
+    _check_index(n, low=0, name="ladder index")
     (cur,) = islice(_ladder(p, [1] + [0] * (d - 1)), n, n + 1)
     return FusionElement(p, tuple(cur))
 
@@ -200,8 +200,7 @@ def _read(entry, p: int, g: int, c: int, counting: bool) -> int:
     """entry(p, g, c, counting) once the prime, color and genus are checked,
     times (-1)^c for the alternating element: the four readers' one body."""
     _check_color(_check_prime(p), c)
-    if g < 0:
-        raise ValueError("genus must be >= 0")
+    _check_index(g, low=0)
     val = entry(p, g, c, counting)
     return -val if c % 2 and not counting else val
 

@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .cyclotomic import Record, _check_genus, is_prime
+from .cyclotomic import Record, _check_index, is_prime
 from .recursion import dim_table
 
 __all__ = [
@@ -74,8 +74,9 @@ __all__ = [
 # Unbounded: the keys are exactly 0..k for the largest k asked for, and the
 # recurrence re-reads all of them, so any smaller bound makes it exponential.
 # The Fraction it returns is the cache's only copy of B_k: _bern_num reads
-# the integer B_k (k + 1)! back from it, so no second table is kept.
-@lru_cache(maxsize=None)
+# the integer B_k (k + 1)! back from it, so no second table is kept.  Typed,
+# so that 3.0 is refused whether or not 3 is cached.
+@lru_cache(maxsize=None, typed=True)
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k in the convention t/(e^t - 1) = sum B_k t^k / k!,
     so B_1 = -1/2 and B_k = 0 for odd k >= 3.
@@ -85,9 +86,7 @@ def bernoulli(k: int) -> Fraction:
     sum_{j<=n} C(n + 1, j) B_j = 0 times n! gives the integer recurrence
     N_n = -sum_{j<n} C(n + 1, j) N_j n!/(j + 1)!, and B_k = N_k / (k + 1)!.
     """
-    if k < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    if k == 0:
+    if _check_index(k, low=0, name="Bernoulli index") == 0:
         return Fraction(1)
     if k % 2 and k > 1:
         return Fraction(0)
@@ -111,8 +110,7 @@ def _bern_num(k: int) -> int:
 def normalized_bernoulli(n: int) -> Fraction:
     """The positive rational (1/2) (-1)^(n+1) B_{2n} / (2n)! for n >= 1;
     equals zeta(2n) / (2 pi)^(2n).  Examples: 1/24, 1/1440, 1/60480, ..."""
-    if n < 1:
-        raise ValueError("index must be >= 1")
+    _check_index(n, name="index")
     den = 2 * math.factorial(2 * n) * math.factorial(2 * n + 1)
     return Fraction((-1) ** (n + 1) * _bern_num(2 * n), den)
 
@@ -120,9 +118,7 @@ def normalized_bernoulli(n: int) -> Fraction:
 def bern_identity_check(g: int) -> bool:
     """sum_{k=0}^{2g+2} 2^k (2^k - 1) C(2g+2, k) B_k == 0, summed on the
     numerators N_k over (2g + 3)!, a multiple of every (k + 1)!."""
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    n = 2 * g + 2
+    n = 2 * _check_index(g, low=0) + 2
     top = math.factorial(n + 1)
     terms = (2**k * (2**k - 1) * math.comb(n, k) * _bern_num(k) * (top // math.factorial(k + 1))
              for k in range(n + 1))
@@ -355,9 +351,7 @@ def residue_total_poly(g: int) -> BiPoly:
     Both terms then sit on integer numerators over one denominator, and the
     BiPoly takes them as they are.
     """
-    if g < 2:
-        raise ValueError("residue construction requires g >= 2")
-    e = 1 - 2 * g
+    e = 1 - 2 * _check_index(g, low=2)
     top = 2 * g - 2
     fact = list(accumulate(range(1, 3 * g), mul, initial=1))  # fact[n] = n!
     h = [1]  # H_n = h_n (3n)!
@@ -433,7 +427,7 @@ def interpolate_delta(g: int) -> BiPoly:
     ArithmeticError: c = 0, 1, 2 at the next prime and c = 2g, 2g + 1 at the
     largest fit prime.
     """
-    _check_genus(g)
+    _check_index(g)
     return _interpolate(g, 2 * g - 1, "delta")
 
 
@@ -444,7 +438,7 @@ def interpolate_total(g: int) -> BiPoly:
     >= max(4g + 3, 6g - 1), held out as in interpolate_delta (with
     c = 3g - 1, 3g at the largest fit prime).
     """
-    _check_genus(g)
+    _check_index(g)
     return _interpolate(g, 3 * g - 2, "total")
 
 
@@ -505,9 +499,7 @@ def delta_leading_form(g: int) -> BiPoly:
     With B_k = N_k / (k+1)!, the k-th term has the denominator
     (k+1)! k! (2g-k)!, which divides (2g + 1)! (2g)!: one integer numerator
     per monomial over that."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    n = 2 * g
+    n = 2 * _check_index(g)
     sign = (-1) ** (g - 1)
     wide = math.factorial(n + 1)
     mono = {
@@ -526,9 +518,7 @@ def half_total_top_form(g: int) -> BiPoly:
     With m = 2g - 2 and B_k = N_k / (k+1)!, the two terms of each k have the
     denominators 4 (k+1)! k! (m-k)! and 2 (k+1)! k! (m+1-k)!, which divide
     4 ((m+1)!)^2: one integer numerator per monomial over that."""
-    if g < 3:
-        raise ValueError("shared top form needs g >= 3")
-    m = 2 * g - 2
+    m = 2 * _check_index(g, low=3) - 2
     sign = (-1) ** g
     wide = math.factorial(m + 1)
     mono = {}
@@ -544,9 +534,7 @@ def leading_term_report(g: int) -> dict[str, bool]:
     True or False.  Raises ValueError for g < 2; a claim that fails is a
     False verdict, never an exception.
     """
-    if g < 2:
-        raise ValueError("leading-term report needs g >= 2")
-    dpoly = interpolate_delta(g)
+    dpoly = interpolate_delta(_check_index(g, low=2))
     tpoly = interpolate_total(g)
     half = Fraction(1, 2)
     epoly = (tpoly + dpoly) * half
@@ -631,9 +619,7 @@ def conjecture_scan(g: int) -> ConjectureScan:
     (i) every monomial P^m C^n with m > 0 has m odd; (ii) the C = 0
     specialization is divisible by P(P^2 - 1)/24 as a polynomial.
     """
-    if g < 2:
-        raise ValueError("scan needs g >= 2")
-    dpoly = interpolate_delta(g)
+    dpoly = interpolate_delta(_check_index(g, low=2))
     pat1 = all(i == 0 or i % 2 == 1 for (i, _j) in dpoly.monomials())
     quo = _base_quotient(dpoly.subs_c(0))
     return ConjectureScan(g, pat1, quo is not None, quo)

@@ -53,7 +53,7 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub
 
 from .census import beta_eta_closed
-from .cyclotomic import Record, _check_color, _check_genus, _check_prime, _rank
+from .cyclotomic import Record, _check_color, _check_index, _check_prime, _rank
 
 __all__ = ["DimTable", "delta_direct", "delta_split", "dim_table"]
 
@@ -83,7 +83,7 @@ class DimTable(Record):
 
     def _cell(self, g: int, c: int) -> tuple[int, int]:
         # dim_table tested p, so a cell read tests only the genus and color
-        _check_genus(g, self.gmax)
+        _check_index(g, top=self.gmax)
         _check_color(self.p, c)
         return self.totals[g - 1][c], self.deltas[g - 1][c]
 
@@ -144,7 +144,7 @@ def dim_table(p: int, gmax: int) -> DimTable:
     """The count table for prime p up to genus gmax: exactly gmax rows of p's
     ladder, which grows first if it is too short."""
     _check_prime(p)
-    _check_genus(gmax, name="gmax")
+    _check_index(gmax, name="gmax")
     (plus, minus, v, vr), rows = _ladder(p)
     while len(rows) < gmax:
         t, s = rows[-1]
@@ -156,7 +156,7 @@ def dim_table(p: int, gmax: int) -> DimTable:
 def delta_direct(p: int, g: int) -> tuple[int, ...]:
     """delta for all c via the collapsed kernel d - max(a, c)."""
     d = _rank(p)
-    _check_genus(g)
+    _check_index(g)
     cur = tuple(d - c for c in range(d))
     for _ in range(g - 1):
         # below[c] = sum_{a<=c} cur_a; above[c] = sum_{a>c} (d - a) cur_a
@@ -169,7 +169,7 @@ def delta_direct(p: int, g: int) -> tuple[int, ...]:
 def delta_split(p: int, g: int) -> tuple[int, ...]:
     """Same recursion with the kernel split as (d - a) plus an a < c correction."""
     d = _rank(p)
-    _check_genus(g)
+    _check_index(g)
     cur = tuple(d - c for c in range(d))
     for _ in range(g - 1):
         base = sum(map(mul, range(d, 0, -1), cur))

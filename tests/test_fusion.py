@@ -777,9 +777,9 @@ def test_galois_route_equals_matrix_route_at_every_genus(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_matrix_route_equals_recursion_past_the_window(p):
-    # matrix_powers' argument: the table and the matrix route each evolve by
-    # a fixed d x d map, so agreement at g = 1..2d is agreement at every g;
-    # checked here to g = 4d, twice that window
+    # matrix_powers' argument: the table and the matrix route step the same
+    # matrices (test_transfer_kernels_are_the_fusion_matrices), so they agree
+    # at every g; checked here to g = 4d
     d = (p - 1) // 2
     t = dim_table(p, 4 * d)
     for counting in (False, True):
@@ -787,6 +787,29 @@ def test_matrix_route_equals_recursion_past_the_window(p):
         for g in range(1, 4 * d + 1):
             want = [t.total(g, c) if counting else (-1) ** c * t.delta(g, c) for c in range(d)]
             assert list(table[g]) == want, (counting, g)
+
+
+def _semiseparable(f, v):
+    """The rows of K(a, c) = f_min(a, c) v_max(a, c), the form of both transfer
+    kernels: f = u + w for B + H and f = u - w for B - H."""
+    d = len(v)
+    return tuple(tuple(f[min(a, c)] * v[max(a, c)] for c in range(d)) for a in range(d))
+
+
+def test_transfer_kernels_are_the_fusion_matrices():
+    # entry for entry, in the even basis: B + H is the counting element's
+    # matrix and B - H is D M_alt D with D = diag((-1)^c), built from the
+    # factors dim_table steps on; claims.matrix_powers' induction rests on it
+    for p in (p for p in range(5, 200) if is_prime(p)):
+        (plus, minus, v, _vr), _rows = recursion._ladder(p)
+        count = mul_matrix_even(counting_element(p)).entries
+        alt = mul_matrix_even(alternating_element(p)).entries
+        signed = tuple(
+            tuple((-1) ** (a + c) * entry for c, entry in enumerate(row))
+            for a, row in enumerate(alt)
+        )
+        assert _semiseparable(plus, v) == count, p
+        assert _semiseparable(minus, v) == signed, p
 
 
 def test_trace_read_sweep_matches_recursion_at_p211():

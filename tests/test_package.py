@@ -13,6 +13,7 @@ import inspect
 import io
 import os
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -344,6 +345,147 @@ def test_interpolation_cache_holds_both_fits_of_a_genus():
         polylab.leading_term_report(3)
 
     assert _cold_misses(leading_terms)["polylab._interpolate"] == 2
+
+
+# -- the integer door ------------------------------------------------------------
+
+#: The parameter names that hold a genus, a genus bound, a half-color or an index.
+INTEGER_PARAMS = {"g", "gmax", "gmin", "c", "c1", "c2", "n", "k"}
+#: How the door's ValueError names each integer parameter but a half-color.
+INTEGER_LABELS = {
+    "g": "genus",
+    "gmax": "gmax",
+    "gmin": "gmin",
+    "n": "n|index|ladder index|quantum integer index",
+    "k": "Bernoulli index",
+}
+#: Exponents mod p, which may be any int: monomial's k, the fields of a run
+#: and of its inverse, and galois's j.
+MOD_P_EXPONENTS = {
+    "cyclotomic.monomial", "cyclotomic.run", "cyclotomic.inverse_run", "cyclotomic.galois"
+}
+
+#: One valid call per function behind cyclotomic's integer validators: every
+#: public function with a parameter in INTEGER_PARAMS, the DimTable readers
+#: (on dim_table(7, 3)), and census._records, the walk behind `census --list`.
+#: Each names every parameter, in order, and is made positionally, as callers
+#: make it, so that a cache keyed on 3 answers 3.0.  tests/test_recursion.py
+#: puts 3.0 and 2.5 in each integer parameter.
+DOOR_CALLS = {
+    "census.count_parities": {"p": 7, "g": 2, "c": 1},
+    "census._records": {"p": 7, "g": 2, "c": 0},
+    "census.beta_eta_bruteforce": {"p": 7, "c1": 1, "c2": 2},
+    "census.beta_eta_closed": {"p": 7, "c1": 1, "c2": 2},
+    "census.state_estimate": {"p": 7, "g": 2},
+    "claims.census_matches_recursion": {"p": 7, "gmax": 2},
+    "claims.matrix_powers": {"p": 7, "gmax": 2},
+    "claims.galois_sums": {"p": 7, "gmax": 2},
+    "claims.leading_terms": {"g": 2},
+    "claims.residue_route": {"g": 2},
+    "cyclotomic.is_prime": {"n": 7},
+    "cyclotomic.quantum_int": {"p": 7, "n": 3},
+    "fusion.cheb_vector": {"p": 7, "n": 4},
+    "fusion.delta_via_matrix": {"p": 7, "g": 2, "c": 1},
+    "fusion.total_via_matrix": {"p": 7, "g": 2, "c": 1},
+    "fusion.galois_sum_delta": {"p": 7, "g": 2, "c": 1},
+    "fusion.galois_sum_total": {"p": 7, "g": 2, "c": 1},
+    "polylab.bernoulli": {"k": 4},
+    "polylab.normalized_bernoulli": {"n": 2},
+    "polylab.bern_identity_check": {"g": 2},
+    "polylab.residue_total_poly": {"g": 2},
+    "polylab.interpolate_delta": {"g": 2},
+    "polylab.interpolate_total": {"g": 2},
+    "polylab.delta_leading_form": {"g": 2},
+    "polylab.half_total_top_form": {"g": 3},
+    "polylab.leading_term_report": {"g": 2},
+    "polylab.conjecture_scan": {"g": 2},
+    "recursion.dim_table": {"p": 7, "gmax": 3},
+    "recursion.delta_direct": {"p": 7, "g": 2},
+    "recursion.delta_split": {"p": 7, "g": 2},
+    "recursion.DimTable.n_even": {"g": 2, "c": 1},
+    "recursion.DimTable.n_odd": {"g": 2, "c": 1},
+    "recursion.DimTable.total": {"g": 2, "c": 1},
+    "recursion.DimTable.delta": {"g": 2, "c": 1},
+}
+
+
+def door_function(qual: str):
+    """The function DOOR_CALLS names; a DimTable reader is bound to dim_table(7, 3)."""
+    module, _, name = qual.partition(".")
+    if name.startswith("DimTable."):
+        return getattr(recursion.dim_table(7, 3), name.partition(".")[2])
+    return getattr(importlib.import_module(f"tqftdims.{module}"), name)
+
+
+def door_call(fn, args: dict):
+    """fn called on the values of args in order, with a generator run to its
+    first item."""
+    out = fn(*args.values())
+    return next(out) if inspect.isgenerator(out) else out
+
+
+def door_message(param: str, value) -> str:
+    """The whole text of the door's ValueError for a float value of param
+    in a DOOR_CALLS call, as a regular expression."""
+    got = re.escape(repr(value))
+    if param in INTEGER_LABELS:
+        return rf"^({INTEGER_LABELS[param]}) must be an int, got {got}$"
+    return rf"^half-color must lie in 0\.\.2 for p=7, got {got}$"
+
+
+def cache_counts() -> dict:
+    return {name: cache.cache_info() for name, cache in _module_caches().items()}
+
+
+def caches_moved(before: dict, after: dict, qual: str) -> set[str]:
+    """The caches whose counts moved between before and after, beyond what a
+    refused call to qual costs: a hit on the prime door, which runs first,
+    and the one miss lru_cache counts on qual's own cache before its body
+    runs.  Neither reads nor stores an entry."""
+    moved = set()
+    for name, was in before.items():
+        now = after[name]
+        if name == "cyclotomic._check_prime":
+            now = now._replace(hits=was.hits)
+        if name == qual:
+            now = now._replace(misses=now.misses - 1)
+        if now != was:
+            moved.add(name)
+    return moved
+
+
+def _integer_functions() -> set[str]:
+    """Every public function, and every DimTable method, with a parameter in
+    INTEGER_PARAMS, found by signature; the exponents mod p left out."""
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(f"tqftdims.{name}")
+        members = [
+            (attr, obj)
+            for attr, obj in vars(module).items()
+            if getattr(obj, "__module__", None) == module.__name__
+        ]
+        if name == "recursion":
+            members += [(f"DimTable.{attr}", obj) for attr, obj in vars(DimTable).items()]
+        for attr, fn in members:
+            if (
+                inspect.isfunction(inspect.unwrap(fn))
+                and not attr.rpartition(".")[2].startswith("_")
+                and INTEGER_PARAMS & set(inspect.signature(fn).parameters)
+            ):
+                found.add(f"{name}.{attr}")
+    return found - MOD_P_EXPONENTS
+
+
+def test_every_integer_parameter_has_a_door_call():
+    # a new function that takes a genus, a color or an index is probed too
+    found = _integer_functions()
+    assert "polylab.bernoulli" in found and "recursion.DimTable.n_even" in found
+    assert found - DOOR_CALLS.keys() == set()
+    for qual, args in DOOR_CALLS.items():
+        fn = door_function(qual)
+        assert list(inspect.signature(fn).parameters) == list(args), qual
+        door_call(fn, args)
 
 
 def _load_by_path(path: Path):

@@ -1,11 +1,21 @@
 """Transfer recursion against the census, dense oracles, and its own
-collapsed forms."""
+collapsed forms; the integer door's float probes; and the total kernel
+modulo p."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_package import (
+    DOOR_CALLS,
+    INTEGER_PARAMS,
+    cache_counts,
+    caches_moved,
+    door_call,
+    door_function,
+    door_message,
+)
 
-from tqftdims import census, polylab, recursion
+from tqftdims import recursion
 from tqftdims.census import beta_eta_closed, count_parities
 from tqftdims.cyclotomic import is_prime
 from tqftdims.recursion import delta_direct, delta_split, dim_table
@@ -255,33 +265,20 @@ def test_bad_table_request_raises_the_same_cold_and_warm(args, error):
         recursion.dim_table.cache_clear()
 
 
-def _genus_readers(t):
-    """The functions behind the genus door, each as a call on the genus
-    alone; the DimTable readers read the table t."""
-    return {
-        "count_parities": lambda g: count_parities(7, g, 1),
-        "_records": lambda g: next(census._records(7, g, 0)),
-        "dim_table": lambda g: dim_table(7, g),
-        "n_even": lambda g: t.n_even(g, 0),
-        "n_odd": lambda g: t.n_odd(g, 0),
-        "total": lambda g: t.total(g, 0),
-        "delta": lambda g: t.delta(g, 0),
-        "delta_direct": lambda g: delta_direct(7, g),
-        "delta_split": lambda g: delta_split(7, g),
-        "interpolate_delta": polylab.interpolate_delta,
-        "interpolate_total": polylab.interpolate_total,
-    }
-
-
-@pytest.mark.parametrize("g", [3.0, 2.5])
-@pytest.mark.parametrize("name", sorted(_genus_readers(None)))
-def test_a_float_genus_is_refused_before_any_work(name, g):
-    # one genus door: a whole float is as bad as 2.5, and neither grows a ladder
-    read = _genus_readers(dim_table(7, 3))[name]
-    before = recursion._ladder.cache_info()
-    with pytest.raises(ValueError, match="genus must be an int|gmax must be an int"):
-        read(g)
-    assert recursion._ladder.cache_info() == before
+@pytest.mark.parametrize("value", [3.0, 2.5])
+@pytest.mark.parametrize("qual", sorted(DOOR_CALLS), ids=lambda qual: qual.rpartition(".")[2])
+def test_a_float_genus_is_refused_before_any_work(qual, value):
+    # one integer door: every genus, genus bound, half-color and index of
+    # test_package.DOOR_CALLS refuses a whole float as it refuses 2.5, with
+    # ValueError, and no cache reads or stores an entry first
+    fn = door_function(qual)
+    args = DOOR_CALLS[qual]
+    door_call(fn, args)
+    for param in sorted(INTEGER_PARAMS & args.keys()):
+        before = cache_counts()
+        with pytest.raises(ValueError, match=door_message(param, value)):
+            door_call(fn, {**args, param: value})
+        assert caches_moved(before, cache_counts(), qual) == set(), param
 
 
 @given(
@@ -304,3 +301,41 @@ def test_table_prefix_stability(p, g):
     big = dim_table(p, g + 1)
     assert big.totals[: g] == small.totals
     assert big.deltas[: g] == small.deltas
+
+
+def _total_kernel(p):
+    """B + H as rows, from d^2 reads of beta_eta_closed, the kernel's definition."""
+    d = (p - 1) // 2
+    return [[sum(beta_eta_closed(p, a, c)) for c in range(d)] for a in range(d)]
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_61)
+def test_total_kernel_squares_to_zero_mod_p(p):
+    """(B + H)^2 = 0 (mod p), while B + H itself is not 0 (mod p).
+
+    (B + H)(a, c) = (2 min(a, c) + 1)(d - max(a, c)), and 2d = p - 1, so
+    d = -1/2 (mod p) and d - m = -(2m + 1)/2.  With x_a = 2a + 1 every entry
+    is -(1/2) x_a x_c: B + H = -(1/2) x x^T (mod p), of rank one, and not 0,
+    as its entry (0, 0) is d.  Its square is (1/4) x (x^T x) x^T, and
+    x^T x = sum_(a<d) (2a + 1)^2 = d (2d - 1)(2d + 1)/3 = d (p - 2) p / 3 = 0
+    (mod p), since 3 is prime to p.
+    """
+    k = _total_kernel(p)
+    d = len(k)
+    assert any(entry % p for row in k for entry in row)
+    square = [[sum(k[a][b] * k[b][c] for b in range(d)) % p for c in range(d)] for a in range(d)]
+    assert square == [[0] * d for _ in range(d)]
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES_TO_61 if p <= 31])
+def test_every_total_past_genus_one_is_divisible_by_p(p):
+    """T(g, c) = 0 (mod p) for 2 <= g <= 3p.
+
+    T_(g+1) = (B + H) T_g, and T_1 = d - c = -(1/2) x_c (mod p) with x as in
+    test_total_kernel_squares_to_zero_mod_p, so
+    T_2 = (1/4) x (x^T x) = 0 (mod p), and every later T_g is B + H times a
+    vector that is 0 (mod p).
+    """
+    t = dim_table(p, 3 * p)
+    assert all(total % p == 0 for row in t.totals[1:] for total in row)
+    assert any(total % p for total in t.totals[0])
