@@ -45,6 +45,12 @@ b_g), in one comprehension.  Its table leaf[x] holds the strings "x,b" of
 the last vertex, which is text, not a memo: no count is carried between
 subtrees.
 
+Both walks label parity by one rule, the parity of c + sum(a_i), with no
+special case.  At (g, c) = (2, 0) admissibility pins a_1 = a_2 (the trunk
+color 0 forces a_1 = e_1, and the far end forces a_2 = e_1), so the rule
+labels every coloring there even, and claims.census_parity_convention
+checks that.
+
 This module is the independent oracle: it never uses the transfer
 recursion, fusion matrices, or any closed form beyond reading off ranges
 from the defining inequalities and summing d - e over the last of them.
@@ -102,9 +108,9 @@ def _records(p: int, g: int, c: int):
 
     A record reads "g;c;a_1,b_1,...,a_g,b_g;e_1,...,e_(g-1);parity", where
     parity is "even" when c + sum(a_i) is even and "odd" otherwise.  At
-    (g, c) = (2, 0) every record is "even" by convention; admissibility pins
-    a_1 = a_2 there, so the general rule agrees.  Records come in
-    increasing order of the integer tuple
+    (g, c) = (2, 0) that rule makes every record "even", as admissibility
+    pins a_1 = a_2 there; claims.census_parity_convention checks it.
+    Records come in increasing order of the integer tuple
     (a_1, b_1, e_1, ..., a_(g-1), b_(g-1), e_(g-1), a_g, b_g).
 
     There is one list per (a_(g-1), b_(g-1)), or a single list at g = 1, so
@@ -115,13 +121,13 @@ def _records(p: int, g: int, c: int):
     """
     d = _check_shape(_check_prime(p), g, c)
     head = f"{g};{c};"
-    names = ("even", "even") if (g, c) == (2, 0) else ("even", "odd")
     if g == 1:
         # d - c records; the d^2-sized tables below are never read here.
-        yield [f"{head}{c},{b};;{names[0]}" for b in range(d - c)]
+        yield [f"{head}{c},{b};;even" for b in range(d - c)]
         return
     moves = _moves(p, d)
     leaf = [[f"{x},{b}" for b in range(d - x)] for x in range(d)]
+    names = ("even", "odd")
 
     def walk(i: int, x: int, ab: str, es: str, par: int):
         for a, lo, hi in moves[x]:
@@ -193,9 +199,6 @@ def count_parities(p: int, g: int, c: int) -> tuple[int, int]:
                 walk(i + 1, e, nxt, w)
 
     walk(0, c, c & 1, 1)
-    # (g, c) = (2, 0): with a_1 = a_2 forced, every coloring is even.
-    if (g, c) == (2, 0) and counts[1]:
-        raise ArithmeticError("odd coloring found where the parity convention forbids it")
     return counts[0], counts[1]
 
 

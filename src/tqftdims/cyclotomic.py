@@ -24,8 +24,11 @@ No floating point appears anywhere in this module.
 
 The validators here are the package's one door for integer inputs:
 _check_order and _check_prime for p, _check_color for half-colors, and
-_check_index for every genus, genus bound and index.  Each refuses a float
-with ValueError, even a whole one, before any work.
+_check_index for every genus, genus bound, index and run length.  Each
+refuses a float with ValueError, even a whole one, before any work.  The
+exponents mod p (monomial's k, a run's s and t, inverse_run's fields and
+galois's j) may be any int and pass no validator, and neither does the
+exponent of an operator: x ** 2.0 is Python's TypeError.
 
 Record, the base of the package's read-only records, lives here because
 every other module already builds on this one.
@@ -212,9 +215,9 @@ class Record:
     in that order, positionally or by name, and raises TypeError on a
     missing, extra or unknown field.  After that a field can be neither
     assigned nor deleted (AttributeError), so a record that a cache hands to
-    every caller stays as it was built.  repr shows every field.  A record
-    compares by identity, and hashes, unless its class sets
-    __eq__ = Record._fields_eq, which also makes it unhashable.
+    every caller stays as it was built.  repr shows every field.  Every
+    record compares and hashes by identity: no caller compares two whole
+    records, so a caller that needs a value compares its fields.
     """
 
     __slots__ = ()
@@ -234,14 +237,6 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def _fields_eq(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -278,12 +273,6 @@ class CycNum:
         x.num = tuple(num)
         return x
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def scalar(cls, p: int, value) -> "CycNum":
-        return cls(p, [value])
-
     # -- ring operations -----------------------------------------------------
 
     def _coerce(self, other):
@@ -294,7 +283,7 @@ class CycNum:
                 )
             return other
         if isinstance(other, int):
-            return CycNum.scalar(self.p, other)
+            return CycNum(self.p, [other])
         return None
 
     def _add(self, o: "CycNum", sign: int) -> "CycNum":
@@ -339,7 +328,7 @@ class CycNum:
         if not isinstance(n, int) or n < 0:
             return NotImplemented
         if n < 2:
-            return self if n else CycNum.scalar(self.p, 1)
+            return self if n else CycNum(self.p, [1])
         p = self.p
         k = _digit_bytes(sum(map(abs, self.num)) ** n)
         base = result = _pack(self.num, k)
@@ -377,7 +366,7 @@ class CycNum:
 
 def monomial(p: int, k: int) -> CycNum:
     """zeta_p^k for any integer k, reduced to canonical form: the one-term run."""
-    return run(_check_prime(p), k, 1, 1)
+    return run(p, k, 1, 1)
 
 
 def _primitive_root(p: int) -> int:
@@ -473,7 +462,10 @@ def _run_coeffs(p: int, s: int, n: int, t: int) -> list:
 
 
 def run(p: int, s: int, n: int, t: int) -> CycNum:
-    """The run zeta^s (1 + zeta^t + ... + zeta^(t(n-1))), for n >= 0."""
+    """The run zeta^s (1 + zeta^t + ... + zeta^(t(n-1))), for a run length
+    n >= 0 and any ints s and t."""
+    _check_prime(p)
+    _check_index(n, low=0, name="run length")
     return CycNum._of(p, _fold(_run_coeffs(p, s, n, t)))
 
 
@@ -505,9 +497,8 @@ def quantum_int(p: int, n: int) -> CycNum:
     """The quantum integer [n] = (q^n - q^-n)/(q - q^-1) at q = zeta_p.
 
     Computed as the run q^(1-n) + q^(3-n) + ... + q^(n-1), so the result is
-    visibly integral.  [n] is a unit of Z[zeta_p] for 1 <= n <= p-1: its
-    inverse is the run inverse_run(p, 1 - n, n, 2).
+    visibly integral, and n >= 0 is its run length, checked by run.  [n] is
+    a unit of Z[zeta_p] for 1 <= n <= p-1: its inverse is the run
+    inverse_run(p, 1 - n, n, 2).
     """
-    _check_prime(p)
-    _check_index(n, low=0, name="quantum integer index")
     return run(p, 1 - n, n, 2)

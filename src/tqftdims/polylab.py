@@ -29,9 +29,9 @@ integers: a BiPoly holds integer numerators over one denominator, the
 Bernoulli numbers come from an integer recurrence for B_k (k + 1)!, and the
 fits, the residue polynomial and the leading-term forms hand their integer
 numerators to one BiPoly each.  Fraction appears only at the interface:
-where a coefficient leaves the module (BiPoly.monomials, coefficient, eval,
+where a coefficient leaves the module (BiPoly.monomials, eval,
 canonical_str, to_json_obj, bernoulli and normalized_bernoulli) and where a
-caller passes one in (BiPoly({...}), BiPoly.const, a Fraction operand).
+caller passes one in (BiPoly({...}) and a Fraction operand).
 Nothing here touches floats.
 
 The module has one failure: a fit that misses a held-out count raises
@@ -181,10 +181,6 @@ class BiPoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def const(cls, q) -> "BiPoly":
-        return cls({(0, 0): q})
-
-    @classmethod
     def var_c(cls) -> "BiPoly":
         return cls._of({(0, 1): 1}, 1)
 
@@ -193,9 +189,6 @@ class BiPoly:
     def monomials(self) -> dict:
         return {ij: Fraction(n, self._d) for ij, n in self._m.items()}
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return Fraction(self._m.get((i, j), 0), self._d)
-
     def total_degree(self) -> int:
         return max((i + j for i, j in self._m), default=-1)
 
@@ -203,10 +196,13 @@ class BiPoly:
         return max((i for i, _ in self._m), default=-1)
 
     def homogeneous_part(self, n: int) -> "BiPoly":
+        """The monomials of total degree n, an int >= 0."""
+        _check_index(n, low=0, name="degree")
         return BiPoly._of({ij: q for ij, q in self._m.items() if ij[0] + ij[1] == n}, self._d)
 
     def p_coefficient(self, i: int) -> "BiPoly":
-        """Coefficient of P^i, as a polynomial in C alone."""
+        """Coefficient of P^i, i an int >= 0, as a polynomial in C alone."""
+        _check_index(i, low=0, name="degree")
         return BiPoly._of({(0, j): q for (ii, j), q in self._m.items() if ii == i}, self._d)
 
     def subs_c(self, value) -> "BiPoly":

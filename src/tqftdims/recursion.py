@@ -62,7 +62,8 @@ class DimTable(Record):
     """Coloring counts for one prime, all genera up to gmax, stored as the
     two halves the recursion steps: totals[g-1][c] = even + odd and
     deltas[g-1][c] = even - odd at genus g and trunk half-color c,
-    0 <= c <= d-1.  Tables with equal fields are equal.
+    0 <= c <= d-1.  Tables compare by identity, as every record does:
+    compare their rows.
 
     The even and odd counts are (total + delta) / 2 and (total - delta) / 2,
     exact because total and delta have the same parity in every cell: they
@@ -74,8 +75,6 @@ class DimTable(Record):
     """
 
     __slots__ = ("p", "gmax", "totals", "deltas")
-
-    __eq__ = Record._fields_eq
 
     @property
     def d(self) -> int:

@@ -31,7 +31,7 @@ def _uni(coeffs):
 
 
 def _poly_prod(*factors):
-    acc = BiPoly.const(1)
+    acc = BiPoly({(0, 0): 1})
     for f in factors:
         acc = acc * f
     return acc

@@ -247,8 +247,8 @@ def test_enumeration_agrees_with_counting():
 
 
 def test_parity_convention_special_case():
-    # at (g, c) = (2, 0) the two stick half-colors coincide, so the general
-    # rule already answers even; the explicit convention must agree
+    # at (g, c) = (2, 0) the two stick half-colors coincide, so the one
+    # parity rule, c + sum(a_i), labels every record even
     records = _stream(5, 2, 0)
     assert records
     for rec in records:

@@ -46,7 +46,7 @@ def test_top_coefficient_folds():
 @pytest.mark.parametrize("p", PRIMES)
 def test_root_powers_sum_to_zero(p):
     z = monomial(p, 1)
-    acc = CycNum.scalar(p, 0)
+    acc = CycNum(p, [0])
     for k in range(p):
         acc = acc + z**k
     assert not acc
@@ -57,26 +57,27 @@ def test_golden_product():
     # (z + z^4)(z^2 + z^3) = -1 at p = 5
     x = monomial(5, 1) + monomial(5, 4)
     y = monomial(5, 2) + monomial(5, 3)
-    assert x * y == CycNum.scalar(5, -1)
+    assert x * y == CycNum(5, [-1])
 
 
 def test_scalar_coercion_and_rationals():
-    x = CycNum.scalar(7, 3)
+    x = CycNum(7, [3])
     assert not any(x.num[1:])
     assert x == 3
-    assert x + 1 == CycNum.scalar(7, 4)
-    assert 2 * x == CycNum.scalar(7, 6)
-    assert -x + 1 == CycNum.scalar(7, -2)
+    assert x + 1 == CycNum(7, [4])
+    assert 2 * x == CycNum(7, [6])
+    assert -x + 1 == CycNum(7, [-2])
     y = monomial(7, 1)
     assert any(y.num[1:])
 
 
 def test_coordinates_must_be_integers():
-    # Z[zeta_p] has no denominators: a Fraction coordinate or scalar is refused
+    # Z[zeta_p] has no denominators: a Fraction coordinate is refused, even a
+    # whole one
     with pytest.raises(ValueError, match="integers"):
         CycNum(7, [Fraction(1, 2)])
     with pytest.raises(ValueError, match="integers"):
-        CycNum.scalar(7, Fraction(4, 2))
+        CycNum(7, [Fraction(4, 2)])
     with pytest.raises(TypeError):
         monomial(7, 1) + Fraction(1, 2)
 
@@ -84,7 +85,7 @@ def test_coordinates_must_be_integers():
 def test_repr_lists_rational_coordinates():
     x = CycNum(7, [3, -1, 0, 5])
     assert repr(x) == "CycNum(7: 3 + -1*z + 5*z^3)"
-    assert repr(CycNum.scalar(5, 0)) == "CycNum(5: 0)"
+    assert repr(CycNum(5, [0])) == "CycNum(5: 0)"
     assert repr(monomial(5, 1) + monomial(5, 2)) == "CycNum(5: z + z^2)"
 
 
@@ -126,7 +127,7 @@ def test_pow_makes_no_product_by_one(monkeypatch):
         raise AssertionError("a power multiplied through _int_mul")
 
     x = 1 + monomial(7, 1) - 2 * monomial(7, 3)
-    powers = [CycNum.scalar(7, 1)]
+    powers = [CycNum(7, [1])]
     for _ in range(40):
         powers.append(powers[-1] * x)
     for name in calls:
@@ -161,8 +162,8 @@ def test_norm_of_h_is_p(p):
 
 
 def test_norm_of_scalar():
-    assert norm(CycNum.scalar(5, 3)) == 3**4
-    assert type(norm(CycNum.scalar(7, -2))) is int
+    assert norm(CycNum(5, [3])) == 3**4
+    assert type(norm(CycNum(7, [-2]))) is int
 
 
 def test_quantum_int_values():
@@ -179,6 +180,19 @@ def test_quantum_int_values():
     assert not quantum_int(p, p)
     with pytest.raises(ValueError):
         quantum_int(p, -1)
+
+
+def test_run_reads_its_prime_and_length_through_the_door():
+    # a run of order 9 would be no element of Z[zeta_p], and a negative
+    # length is no run: both refused, and monomial reads p through run
+    with pytest.raises(ValueError, match=r"^p must be a prime >= 5, got 9$"):
+        cyclotomic.run(9, 0, 2, 1)
+    with pytest.raises(ValueError, match=r"^p must be a prime >= 5, got 9$"):
+        monomial(9, 1)
+    with pytest.raises(ValueError, match=r"^run length must be >= 0, got -1$"):
+        cyclotomic.run(7, 0, -1, 1)
+    assert cyclotomic.run(7, 0, 0, 1) == 0
+    assert cyclotomic.run(7, 3, 2, 1) == monomial(7, 3) + monomial(7, 4)
 
 
 def _telescoped_quantum_int(p, n):
@@ -213,7 +227,7 @@ def test_ring_axioms_hold(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
-    assert x - x == CycNum.scalar(7, 0)
+    assert x - x == CycNum(7, [0])
 
 
 @given(x=_elements(11), y=_elements(11), j=st.integers(min_value=1, max_value=10))
@@ -281,7 +295,7 @@ def test_unfolded_sums_monomials(data):
     p, terms = data
     vec = cyclotomic._unfolded(p, terms)
     assert len(vec) == p
-    want = CycNum.scalar(p, 0)
+    want = CycNum(p, [0])
     for e, c in terms:
         want = want + c * monomial(p, e)
     assert CycNum(p, vec) == want

@@ -100,7 +100,7 @@ def test_dense_product_matches_sympy_reduction(data):
 def test_coordinates_stay_normalised(data):
     p, xs, ys = data
     x, y = CycNum(p, xs), CycNum(p, ys)
-    for z in (x, y, x + y, x - y, x * y, -x, x - x, x**2, -y + 3, CycNum.scalar(p, -4)):
+    for z in (x, y, x + y, x - y, x * y, -x, x - x, x**2, -y + 3, CycNum(p, [-4])):
         _assert_normalised(z)
 
 

@@ -115,7 +115,7 @@ def _smatrix(p):
 def _qmatrix(p):
     """Diagonal matrix of the z-eigenvalues -q^(2j+1) - q^(-(2j+1))."""
     d = (p - 1) // 2
-    zero = CycNum.scalar(p, 0)
+    zero = CycNum(p, [0])
     return [
         [-(monomial(p, 2 * j + 1) + monomial(p, -(2 * j + 1))) if i == j else zero
          for i in range(d)]
@@ -130,7 +130,7 @@ def _matmul(a, b):
 
 def _scaled(p, rows, n):
     """n times a matrix of integer entries, as CycNum entries."""
-    return [[CycNum.scalar(p, n * e) for e in row] for row in rows]
+    return [[CycNum(p, [n * e]) for e in row] for row in rows]
 
 
 def _identity(p):
@@ -159,14 +159,14 @@ def _bareiss_det(m):
     so each must stay in Z[zeta_p]; one that does not raises ArithmeticError.
     """
     p, n = m.p, m.size
-    mat = [[e if isinstance(e, CycNum) else CycNum.scalar(p, e) for e in row] for row in m.entries]
+    mat = [[e if isinstance(e, CycNum) else CycNum(p, [e]) for e in row] for row in m.entries]
     sign = 1
     prev = None
     for k in range(n - 1):
         if not mat[k][k]:
             swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
             if swap is None:
-                return CycNum.scalar(p, 0)
+                return CycNum(p, [0])
             mat[k], mat[swap] = mat[swap], mat[k]
             sign = -sign
         pivot = mat[k][k]
@@ -239,6 +239,19 @@ def test_even_basis_permutation_frozen():
     assert even_basis_permutation(7) == (0, 2, 1)
     assert even_basis_permutation(11) == (0, 2, 4, 3, 1)
     assert even_basis_permutation(13) == (0, 2, 4, 5, 3, 1)
+
+
+def test_even_basis_targets_are_a_permutation():
+    """The targets 2j (when 2j <= d - 1) and 2d - 1 - 2j (otherwise), over
+    j = 0..d-1, are a permutation of 0..d-1.
+
+    2j over 2j <= d - 1 is every even number in 0..d-1, once.  2d - 1 - 2j over
+    d <= 2j <= 2d - 2 is odd, lies in 1..d-1 and falls as j rises, and there
+    are floor(d/2) such j and floor(d/2) odd numbers in 0..d-1: every one, once.
+    """
+    for d in range(1, 200):
+        targets = [2 * j if 2 * j <= d - 1 else 2 * d - 1 - 2 * j for j in range(d)]
+        assert sorted(targets) == list(range(d)), d
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
@@ -440,7 +453,7 @@ def test_alternating_eigenvalue_from_quantum_integers(p):
     from tqftdims.cyclotomic import quantum_int
 
     d = (p - 1) // 2
-    acc = CycNum.scalar(p, 0)
+    acc = CycNum(p, [0])
     for n in range(d):
         term = quantum_int(p, 2 * n + 1) * (d - n)
         acc = acc - term if n % 2 else acc + term
@@ -465,7 +478,7 @@ def test_alternating_eigenvalue_is_an_inverse_square(p):
 def test_counting_eigenvalue_identity(p):
     q = monomial(p, 1)
     h2 = (q - monomial(p, -1)) ** 2
-    assert counting_eigenvalue(p) * h2 == CycNum.scalar(p, -p)
+    assert counting_eigenvalue(p) * h2 == CycNum(p, [-p])
 
 
 @pytest.mark.parametrize("p", (5, 7))
@@ -493,7 +506,7 @@ def test_eigenvalue_annihilates_characteristic(p):
             p,
             tuple(
                 tuple(
-                    CycNum.scalar(p, mat.entries[r][s]) - (lam_j if r == s else 0)
+                    CycNum(p, [mat.entries[r][s]]) - (lam_j if r == s else 0)
                     for s in range(d)
                 )
                 for r in range(d)
@@ -523,8 +536,8 @@ def test_bareiss_determinant_int_cases():
 
 def test_bareiss_determinant_cyclotomic_case():
     z = monomial(5, 1)
-    zero = CycNum.scalar(5, 0)
-    one = CycNum.scalar(5, 1)
+    zero = CycNum(5, [0])
+    one = CycNum(5, [1])
     m = FusionMatrix(5, ((z, one), (one, z)))
     assert _bareiss_det(m) == z * z - 1
     sing = FusionMatrix(5, ((z, z), (z, z)))
@@ -1068,7 +1081,7 @@ def _wrong_inverse_run(monkeypatch, p):
 #: ArithmeticError it raises instead).
 PLANTED_FAULTS = {
     claims.census_matches_recursion: ((7, 3), _bump_closed_form, "FAIL"),
-    claims.census_parity_convention: ((7,), _widen_chain_ranges, "odd coloring"),
+    claims.census_parity_convention: ((7,), _widen_chain_ranges, "FAIL"),
     claims.two_point_closed_forms: ((7,), _bump_closed_form, "FAIL"),
     claims.matrix_powers: ((7, 3), _flip_alternating_entry, "FAIL"),
     claims.galois_sums: ((7, 3), _plant_counting_eigenvalue, "FAIL"),
@@ -1252,7 +1265,8 @@ def test_hopf_certificate_computes_no_norm(monkeypatch):
     assert not hasattr(cyclotomic, "h_valuation")
     monkeypatch.setattr(cyclotomic, "_adjugate_norm", refuse)
     for p in (5, 13, 37):
-        assert hopf_certificate(p) == fusion.HopfCertificate(p, (p - 1) * (p - 3) // 8, 1)
+        cert = hopf_certificate(p)
+        assert (cert.p, cert.valuation, cert.unit_norm) == (p, (p - 1) * (p - 3) // 8, 1)
 
 
 def test_quantum_integer_units_claim_computes_no_norm(monkeypatch):

@@ -24,7 +24,7 @@ import pytest
 
 import tqftdims
 from tqftdims import cli, fusion, polylab, recursion
-from tqftdims.fusion import HopfCertificate
+from tqftdims.polylab import BiPoly
 from tqftdims.recursion import DimTable
 
 MODULES = sorted(
@@ -203,23 +203,14 @@ def _records() -> list:
     ]
 
 
-def test_records_that_callers_compare_compare_by_fields():
-    cert = HopfCertificate(p=7, valuation=3, unit_norm=1)
-    assert (cert.p, cert.valuation, cert.unit_norm) == (7, 3, 1)
-    assert cert == HopfCertificate(7, 3, 1) == fusion.hopf_certificate(7)
-    assert cert != HopfCertificate(p=7, valuation=2, unit_norm=1)
-    t = recursion.dim_table(5, 3)
-    assert t == DimTable(5, 3, t.totals, t.deltas)
-    assert t != DimTable(5, 3, t.deltas, t.totals)
-    assert recursion.dim_table(5, 2) != t
-
-
 def test_elements_and_matrices_compare_by_identity():
-    # no caller compares them whole; the tests compare coords and entries
-    for record in _records()[:2]:
-        twin = type(record)(*(getattr(record, name) for name in record.__slots__))
-        assert record == record and record != twin
-        assert twin._fields() == record._fields()
+    # every record compares and hashes by identity: no caller compares two
+    # whole records, so the tests compare their fields
+    for record in _records():
+        fields = [getattr(record, name) for name in record.__slots__]
+        twin = type(record)(*fields)
+        assert record == record and record != twin and len({record, twin}) == 2
+        assert [getattr(twin, name) for name in twin.__slots__] == fields
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
@@ -349,25 +340,30 @@ def test_interpolation_cache_holds_both_fits_of_a_genus():
 
 # -- the integer door ------------------------------------------------------------
 
-#: The parameter names that hold a genus, a genus bound, a half-color or an index.
-INTEGER_PARAMS = {"g", "gmax", "gmin", "c", "c1", "c2", "n", "k"}
+#: The parameter names that hold a genus, a genus bound, a half-color, an
+#: index, a degree or a run length.
+INTEGER_PARAMS = {"g", "gmax", "gmin", "c", "c1", "c2", "n", "k", "i"}
 #: How the door's ValueError names each integer parameter but a half-color.
 INTEGER_LABELS = {
     "g": "genus",
     "gmax": "gmax",
     "gmin": "gmin",
-    "n": "n|index|ladder index|quantum integer index",
+    "n": "n|index|ladder index|run length|degree",
     "k": "Bernoulli index",
+    "i": "degree",
 }
-#: Exponents mod p, which may be any int: monomial's k, the fields of a run
-#: and of its inverse, and galois's j.
-MOD_P_EXPONENTS = {
-    "cyclotomic.monomial", "cyclotomic.run", "cyclotomic.inverse_run", "cyclotomic.galois"
-}
+#: The parameters of INTEGER_PARAMS that are exponents mod p, which may be
+#: any int and pass no door: monomial's k and inverse_run's n, a unit mod p.
+#: A run's s and t and galois's j are exponents too, under names outside
+#: INTEGER_PARAMS.  inverse_run keeps no door, as it runs once per run shape
+#: inside hopf_certificate.
+MOD_P_EXPONENTS = {"cyclotomic.monomial": {"k"}, "cyclotomic.inverse_run": {"n"}}
 
 #: One valid call per function behind cyclotomic's integer validators: every
-#: public function with a parameter in INTEGER_PARAMS, the DimTable readers
-#: (on dim_table(7, 3)), and census._records, the walk behind `census --list`.
+#: public function and method with a parameter in INTEGER_PARAMS that is not
+#: an exponent mod p, the DimTable readers bound to dim_table(7, 3), the
+#: BiPoly methods bound to interpolate_delta(2), and census._records, the
+#: walk behind `census --list`.
 #: Each names every parameter, in order, and is made positionally, as callers
 #: make it, so that a cache keyed on 3 answers 3.0.  tests/test_recursion.py
 #: puts 3.0 and 2.5 in each integer parameter.
@@ -384,6 +380,7 @@ DOOR_CALLS = {
     "claims.residue_route": {"g": 2},
     "cyclotomic.is_prime": {"n": 7},
     "cyclotomic.quantum_int": {"p": 7, "n": 3},
+    "cyclotomic.run": {"p": 7, "s": 0, "n": 2, "t": 1},
     "fusion.cheb_vector": {"p": 7, "n": 4},
     "fusion.delta_via_matrix": {"p": 7, "g": 2, "c": 1},
     "fusion.total_via_matrix": {"p": 7, "g": 2, "c": 1},
@@ -399,6 +396,8 @@ DOOR_CALLS = {
     "polylab.half_total_top_form": {"g": 3},
     "polylab.leading_term_report": {"g": 2},
     "polylab.conjecture_scan": {"g": 2},
+    "polylab.BiPoly.homogeneous_part": {"n": 3},
+    "polylab.BiPoly.p_coefficient": {"i": 3},
     "recursion.dim_table": {"p": 7, "gmax": 3},
     "recursion.delta_direct": {"p": 7, "g": 2},
     "recursion.delta_split": {"p": 7, "g": 2},
@@ -409,11 +408,20 @@ DOOR_CALLS = {
 }
 
 
+#: The instance each class's methods in DOOR_CALLS are bound to.
+DOOR_INSTANCES = {
+    "DimTable": lambda: recursion.dim_table(7, 3),
+    "BiPoly": lambda: polylab.interpolate_delta(2),
+}
+
+
 def door_function(qual: str):
-    """The function DOOR_CALLS names; a DimTable reader is bound to dim_table(7, 3)."""
+    """The function DOOR_CALLS names; a method is bound to its class's
+    DOOR_INSTANCES entry."""
     module, _, name = qual.partition(".")
-    if name.startswith("DimTable."):
-        return getattr(recursion.dim_table(7, 3), name.partition(".")[2])
+    owner, _, method = name.partition(".")
+    if method:
+        return getattr(DOOR_INSTANCES[owner](), method)
     return getattr(importlib.import_module(f"tqftdims.{module}"), name)
 
 
@@ -455,8 +463,9 @@ def caches_moved(before: dict, after: dict, qual: str) -> set[str]:
 
 
 def _integer_functions() -> set[str]:
-    """Every public function, and every DimTable method, with a parameter in
-    INTEGER_PARAMS, found by signature; the exponents mod p left out."""
+    """Every public function, and every public method of DimTable and BiPoly,
+    with a parameter in INTEGER_PARAMS that is not an exponent mod p, found
+    by signature."""
     found = set()
     for name in MODULES:
         module = importlib.import_module(f"tqftdims.{name}")
@@ -465,22 +474,27 @@ def _integer_functions() -> set[str]:
             for attr, obj in vars(module).items()
             if getattr(obj, "__module__", None) == module.__name__
         ]
-        if name == "recursion":
-            members += [(f"DimTable.{attr}", obj) for attr, obj in vars(DimTable).items()]
-        for attr, fn in members:
+        for cls in (DimTable, BiPoly):
+            if cls.__module__ == module.__name__:
+                members += [(f"{cls.__name__}.{attr}", obj) for attr, obj in vars(cls).items()]
+        for attr, obj in members:
+            qual, fn = f"{name}.{attr}", inspect.unwrap(obj)
             if (
-                inspect.isfunction(inspect.unwrap(fn))
+                inspect.isfunction(fn)
                 and not attr.rpartition(".")[2].startswith("_")
-                and INTEGER_PARAMS & set(inspect.signature(fn).parameters)
+                and INTEGER_PARAMS
+                & (set(inspect.signature(fn).parameters) - MOD_P_EXPONENTS.get(qual, set()))
             ):
-                found.add(f"{name}.{attr}")
-    return found - MOD_P_EXPONENTS
+                found.add(qual)
+    return found
 
 
 def test_every_integer_parameter_has_a_door_call():
     # a new function that takes a genus, a color or an index is probed too
     found = _integer_functions()
-    assert "polylab.bernoulli" in found and "recursion.DimTable.n_even" in found
+    assert {"polylab.bernoulli", "recursion.DimTable.n_even", "polylab.BiPoly.p_coefficient",
+            "cyclotomic.run"} <= found
+    assert "cyclotomic.monomial" not in found
     assert found - DOOR_CALLS.keys() == set()
     for qual, args in DOOR_CALLS.items():
         fn = door_function(qual)
@@ -553,15 +567,14 @@ SCRIPT_RUNS = {
 
 #: Public API that no command, script or benchmark op runs, but the tests
 #: drive: CycNum's and BiPoly's operators and constructors, and the parts of
-#: Record that only refuse, compare or describe.  This set may only shrink.
+#: Record that only refuse or describe.  This set may only shrink:
+#: test_every_src_function_is_reached holds it to 14 names.
 TEST_DRIVEN = {
-    "cyclotomic.CycNum.scalar", "cyclotomic.CycNum._add", "cyclotomic.CycNum.__add__",
-    "cyclotomic.CycNum.__sub__", "cyclotomic.CycNum.__neg__", "cyclotomic.CycNum.__mul__",
-    "cyclotomic.CycNum.__bool__", "cyclotomic.CycNum.__repr__", "cyclotomic.monomial",
-    "polylab.BiPoly.__init__", "polylab.BiPoly.const", "polylab.BiPoly.coefficient",
-    "polylab.BiPoly.__pow__", "polylab.BiPoly.__repr__",
-    "cyclotomic.Record.__setattr__", "cyclotomic.Record.__delattr__", "cyclotomic.Record._fields",
-    "cyclotomic.Record._fields_eq", "cyclotomic.Record.__repr__",
+    "cyclotomic.CycNum._add", "cyclotomic.CycNum.__add__", "cyclotomic.CycNum.__sub__",
+    "cyclotomic.CycNum.__neg__", "cyclotomic.CycNum.__mul__", "cyclotomic.CycNum.__bool__",
+    "cyclotomic.CycNum.__repr__", "cyclotomic.monomial",
+    "polylab.BiPoly.__init__", "polylab.BiPoly.__pow__", "polylab.BiPoly.__repr__",
+    "cyclotomic.Record.__setattr__", "cyclotomic.Record.__delattr__", "cyclotomic.Record.__repr__",
 }
 
 
@@ -611,3 +624,4 @@ def test_every_src_function_is_reached(monkeypatch):
     reached = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in codes}
     missed = {name for key, name in _defined_functions(bodies).items() if key not in reached}
     assert missed == TEST_DRIVEN
+    assert len(TEST_DRIVEN) <= 14
