@@ -33,6 +33,10 @@ def census_matches_recursion(p: int, gmax: int) -> Claim:
 
 
 def census_parity_convention(p: int) -> Claim:
+    """Only the (g, c) = (2, 0) half of this claim can fail.  The genus-one
+    half can only pass: count_parities(p, 1, c) returns (d - c, 0) without
+    reading the move table or walking, so its odd count is 0 under any
+    census fault (ROADMAP item 7)."""
     d = _rank(p)
     ok = all(census.count_parities(p, 1, c)[1] == 0 for c in range(d))
     ok = ok and census.count_parities(p, 2, 0)[1] == 0

@@ -321,9 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(func=_cmd_poly)
 
     p_verify = sub.add_parser("verify", help="run cross-checks, report PASS/FAIL")
-    p_verify.add_argument(
-        "--suite", choices=("all", "census", "fusion", "poly", "hopf"), default="all"
-    )
+    p_verify.add_argument("--suite", choices=("all", *claims.SUITES), default="all")
     p_verify.add_argument("--p-list", default="5,7,11,13")
     p_verify.add_argument("--gmax", type=int, default=4)
     p_verify.set_defaults(func=_cmd_verify)

@@ -25,14 +25,18 @@ step on polynomials for g <= 6 and finds both degrees exact.
 The interpolation builds one integer Lagrange basis per node set (the
 colors, then the fit primes), reads each prime's table once, and stays in
 integer numerators until the last step.  Everything here computes on
-integers: a BiPoly holds integer numerators over one denominator, the
-Bernoulli numbers come from an integer recurrence for B_k (k + 1)!, and the
+integers: a BiPoly holds integer numerators over one denominator, every
+reader of the Bernoulli numbers takes one list of the integers
+B_j (j + 1)! from one pass of their recurrence, with no cache, and the
 fits, the residue polynomial and the leading-term forms hand their integer
-numerators to one BiPoly each.  Fraction appears only at the interface:
-where a coefficient leaves the module (BiPoly.monomials, eval,
-canonical_str, to_json_obj, bernoulli and normalized_bernoulli) and where a
-caller passes one in (BiPoly({...}) and a Fraction operand).
-Nothing here touches floats.
+numerators to one BiPoly each.  A BiPoly is evaluated at int points only
+(BiPoly.eval and subs_c), since P is a prime and C a half-color.  Fraction
+appears only at the interface: where a coefficient leaves the module
+(BiPoly.monomials, eval's value, canonical_str, to_json_obj, bernoulli and
+normalized_bernoulli) and where a caller passes a coefficient in (an int or
+Fraction coefficient of BiPoly({...}), or an int or Fraction operand).
+Nothing here touches floats: a float coefficient is a ValueError, a float
+point or operand a TypeError.
 
 The module has one failure: a fit that misses a held-out count raises
 ArithmeticError, which the CLI reports as a failed verification (exit 1).
@@ -71,48 +75,39 @@ __all__ = [
 # -- Bernoulli numbers --------------------------------------------------------
 
 
-# Unbounded: the keys are exactly 0..k for the largest k asked for, and the
-# recurrence re-reads all of them, so any smaller bound makes it exponential.
-# The Fraction it returns is the cache's only copy of B_k: _bern_num reads
-# the integer B_k (k + 1)! back from it, so no second table is kept.  Typed,
-# so that 3.0 is refused whether or not 3 is cached.
-@lru_cache(maxsize=None, typed=True)
+def _bern_nums(k: int) -> list[int]:
+    """N_0..N_k, where N_j = B_j (j + 1)! is an integer: by von Staudt-Clausen
+    the denominator of B_j is the product of the primes p with p - 1 | j, all
+    at most j + 1.
+
+    sum_{j<=n} C(n + 1, j) B_j = 0 times n! gives the integer recurrence
+    N_n = -sum_{j<n} C(n + 1, j) N_j n!/(j + 1)!, run once from N_0 = 1,
+    with N_n = 0 for odd n >= 3.  k is an int >= 0, checked by the caller.
+    """
+    fact = list(accumulate(range(1, k + 1), mul, initial=1))  # fact[n] = n!
+    nums = [1]
+    for n in range(1, k + 1):
+        if n > 1 and n % 2:
+            nums.append(0)
+            continue
+        nums.append(-sum(
+            math.comb(n + 1, j) * nj * (fact[n] // fact[j + 1]) for j, nj in enumerate(nums)
+        ))
+    return nums
+
+
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k in the convention t/(e^t - 1) = sum B_k t^k / k!,
-    so B_1 = -1/2 and B_k = 0 for odd k >= 3.
-
-    N_k = B_k (k + 1)! is an integer: by von Staudt-Clausen the denominator
-    of B_k is the product of the primes p with p - 1 | k, all at most k + 1.
-    sum_{j<=n} C(n + 1, j) B_j = 0 times n! gives the integer recurrence
-    N_n = -sum_{j<n} C(n + 1, j) N_j n!/(j + 1)!, and B_k = N_k / (k + 1)!.
-    """
-    if _check_index(k, low=0, name="Bernoulli index") == 0:
-        return Fraction(1)
-    if k % 2 and k > 1:
-        return Fraction(0)
-    # N_j k!/(j + 1)! = B_j k!, and B_j's denominator divides k!.  Ascending j,
-    # so each miss finds every smaller index cached: the depth stays 2.
-    top = math.factorial(k)
-    acc = 0
-    for j in range(k):
-        b = bernoulli(j)
-        if b:
-            acc += math.comb(k + 1, j) * b.numerator * (top // b.denominator)
-    return Fraction(-acc, top * (k + 1))
-
-
-def _bern_num(k: int) -> int:
-    """The integer N_k = B_k (k + 1)!."""
-    b = bernoulli(k)
-    return b.numerator * (math.factorial(k + 1) // b.denominator)
+    so B_1 = -1/2 and B_k = 0 for odd k >= 3: N_k / (k + 1)! from _bern_nums."""
+    _check_index(k, low=0, name="Bernoulli index")
+    return Fraction(_bern_nums(k)[k], math.factorial(k + 1))
 
 
 def normalized_bernoulli(n: int) -> Fraction:
     """The positive rational (1/2) (-1)^(n+1) B_{2n} / (2n)! for n >= 1;
     equals zeta(2n) / (2 pi)^(2n).  Examples: 1/24, 1/1440, 1/60480, ..."""
     _check_index(n, name="index")
-    den = 2 * math.factorial(2 * n) * math.factorial(2 * n + 1)
-    return Fraction((-1) ** (n + 1) * _bern_num(2 * n), den)
+    return bernoulli(2 * n) * Fraction((-1) ** (n + 1), 2 * math.factorial(2 * n))
 
 
 def bern_identity_check(g: int) -> bool:
@@ -120,8 +115,8 @@ def bern_identity_check(g: int) -> bool:
     numerators N_k over (2g + 3)!, a multiple of every (k + 1)!."""
     n = 2 * _check_index(g, low=0) + 2
     top = math.factorial(n + 1)
-    terms = (2**k * (2**k - 1) * math.comb(n, k) * _bern_num(k) * (top // math.factorial(k + 1))
-             for k in range(n + 1))
+    terms = (2**k * (2**k - 1) * math.comb(n, k) * nk * (top // math.factorial(k + 1))
+             for k, nk in enumerate(_bern_nums(n)))
     return sum(terms) == 0
 
 
@@ -149,11 +144,13 @@ def _lowest(nums: dict, den: int) -> tuple[dict, int]:
 class BiPoly:
     """Polynomial in P (prime) and C (half-color) over exact rationals.
 
-    Monomial keys are (p_exponent, c_exponent), two ints >= 0; the
-    constructor raises ValueError on any other key.  Supports +, -, * and ==
-    with other BiPoly and with int or Fraction constants (on the right of -),
-    and ** to exponents n >= 0.  Instances are immutable but not hashable,
-    and every instance is truthy: test the zero polynomial with `== 0`.
+    Monomial keys are (p_exponent, c_exponent), two ints >= 0, and each
+    coefficient is an int or a Fraction; the constructor raises ValueError
+    on anything else.  Supports +, -, * and == with other BiPoly and with
+    int or Fraction constants (on the right of -), and ** to exponents
+    n >= 0.  eval and subs_c take int points only, and raise TypeError on
+    anything else.  Instances are immutable but not hashable, and every
+    instance is truthy: test the zero polynomial with `== 0`.
 
     The coefficients are integer numerators over one positive denominator,
     in lowest terms: no numerator is zero, and the gcd of the denominator
@@ -163,10 +160,12 @@ class BiPoly:
     __slots__ = ("_m", "_d")
 
     def __init__(self, monomials=None) -> None:
-        qs = {ij: Fraction(q) for ij, q in (monomials or {}).items()}
-        for ij in qs:
+        qs = monomials or {}
+        for ij, q in qs.items():
             if type(ij) is not tuple or [type(e) for e in ij] != [int, int] or min(ij) < 0:
                 raise ValueError(f"a monomial key is two ints >= 0, got {ij!r}")
+            if not isinstance(q, (int, Fraction)):
+                raise ValueError(f"a coefficient is an int or a Fraction, got {q!r}")
         den = math.lcm(*(q.denominator for q in qs.values()))
         nums = {ij: q.numerator * (den // q.denominator) for ij, q in qs.items()}
         self._m, self._d = _lowest(nums, den)
@@ -205,31 +204,23 @@ class BiPoly:
         _check_index(i, low=0, name="degree")
         return BiPoly._of({(0, j): q for (ii, j), q in self._m.items() if ii == i}, self._d)
 
-    def subs_c(self, value) -> "BiPoly":
-        """Substitute a rational a/b for C, over the denominator den b^top."""
-        value = Fraction(value)
-        a, b = value.numerator, value.denominator
-        top = max((j for _, j in self._m), default=0)
+    def subs_c(self, value: int) -> "BiPoly":
+        """Substitute the int value for C: one integer sum per power of P,
+        over the same denominator."""
+        if not isinstance(value, int):
+            raise TypeError(f"BiPoly.subs_c takes an int, got {value!r}")
         out: dict = {}
         for (i, j), n in self._m.items():
-            out[i, 0] = out.get((i, 0), 0) + n * a**j * b ** (top - j)
-        return BiPoly._of(out, self._d * b**top)
+            out[i, 0] = out.get((i, 0), 0) + n * value**j
+        return BiPoly._of(out, self._d)
 
-    def eval(self, p_value, c_value) -> Fraction:
-        """The value at int or Fraction points a/b and e/f, summed on integer
-        numerators n_ij a^i b^(I-i) e^j f^(J-j) over den b^I f^J, where I and
-        J are the degrees in P and C."""
-        if not isinstance(p_value, (int, Fraction)) or not isinstance(c_value, (int, Fraction)):
-            raise TypeError("BiPoly.eval takes int or Fraction points")
-        a, b = p_value.numerator, p_value.denominator
-        e, f = c_value.numerator, c_value.denominator
-        top_i = max((i for i, _ in self._m), default=0)
-        top_j = max((j for _, j in self._m), default=0)
-        num = sum(
-            n * a**i * b ** (top_i - i) * e**j * f ** (top_j - j)
-            for (i, j), n in self._m.items()
-        )
-        return Fraction(num, self._d * b**top_i * f**top_j)
+    def eval(self, p_value: int, c_value: int) -> Fraction:
+        """The value at the int point (p_value, c_value): one integer sum of
+        n_ij p^i c^j over the denominator."""
+        if not isinstance(p_value, int) or not isinstance(c_value, int):
+            raise TypeError(f"BiPoly.eval takes int points, got ({p_value!r}, {c_value!r})")
+        num = sum(n * p_value**i * c_value**j for (i, j), n in self._m.items())
+        return Fraction(num, self._d)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -363,9 +354,10 @@ def residue_total_poly(g: int) -> BiPoly:
     for r in range(g - 1, 1 - g, -1):
         binom = [r * lo + hi for lo, hi in zip(binom + [0], [0] + binom)]
     scale, sign = 4 ** (g - 1), (-1) ** g
+    bern = _bern_nums(top)
     num = {(g, l): -sign * b * scale * wide for l, b in enumerate(binom)}
     for i in range(0, top + 1, 2):
-        a = sign * _bern_num(i) * 2**i * (fact[top] // fact[i])
+        a = sign * bern[i] * 2**i * (fact[top] // fact[i])
         # sum_j w_ij (2C+1)^(j+1) P^(g-1+i) by Horner's rule in 2C+1, where w_ij is
         # R's term over (3g - 1)! (2g - 2)!: N_i 2^i H_k (3g-1)! (2g-2)! / ((i+1)! i! (3k)! (j+1)!)
         poly = []
@@ -499,9 +491,9 @@ def delta_leading_form(g: int) -> BiPoly:
     sign = (-1) ** (g - 1)
     wide = math.factorial(n + 1)
     mono = {
-        (k - 1, n - k): sign * 2 * (2**k - 1) * _bern_num(k) * math.comb(n, k)
+        (k - 1, n - k): sign * 2 * (2**k - 1) * nk * math.comb(n, k)
         * (wide // math.factorial(k + 1))
-        for k in range(1, n + 1)
+        for k, nk in enumerate(_bern_nums(n)) if k
     }
     return BiPoly._of(mono, math.factorial(n) * wide)
 
@@ -518,8 +510,8 @@ def half_total_top_form(g: int) -> BiPoly:
     sign = (-1) ** g
     wide = math.factorial(m + 1)
     mono = {}
-    for k in range(m + 1):
-        w = sign * _bern_num(k) * (wide // math.factorial(k + 1))
+    for k, nk in enumerate(_bern_nums(m)):
+        w = sign * nk * (wide // math.factorial(k + 1))
         mono[g - 1 + k, m - k] = w * (m + 1) * math.comb(m, k)
         mono[g - 1 + k, m + 1 - k] = 2 * w * math.comb(m + 1, k)
     return BiPoly._of(mono, 4 * wide * wide)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from tqftdims import census, cli, cyclotomic, fusion, polylab, recursion
+from tqftdims import census, claims, cli, cyclotomic, fusion, polylab, recursion
 from tqftdims.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -369,6 +369,15 @@ def test_verify_poly_suite():
     lines = res.stdout.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert "0 failures" in lines[-1]
+
+
+def test_verify_suite_choices_are_the_claim_suites(capsys):
+    # verify reads its --suite choices from claims.SUITES, in its order
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert tuple(claims.SUITES) == ("census", "fusion", "poly", "hopf")
+    assert "\n  --suite {all,census,fusion,poly,hopf}\n" in capsys.readouterr().out
 
 
 def test_verify_gmax_is_capped_by_each_suite():

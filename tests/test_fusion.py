@@ -825,6 +825,28 @@ def test_transfer_kernels_are_the_fusion_matrices():
         assert _semiseparable(minus, v) == signed, p
 
 
+def test_z_plus_two_is_one_nilpotent_block_mod_p():
+    """(z + 2)^(d-1) e_0 != 0 and (z + 2)^d e_0 = 0 (mod p), along the ladder.
+
+    Write z = q + 1/q, so e_n = (q^(n+1) - q^-(n+1)) / (q - 1/q), and the
+    quotient relation is e_d - e_(d-1) = (q^p + 1) / (q^d (q + 1)), as
+    2d + 1 = p.  Modulo p, q^p + 1 = (q + 1)^p, so
+    e_d - e_(d-1) = (q + 1)^(p-1) / q^d = ((q + 1)^2 / q)^d = (z + 2)^d.
+    The quotient mod p is then F_p[z]/((z + 2)^d), on which z + 2 acts as
+    one nilpotent Jordan block of size d with cyclic vector e_0 = 1:
+    (z + 2)^(d-1) has degree d - 1 < d, so it is not 0 there, and
+    (z + 2)^d is.  Each step is one z-step, O(d), folded as the ladder folds.
+    """
+    for p in (p for p in range(5, 200) if is_prime(p)):
+        d = (p - 1) // 2
+        vec = [1] + [0] * (d - 1)
+        for _ in range(d - 1):
+            vec = [(z + 2 * x) % p for z, x in zip(fusion._mul_by_z(p, vec), vec)]
+        assert any(vec), p
+        vec = [(z + 2 * x) % p for z, x in zip(fusion._mul_by_z(p, vec), vec)]
+        assert not any(vec), p
+
+
 def test_trace_read_sweep_matches_recursion_at_p211():
     p, g = 211, 8
     t = dim_table(p, g)
@@ -1063,9 +1085,12 @@ def _misfold_z_step(monkeypatch, p):
 
 
 def _bump_bernoulli(monkeypatch, p):
-    """B_2 = 1/6 becomes 7/6, and every B_k the recurrence builds from it."""
-    true_bernoulli = polylab.bernoulli
-    monkeypatch.setattr(polylab, "bernoulli", lambda k: true_bernoulli(k) + (k == 2))
+    """N_2 = B_2 3! gains 3! in the integer table, so B_2 = 1/6 reads 7/6
+    wherever a reader takes it from there."""
+    true_nums = polylab._bern_nums
+    monkeypatch.setattr(
+        polylab, "_bern_nums", lambda k: [n + 6 * (j == 2) for j, n in enumerate(true_nums(k))]
+    )
 
 
 def _repeat_a_twist(monkeypatch, p):

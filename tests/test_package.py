@@ -254,12 +254,6 @@ def test_record_fields_are_read_only_and_shown_by_repr(record):
             delattr(record, name)
 
 
-# Every cache declares a maxsize sized by its callers' measured reuse, except
-# bernoulli: its recursion re-reads every smaller index, so a bound below the
-# largest index asked for makes it exponential.  This set may only shrink.
-UNBOUNDED_CACHES = {"polylab.bernoulli"}
-
-
 def _module_caches() -> dict:
     """Every functools cache defined at module or class level, by name."""
     found = {}
@@ -293,8 +287,9 @@ def test_no_new_unbounded_cache():
     caches = _module_caches()
     # the walk sees every decorated cache, so none hides inside a function
     assert len(caches) == _cache_decorators()
+    # every cache declares a maxsize sized by its callers' measured reuse
     unbounded = {name for name, c in caches.items() if c.cache_parameters()["maxsize"] is None}
-    assert unbounded == UNBOUNDED_CACHES
+    assert unbounded == set()
 
 
 def _cold_misses(run) -> dict[str, int]:
@@ -315,7 +310,6 @@ VERIFY_MISSES = {
     "fusion._power_table": 8,
     "fusion.even_basis_permutation": 4,
     "polylab._interpolate": 6,
-    "polylab.bernoulli": 23,
     "recursion._ladder": 18,
     "recursion.dim_table": 32,
 }

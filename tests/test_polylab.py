@@ -3,7 +3,7 @@
 import hashlib
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +241,27 @@ def test_bipoly_refuses_a_key_that_is_not_two_exponents(key):
         BiPoly({key: 1})
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.1, "1/3", 1.0], ids=repr)
+def test_bipoly_refuses_a_float_or_string_input(bad):
+    # nothing is coerced: a coefficient is an int or a Fraction (ValueError,
+    # as CycNum refuses a non-int coordinate), and a point, a substituted C
+    # or an operand is refused with TypeError
+    f = BiPoly({(1, 1): F(1, 3), (0, 0): 2})
+    with pytest.raises(ValueError, match="a coefficient is an int or a Fraction"):
+        BiPoly({(0, 0): bad})
+    with pytest.raises(TypeError, match="BiPoly.eval takes int points"):
+        f.eval(bad, 1)
+    with pytest.raises(TypeError, match="BiPoly.eval takes int points"):
+        f.eval(7, bad)
+    with pytest.raises(TypeError, match="BiPoly.subs_c takes an int"):
+        f.subs_c(bad)
+    for op in (add, sub, mul):
+        with pytest.raises(TypeError):
+            op(f, bad)
+        with pytest.raises(TypeError):
+            op(bad, f)
+
+
 def test_bipoly_parts():
     p = BiPoly({(1, 0): 1})
     c = BiPoly.var_c()
@@ -322,16 +343,16 @@ def test_newton_rejects_repeated_nodes(xs):
 )
 @settings(max_examples=50, deadline=None)
 def test_bipoly_int_eval_matches_fraction_eval(mono, p, c):
+    # eval takes int points only: a whole Fraction point is refused too
     poly = BiPoly(mono)
     got = poly.eval(p, c)
     assert type(got) is Fraction
-    assert got == poly.eval(F(p), F(c))
-
-
-_points = st.one_of(
-    st.integers(-300, 300),
-    st.fractions(min_value=-300, max_value=300, max_denominator=720),
-)
+    assert got == _fraction_eval(poly, p, c)
+    for x, y in ((F(p), c), (p, F(c))):
+        with pytest.raises(TypeError, match="BiPoly.eval takes int points"):
+            poly.eval(x, y)
+    with pytest.raises(TypeError, match="BiPoly.subs_c takes an int"):
+        poly.subs_c(F(c))
 
 
 @given(
@@ -340,12 +361,12 @@ _points = st.one_of(
         st.fractions(min_value=-99, max_value=99, max_denominator=720),
         max_size=10,
     ),
-    p=_points,
-    c=_points,
+    p=st.integers(-10**6, 10**6),
+    c=st.integers(-10**6, 10**6),
 )
 @settings(max_examples=80, deadline=None)
 def test_bipoly_eval_matches_fraction_oracle(mono, p, c):
-    # int, Fraction and mixed points all take eval's integer-numerator sum
+    # eval's one integer sum over the denominator, at points far from the grid
     poly = BiPoly(mono)
     got = poly.eval(p, c)
     assert type(got) is Fraction
@@ -379,9 +400,9 @@ _constants = st.one_of(
     a=_polys,
     b=_polys,
     k=_constants,
-    v=_constants,
-    p=_constants,
-    c=_constants,
+    v=st.integers(-12, 12),
+    p=st.integers(-12, 12),
+    c=st.integers(-12, 12),
     n=st.integers(0, 3),
     i=st.integers(0, 9),
 )
@@ -409,9 +430,8 @@ def test_bipoly_matches_fraction_oracle(a, b, k, v, p, c, n, i):
     assert (f == g) is (fo == go)
     assert (f == k) is (fo == k) and (k == f) is (k == fo)
     assert f + g - g == f and f - f == 0
-    for x, y in ((p, c), (int(p), int(c)), (p, int(c))):
-        got = f.eval(x, y)
-        assert type(got) is Fraction and got == fo.eval(x, y)
+    got = f.eval(p, c)
+    assert type(got) is Fraction and got == fo.eval(p, c)
     with pytest.raises(TypeError):
         k - f
 
@@ -428,6 +448,11 @@ def test_bipoly_is_in_lowest_terms():
 def test_bernoulli_matches_fraction_recursion():
     for k in range(61):
         assert bernoulli(k) == _fraction_bernoulli(k), k
+    # the integer table every reader takes: N_j = B_j (j + 1)!, all integers
+    nums = polylab._bern_nums(60)
+    assert all(type(n) is int for n in nums)
+    assert nums == [_fraction_bernoulli(j) * math.factorial(j + 1) for j in range(61)]
+    assert polylab._bern_nums(0) == [1] and polylab._bern_nums(1) == [1, -1]
 
 
 def test_interpolated_delta_genus_one():

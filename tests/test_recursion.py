@@ -339,3 +339,72 @@ def test_every_total_past_genus_one_is_divisible_by_p(p):
     t = dim_table(p, 3 * p)
     assert all(total % p == 0 for row in t.totals[1:] for total in row)
     assert any(total % p for total in t.totals[0])
+
+
+def _signed_kernel_mod_p(p, vec):
+    """(B - H) vec (mod p) in O(d), from the kernel d - max(a, c) (delta_direct's):
+    (d - c) times the sum of vec_a over a <= c, plus the sum of (d - a) vec_a
+    over a > c."""
+    d = len(vec)
+    out, prefix = [], 0
+    suffix = sum((d - a) * x for a, x in enumerate(vec))
+    for c, x in enumerate(vec):
+        prefix += x
+        suffix -= (d - c) * x
+        out.append(((d - c) * prefix + suffix) % p)
+    return out
+
+
+def test_signed_kernel_is_one_nilpotent_block_mod_p():
+    """N = 4(B - H) - I is nilpotent mod p with one Jordan block of size d:
+    N^(d-1) e_0 != 0 and N^d e_0 = 0 (mod p), for every prime 5 <= p < 200.
+
+    In the even basis B - H = D M_alt D, with D = diag((-1)^c) and M_alt the
+    matrix of the alternating element A = sum_n (-1)^n (d - n) e_(2n)
+    (tests/test_fusion.py checks this entry for entry).  D e_0 = e_0 and
+    D D = I, so N^k e_0 = D (4 M_alt - I)^k e_0: the coordinates of
+    (4A - 1)^k in the quotient, which mod p is F_p[z]/((z + 2)^d)
+    (test_z_plus_two_is_one_nilpotent_block_mod_p).  With e_m(z) = U_m(z/2),
+    e_m(-2) = (-1)^m (m + 1) and e_m'(-2) = (-1)^(m+1) m (m + 1)(m + 2)/6.
+    As 2d = p - 1, d = -1/2 and d - n = -(2n + 1)/2 (mod p), so
+      A(-2) = -(1/2) sum_(n<d) (-1)^n (2n + 1)^2 = 1/4,
+      A'(-2) = (1/3) sum_(n<d) (-1)^n n (n + 1)(2n + 1)^2 = 1/4,
+    from the closed forms -2d^2 (d even) and 2d^2 - 1 (d odd) of the first
+    sum, and -d^2 (4d^2 - 7)/2 and (d^2 - 1)(4d^2 - 3)/2 of the second, at
+    d^2 = 1/4 (3 is prime to p).  So 4A - 1 is z + 2 times a unit: its k-th
+    power is 0 for k = d and not 0 for k = d - 1.  Each power steps in O(d).
+    """
+    for p in (p for p in range(5, 200) if is_prime(p)):
+        d = (p - 1) // 2
+        vec = [1] + [0] * (d - 1)
+        for _ in range(d - 1):
+            vec = [(4 * k - x) % p for k, x in zip(_signed_kernel_mod_p(p, vec), vec)]
+        assert any(vec), p
+        vec = [(4 * k - x) % p for k, x in zip(_signed_kernel_mod_p(p, vec), vec)]
+        assert not any(vec), p
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES_TO_61 if p <= 31])
+def test_signed_counts_have_period_p_mod_p(p):
+    """4 delta(g + p, c) = delta(g, c) (mod p) for g <= 2p, and no shift
+    s < p makes 4^s delta(g + s, c) = delta(g, c) hold at every g <= p and c.
+
+    delta_(g+1) = (B - H) delta_g, so 4^s delta_(g+s) = (I + N)^s delta_g
+    with N = 4(B - H) - I, which is nilpotent with one Jordan block of size
+    d < p (test_signed_kernel_is_one_nilpotent_block_mod_p).  Modulo p,
+    (I + N)^p = I + N^p = I, and 4^p = 4, which is the first claim.  For
+    0 < s < p, delta_1 = d - c = (B - H) e_0 = (1/4)(I + N) e_0, so
+    (I + N)^s delta_1 - delta_1 = (1/4)(s N e_0 + sum_(k>=2) c_k N^k e_0),
+    and e_0, N e_0, ..., N^(d-1) e_0 are a basis, with d >= 2 and s != 0
+    (mod p): the difference is not 0 already at g = 1.
+    """
+    d = (p - 1) // 2
+    deltas = dim_table(p, 3 * p).deltas  # deltas[g - 1]: genus g
+    for g in range(1, 2 * p + 1):
+        assert [(4 * x - y) % p for x, y in zip(deltas[g + p - 1], deltas[g - 1])] == [0] * d
+    for s in range(1, p):
+        assert any(
+            (4**s * x - y) % p
+            for g in range(1, p + 1)
+            for x, y in zip(deltas[g + s - 1], deltas[g - 1])
+        ), s

@@ -61,20 +61,18 @@ def test_delta_verification_raises_on_mismatch(monkeypatch):
 
 
 def test_leading_terms_exits_1_on_a_false_claim(monkeypatch, capsys):
-    # B_2 = 7/6 falsifies the Bernoulli leading terms: the script names each
-    # false claim, still prints the true ones, and exits 1
+    # B_2 = 7/6 (N_2 = B_2 3! gains 3! in the integer table) falsifies the
+    # Bernoulli leading terms: the script names each false claim, still
+    # prints the true ones, and exits 1
     from tqftdims import polylab
 
     script = _load("leading_terms.py")
-    true_bernoulli = polylab.bernoulli
-    monkeypatch.setattr(polylab, "bernoulli", lambda k: true_bernoulli(k) + (k == 2))
+    true_nums = polylab._bern_nums
+    monkeypatch.setattr(
+        polylab, "_bern_nums", lambda k: [n + 6 * (j == 2) for j, n in enumerate(true_nums(k))]
+    )
     monkeypatch.setattr(sys, "argv", ["leading_terms.py", "--gmax", "2"])
-    true_bernoulli.cache_clear()
-    try:
-        assert script.main() == 1
-    finally:
-        # the recurrence cached values built from the planted B_2
-        true_bernoulli.cache_clear()
+    assert script.main() == 1
     out = capsys.readouterr().out
     assert "  FAILED: signed top layer matches the Bernoulli form\n" in out
     assert "  verified: signed count has total degree 2g-1\n" in out
