@@ -14,30 +14,35 @@ every loop color by (p-3)/2.  The far end u_g has degree two and is modeled
 with a phantom color-0 edge, which pins a_g to the incoming chain color.
 
 There are two walks, one per job: count_parities counts, and the private
-_records streams `census --list`.  Both read their ranges from one table
+_records streams `census --list`.  Both read their moves from one table
 per prime, _moves, built from the vertex inequalities and cached as tuples:
-for each incoming chain color x, the stick colors a that admit a next chain
-color, with that color's range lo..hi.  The table holds no count, only
-what the inequalities admit.  The reference for the record stream is the
-whole-graph enumerator in tests/test_census.py, which colors raw edges and
-shares no code with that table.
+for each incoming chain color x, one row (a, a & 1, d - a, lo, end) per
+stick color a that admits a next chain color, holding a, its parity, its
+d - a loop colors and the half-open range lo..end-1 of next chain colors.
+The table holds no count, only what the inequalities admit: d - a is the
+length of the loop range that the smallness bound admits at one vertex,
+not a count carried between subtrees.  The reference for the record
+stream is the whole-graph enumerator in tests/test_census.py, which colors
+raw edges and shares no code with that table, and a test there rebuilds
+every row from the raw vertex predicate.
 
 The loop half-color b_i constrains nothing outside its own vertex, and it
 ranges over 0..d-1-a_i.  So count_parities walks only the (a, e)
 skeletons, and counts each with weight prod(d - a_i).  It walks them down
 to the vertex u_(g-1) only: there the last chain color e pins a_g = e and
-leaves d - e loop choices at u_g, so each last chain range lo..hi is summed
-in closed form, sum(d - e) over its even e and over its odd e, from two
-prefix arrays of d - e that are built from d alone before the walk.  One
-visit to u_(g-1) loops over its row of moves, adds d - a times those two
-sums into two locals by the parity of a, and adds weight times each to the
-counts once.  The cost stays exponential in g, in the skeletons down to
-u_(g-1) rather than in the colorings.  Nothing is memoized across subtrees:
-caching on (level, chain color, parity) would rebuild the transfer
-recursion, and the census would stop being an independent check on it.
-The range sums are not such a cache: they are read off one vertex's
-inequalities, each visit recomputes its sums and stores none of them, and
-no count found in one subtree is read in another.
+leaves d - e loop choices at u_g, so each last chain range lo..end-1 is
+summed in closed form, sum(d - e) over its even e and over its odd e, from
+two prefix arrays of d - e that are built from d alone before the walk.
+One visit to u_(g-1) loops over its row of moves, picks the two arrays in
+the order the parity of a sets, adds d - a times the two range sums into
+two locals, and adds weight times each to the counts once.  The cost stays
+exponential in g, in the skeletons down to u_(g-1) rather than in the
+colorings.  Nothing is memoized across subtrees: caching on (level, chain
+color, parity) would rebuild the transfer recursion, and the census would
+stop being an independent check on it.  The range sums are not such a
+cache: they are read off one vertex's inequalities, each visit recomputes
+its sums and stores none of them, and no count found in one subtree is
+read in another.
 
 _records streams lists of records, one per (a_(g-1), b_(g-1)): it recurses
 over the vertices u_1..u_(g-2) and builds the last two levels, (e_(g-1),
@@ -84,11 +89,15 @@ def _check_shape(p: int, g: int, c: int) -> int:
 # verify --gmax 8, and the census workload's ops 4 times (2 misses); every hit
 # re-reads the latest entry, so a larger cache would only hold dead tables.
 @lru_cache(maxsize=1)
-def _moves(p: int, d: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Admissibility table: moves[x] lists (a, lo, hi) for every stick
-    half-color a at a vertex entered by chain half-color x, where lo..hi is
-    the nonempty range of outgoing chain half-colors e that make
-    (2x, 2a, 2e) admissible.  Immutable, as the cache hands out one copy."""
+def _moves(p: int, d: int) -> tuple[tuple[tuple[int, int, int, int, int], ...], ...]:
+    """Admissibility table: moves[x] lists (a, a & 1, d - a, lo, end) for
+    every stick half-color a at a vertex entered by chain half-color x,
+    where lo..end-1 is the nonempty range of outgoing chain half-colors e
+    that make (2x, 2a, 2e) admissible.  The fields are what both walks read:
+    the stick, its parity, its d - a loop colors and the half-open chain
+    range.  d - a is a range length that the smallness bound admits at this
+    vertex, not a count carried between subtrees.  Immutable, as the cache
+    hands out one copy."""
     top = p - 2
     table = []
     for x in range(d):
@@ -97,7 +106,7 @@ def _moves(p: int, d: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
             lo = abs(x - a)
             hi = min(x + a, top - x - a, d - 1)
             if lo <= hi:
-                row.append((a, lo, hi))
+                row.append((a, a & 1, d - a, lo, hi + 1))
         table.append(tuple(row))
     return tuple(table)
 
@@ -130,19 +139,17 @@ def _records(p: int, g: int, c: int):
     names = ("even", "odd")
 
     def walk(i: int, x: int, ab: str, es: str, par: int):
-        for a, lo, hi in moves[x]:
-            nxt = (par + a) & 1
+        for a, odd_a, k, lo, end in moves[x]:
+            nxt = par ^ odd_a
             if i == g - 2:
-                tails = [
-                    (leaf[e], f";{es}{e};{names[(nxt + e) & 1]}") for e in range(lo, hi + 1)
-                ]
-                for b in range(d - a):
+                tails = [(leaf[e], f";{es}{e};{names[(nxt + e) & 1]}") for e in range(lo, end)]
+                for b in range(k):
                     pre = f"{head}{ab}{a},{b},"
                     yield [f"{pre}{s}{t}" for ls, t in tails for s in ls]
                 continue
-            for b in range(d - a):
+            for b in range(k):
                 ab_b = f"{ab}{a},{b},"
-                for e in range(lo, hi + 1):
+                for e in range(lo, end):
                     yield from walk(i + 1, e, ab_b, f"{es}{e},", nxt)
 
     yield from walk(0, c, "", "", c & 1)
@@ -152,16 +159,21 @@ def count_parities(p: int, g: int, c: int) -> tuple[int, int]:
     """Return (even_count, odd_count) of the small admissible colorings.
 
     Walks the (a, e) skeletons down to the vertex u_(g-1), each with weight
-    prod(d - a_i), the number of its loop choices b there.  The last chain
-    color e pins a_g = e and leaves d - e loop choices at u_g, with parity
-    that of the path plus e, so each last chain range lo..hi is summed, not
-    walked: sum(d - e) over its even e and over its odd e, read off two
-    prefix arrays of d - e built from d alone.  A visit to u_(g-1) sums its
-    whole row of moves, each range times d - a, into `same` and `flip` (the
-    path's parity and the other), then adds weight times each to the counts
-    once; it recomputes them on every visit.  Every level reads the prime's
-    cached _moves table.  The cost stays exponential in g, in the skeletons
-    down to u_(g-1): one walk call per skeleton prefix down to u_(g-2).
+    prod(d - a_i), the number of its loop choices b there.  Every level
+    reads the prime's cached _moves rows (a, a & 1, d - a, lo, end): the
+    upper levels, in walk, step the parity by a & 1 and the weight by
+    d - a, a range length the smallness bound admits and not a count
+    carried between subtrees, over e in lo..end-1.  The last chain color e
+    pins a_g = e and leaves d - e loop choices at u_g, with parity that of
+    the path plus e, so each last chain range is summed, not walked:
+    sum(d - e) over its even e and over its odd e, read off two prefix
+    arrays of d - e built from d alone.  A visit to u_(g-1) takes the two
+    arrays in the order a & 1 picks, sums its whole row of moves, each
+    range times d - a, into `same` and `flip` (the path's parity and the
+    other), then adds weight times each to the counts once; each visit
+    recomputes its sums and stores none of them.  The cost stays
+    exponential in g, in the skeletons down to u_(g-1): one walk or visit
+    call per skeleton prefix down to u_(g-2), and g = 2 is one visit.
     """
     d = _check_shape(_check_prime(p), g, c)
     if g == 1:
@@ -169,36 +181,41 @@ def count_parities(p: int, g: int, c: int) -> tuple[int, int]:
         # is built
         return d - c, 0
     moves = _moves(p, d)
-    # even[k] and odd[k]: sum of d - e over the even and the odd e < k
+    # even[k] and odd[k]: sum of d - e over the even and the odd e < k; an
+    # even e keeps the parity par + a, so an odd a swaps the two
     even, odd = [0], [0]
     for e in range(d):
         even.append(even[-1] + (d - e) * (1 - (e & 1)))
         odd.append(odd[-1] + (d - e) * (e & 1))
+    sums = ((even, odd), (odd, even))
     counts = [0, 0]
 
-    def walk(i: int, x: int, par: int, weight: int) -> None:
-        if i == g - 2:
-            # u_(g-1): each move's range sums, times its d - a loop choices;
-            # an even e keeps the parity par + a, so an odd a swaps the two
-            same = flip = 0
-            for a, lo, hi in moves[x]:
-                k = d - a
-                ev = even[hi + 1] - even[lo]
-                od = odd[hi + 1] - odd[lo]
-                if a & 1:
-                    ev, od = od, ev
-                same += k * ev
-                flip += k * od
-            counts[par] += weight * same
-            counts[par ^ 1] += weight * flip
-            return
-        for a, lo, hi in moves[x]:
-            nxt = (par + a) & 1
-            w = weight * (d - a)
-            for e in range(lo, hi + 1):
-                walk(i + 1, e, nxt, w)
+    def visit(x: int, par: int, weight: int) -> None:
+        # u_(g-1): each move's range sums, times its d - a loop choices
+        same = flip = 0
+        for _a, odd_a, k, lo, end in moves[x]:
+            keep, swap = sums[odd_a]
+            same += k * (keep[end] - keep[lo])
+            flip += k * (swap[end] - swap[lo])
+        counts[par] += weight * same
+        counts[par ^ 1] += weight * flip
 
-    walk(0, c, c & 1, 1)
+    def walk(i: int, x: int, par: int, weight: int) -> None:
+        # u_(i+1) for i < g - 2; its children are u_(g-1) when i = g - 3
+        for _a, odd_a, k, lo, end in moves[x]:
+            nxt = par ^ odd_a
+            w = weight * k
+            if i == g - 3:
+                for e in range(lo, end):
+                    visit(e, nxt, w)
+            else:
+                for e in range(lo, end):
+                    walk(i + 1, e, nxt, w)
+
+    if g == 2:
+        visit(c, c & 1, 1)
+    else:
+        walk(0, c, c & 1, 1)
     return counts[0], counts[1]
 
 

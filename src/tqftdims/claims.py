@@ -19,15 +19,13 @@ Claim = tuple[str, bool]
 
 
 def census_matches_recursion(p: int, gmax: int) -> Claim:
-    d = _rank(p)
+    _rank(p)
     gcap = min(_check_index(gmax, name="gmax"), 4)
     while census.state_estimate(p, gcap) > census.STATE_GUARD and gcap > 1:
         gcap -= 1
-    table = recursion.dim_table(p, gcap)
+    rows = recursion.dim_table(p, gcap).rows()
     ok = all(
-        census.count_parities(p, g, c) == (table.n_even(g, c), table.n_odd(g, c))
-        for g in range(1, gcap + 1)
-        for c in range(d)
+        census.count_parities(p, g, c) == (even, odd) for g, c, even, odd, _t, _s in rows
     )
     return f"coloring census matches the transfer recursion (p={p}, g<={gcap})", ok
 

@@ -153,14 +153,35 @@ def _skeleton_walk(p, g, c):
         if i == g - 1:
             counts[(par + x) & 1] += weight * (d - x)
             return
-        for a, lo, hi in moves[x]:
+        # the row's own parity and loop fields are checked against the raw
+        # predicate in test_move_rows_match_admissibility; here only a and
+        # the chain range are read
+        for a, _odd_a, _k, lo, end in moves[x]:
             nxt = (par + a) & 1
             w = weight * (d - a)
-            for e in range(lo, hi + 1):
+            for e in range(lo, end):
                 walk(i + 1, e, nxt, w)
 
     walk(0, c, c & 1, 1)
     return counts[0], counts[1]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_move_rows_match_admissibility(p):
+    # each row lists, in increasing a, every stick half-color a that admits
+    # some chain half-color e; its admissible e form one unbroken range
+    # lo..end-1, and the row carries a's parity and its d - a loop colors
+    d = (p - 1) // 2
+    table = _moves(p, d)
+    assert len(table) == d
+    for x, row in enumerate(table):
+        expected = []
+        for a in range(d):
+            es = [e for e in range(d) if _ok3(p, 2 * x, 2 * a, 2 * e)]
+            if es:
+                assert es == list(range(es[0], es[-1] + 1))
+                expected.append((a, a % 2, d - a, es[0], es[-1] + 1))
+        assert list(row) == expected
 
 
 @pytest.mark.parametrize(
@@ -195,14 +216,16 @@ def _skeleton_prefixes(p, g, c):
 
 
 def _walk_calls(p, g, c):
-    """Calls of count_parities' inner walk during count_parities(p, g, c)."""
-    (code,) = [k for k in count_parities.__code__.co_consts
-               if isinstance(k, types.CodeType) and k.co_name == "walk"]
+    """Calls of count_parities' inner walk and visit during
+    count_parities(p, g, c)."""
+    codes = [k for k in count_parities.__code__.co_consts
+             if isinstance(k, types.CodeType) and k.co_name in ("walk", "visit")]
+    assert len(codes) == 2
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code is code:
+        if event == "call" and frame.f_code in codes:
             calls += 1
 
     sys.setprofile(profile)
@@ -215,8 +238,9 @@ def _walk_calls(p, g, c):
 
 @pytest.mark.parametrize("p,g", itertools.product((7, 11, 13), (2, 3, 4)))
 def test_count_walks_every_skeleton_prefix(p, g):
-    # one walk call per skeleton prefix down to u_(g-2): a walk that reused
-    # a subtree's count for a repeated chain color would make fewer calls
+    # one walk or visit call per skeleton prefix down to u_(g-2): a walk that
+    # reused a subtree's count for a repeated chain color would make fewer
+    # calls
     for c in range((p - 1) // 2):
         assert _walk_calls(p, g, c) == _skeleton_prefixes(p, g, c)
 

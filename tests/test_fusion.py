@@ -1054,12 +1054,15 @@ def _bump_closed_form(monkeypatch, p):
 
 
 def _widen_chain_ranges(monkeypatch, p):
-    """A fault in the census walk: each chain range lo..hi admits hi + 1 too,
+    """A fault in the census walk: each chain range lo..end-1 admits end too,
     up to d - 1."""
     true_moves = census._moves
 
     def widened(p, d):
-        return [[(a, lo, min(hi + 1, d - 1)) for a, lo, hi in row] for row in true_moves(p, d)]
+        return [
+            [(a, odd_a, k, lo, min(end + 1, d)) for a, odd_a, k, lo, end in row]
+            for row in true_moves(p, d)
+        ]
 
     monkeypatch.setattr(census, "_moves", widened)
 
