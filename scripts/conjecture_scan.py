@@ -24,9 +24,9 @@ def main() -> int:
         scan = conjecture_scan(g)
         print(
             f"g={g}: odd_P_powers_only={scan.no_positive_even_p_powers} "
-            f"base_divisible={scan.base_specialization_divisible}"
+            f"base_divisible={scan.base_quotient is not None}"
         )
-        if scan.base_specialization_divisible:
+        if scan.base_quotient is not None:
             print(f"      quotient at C=0: {scan.base_quotient.canonical_str()}")
     return 0
 

@@ -13,7 +13,7 @@ from itertools import islice
 from operator import sub
 
 from . import census, cyclotomic, fusion, polylab, recursion
-from .cyclotomic import _check_index, _check_prime, _rank, inverse_run
+from .cyclotomic import _check_index, _check_prime, _rank
 
 Claim = tuple[str, bool]
 
@@ -108,17 +108,24 @@ def _g_sums(p: int, a) -> list[list[int]]:
     ]
 
 
+def _s_conjugation_names(p: int, a, sums, want) -> bool:
+    """Whether sums[a_i + a_j] - sums[a_i - a_j] names want(i, j) for every i
+    and j, indices mod p: the one loop of the two S identities, which differ
+    only in the sums they read (G itself for s_matrix_square,
+    G(m + 1) + G(m - 1) for z_diagonalization) and in want."""
+    return all(
+        cyclotomic._names(sums[(ai + aj) % p], sums[(ai - aj) % p], want(i, j))
+        for i, ai in enumerate(a)
+        for j, aj in enumerate(a)
+    )
+
+
 def s_matrix_square(p: int) -> Claim:
     """S S = -p I.  With A = a_i + a_j and B = a_i - a_j,
     S_ik S_kj = zeta^(a_k A) + zeta^(-a_k A) - zeta^(a_k B) - zeta^(-a_k B),
     so (S S)_ij = G(A) - G(B), which must name -p if i = j and 0 otherwise."""
     a = _exponents(p)
-    g = _g_sums(p, a)
-    ok = all(
-        cyclotomic._names(g[(ai + aj) % p], g[(ai - aj) % p], -p if i == j else 0)
-        for i, ai in enumerate(a)
-        for j, aj in enumerate(a)
-    )
+    ok = _s_conjugation_names(p, a, _g_sums(p, a), lambda i, j: -p if i == j else 0)
     return f"S-matrix squares to -p times the identity (p={p})", ok
 
 
@@ -134,11 +141,7 @@ def z_diagonalization(p: int) -> Claim:
     # h[m] = G(m + 1) + G(m - 1)
     h = [[x + y for x, y in zip(g[(m + 1) % p], g[m - 1])] for m in range(p)]
     mz = fusion.mul_matrix_even(fusion.cheb_vector(p, 1)).entries
-    ok = all(
-        cyclotomic._names(h[(ai + aj) % p], h[(ai - aj) % p], p * mz[i][j])
-        for i, ai in enumerate(a)
-        for j, aj in enumerate(a)
-    )
+    ok = _s_conjugation_names(p, a, h, lambda i, j: p * mz[i][j])
     return f"multiplication by z diagonalizes as -(1/p) S Q S (p={p})", ok
 
 
@@ -220,12 +223,10 @@ def hopf_valuation(p: int) -> Claim:
 
 
 def quantum_integer_units(p: int) -> Claim:
-    # [n] is the run (1 - n, n, 2); an integral inverse run proves it a unit,
-    # checked packed, as hopf_certificate checks its cofactor's runs.
-    ok = all(
-        cyclotomic._runs_multiply_to_one(p, (1 - n, n, 2), inverse_run(p, 1 - n, n, 2))
-        for n in range(1, _check_prime(p))
-    )
+    # [n] is the run (1 - n, n, 2), a unit exactly when its shape (n, 2) is:
+    # checked packed against its inverse run, as hopf_certificate checks its
+    # cofactor's runs.
+    ok = all(cyclotomic._is_unit_run(p, n, 2) for n in range(1, _check_prime(p)))
     return f"quantum integers are units (p={p})", ok
 
 

@@ -109,14 +109,10 @@ def _dims_refusal(ns) -> str | None:
     return _text_refusal(top)
 
 
-def _text_limit() -> int:
-    """The most digits Python converts an int to text with; 0 for no limit."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _text_refusal(top: float) -> str | None:
-    """Why counts of about `top` digits cannot be printed, or None if they can."""
-    limit = _text_limit()
+    """Why counts of about `top` digits cannot be printed, or None if they can.
+    A limit of 0 is no limit."""
+    limit = sys.get_int_max_str_digits()
     if limit and top > limit:
         return f"counts reach about {top:.0f} digits, over the {limit} Python converts to text"
     return None
@@ -162,8 +158,8 @@ def _cmd_dims(ns) -> int:
     table = recursion.dim_table(p, ns.gmax)
     # --force lifts the estimate but cannot lift the int-to-text limit.  D
     # grows with g and bounds fe, fo and |delta|, so the largest D at gmax is
-    # the largest count, tested exactly before the first row.
-    limit = _text_limit()
+    # the largest count, tested exactly before the first row.  0 is no limit.
+    limit = sys.get_int_max_str_digits()
     if limit and max(table.total(ns.gmax, c) for c in range(table.d)) >= 10**limit:
         raise _Refusal(f"counts pass the {limit}-digit int-to-text limit")
     rows = (_dims_row(p, g, c, fe, fo) for g, c, fe, fo, _total, _delta in table.rows())

@@ -11,11 +11,13 @@ its factors modulo t^p - 1, then one fold.  It costs O(p) with a 2-sparse
 factor and O(p^2) with two dense ones.
 
 The packed codec below serves the two users that stay packed between
-products.  A power x ** n packs x once, at the width of ||x||_1^n, runs its
-whole square-and-multiply chain on reduced ints and unpacks once.  A unit
-check "run times run == 1" (_runs_multiply_to_one, which
-fusion.hopf_certificate calls) packs both runs, makes one product and reads
-the answer off the packed residue, never unpacking it.
+products, CycNum.__pow__ and _is_unit_run.  A power x ** n packs x once, at
+the width of ||x||_1^n, runs its whole square-and-multiply chain on reduced
+ints and unpacks once.  A unit check "run times its inverse run == 1"
+(_is_unit_run, which fusion.hopf_certificate and
+claims.quantum_integer_units call with a run shape (n, t)) packs both runs,
+makes one product and reads the answer off the packed residue, never
+unpacking it.
 
 The rational norm needs no polynomial gcd: the product adj(y) of the
 conjugates sigma_j(y), j = 2..p-1, satisfies y * adj(y) = N(y).
@@ -477,18 +479,19 @@ def inverse_run(p: int, s: int, n: int, t: int) -> tuple[int, int, int]:
     return -s, pow(n, -1, p), n * t % p
 
 
-def _runs_multiply_to_one(p: int, x: tuple, y: tuple) -> bool:
-    """Whether the runs x and y, each (s, n, t) with 0 < n < p and t a unit
-    mod p, multiply to 1, decided packed: no CycNum, no unpack.
+def _is_unit_run(p: int, n: int, t: int) -> bool:
+    """Whether the run (0, n, t), 0 < n < p and t a unit mod p, times the run
+    inverse_run(p, 0, n, t) is 1, decided packed: no CycNum, no unpack.
 
-    Such runs have 0/1 coefficients, so every coefficient of their cyclic
-    product lies in [0, min(n_x, n_y)], and its packed residue r holds them
-    as its digits c_0..c_(p-1).  The product is 1 exactly when it names 1
-    (_names), c_0 - 1 = c_1 = ... = c_(p-1), that is when
+    Both runs have 0/1 coefficients, so every coefficient of their cyclic
+    product lies in [0, min(n, m)], m = n^-1 mod p, and its packed residue r
+    holds them as its digits c_0..c_(p-1).  The product is 1 exactly when it
+    names 1 (_names), c_0 - 1 = c_1 = ... = c_(p-1), that is when
     r = 1 + (c_0 - 1) (1 + 2^w + ... + 2^(w(p-1))), c_0 being r mod 2^w.
     """
-    k = _digit_bytes(min(x[1], y[1]))
-    r = _cyclic(_pack(_run_coeffs(p, *x), k) * _pack(_run_coeffs(p, *y), k), p, k)
+    y = inverse_run(p, 0, n, t)
+    k = _digit_bytes(min(n, y[1]))
+    r = _cyclic(_pack(_run_coeffs(p, 0, n, t), k) * _pack(_run_coeffs(p, *y), k), p, k)
     digit = (1 << 8 * k) - 1
     return r == 1 + ((r & digit) - 1) * (((1 << 8 * k * p) - 1) // digit)
 
@@ -499,6 +502,7 @@ def quantum_int(p: int, n: int) -> CycNum:
     Computed as the run q^(1-n) + q^(3-n) + ... + q^(n-1), so the result is
     visibly integral, and n >= 0 is its run length, checked by run.  [n] is
     a unit of Z[zeta_p] for 1 <= n <= p-1: its inverse is the run
-    inverse_run(p, 1 - n, n, 2).
+    inverse_run(p, 1 - n, n, 2), whose offset n - 1 cancels [n]'s, so
+    _is_unit_run(p, n, 2) checks it.
     """
     return run(p, 1 - n, n, 2)

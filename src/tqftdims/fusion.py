@@ -31,12 +31,11 @@ from .cyclotomic import (
     _check_color,
     _check_index,
     _check_prime,
+    _is_unit_run,
     _rank,
-    _runs_multiply_to_one,
     _unfold,
     _unfolded,
     galois,
-    inverse_run,
 )
 
 __all__ = [
@@ -355,11 +354,11 @@ def hopf_certificate(p: int) -> HopfCertificate:
     zeta: the quantum integers [n], n < p, and the cyclotomic units
     (1 - zeta^k)/(1 - zeta) (Washington, Introduction to Cyclotomic Fields,
     8.1), as long as the e_j are pairwise distinct.  Each run has an
-    integral inverse that is again a run (inverse_run), and each distinct
-    run shape (n, t) is checked once, run times inverse run == 1, exactly;
-    ArithmeticError if one fails.  Each check is one product of two packed
-    ints, read off the packed residue (cyclotomic._runs_multiply_to_one):
-    no run is built as a CycNum, and neither U nor H is ever built.
+    integral inverse that is again a run (cyclotomic.inverse_run), and each
+    distinct run shape (n, t) is checked once, run times inverse run == 1,
+    exactly; ArithmeticError if one fails.  Each check is one product of two
+    packed ints, read off the packed residue (cyclotomic._is_unit_run): no
+    run is built as a CycNum, and neither U nor H is ever built.
 
     That check proves U a unit, so the valuation is exactly d(d-1)/2: a
     unit is prime to h.  And the norm of U is 1 without being computed:
@@ -371,7 +370,7 @@ def hopf_certificate(p: int) -> HopfCertificate:
     # zeta^s is a unit, so a run is a unit exactly when its shape (n, t) is,
     # and U, their product, is a unit exactly when every run is.
     for n, t in sorted({(n, t) for _s, n, t in _cofactor_runs(p)}):
-        if not _runs_multiply_to_one(p, (0, n, t), inverse_run(p, 0, n, t)):
+        if not _is_unit_run(p, n, t):
             raise ArithmeticError(
                 f"determinant cofactor is not a unit: run ({n}, {t}) times its inverse != 1"
             )

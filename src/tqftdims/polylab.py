@@ -36,7 +36,8 @@ appears only at the interface: where a coefficient leaves the module
 normalized_bernoulli) and where a caller passes a coefficient in (an int or
 Fraction coefficient of BiPoly({...}), or an int or Fraction operand).
 Nothing here touches floats: a float coefficient is a ValueError, a float
-point or operand a TypeError.
+point or operand a TypeError, and a float is unequal to every BiPoly, on
+either side of ==, even one of the same value.
 
 The module has one failure: a fit that misses a held-out count raises
 ArithmeticError, which the CLI reports as a failed verification (exit 1).
@@ -149,8 +150,11 @@ class BiPoly:
     on anything else.  Supports +, -, * and == with other BiPoly and with
     int or Fraction constants (on the right of -), and ** to exponents
     n >= 0.  eval and subs_c take int points only, and raise TypeError on
-    anything else.  Instances are immutable but not hashable, and every
-    instance is truthy: test the zero polynomial with `== 0`.
+    anything else.  == with an operand the arithmetic refuses, a float or a
+    string, is False on both sides, which is Python's answer for unrelated
+    types: BiPoly({(0, 0): Fraction(1, 2)}) == 0.5 is False, not a refusal.
+    Instances are immutable but not hashable, and every instance is truthy:
+    test the zero polynomial with `== 0`.
 
     The coefficients are integer numerators over one positive denominator,
     in lowest terms: no numerator is zero, and the gcd of the denominator
@@ -549,15 +553,14 @@ def leading_term_report(g: int) -> dict[str, bool]:
         )
     else:
         top = half_total_top_form(g)
-        half_total = tpoly * half
-        for n in (3 * g - 2, 3 * g - 3):
-            layer = top.homogeneous_part(n)
+        layers = {n: top.homogeneous_part(n) for n in (3 * g - 2, 3 * g - 3)}
+        for n, layer in layers.items():
             report[f"even/odd counts share the half-total layer of degree {n}"] = (
                 epoly.homogeneous_part(n) == layer and opoly.homogeneous_part(n) == layer
             )
-        report["half of the total matches the shared top layers"] = (
-            half_total.homogeneous_part(3 * g - 2) == top.homogeneous_part(3 * g - 2)
-            and half_total.homogeneous_part(3 * g - 3) == top.homogeneous_part(3 * g - 3)
+        half_total = tpoly * half
+        report["half of the total matches the shared top layers"] = all(
+            half_total.homogeneous_part(n) == layer for n, layer in layers.items()
         )
         want = (BiPoly.var_c() + half) * normalized_bernoulli(g - 1)
         report[
@@ -577,14 +580,10 @@ def leading_term_report(g: int) -> dict[str, bool]:
 
 class ConjectureScan(Record):
     """Observed patterns in the signed-count polynomial for one genus;
-    base_quotient is its C = 0 specialization over P(P^2 - 1)/24, or None."""
+    base_quotient is its C = 0 specialization over P(P^2 - 1)/24, or None
+    when that specialization is not divisible."""
 
-    __slots__ = (
-        "g",
-        "no_positive_even_p_powers",
-        "base_specialization_divisible",
-        "base_quotient",
-    )
+    __slots__ = ("g", "no_positive_even_p_powers", "base_quotient")
 
 
 def _base_quotient(poly: BiPoly) -> BiPoly | None:
@@ -609,5 +608,4 @@ def conjecture_scan(g: int) -> ConjectureScan:
     """
     dpoly = interpolate_delta(_check_index(g, low=2))
     pat1 = all(i == 0 or i % 2 == 1 for (i, _j) in dpoly.monomials())
-    quo = _base_quotient(dpoly.subs_c(0))
-    return ConjectureScan(g, pat1, quo is not None, quo)
+    return ConjectureScan(g, pat1, _base_quotient(dpoly.subs_c(0)))

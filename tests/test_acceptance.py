@@ -158,7 +158,7 @@ def test_criterion_8_conjecture_scan_reported():
     for g in range(2, 9):
         scan = conjecture_scan(g)
         findings.append(
-            (scan.g, scan.no_positive_even_p_powers, scan.base_specialization_divisible)
+            (scan.g, scan.no_positive_even_p_powers, scan.base_quotient is not None)
         )
     for g, odd_only, divisible in findings:
         print(

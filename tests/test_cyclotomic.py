@@ -346,7 +346,7 @@ def test_products_never_pack(monkeypatch):
 def test_default_verify_runs_no_dense_product(monkeypatch, capsys):
     # the default verify makes no ring product at all; what it packs is its
     # Galois powers (CycNum.__pow__) and its unit checks of runs
-    # (_runs_multiply_to_one)
+    # (_is_unit_run)
     from tqftdims import cli
 
     def refuse(*args):
@@ -363,4 +363,4 @@ def test_default_verify_runs_no_dense_product(monkeypatch, capsys):
     monkeypatch.setattr(cyclotomic, "_pack", counted)
     assert cli.main(["verify"]) == 0
     assert capsys.readouterr().out.endswith(" 0 failures\n")
-    assert set(packers) == {"__pow__", "_runs_multiply_to_one"}
+    assert set(packers) == {"__pow__", "_is_unit_run"}

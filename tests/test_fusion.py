@@ -1015,7 +1015,9 @@ def test_verify_fails_one_claim_on_a_flipped_structure_constant(monkeypatch, cap
     ],
 )
 def test_hopf_certificate_refuses_planted_fault(monkeypatch, capsys, name, planted, message):
-    monkeypatch.setattr(fusion, name, planted)
+    # each fault is planted where its function is defined
+    owner = {"_twist_exponents": fusion, "inverse_run": cyclotomic}[name]
+    monkeypatch.setattr(owner, name, planted)
     with pytest.raises(ArithmeticError, match=message):
         hopf_certificate(11)
     assert main(["hopf", "--p", "11"]) == 1
@@ -1028,13 +1030,23 @@ def test_hopf_certificate_refuses_planted_fault(monkeypatch, capsys, name, plant
 def test_hopf_certificate_refuses_wrong_inverse_run_at_large_p(monkeypatch, capsys, p):
     # the packed check does all the work here: the runs have up to p - 1
     # terms, and their digits two bytes at p = 167
-    monkeypatch.setattr(fusion, "inverse_run", lambda p, s, n, t: (-s, n, t))
+    monkeypatch.setattr(cyclotomic, "inverse_run", lambda p, s, n, t: (-s, n, t))
     with pytest.raises(ArithmeticError, match="not a unit"):
         hopf_certificate(p)
     assert main(["hopf", "--p", str(p)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "not a unit" in err
+
+
+def test_one_planted_inverse_run_breaks_both_unit_claims(monkeypatch):
+    # the cofactor's runs and the quantum integers go through one packed
+    # check, which reads the inverse run from cyclotomic: one plant there
+    # reaches both claims of the hopf suite that prove a unit
+    monkeypatch.setattr(cyclotomic, "inverse_run", lambda p, s, n, t: (-s, n, t))
+    with pytest.raises(ArithmeticError, match="not a unit"):
+        claims.hopf_valuation(7)
+    assert claims.quantum_integer_units(7) == ("quantum integers are units (p=7)", False)
 
 
 # -- one planted fault per verify claim -------------------------------------------
@@ -1101,7 +1113,7 @@ def _repeat_a_twist(monkeypatch, p):
 
 
 def _wrong_inverse_run(monkeypatch, p):
-    monkeypatch.setattr(claims, "inverse_run", lambda p, s, n, t: (-s, n, t))
+    monkeypatch.setattr(cyclotomic, "inverse_run", lambda p, s, n, t: (-s, n, t))
 
 
 #: Every claim of claims.SUITES -> (its arguments, a fault to plant at p = 7,
@@ -1210,27 +1222,34 @@ def test_leading_term_report_gives_false_verdicts_under_a_fault(monkeypatch):
     assert False in report.values()
 
 
+def _check_every_shape(monkeypatch, p, ns, ts):
+    """_is_unit_run(p, n, t) against the CycNum product of the run (0, n, t)
+    and its inverse run, on every shape given: once with the true inverse,
+    and once with a planted inverse that returns the run itself, so that
+    both outcomes of the packed check are compared."""
+    seen = set()
+    for inverse in (cyclotomic.inverse_run, lambda p, s, n, t: (s, n, t)):
+        monkeypatch.setattr(cyclotomic, "inverse_run", inverse)
+        for n in ns:
+            for t in ts:
+                want = cyclotomic.run(p, 0, n, t) * cyclotomic.run(p, *inverse(p, 0, n, t)) == 1
+                assert cyclotomic._is_unit_run(p, n, t) == want, (n, t, inverse)
+                seen.add(want)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("p", VERLINDE_PRIMES[:-2])
-def test_packed_run_check_matches_ring_product(p):
-    # every shape (n, t), against its inverse run and, shifted by zeta^t,
-    # against itself: the check agrees with the CycNum product, both where
-    # it is 1 and where it is not
-    for n in range(1, p):
-        for t in range(1, p):
-            for x, y in (((0, n, t), cyclotomic.inverse_run(p, 0, n, t)), ((t, n, t),) * 2):
-                want = cyclotomic.run(p, *x) * cyclotomic.run(p, *y) == 1
-                assert cyclotomic._runs_multiply_to_one(p, x, y) == want, (x, y)
+def test_packed_run_check_matches_ring_product(monkeypatch, p):
+    # every shape (n, t), against its inverse run and, through a planted
+    # inverse, against itself: the check agrees with the CycNum product,
+    # both where it is 1 and where it is not
+    _check_every_shape(monkeypatch, p, range(1, p), range(1, p))
 
 
-def test_packed_run_check_with_two_byte_digits():
+def test_packed_run_check_with_two_byte_digits(monkeypatch):
     # runs of 128 terms and more: the product's digits reach 128, past one
     # signed byte, as in the longest shapes hopf_certificate checks at p = 167
-    p = 167
-    for n in range(128, p):
-        for t in (1, 2, 83):
-            for x, y in (((0, n, t), cyclotomic.inverse_run(p, 0, n, t)), ((t, n, t),) * 2):
-                want = cyclotomic.run(p, *x) * cyclotomic.run(p, *y) == 1
-                assert cyclotomic._runs_multiply_to_one(p, x, y) == want, (x, y)
+    _check_every_shape(monkeypatch, 167, range(128, 167), (1, 2, 83))
 
 
 # -- work counts -----------------------------------------------------------------
@@ -1266,23 +1285,23 @@ def test_hopf_certificate_makes_one_product_per_run_shape(monkeypatch):
     # each distinct run shape (n, t) times its inverse run, one packed check
     # each: no dense U, no U^-1, no CycNum and no ring product is ever formed
     calls = []
-    true_check = cyclotomic._runs_multiply_to_one
+    true_check = cyclotomic._is_unit_run
 
-    def counted(p, x, y):
-        calls.append(x)
-        return true_check(p, x, y)
+    def counted(p, n, t):
+        calls.append((n, t))
+        return true_check(p, n, t)
 
     def refuse(*args):
         raise AssertionError("hopf_certificate built a run or a ring product")
 
-    monkeypatch.setattr(fusion, "_runs_multiply_to_one", counted)
+    monkeypatch.setattr(fusion, "_is_unit_run", counted)
     for target, name in ((CycNum, "__mul__"), (cyclotomic, "run"), (cyclotomic, "_int_mul")):
         monkeypatch.setattr(target, name, refuse)
     for p in (5, 13, 37, 101):
         shapes = {(n, t) for _s, n, t in fusion._cofactor_runs(p)}
         calls.clear()
         hopf_certificate(p)
-        assert sorted(calls) == sorted((0, n, t) for n, t in shapes)
+        assert sorted(calls) == sorted(shapes)
 
 
 def test_hopf_certificate_computes_no_norm(monkeypatch):
@@ -1306,7 +1325,7 @@ def test_quantum_integer_units_claim_computes_no_norm(monkeypatch):
     for p in (5, 13, 37, 101):
         assert claims.quantum_integer_units(p) == (f"quantum integers are units (p={p})", True)
     # a wrong inverse run fails the claim
-    monkeypatch.setattr(claims, "inverse_run", lambda p, s, n, t: (-s, n, t))
+    monkeypatch.setattr(cyclotomic, "inverse_run", lambda p, s, n, t: (-s, n, t))
     assert not claims.quantum_integer_units(5)[1]
 
 

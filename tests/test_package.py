@@ -183,12 +183,7 @@ RECORD_FIELDS = {
     "FusionMatrix": ("p", "entries"),
     "HopfCertificate": ("p", "valuation", "unit_norm"),
     "DimTable": ("p", "gmax", "totals", "deltas"),
-    "ConjectureScan": (
-        "g",
-        "no_positive_even_p_powers",
-        "base_specialization_divisible",
-        "base_quotient",
-    ),
+    "ConjectureScan": ("g", "no_positive_even_p_powers", "base_quotient"),
 }
 
 

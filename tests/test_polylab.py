@@ -260,6 +260,11 @@ def test_bipoly_refuses_a_float_or_string_input(bad):
             op(f, bad)
         with pytest.raises(TypeError):
             op(bad, f)
+    # == refuses nothing: an operand the arithmetic refuses is unequal on
+    # both sides, even a float of the same value as a constant BiPoly
+    same = BiPoly({(0, 0): F(bad)}) if isinstance(bad, float) else f
+    for poly in (f, same):
+        assert (poly == bad) is False and (bad == poly) is False
 
 
 def test_bipoly_parts():
@@ -732,7 +737,7 @@ def test_conjecture_scan_reports():
         scan = conjecture_scan(g)
         assert scan.g == g
         assert isinstance(scan.no_positive_even_p_powers, bool)
-        assert scan.base_specialization_divisible is True
+        assert scan.base_quotient is not None
         assert scan.base_quotient * base == interpolate_delta(g).subs_c(0)
     with pytest.raises(ValueError):
         conjecture_scan(1)
