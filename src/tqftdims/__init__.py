@@ -15,28 +15,11 @@ All core arithmetic is exact (integers, fractions, cyclotomic numbers).
 Floating point appears only in the CLI's estimate of a count's digits
 (`cli._dims_digits`), which the `dims` size guard and `quadruple`'s refusal
 of counts too long to print both read.
+
+The package root holds only `__version__`: every name is imported from
+its module (`from tqftdims import recursion`, then
+`recursion.dim_table`), so importing one route loads only that route and
+what it builds on.
 """
 
-from .census import count_parities
-from .cyclotomic import CycNum
-from .fusion import delta_via_matrix, galois_sum_delta, galois_sum_total, total_via_matrix
-from .polylab import BiPoly, interpolate_delta, interpolate_total, residue_total_poly
-from .recursion import DimTable, dim_table
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BiPoly",
-    "CycNum",
-    "DimTable",
-    "__version__",
-    "count_parities",
-    "delta_via_matrix",
-    "dim_table",
-    "galois_sum_delta",
-    "galois_sum_total",
-    "interpolate_delta",
-    "interpolate_total",
-    "residue_total_poly",
-    "total_via_matrix",
-]

@@ -64,9 +64,9 @@ DIMS_GUARD_MIB = 256
 #: takes in its --p-list.  Fitted to `hopf` when U and U^-1 were built whole
 #: (3 s at 167); checking each of the under 3p/2 run shapes against its
 #: inverse run instead takes 0.015 s there (README.md).  It was not fitted to
-#: `verify`: `verify --p-list 167` is accepted and takes 0.6-0.75 s as one
-#: command, since the S-matrix claims read S's formula (README.md; shared
-#: 2-core x86-64, Python 3.11).
+#: `verify`: `verify --p-list 167` is accepted and takes 0.32-0.34 s as one
+#: command, since the S-matrix claims read S's formula (README.md; min and
+#: median of 5 subprocess runs, shared 2-core Xeon x86-64, Python 3.11.7).
 HOPF_GUARD_P = 167
 #: Largest genus `poly` computes without --force, per method: about 1 s in
 #: process each (best of 3, shared 2-core x86-64, Python 3.11).

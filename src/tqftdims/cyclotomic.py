@@ -28,9 +28,9 @@ The validators here are the package's one door for integer inputs:
 _check_order and _check_prime for p, _check_color for half-colors, and
 _check_index for every genus, genus bound, index and run length.  Each
 refuses a float with ValueError, even a whole one, before any work.  The
-exponents mod p (monomial's k, a run's s and t, inverse_run's fields and
-galois's j) may be any int and pass no validator, and neither does the
-exponent of an operator: x ** 2.0 is Python's TypeError.
+exponents mod p (a run's s and t, inverse_run's fields and galois's j) may
+be any int and pass no validator, and neither does the exponent of an
+operator: x ** 2.0 is Python's TypeError.
 
 Record, the base of the package's read-only records, lives here because
 every other module already builds on this one.
@@ -47,7 +47,6 @@ __all__ = [
     "galois",
     "inverse_run",
     "is_prime",
-    "monomial",
     "norm",
     "quantum_int",
     "run",
@@ -366,11 +365,6 @@ class CycNum:
         return f"CycNum({self.p}: {body})"
 
 
-def monomial(p: int, k: int) -> CycNum:
-    """zeta_p^k for any integer k, reduced to canonical form: the one-term run."""
-    return run(p, k, 1, 1)
-
-
 def _primitive_root(p: int) -> int:
     """The least generator g of the units mod p, so sigma_g generates Gal."""
     factors = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
@@ -465,7 +459,7 @@ def _run_coeffs(p: int, s: int, n: int, t: int) -> list:
 
 def run(p: int, s: int, n: int, t: int) -> CycNum:
     """The run zeta^s (1 + zeta^t + ... + zeta^(t(n-1))), for a run length
-    n >= 0 and any ints s and t."""
+    n >= 0 and any ints s and t; zeta^k is the one-term run (k, 1, 1)."""
     _check_prime(p)
     _check_index(n, low=0, name="run length")
     return CycNum._of(p, _fold(_run_coeffs(p, s, n, t)))

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-def _mul_by_z(p: int, vec):
+def _mul_by_z(vec):
     """Coordinates of z * x given coordinates of x, folding e_d back to e_(d-1):
     (z x)_k = x_(k-1) + x_(k+1), with x_(-1) = 0 and x_d = x_(d-1)."""
     return list(map(add, [0, *vec[:-1]], [*vec[1:], vec[-1]]))
@@ -80,7 +80,7 @@ class FusionElement(Record):
         super().__init__(p, coords)
 
 
-def _ladder(p: int, yv):
+def _ladder(yv):
     """Yield the coordinates of e_0 y, e_1 y, e_2 y, ... along the Chebyshev
     ladder e_0 y = y, e_1 y = z y, e_(i+1) y = z (e_i y) - e_(i-1) y.
 
@@ -90,7 +90,7 @@ def _ladder(p: int, yv):
     cur = list(yv)
     while True:
         yield cur
-        nxt = _mul_by_z(p, cur)
+        nxt = _mul_by_z(cur)
         if prev is not None:
             nxt = list(map(sub, nxt, prev))
         prev, cur = cur, nxt
@@ -100,14 +100,14 @@ def cheb_vector(p: int, n: int) -> FusionElement:
     """e_n reduced into the quotient, computed honestly along the ladder."""
     d = _rank(p)
     _check_index(n, low=0, name="ladder index")
-    (cur,) = islice(_ladder(p, [1] + [0] * (d - 1)), n, n + 1)
+    (cur,) = islice(_ladder([1] + [0] * (d - 1)), n, n + 1)
     return FusionElement(p, tuple(cur))
 
 
-def _even_steps(p: int, yv):
-    """e_0 y, e_2 y, ..., e_(2d-2) y: the even-indexed steps of one ladder walk."""
-    d = (p - 1) // 2
-    return islice(_ladder(p, yv), 0, 2 * d - 1, 2)
+def _even_steps(yv):
+    """e_0 y, e_2 y, ..., e_(2d-2) y: the even-indexed steps of one ladder
+    walk, with d = len(yv)."""
+    return islice(_ladder(yv), 0, 2 * len(yv) - 1, 2)
 
 
 # Bounded: verify's fusion suite finishes one prime's claims before the next.
@@ -122,7 +122,7 @@ def even_basis_permutation(p: int) -> tuple[int, ...]:
     """
     d = _rank(p)
     perm = []
-    for j, vec in enumerate(_even_steps(p, [1] + [0] * (d - 1))):
+    for j, vec in enumerate(_even_steps([1] + [0] * (d - 1))):
         target = 2 * j if 2 * j <= d - 1 else 2 * d - 1 - 2 * j
         if vec[target] != 1 or vec.count(0) != d - 1:
             raise ArithmeticError(f"fold of e_{2 * j} is not a basis vector at p={p}")
@@ -154,7 +154,7 @@ def mul_matrix_even(x: FusionElement) -> FusionMatrix:
     one ladder walk from x.
     """
     perm = even_basis_permutation(x.p)
-    rows = list(zip(*_even_steps(x.p, x.coords)))
+    rows = list(zip(*_even_steps(x.coords)))
     return FusionMatrix(x.p, tuple(rows[k] for k in perm))
 
 

@@ -13,7 +13,6 @@ from tqftdims.cyclotomic import (
     CycNum,
     galois,
     is_prime,
-    monomial,
     norm,
     quantum_int,
 )
@@ -38,14 +37,14 @@ def test_top_coefficient_folds():
     # zeta^4 = -1 - zeta - zeta^2 - zeta^3 at p = 5
     z4 = CycNum(5, [0, 0, 0, 0, 1])
     assert z4.num == (-1, -1, -1, -1)
-    assert z4 == monomial(5, 4)
-    assert monomial(5, 9) == monomial(5, 4)
-    assert monomial(5, -1) == monomial(5, 4)
+    assert z4 == cyclotomic.run(5, 4, 1, 1)
+    assert cyclotomic.run(5, 9, 1, 1) == cyclotomic.run(5, 4, 1, 1)
+    assert cyclotomic.run(5, -1, 1, 1) == cyclotomic.run(5, 4, 1, 1)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_root_powers_sum_to_zero(p):
-    z = monomial(p, 1)
+    z = cyclotomic.run(p, 1, 1, 1)
     acc = CycNum(p, [0])
     for k in range(p):
         acc = acc + z**k
@@ -55,8 +54,8 @@ def test_root_powers_sum_to_zero(p):
 
 def test_golden_product():
     # (z + z^4)(z^2 + z^3) = -1 at p = 5
-    x = monomial(5, 1) + monomial(5, 4)
-    y = monomial(5, 2) + monomial(5, 3)
+    x = cyclotomic.run(5, 1, 1, 1) + cyclotomic.run(5, 4, 1, 1)
+    y = cyclotomic.run(5, 2, 1, 1) + cyclotomic.run(5, 3, 1, 1)
     assert x * y == CycNum(5, [-1])
 
 
@@ -67,7 +66,7 @@ def test_scalar_coercion_and_rationals():
     assert x + 1 == CycNum(7, [4])
     assert 2 * x == CycNum(7, [6])
     assert -x + 1 == CycNum(7, [-2])
-    y = monomial(7, 1)
+    y = cyclotomic.run(7, 1, 1, 1)
     assert any(y.num[1:])
 
 
@@ -79,24 +78,24 @@ def test_coordinates_must_be_integers():
     with pytest.raises(ValueError, match="integers"):
         CycNum(7, [Fraction(4, 2)])
     with pytest.raises(TypeError):
-        monomial(7, 1) + Fraction(1, 2)
+        cyclotomic.run(7, 1, 1, 1) + Fraction(1, 2)
 
 
 def test_repr_lists_rational_coordinates():
     x = CycNum(7, [3, -1, 0, 5])
     assert repr(x) == "CycNum(7: 3 + -1*z + 5*z^3)"
     assert repr(CycNum(5, [0])) == "CycNum(5: 0)"
-    assert repr(monomial(5, 1) + monomial(5, 2)) == "CycNum(5: z + z^2)"
+    assert repr(cyclotomic.run(5, 1, 1, 1) + cyclotomic.run(5, 2, 1, 1)) == "CycNum(5: z + z^2)"
 
 
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
-        monomial(5, 1) + monomial(7, 1)
+        cyclotomic.run(5, 1, 1, 1) + cyclotomic.run(7, 1, 1, 1)
 
 
 def test_division_and_pow():
     # a ring, not a field: no division and no negative powers
-    z = monomial(7, 1)
+    z = cyclotomic.run(7, 1, 1, 1)
     x = 1 + z + z**3
     assert x**0 == 1
     assert x**3 == x * x * x
@@ -126,7 +125,7 @@ def test_pow_makes_no_product_by_one(monkeypatch):
     def refuse(*args):
         raise AssertionError("a power multiplied through _int_mul")
 
-    x = 1 + monomial(7, 1) - 2 * monomial(7, 3)
+    x = 1 + cyclotomic.run(7, 1, 1, 1) - 2 * cyclotomic.run(7, 3, 1, 1)
     powers = [CycNum(7, [1])]
     for _ in range(40):
         powers.append(powers[-1] * x)
@@ -142,7 +141,7 @@ def test_pow_makes_no_product_by_one(monkeypatch):
 
 
 def test_galois_basics():
-    z = monomial(11, 1)
+    z = cyclotomic.run(11, 1, 1, 1)
     x = 3 + 2 * z + z**4
     assert galois(x, 1) == x
     assert galois(x, 12) == x
@@ -157,7 +156,7 @@ def test_galois_basics():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_norm_of_h_is_p(p):
-    h = -monomial(p, 1) + 1
+    h = -cyclotomic.run(p, 1, 1, 1) + 1
     assert norm(h) == p
 
 
@@ -168,14 +167,14 @@ def test_norm_of_scalar():
 
 def test_quantum_int_values():
     p = 7
-    q = monomial(p, 1)
+    q = cyclotomic.run(p, 1, 1, 1)
     assert quantum_int(p, 0) == 0
     assert quantum_int(p, 1) == 1
-    assert quantum_int(p, 2) == q + monomial(p, -1)
+    assert quantum_int(p, 2) == q + cyclotomic.run(p, -1, 1, 1)
     # defining property: [n] (q - q^-1) = q^n - q^-n
     for n in range(9):
-        lhs = quantum_int(p, n) * (q - monomial(p, -1))
-        assert lhs == q**n - monomial(p, -n)
+        lhs = quantum_int(p, n) * (q - cyclotomic.run(p, -1, 1, 1))
+        assert lhs == q**n - cyclotomic.run(p, -n, 1, 1)
     # [p] = 0 since the powers cycle through all residues
     assert not quantum_int(p, p)
     with pytest.raises(ValueError):
@@ -184,15 +183,15 @@ def test_quantum_int_values():
 
 def test_run_reads_its_prime_and_length_through_the_door():
     # a run of order 9 would be no element of Z[zeta_p], and a negative
-    # length is no run: both refused, and monomial reads p through run
+    # length is no run: both refused, and so is zeta^k, the one-term run, at 9
     with pytest.raises(ValueError, match=r"^p must be a prime >= 5, got 9$"):
         cyclotomic.run(9, 0, 2, 1)
     with pytest.raises(ValueError, match=r"^p must be a prime >= 5, got 9$"):
-        monomial(9, 1)
+        cyclotomic.run(9, 1, 1, 1)
     with pytest.raises(ValueError, match=r"^run length must be >= 0, got -1$"):
         cyclotomic.run(7, 0, -1, 1)
     assert cyclotomic.run(7, 0, 0, 1) == 0
-    assert cyclotomic.run(7, 3, 2, 1) == monomial(7, 3) + monomial(7, 4)
+    assert cyclotomic.run(7, 3, 2, 1) == cyclotomic.run(7, 3, 1, 1) + cyclotomic.run(7, 4, 1, 1)
 
 
 def _telescoped_quantum_int(p, n):
@@ -281,7 +280,7 @@ def test_rotate_multiplies_by_a_monomial(data):
     p, x, k = data
     rotated = cyclotomic._rotate(x, k)
     assert len(rotated) == p
-    assert CycNum(p, rotated) == CycNum(p, x) * monomial(p, k)
+    assert CycNum(p, rotated) == CycNum(p, x) * cyclotomic.run(p, k, 1, 1)
 
 
 @given(data=st.sampled_from(UNFOLDED_PRIMES).flatmap(
@@ -297,7 +296,7 @@ def test_unfolded_sums_monomials(data):
     assert len(vec) == p
     want = CycNum(p, [0])
     for e, c in terms:
-        want = want + c * monomial(p, e)
+        want = want + c * cyclotomic.run(p, e, 1, 1)
     assert CycNum(p, vec) == want
     # and _unfold is a right inverse of the fold
     assert CycNum(p, cyclotomic._unfold(want)) == want
@@ -334,8 +333,8 @@ def test_products_never_pack(monkeypatch):
     rng = random.Random(61)
     for p in (31, 61):
         dense = CycNum(p, range(1, p))
-        two_sparse = -monomial(p, 1) + 1
-        assert two_sparse * dense == dense - monomial(p, 1) * dense
+        two_sparse = -cyclotomic.run(p, 1, 1, 1) + 1
+        assert two_sparse * dense == dense - cyclotomic.run(p, 1, 1, 1) * dense
         assert dense * two_sparse == two_sparse * dense
         # dense times dense, with coordinates of 64 bits
         other = CycNum(p, [rng.randint(-(2**64), 2**64) for _ in range(p - 1)])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tqftdims import census, claims, cyclotomic, fusion, polylab, recursion
 from tqftdims.cli import main
-from tqftdims.cyclotomic import CycNum, galois, is_prime, monomial, norm, quantum_int
+from tqftdims.cyclotomic import CycNum, galois, is_prime, norm, quantum_int
 from tqftdims.fusion import (
     FusionElement,
     FusionMatrix,
@@ -41,11 +41,11 @@ VERLINDE_PRIMES = tuple(p for p in range(5, 62) if is_prime(p)) + (101, 167)
 # -- Vandermonde matrix -----------------------------------------------------------
 
 
-def _sparse_mul_by_z(p, vec):
+def _sparse_mul_by_z(vec):
     """z * x by scattering each nonzero coordinate of x to its neighbours,
-    folding e_d back to e_(d-1); the oracle for fusion._mul_by_z's shifted
-    sum."""
-    d = (p - 1) // 2
+    folding e_d back to e_(d-1), d = len(vec); the oracle for
+    fusion._mul_by_z's shifted sum."""
+    d = len(vec)
     out = [0] * d
     for k, c in enumerate(vec):
         if not c:
@@ -77,7 +77,7 @@ def _ladder_weighted_sum(p, sign):
         if i % 2 == 0:
             w = sign ** (i // 2) * (d - i // 2)
             acc = [a + w * x for a, x in zip(acc, cur)]
-        nxt = _sparse_mul_by_z(p, cur)
+        nxt = _sparse_mul_by_z(cur)
         if prev is not None:
             nxt = [a - b for a, b in zip(nxt, prev)]
         prev, cur = cur, nxt
@@ -90,7 +90,7 @@ def _product(x, y):
     the oracle it is checked against."""
     d = len(x.coords)
     out = [0] * d
-    for xi, cur in zip(x.coords, fusion._ladder(x.p, y.coords)):
+    for xi, cur in zip(x.coords, fusion._ladder(y.coords)):
         for k in range(d):
             out[k] += xi * cur[k]
     return FusionElement(x.p, tuple(out))
@@ -106,7 +106,8 @@ def _smatrix(p):
     entry by entry; the claims read this formula without building S."""
     d = (p - 1) // 2
     return [
-        [monomial(p, (2 * i + 1) * (2 * j + 1)) - monomial(p, -(2 * i + 1) * (2 * j + 1))
+        [cyclotomic.run(p, (2 * i + 1) * (2 * j + 1), 1, 1)
+         - cyclotomic.run(p, -(2 * i + 1) * (2 * j + 1), 1, 1)
          for j in range(d)]
         for i in range(d)
     ]
@@ -117,7 +118,8 @@ def _qmatrix(p):
     d = (p - 1) // 2
     zero = CycNum(p, [0])
     return [
-        [-(monomial(p, 2 * j + 1) + monomial(p, -(2 * j + 1))) if i == j else zero
+        [-(cyclotomic.run(p, 2 * j + 1, 1, 1) + cyclotomic.run(p, -(2 * j + 1), 1, 1))
+         if i == j else zero
          for i in range(d)]
         for j in range(d)
     ]
@@ -193,7 +195,7 @@ def _hopf_vandermonde(p):
     for i in range(d):
         row = []
         for j in range(d):
-            entry = quantum_int(p, j + 1) * monomial(p, (d + 1) * j * (j + 2) * i)
+            entry = quantum_int(p, j + 1) * cyclotomic.run(p, (d + 1) * j * (j + 2) * i, 1, 1)
             row.append(-entry if j % 2 else entry)
         rows.append(tuple(row))
     return FusionMatrix(p, tuple(rows))
@@ -216,17 +218,17 @@ def test_ladder_fold_claim_walks_once(monkeypatch, p):
     steps = []
     true_step = fusion._mul_by_z
 
-    def counted(p, vec):
+    def counted(vec):
         steps.append(vec)
-        return true_step(p, vec)
+        return true_step(vec)
 
     monkeypatch.setattr(fusion, "_mul_by_z", counted)
     text = f"ladder fold symmetry across the quotient relation (p={p})"
     assert claims.ladder_fold(p) == (text, True)
     assert len(steps) == p - 2
 
-    def misfolded(p, vec):
-        out = true_step(p, vec)
+    def misfolded(vec):
+        out = true_step(vec)
         out[-1] -= vec[-1]
         return out
 
@@ -291,9 +293,9 @@ def test_matrix_build_walks_each_ladder_once(monkeypatch, p):
     steps = []
     mul_by_z = fusion._mul_by_z
 
-    def counting(p, vec):
-        steps.append(p)
-        return mul_by_z(p, vec)
+    def counting(vec):
+        steps.append(vec)
+        return mul_by_z(vec)
 
     monkeypatch.setattr(fusion, "_mul_by_z", counting)
     d = (p - 1) // 2
@@ -324,8 +326,8 @@ def test_mul_by_z_matches_sparse_oracle(p):
     rng = random.Random(p)
     units = [[1 if k == j else 0 for k in range(d)] for j in range(d)]
     for vec in units + _random_vectors(rng, d, 20) + [[0] * d]:
-        assert fusion._mul_by_z(p, vec) == _sparse_mul_by_z(p, vec)
-        assert fusion._mul_by_z(p, tuple(vec)) == _sparse_mul_by_z(p, vec)
+        assert fusion._mul_by_z(vec) == _sparse_mul_by_z(vec)
+        assert fusion._mul_by_z(tuple(vec)) == _sparse_mul_by_z(vec)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
@@ -353,8 +355,8 @@ def test_weighted_sums_refuse_a_misfolded_z_step(monkeypatch, p, element):
     # the permutation's basis-vector check.
     true_step = fusion._mul_by_z
 
-    def misfolded(p, vec):
-        out = true_step(p, vec)
+    def misfolded(vec):
+        out = true_step(vec)
         out[-1] -= vec[-1]
         return out
 
@@ -461,7 +463,9 @@ def test_alternating_eigenvalue_from_quantum_integers(p):
 
 
 def test_alternating_eigenvalue_frozen_p5():
-    assert alternating_eigenvalue(5) == -(monomial(5, 2) + monomial(5, 3)) + 1
+    assert alternating_eigenvalue(5) == (
+        -(cyclotomic.run(5, 2, 1, 1) + cyclotomic.run(5, 3, 1, 1)) + 1
+    )
 
 
 @pytest.mark.parametrize("p", VERLINDE_PRIMES)
@@ -476,8 +480,8 @@ def test_alternating_eigenvalue_is_an_inverse_square(p):
 
 @pytest.mark.parametrize("p", VERLINDE_PRIMES)
 def test_counting_eigenvalue_identity(p):
-    q = monomial(p, 1)
-    h2 = (q - monomial(p, -1)) ** 2
+    q = cyclotomic.run(p, 1, 1, 1)
+    h2 = (q - cyclotomic.run(p, -1, 1, 1)) ** 2
     assert counting_eigenvalue(p) * h2 == CycNum(p, [-p])
 
 
@@ -535,7 +539,7 @@ def test_bareiss_determinant_int_cases():
 
 
 def test_bareiss_determinant_cyclotomic_case():
-    z = monomial(5, 1)
+    z = cyclotomic.run(5, 1, 1, 1)
     zero = CycNum(5, [0])
     one = CycNum(5, [1])
     m = FusionMatrix(5, ((z, one), (one, z)))
@@ -758,7 +762,9 @@ def _conjugate_half_sum(p, w):
 
 def _conjugate_entry(p, g, c, counting):
     k = 2 * c + 1
-    bracket = (monomial(p, k) - monomial(p, -k)) * (monomial(p, 1) - monomial(p, -1))
+    bracket = (cyclotomic.run(p, k, 1, 1) - cyclotomic.run(p, -k, 1, 1)) * (
+        cyclotomic.run(p, 1, 1, 1) - cyclotomic.run(p, -1, 1, 1)
+    )
     lam = counting_eigenvalue(p) if counting else alternating_eigenvalue(p)
     return _conjugate_half_sum(p, bracket * lam**g)
 
@@ -841,9 +847,9 @@ def test_z_plus_two_is_one_nilpotent_block_mod_p():
         d = (p - 1) // 2
         vec = [1] + [0] * (d - 1)
         for _ in range(d - 1):
-            vec = [(z + 2 * x) % p for z, x in zip(fusion._mul_by_z(p, vec), vec)]
+            vec = [(z + 2 * x) % p for z, x in zip(fusion._mul_by_z(vec), vec)]
         assert any(vec), p
-        vec = [(z + 2 * x) % p for z, x in zip(fusion._mul_by_z(p, vec), vec)]
+        vec = [(z + 2 * x) % p for z, x in zip(fusion._mul_by_z(vec), vec)]
         assert not any(vec), p
 
 
@@ -873,8 +879,8 @@ def cold_fusion():
 @pytest.mark.parametrize(
     "planted,message",
     [
-        (lambda p: monomial(p, 1), "zeta"),  # its power is not fixed by zeta -> zeta^-1
-        (lambda p: monomial(p, 2), "integer"),  # odd read, reality check bypassed
+        (lambda p: cyclotomic.run(p, 1, 1, 1), "zeta"),  # its power is not fixed by zeta -> zeta^-1
+        (lambda p: cyclotomic.run(p, 2, 1, 1), "integer"),  # odd read, reality check bypassed
     ],
 )
 def test_galois_entry_refuses_planted_power(cold_fusion, monkeypatch, capsys, planted, message):
@@ -1042,10 +1048,11 @@ def test_hopf_certificate_refuses_wrong_inverse_run_at_large_p(monkeypatch, caps
 def test_one_planted_inverse_run_breaks_both_unit_claims(monkeypatch):
     # the cofactor's runs and the quantum integers go through one packed
     # check, which reads the inverse run from cyclotomic: one plant there
-    # reaches both claims of the hopf suite that prove a unit
+    # reaches both claims of the hopf suite that prove a unit, and each
+    # reports FAIL
     monkeypatch.setattr(cyclotomic, "inverse_run", lambda p, s, n, t: (-s, n, t))
-    with pytest.raises(ArithmeticError, match="not a unit"):
-        claims.hopf_valuation(7)
+    text = "twist Vandermonde determinant has valuation d(d-1)/2 with unit cofactor (p=7)"
+    assert claims.hopf_valuation(7) == (text, False)
     assert claims.quantum_integer_units(7) == ("quantum integers are units (p=7)", False)
 
 
@@ -1091,8 +1098,8 @@ def _misfold_z_step(monkeypatch, p):
     """The z-step drops the fold e_d -> e_(d-1) of the top coordinate."""
     true_step = fusion._mul_by_z
 
-    def misfolded(p, vec):
-        out = true_step(p, vec)
+    def misfolded(vec):
+        out = true_step(vec)
         out[-1] -= vec[-1]
         return out
 
@@ -1133,7 +1140,7 @@ PLANTED_FAULTS = {
     claims.leading_terms: ((2,), _bump_bernoulli, "FAIL"),
     claims.residue_route: ((2,), _bump_bernoulli, "FAIL"),
     claims.bernoulli_identity: ((), _bump_bernoulli, "FAIL"),
-    claims.hopf_valuation: ((7,), _repeat_a_twist, "vanished"),
+    claims.hopf_valuation: ((7,), _repeat_a_twist, "FAIL"),
     claims.quantum_integer_units: ((7,), _wrong_inverse_run, "FAIL"),
 }
 
@@ -1187,6 +1194,20 @@ def test_every_claim_fails_on_its_planted_fault(monkeypatch, suite):
         finally:
             # a planted fault may have reached a cache
             _clear_package_caches()
+
+
+def test_hopf_suite_prints_fail_for_a_repeated_twist(monkeypatch, capsys):
+    # hopf_certificate raises "vanished"; the claim reports it as a FAIL
+    # line and the suite goes on to its next claim
+    _repeat_a_twist(monkeypatch, 7)
+    assert main(["verify", "--suite", "hopf", "--p-list", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "FAIL twist Vandermonde determinant has valuation d(d-1)/2 with unit cofactor (p=7)",
+        "PASS quantum integers are units (p=7)",
+        "checked 2 claims, 1 failures",
+    ]
+    assert err == ""
 
 
 #: The per-prime claims, with their arguments past p.  Every claim that

@@ -102,15 +102,40 @@ def test_sources_import_no_dataclasses_and_cli_imports_json_only_to_write_it():
     assert "json" in _imported(ast.walk(tree))
 
 
-def test_cli_import_loads_none_of_the_start_up_diet():
-    code = "import sys, tqftdims.cli; print(' '.join(sorted(sys.modules)))"
+def _loaded_by(module: str) -> set[str]:
+    """Every module in sys.modules after importing one module in a fresh
+    interpreter."""
+    code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    loaded = set(res.stdout.split())
+    return set(res.stdout.split())
+
+
+def test_cli_import_loads_none_of_the_start_up_diet():
+    loaded = _loaded_by("tqftdims.cli")
     assert "tqftdims.cli" in loaded
     assert loaded & NOT_AT_START_UP == set()
+
+
+_RECURSION = {"tqftdims", "tqftdims.cyclotomic", "tqftdims.census", "tqftdims.recursion"}
+
+#: The package modules each import loads: the root re-exports nothing, so a
+#: route loads only itself and the modules it builds on, and the CLI all.
+IMPORT_GRAPH = {
+    "tqftdims": {"tqftdims"},
+    "tqftdims.fusion": {"tqftdims", "tqftdims.cyclotomic", "tqftdims.fusion"},
+    "tqftdims.recursion": _RECURSION,
+    "tqftdims.polylab": _RECURSION | {"tqftdims.polylab"},
+    "tqftdims.cli": {"tqftdims", *(f"tqftdims.{name}" for name in MODULES)},
+}
+
+
+@pytest.mark.parametrize("module", IMPORT_GRAPH)
+def test_an_import_loads_only_the_modules_it_builds_on(module):
+    package = {name for name in _loaded_by(module) if name.partition(".")[0] == "tqftdims"}
+    assert package == IMPORT_GRAPH[module]
 
 
 # -- floats: only the `dims` size guard estimates in floating point ------------
@@ -342,11 +367,11 @@ INTEGER_LABELS = {
     "i": "degree",
 }
 #: The parameters of INTEGER_PARAMS that are exponents mod p, which may be
-#: any int and pass no door: monomial's k and inverse_run's n, a unit mod p.
+#: any int and pass no door: inverse_run's n, a unit mod p.
 #: A run's s and t and galois's j are exponents too, under names outside
 #: INTEGER_PARAMS.  inverse_run keeps no door, as it runs once per run shape
 #: inside hopf_certificate.
-MOD_P_EXPONENTS = {"cyclotomic.monomial": {"k"}, "cyclotomic.inverse_run": {"n"}}
+MOD_P_EXPONENTS = {"cyclotomic.inverse_run": {"n"}}
 
 #: One valid call per function behind cyclotomic's integer validators: every
 #: public function and method with a parameter in INTEGER_PARAMS that is not
@@ -483,7 +508,7 @@ def test_every_integer_parameter_has_a_door_call():
     found = _integer_functions()
     assert {"polylab.bernoulli", "recursion.DimTable.n_even", "polylab.BiPoly.p_coefficient",
             "cyclotomic.run"} <= found
-    assert "cyclotomic.monomial" not in found
+    assert "cyclotomic.inverse_run" not in found
     assert found - DOOR_CALLS.keys() == set()
     for qual, args in DOOR_CALLS.items():
         fn = door_function(qual)
@@ -557,11 +582,11 @@ SCRIPT_RUNS = {
 #: Public API that no command, script or benchmark op runs, but the tests
 #: drive: CycNum's and BiPoly's operators and constructors, and the parts of
 #: Record that only refuse or describe.  This set may only shrink:
-#: test_every_src_function_is_reached holds it to 14 names.
+#: test_every_src_function_is_reached holds it to 13 names.
 TEST_DRIVEN = {
     "cyclotomic.CycNum._add", "cyclotomic.CycNum.__add__", "cyclotomic.CycNum.__sub__",
     "cyclotomic.CycNum.__neg__", "cyclotomic.CycNum.__mul__", "cyclotomic.CycNum.__bool__",
-    "cyclotomic.CycNum.__repr__", "cyclotomic.monomial",
+    "cyclotomic.CycNum.__repr__",
     "polylab.BiPoly.__init__", "polylab.BiPoly.__pow__", "polylab.BiPoly.__repr__",
     "cyclotomic.Record.__setattr__", "cyclotomic.Record.__delattr__", "cyclotomic.Record.__repr__",
 }
@@ -613,4 +638,4 @@ def test_every_src_function_is_reached(monkeypatch):
     reached = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in codes}
     missed = {name for key, name in _defined_functions(bodies).items() if key not in reached}
     assert missed == TEST_DRIVEN
-    assert len(TEST_DRIVEN) <= 14
+    assert len(TEST_DRIVEN) <= 13
