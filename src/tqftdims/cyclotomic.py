@@ -15,7 +15,8 @@ products, CycNum.__pow__ and _is_unit_run.  A power x ** n packs x once, at
 the width of ||x||_1^n, runs its whole square-and-multiply chain on reduced
 ints and unpacks once.  A unit check "run times its inverse run == 1"
 (_is_unit_run, which fusion.hopf_certificate and
-claims.quantum_integer_units call with a run shape (n, t)) packs both runs,
+claims.quantum_integer_units call with a run shape (n, t)) packs both runs
+straight from their term counts (_packed_run: no coordinate list, no bias),
 makes one product and reads the answer off the packed residue, never
 unpacking it.
 
@@ -162,9 +163,11 @@ def _int_mul(p: int, a, b) -> list:
 # +-bound and w - 1 >= bound.bit_length(), each digit stays strictly inside
 # +-2^(w-1), and the packed int strictly inside +-m/2 for m = 2^(wp) - 1.
 # As t^p = 1 is 2^(wp) = 1 modulo m, a product of packed ints reduced to its
-# residue nearest zero is the packed cyclic product, digit for digit.  Digits
-# are written with a bias of 2^(w-1) through to_bytes and read through
+# residue nearest zero is the packed cyclic product, digit for digit.  Signed
+# digits are written with a bias of 2^(w-1) through to_bytes and read through
 # from_bytes, so packing and unpacking stay linear in the size of the ints.
+# A run's digits are its term counts, 0 or 1, so _packed_run writes them
+# into the bytes as they are, with no bias.
 
 
 def _digit_bytes(bound: int) -> int:
@@ -473,21 +476,34 @@ def inverse_run(p: int, s: int, n: int, t: int) -> tuple[int, int, int]:
     return -s, pow(n, -1, p), n * t % p
 
 
+def _packed_run(p: int, s: int, n: int, t: int, k: int) -> int:
+    """The run (s, n, t), 0 < n < p and t a unit mod p, packed at k bytes a
+    digit.  Its n terms fall on n distinct powers of zeta, so each digit is a
+    count of 0 or 1: one byte k ((s + jt) mod p) per term, read unbiased,
+    with no coordinate list."""
+    kp = k * p
+    digits = bytearray(kp)
+    for e in range(k * s, k * (s + n * t), k * t):
+        digits[e % kp] = 1
+    return int.from_bytes(digits, "little")
+
+
 def _is_unit_run(p: int, n: int, t: int) -> bool:
     """Whether the run (0, n, t), 0 < n < p and t a unit mod p, times the run
     inverse_run(p, 0, n, t) is 1, decided packed: no CycNum, no unpack.
 
-    Both runs have 0/1 coefficients, so every coefficient of their cyclic
-    product lies in [0, min(n, m)], m = n^-1 mod p, and its packed residue r
-    holds them as its digits c_0..c_(p-1).  The product is 1 exactly when it
-    names 1 (_names), c_0 - 1 = c_1 = ... = c_(p-1), that is when
+    Both runs have 0/1 coefficients, packed as they are (_packed_run), so
+    every coefficient of their cyclic product lies in [0, min(n, m)],
+    m = n^-1 mod p, and its packed residue r holds them as its digits
+    c_0..c_(p-1).  The product is 1 exactly when it names 1 (_names),
+    c_0 - 1 = c_1 = ... = c_(p-1), that is when
     r = 1 + (c_0 - 1) (1 + 2^w + ... + 2^(w(p-1))), c_0 being r mod 2^w.
     """
     y = inverse_run(p, 0, n, t)
     k = _digit_bytes(min(n, y[1]))
-    r = _cyclic(_pack(_run_coeffs(p, 0, n, t), k) * _pack(_run_coeffs(p, *y), k), p, k)
-    digit = (1 << 8 * k) - 1
-    return r == 1 + ((r & digit) - 1) * (((1 << 8 * k * p) - 1) // digit)
+    r = _cyclic(_packed_run(p, 0, n, t, k) * _packed_run(p, *y, k), p, k)
+    repunit = int.from_bytes(b"\x01".ljust(k, b"\x00") * p, "little")
+    return r == 1 + ((r & ((1 << 8 * k) - 1)) - 1) * repunit
 
 
 def quantum_int(p: int, n: int) -> CycNum:

@@ -356,9 +356,10 @@ def hopf_certificate(p: int) -> HopfCertificate:
     8.1), as long as the e_j are pairwise distinct.  Each run has an
     integral inverse that is again a run (cyclotomic.inverse_run), and each
     distinct run shape (n, t) is checked once, run times inverse run == 1,
-    exactly; ArithmeticError if one fails.  Each check is one product of two
-    packed ints, read off the packed residue (cyclotomic._is_unit_run): no
-    run is built as a CycNum, and neither U nor H is ever built.
+    exactly; ArithmeticError if one fails.  Each check packs both runs
+    straight from their term counts and makes one product of the two packed
+    ints, read off the packed residue (cyclotomic._is_unit_run): no run is
+    built as a CycNum or a coordinate list, and neither U nor H is ever built.
 
     That check proves U a unit, so the valuation is exactly d(d-1)/2: a
     unit is prime to h.  And the norm of U is 1 without being computed:

@@ -345,21 +345,57 @@ def test_products_never_pack(monkeypatch):
 def test_default_verify_runs_no_dense_product(monkeypatch, capsys):
     # the default verify makes no ring product at all; what it packs is its
     # Galois powers (CycNum.__pow__) and its unit checks of runs
-    # (_is_unit_run)
+    # (_is_unit_run), through either packer
     from tqftdims import cli
 
     def refuse(*args):
         raise AssertionError("verify made a ring product")
 
     packers = []
-    true_pack = cyclotomic._pack
 
-    def counted(x, k):
-        packers.append(sys._getframe(1).f_code.co_name)
-        return true_pack(x, k)
+    def counted(packer):
+        def spy(*args):
+            packers.append(sys._getframe(1).f_code.co_name)
+            return packer(*args)
+        return spy
 
     monkeypatch.setattr(cyclotomic, "_int_mul", refuse)
-    monkeypatch.setattr(cyclotomic, "_pack", counted)
+    for name in ("_pack", "_packed_run"):
+        monkeypatch.setattr(cyclotomic, name, counted(getattr(cyclotomic, name)))
     assert cli.main(["verify"]) == 0
     assert capsys.readouterr().out.endswith(" 0 failures\n")
     assert set(packers) == {"__pow__", "_is_unit_run"}
+
+
+# -- the packed run: term counts written straight into bytes --------------------
+
+
+def _check_packed_runs(p, ns, ts, offsets, widths):
+    """_packed_run against _pack of the unfolded run, on every shape (n, t)
+    given, at the offsets in turn and at every width that widths(k) names
+    for the check's own width k."""
+    turn = 0
+    for n in ns:
+        k = cyclotomic._digit_bytes(min(n, pow(n, -1, p)))
+        for t in ts:
+            for w in widths(k):
+                s = offsets[turn % len(offsets)]
+                turn += 1
+                want = cyclotomic._pack(cyclotomic._run_coeffs(p, s, n, t), w)
+                assert cyclotomic._packed_run(p, s, n, t, w) == want, (p, s, n, t, w)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 100) if is_prime(p)])
+def test_packed_run_is_the_packed_unfolded_run(p):
+    # every shape 0 < n < p with t a unit, at the unit check's width and one
+    # byte wider, with offsets taken in turn (negative and past p too)
+    _check_packed_runs(p, range(1, p), range(1, p), (0, -3, p + 2), lambda k: (k, k + 1))
+
+
+def test_packed_run_with_two_byte_digits():
+    # at p = 401 the check packs every shape with min(n, n^-1 mod p) >= 128
+    # two bytes a digit
+    p = 401
+    ns = [n for n in range(1, p) if min(n, pow(n, -1, p)) >= 128]
+    assert ns and {cyclotomic._digit_bytes(min(n, pow(n, -1, p))) for n in ns} == {2}
+    _check_packed_runs(p, ns, (1, 2, 200, p - 1), (0, -7), lambda k: (k,))

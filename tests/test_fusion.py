@@ -1123,25 +1123,24 @@ def _wrong_inverse_run(monkeypatch, p):
     monkeypatch.setattr(cyclotomic, "inverse_run", lambda p, s, n, t: (-s, n, t))
 
 
-#: Every claim of claims.SUITES -> (its arguments, a fault to plant at p = 7,
-#: and what the claim does under it: "FAIL", or the message of the
-#: ArithmeticError it raises instead).
+#: Every claim of claims.SUITES -> (its arguments, and a fault to plant at
+#: p = 7 under which the claim prints FAIL).
 PLANTED_FAULTS = {
-    claims.census_matches_recursion: ((7, 3), _bump_closed_form, "FAIL"),
-    claims.census_parity_convention: ((7,), _widen_chain_ranges, "FAIL"),
-    claims.two_point_closed_forms: ((7,), _bump_closed_form, "FAIL"),
-    claims.matrix_powers: ((7, 3), _flip_alternating_entry, "FAIL"),
-    claims.galois_sums: ((7, 3), _plant_counting_eigenvalue, "FAIL"),
-    claims.s_matrix_square: ((7,), _plant_shifted_exponent, "FAIL"),
-    claims.z_diagonalization: ((7,), _plant_flipped_z_entry, "FAIL"),
-    claims.ladder_fold: ((7,), _misfold_z_step, "FAIL"),
-    claims.alternating_eigenvalues: ((7,), _plant_counting_eigenvalue, "FAIL"),
-    claims.structure_constants: ((7,), _flip_unit_entry, "FAIL"),
-    claims.leading_terms: ((2,), _bump_bernoulli, "FAIL"),
-    claims.residue_route: ((2,), _bump_bernoulli, "FAIL"),
-    claims.bernoulli_identity: ((), _bump_bernoulli, "FAIL"),
-    claims.hopf_valuation: ((7,), _repeat_a_twist, "FAIL"),
-    claims.quantum_integer_units: ((7,), _wrong_inverse_run, "FAIL"),
+    claims.census_matches_recursion: ((7, 3), _bump_closed_form),
+    claims.census_parity_convention: ((7,), _widen_chain_ranges),
+    claims.two_point_closed_forms: ((7,), _bump_closed_form),
+    claims.matrix_powers: ((7, 3), _flip_alternating_entry),
+    claims.galois_sums: ((7, 3), _plant_counting_eigenvalue),
+    claims.s_matrix_square: ((7,), _plant_shifted_exponent),
+    claims.z_diagonalization: ((7,), _plant_flipped_z_entry),
+    claims.ladder_fold: ((7,), _misfold_z_step),
+    claims.alternating_eigenvalues: ((7,), _plant_counting_eigenvalue),
+    claims.structure_constants: ((7,), _flip_unit_entry),
+    claims.leading_terms: ((2,), _bump_bernoulli),
+    claims.residue_route: ((2,), _bump_bernoulli),
+    claims.bernoulli_identity: ((), _bump_bernoulli),
+    claims.hopf_valuation: ((7,), _repeat_a_twist),
+    claims.quantum_integer_units: ((7,), _wrong_inverse_run),
 }
 
 
@@ -1175,22 +1174,19 @@ def _claims_run_by(suite):
 
 @pytest.mark.parametrize("suite", claims.SUITES)
 def test_every_claim_fails_on_its_planted_fault(monkeypatch, suite):
-    # No claim can only pass: under its fault each prints FAIL or raises
+    # No claim can only pass: under its fault each prints FAIL, and one that
+    # raises instead fails this test
     run = _claims_run_by(suite)
     assert run
     for claim in run:
         assert claim in PLANTED_FAULTS, f"{claim.__name__} has no planted fault"
-        args, plant, outcome = PLANTED_FAULTS[claim]
+        args, plant = PLANTED_FAULTS[claim]
         assert claim(*args)[1] is True, claim.__name__
         _clear_package_caches()
         try:
             with monkeypatch.context() as planted:
                 plant(planted, 7)
-                if outcome == "FAIL":
-                    assert claim(*args)[1] is False, claim.__name__
-                else:
-                    with pytest.raises(ArithmeticError, match=outcome):
-                        claim(*args)
+                assert claim(*args)[1] is False, claim.__name__
         finally:
             # a planted fault may have reached a cache
             _clear_package_caches()
@@ -1214,7 +1210,7 @@ def test_hopf_suite_prints_fail_for_a_repeated_twist(monkeypatch, capsys):
 #: claims.SUITES runs has a planted fault above, so this list misses none.
 PER_PRIME_CLAIMS = [
     pytest.param(claim, args[1:], id=claim.__name__)
-    for claim, (args, _plant, _outcome) in PLANTED_FAULTS.items()
+    for claim, (args, _plant) in PLANTED_FAULTS.items()
     if args[:1] == (7,)
 ]
 
@@ -1271,6 +1267,19 @@ def test_packed_run_check_with_two_byte_digits(monkeypatch):
     # runs of 128 terms and more: the product's digits reach 128, past one
     # signed byte, as in the longest shapes hopf_certificate checks at p = 167
     _check_every_shape(monkeypatch, 167, range(128, 167), (1, 2, 83))
+
+
+@pytest.mark.parametrize("p", (17, 167))
+def test_unit_checks_pack_no_coordinate_list(monkeypatch, p):
+    # both unit claims pack each run straight from its term counts: neither
+    # unfolds a run nor packs signed digits
+    def refuse(*args):
+        raise AssertionError("a unit check built a coordinate list")
+
+    monkeypatch.setattr(cyclotomic, "_run_coeffs", refuse)
+    monkeypatch.setattr(cyclotomic, "_pack", refuse)
+    assert fusion.hopf_certificate(p).valuation == (p - 1) * (p - 3) // 8
+    assert claims.quantum_integer_units(p)[1] is True
 
 
 # -- work counts -----------------------------------------------------------------
