@@ -6,9 +6,11 @@ x = a_0 + a_1 zeta + ... + a_(p-2) zeta^(p-2).  The relation
 have identical coordinates and `==` is decidable.  Ring operations and the
 Galois action run on plain ints.
 
-A product has one path: a loop over the pairs of nonzero coordinates of
-its factors modulo t^p - 1, then one fold.  It costs O(p) with a 2-sparse
-factor and O(p^2) with two dense ones.
+A product has one path, _int_mul: a loop over the pairs of nonzero
+coordinates of its factors modulo t^p - 1, then one fold.  It costs O(p)
+with a 2-sparse factor and O(p^2) with two dense ones.  A scatter has one
+path too, _unfolded: a run and a Galois image are each built as the terms
+(e, c) of sum c zeta^e scattered over p integers, then one fold.
 
 The packed codec below serves the two users that stay packed between
 products, CycNum.__pow__ and _is_unit_run.  A power x ** n packs x once, at
@@ -130,30 +132,21 @@ def _fold(acc: list) -> list:
     return [a - top for a in acc] if top else acc
 
 
-def _nonzero(a) -> list:
-    """The (index, coordinate) pairs of a's nonzero coordinates."""
-    return [(i, ai) for i, ai in enumerate(a) if ai]
-
-
-def _mul_into(acc: list, a: list, b: list) -> list:
-    """Add the product of a and b, given as _nonzero pairs, to the p
-    coefficients acc modulo t^p - 1, and return acc.  Only nonzero pairs
-    are visited, so a product with a 2-sparse factor costs O(p)."""
-    p = len(acc)
-    for i, ai in a:
-        for j, bj in b:
-            k = i + j
-            if k >= p:
-                k -= p
-            acc[k] += ai * bj
-    return acc
-
-
 def _int_mul(p: int, a, b) -> list:
     """Product of two integral elements given by coordinates, reduced to
-    the p - 1 basis coordinates: an integer convolution modulo t^p - 1 over
-    the nonzero coordinates of both (_mul_into), then one fold."""
-    return _fold(_mul_into([0] * p, _nonzero(a), _nonzero(b)))
+    the p - 1 basis coordinates: one loop over the pairs of nonzero
+    coordinates of a and b, adding each product into p coefficients modulo
+    t^p - 1, then one fold.  A product with a 2-sparse factor costs O(p)."""
+    acc = [0] * p
+    b = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in b:
+                k = i + j
+                if k >= p:
+                    k -= p
+                acc[k] += ai * bj
+    return _fold(acc)
 
 
 # -- the packed codec ----------------------------------------------------------
@@ -204,12 +197,9 @@ def _unpack(r: int, p: int, k: int) -> list:
 
 
 def _int_galois(p: int, a, j: int) -> list:
-    """Coordinates of sigma_j(a) for sigma_j: zeta -> zeta^j, j a unit mod p."""
-    acc = [0] * p
-    for i, ai in enumerate(a):
-        if ai:
-            acc[(i * j) % p] += ai
-    return _fold(acc)
+    """Coordinates of sigma_j(a) for sigma_j: zeta -> zeta^j, j a unit mod p:
+    the coordinate a_i scattered to zeta^(ij) (_unfolded), then one fold."""
+    return _fold(_unfolded(p, zip(range(0, j * len(a), j), a)))
 
 
 class Record:
@@ -424,7 +414,8 @@ def norm(x: CycNum) -> int:
 # multiplies with no fold.  The kernel of Z[t]/(t^p - 1) -> Z[zeta_p] is
 # Z (1 + t + ... + t^(p-1)), so two unfolded vectors name the same element
 # exactly when their difference is constant (_names), and _fold reads the
-# coordinates off either.
+# coordinates off either.  _unfolded is the module's one scatter: run and
+# _int_galois build on it.
 
 
 def _unfolded(p: int, terms) -> list:
@@ -452,20 +443,14 @@ def _unfold(x: CycNum) -> list:
     return [*x.num, 0]
 
 
-def _run_coeffs(p: int, s: int, n: int, t: int) -> list:
-    """The run (s, n, t) unfolded."""
-    vec = [0] * p
-    for k in range(n):
-        vec[(s + k * t) % p] += 1
-    return vec
-
-
 def run(p: int, s: int, n: int, t: int) -> CycNum:
     """The run zeta^s (1 + zeta^t + ... + zeta^(t(n-1))), for a run length
-    n >= 0 and any ints s and t; zeta^k is the one-term run (k, 1, 1)."""
+    n >= 0 and any ints s and t; zeta^k is the one-term run (k, 1, 1).  Its
+    n terms (s + kt, 1) are scattered by _unfolded, which reduces each
+    exponent mod p, so t may be 0 or negative and s and t past p."""
     _check_prime(p)
     _check_index(n, low=0, name="run length")
-    return CycNum._of(p, _fold(_run_coeffs(p, s, n, t)))
+    return CycNum._of(p, _fold(_unfolded(p, ((s + k * t, 1) for k in range(n)))))
 
 
 def inverse_run(p: int, s: int, n: int, t: int) -> tuple[int, int, int]:

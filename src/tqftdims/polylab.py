@@ -311,9 +311,10 @@ class BiPoly:
 # -- residue construction of the total-count polynomial -----------------------
 
 
-def _times_y(poly: list) -> list:
-    """The ascending C-coefficients of poly (2C + 1); [0] for poly = []."""
-    return [lo + 2 * hi for lo, hi in zip(poly + [0], [0] + poly)]
+def _times_linear(poly: list, a: int, b: int) -> list:
+    """The ascending coefficients of poly (a + b x), for poly ascending in x;
+    [0] for poly = []."""
+    return [a * lo + b * hi for lo, hi in zip(poly + [0], [0] + poly)]
 
 
 def residue_total_poly(g: int) -> BiPoly:
@@ -356,7 +357,7 @@ def residue_total_poly(g: int) -> BiPoly:
     # (2g-2)! binom(C + g - 1, 2g - 2) = prod (C + r), r = g - 1 .. 2 - g, ascending in C
     binom = [1]
     for r in range(g - 1, 1 - g, -1):
-        binom = [r * lo + hi for lo, hi in zip(binom + [0], [0] + binom)]
+        binom = _times_linear(binom, r, 1)
     scale, sign = 4 ** (g - 1), (-1) ** g
     bern = _bern_nums(top)
     num = {(g, l): -sign * b * scale * wide for l, b in enumerate(binom)}
@@ -367,9 +368,9 @@ def residue_total_poly(g: int) -> BiPoly:
         poly = []
         for j in range(top - i, -1, -2):
             k = (top - i - j) // 2
-            poly = _times_y(_times_y(poly))
+            poly = _times_linear(_times_linear(poly, 1, 2), 1, 2)
             poly[0] += a * h[k] * (wide // (fact[i + 1] * fact[j + 1] * fact[3 * k]))
-        num.update(((g - 1 + i, l), q) for l, q in enumerate(_times_y(poly)))
+        num.update(((g - 1 + i, l), q) for l, q in enumerate(_times_linear(poly, 1, 2)))
     return BiPoly._of(num, 2 * scale * wide * fact[top])
 
 
@@ -393,7 +394,7 @@ def _lagrange_rows(xs) -> tuple[list[list[int]], int]:
     w_lcm = math.lcm(*weights)
     node = [1]  # prod_l (x - x_l), ascending
     for x in xs:
-        node = [lo - x * hi for lo, hi in zip([0] + node, node + [0])]
+        node = _times_linear(node, -x, 1)
     rows = [[0] * n for _ in range(n)]
     for m, (xm, w) in enumerate(zip(xs, weights)):
         scale = w_lcm // w
@@ -531,8 +532,7 @@ def leading_term_report(g: int) -> dict[str, bool]:
     half = Fraction(1, 2)
     epoly = (tpoly + dpoly) * half
     opoly = (tpoly - dpoly) * half
-    lead = normalized_bernoulli(g)
-    lead = BiPoly._of({(0, 0): 4 * (2 ** (2 * g) - 1) * lead.numerator}, lead.denominator)
+    lead = 4 * (2 ** (2 * g) - 1) * normalized_bernoulli(g)
     report = {
         "signed count has total degree 2g-1": dpoly.total_degree() == 2 * g - 1,
         "total count has total degree 3g-2": tpoly.total_degree() == 3 * g - 2,

@@ -194,6 +194,26 @@ def test_run_reads_its_prime_and_length_through_the_door():
     assert cyclotomic.run(7, 3, 2, 1) == cyclotomic.run(7, 3, 1, 1) + cyclotomic.run(7, 4, 1, 1)
 
 
+def _looped_run(p, s, n, t):
+    """The coordinates of the run (s, n, t) by a loop over its n terms, each
+    exponent reduced mod p, then zeta^(p-1) = -(1 + ... + zeta^(p-2))."""
+    vec = [0] * p
+    for k in range(n):
+        vec[(s + k * t) % p] += 1
+    return tuple(vec[i] - vec[p - 1] for i in range(p - 1))
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+def test_run_matches_a_coordinate_loop(p):
+    # a zero step, where every term lands on zeta^s, and negative steps;
+    # offsets and steps past p; the empty run, one term, p - 1 terms and
+    # runs that wrap around more than once
+    for n in (0, 1, 2, p - 1, p, 2 * p + 1):
+        for t in (0, 1, -1, -3, p + 2, 2 * p - 1, -(p + 1)):
+            for s in (0, 3, -2, p + 1, 3 * p + 4):
+                assert cyclotomic.run(p, s, n, t).num == _looped_run(p, s, n, t), (s, n, t)
+
+
 def _telescoped_quantum_int(p, n):
     """[n] as the telescoped sum q^(n-1) + q^(n-3) + ... + q^(1-n)."""
     vec = [0] * p
@@ -381,7 +401,8 @@ def _check_packed_runs(p, ns, ts, offsets, widths):
             for w in widths(k):
                 s = offsets[turn % len(offsets)]
                 turn += 1
-                want = cyclotomic._pack(cyclotomic._run_coeffs(p, s, n, t), w)
+                terms = ((s + j * t, 1) for j in range(n))
+                want = cyclotomic._pack(cyclotomic._unfolded(p, terms), w)
                 assert cyclotomic._packed_run(p, s, n, t, w) == want, (p, s, n, t, w)
 
 

@@ -1,6 +1,7 @@
 """The integer CycNum core checked against sympy's polynomial arithmetic
 modulo the p-th cyclotomic polynomial."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tqftdims import cyclotomic
-from tqftdims.cyclotomic import CycNum, _int_mul
+from tqftdims.cyclotomic import CycNum, _int_mul, galois
 
 sympy = pytest.importorskip("sympy")
 
@@ -104,6 +105,24 @@ def test_coordinates_stay_normalised(data):
         _assert_normalised(z)
 
 
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if cyclotomic.is_prime(p)])
+def test_galois_matches_sympy_substitution(p):
+    # sigma_j(x) is x(t^j) reduced mod Phi_p, for every unit j, on random
+    # dense x and on x = zeta^(p-2), whose image lands on zeta^(p-1) for
+    # j = 2.  x(t^j) = sum x_i t^(ij) is reduced term by term, through
+    # sympy's t^e mod Phi_p for every e up to (p-2)(p-1).
+    rng = random.Random(p)
+    phi, t = _phi(p), _poly([0, 1])
+    powers = [_poly([1])]
+    for _ in range((p - 2) * (p - 1)):
+        powers.append((powers[-1] * t).rem(phi))
+    for coords in ([rng.randint(-50, 50) for _ in range(p - 1)], [0] * (p - 2) + [1]):
+        x = CycNum(p, coords)
+        for j in range(1, p):
+            want = sum((c * powers[i * j] for i, c in enumerate(coords)), _poly([]))
+            assert tuple(map(Fraction, galois(x, j).num)) == _reduced_coords(want, p), j
+
+
 # -- packed powers against the pairwise ladder ------------------------------------
 
 POWER_PRIMES = tuple(p for p in range(5, 62) if cyclotomic.is_prime(p))
@@ -114,9 +133,7 @@ def _ladder(p, x, n):
     power, which shares neither its digit width nor its codec."""
     acc = [1] + [0] * (p - 2)
     for _ in range(n):
-        acc = cyclotomic._fold(
-            cyclotomic._mul_into([0] * p, cyclotomic._nonzero(acc), cyclotomic._nonzero(x))
-        )
+        acc = _int_mul(p, acc, x)
     return tuple(acc)
 
 

@@ -1276,7 +1276,7 @@ def test_unit_checks_pack_no_coordinate_list(monkeypatch, p):
     def refuse(*args):
         raise AssertionError("a unit check built a coordinate list")
 
-    monkeypatch.setattr(cyclotomic, "_run_coeffs", refuse)
+    monkeypatch.setattr(cyclotomic, "_unfolded", refuse)
     monkeypatch.setattr(cyclotomic, "_pack", refuse)
     assert fusion.hopf_certificate(p).valuation == (p - 1) * (p - 3) // 8
     assert claims.quantum_integer_units(p)[1] is True
