@@ -172,10 +172,7 @@ def _pack(x, k: int) -> int:
     """The int whose digits of k bytes are the coordinates x, each strictly
     inside +-2^(8k-1)."""
     half = 1 << (8 * k - 1)
-    if k == 1:  # one C loop, no to_bytes call per digit
-        digits = bytes(map(half.__add__, x))
-    else:
-        digits = b"".join([(xi + half).to_bytes(k, "little") for xi in x])
+    digits = b"".join([(xi + half).to_bytes(k, "little") for xi in x])
     bias = half.to_bytes(k, "little") * len(x)
     return int.from_bytes(digits, "little") - int.from_bytes(bias, "little")
 

@@ -245,15 +245,15 @@ def test_count_walks_every_skeleton_prefix(p, g):
         assert _walk_calls(p, g, c) == _skeleton_prefixes(p, g, c)
 
 
-def test_count_builds_one_move_table():
+def test_count_builds_one_move_table(cold):
     # the range sums read two length-(d + 1) prefix arrays; a second
     # d^2-sized table beside the move table would double this peak.  Each
     # run starts with the table's cache empty: a warm count builds nothing.
     p, d = 401, 200
-    _check_prime(p)  # fill the primality cache outside the trace
     peaks = []
     for run in (lambda: _moves(p, d), lambda: count_parities(p, 2, 0)):
-        _moves.cache_clear()
+        cold()
+        _check_prime(p)  # fill the primality cache outside the trace
         tracemalloc.start()
         try:
             run()

@@ -617,54 +617,26 @@ def test_verify_bytes_frozen(args, digest):
     assert hashlib.sha256(res.stdout).hexdigest() == digest
 
 
-def test_mutated_kernel_fails_verify(monkeypatch, capsys):
+@pytest.mark.parametrize("bump", [(1, 0), (0, 1)], ids=["beta", "eta"])
+def test_mutated_kernel_fails_verify(cold, monkeypatch, capsys, bump):
+    # the eta bump alone at (1, 2), read as w_1 at p = 7, moves the total
+    # kernel u + w and the signed kernel u - w in opposite directions.  Cold
+    # caches: a cached ladder would serve the real factors, and a mutated
+    # one left behind would poison later tests
     closed = recursion.beta_eta_closed
 
     def mutated(p, c1, c2):
         beta, eta = closed(p, c1, c2)
-        return (beta + 1, eta) if (c1, c2) == (1, 2) else (beta, eta)
+        return (beta + bump[0], eta + bump[1]) if (c1, c2) == (1, 2) else (beta, eta)
 
     monkeypatch.setattr(recursion, "beta_eta_closed", mutated)
-    # both caches: a cached ladder would serve the real factors, and a
-    # mutated one left behind would poison later tests
-    recursion.dim_table.cache_clear()
-    recursion._ladder.cache_clear()
-    try:
-        for suite, claim in (
-            ("census", "coloring census matches the transfer recursion (p=7, g<=3)"),
-            ("fusion", "matrix powers reproduce signed and total counts (p=7, g<=3)"),
-        ):
-            argv = ["verify", "--suite", suite, "--p-list", "7", "--gmax", "3"]
-            assert main(argv) == EXIT_VERIFY
-            assert f"FAIL {claim}" in capsys.readouterr().out.splitlines()
-    finally:
-        recursion.dim_table.cache_clear()
-        recursion._ladder.cache_clear()
-
-
-def test_mutated_unbalanced_kernel_fails_verify(monkeypatch, capsys):
-    # eta alone at (1, 2), read as w_1 at p = 7: it moves the total kernel
-    # u + w and the signed kernel u - w in opposite directions
-    closed = recursion.beta_eta_closed
-
-    def mutated(p, c1, c2):
-        beta, eta = closed(p, c1, c2)
-        return (beta, eta + 1) if (c1, c2) == (1, 2) else (beta, eta)
-
-    monkeypatch.setattr(recursion, "beta_eta_closed", mutated)
-    recursion.dim_table.cache_clear()
-    recursion._ladder.cache_clear()
-    try:
-        for suite, claim in (
-            ("census", "coloring census matches the transfer recursion (p=7, g<=3)"),
-            ("fusion", "matrix powers reproduce signed and total counts (p=7, g<=3)"),
-        ):
-            argv = ["verify", "--suite", suite, "--p-list", "7", "--gmax", "3"]
-            assert main(argv) == EXIT_VERIFY
-            assert f"FAIL {claim}" in capsys.readouterr().out.splitlines()
-    finally:
-        recursion.dim_table.cache_clear()
-        recursion._ladder.cache_clear()
+    for suite, claim in (
+        ("census", "coloring census matches the transfer recursion (p=7, g<=3)"),
+        ("fusion", "matrix powers reproduce signed and total counts (p=7, g<=3)"),
+    ):
+        argv = ["verify", "--suite", suite, "--p-list", "7", "--gmax", "3"]
+        assert main(argv) == EXIT_VERIFY
+        assert f"FAIL {claim}" in capsys.readouterr().out.splitlines()
 
 
 def test_closed_pipe_exits_1_without_traceback():

@@ -7,6 +7,7 @@ import sys
 import types
 
 import pytest
+from conftest import clear_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -286,7 +287,7 @@ def test_one_walk_matrix_matches_column_build(p):
 
 
 @pytest.mark.parametrize("p", [13, 61, 101])
-def test_matrix_build_walks_each_ladder_once(monkeypatch, p):
+def test_matrix_build_walks_each_ladder_once(cold, monkeypatch, p):
     # A cold build walks two ladders of 2d - 2 z-steps each: the permutation's,
     # which the element's weighted sum reads, and the matrix's own.  Walking
     # every e_{2i} from e_0 on its own, _column_matrix alone makes 2d(d - 1).
@@ -299,11 +300,7 @@ def test_matrix_build_walks_each_ladder_once(monkeypatch, p):
 
     monkeypatch.setattr(fusion, "_mul_by_z", counting)
     d = (p - 1) // 2
-    even_basis_permutation.cache_clear()
-    try:
-        mul_matrix_even(alternating_element(p))
-    finally:
-        even_basis_permutation.cache_clear()
+    mul_matrix_even(alternating_element(p))
     assert len(steps) == 2 * (2 * d - 2)
 
 
@@ -349,7 +346,7 @@ def test_weighted_sums_match_ladder_walk_oracle(p):
 
 @pytest.mark.parametrize("p", (5, 7, 13, 61))
 @pytest.mark.parametrize("element", (alternating_element, counting_element))
-def test_weighted_sums_refuse_a_misfolded_z_step(monkeypatch, p, element):
+def test_weighted_sums_refuse_a_misfolded_z_step(cold, monkeypatch, p, element):
     # The z-step drops the fold e_d -> e_(d-1) of the top coordinate.  The
     # weighted sums read no ladder of their own, so they refuse it through
     # the permutation's basis-vector check.
@@ -361,12 +358,8 @@ def test_weighted_sums_refuse_a_misfolded_z_step(monkeypatch, p, element):
         return out
 
     monkeypatch.setattr(fusion, "_mul_by_z", misfolded)
-    even_basis_permutation.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="not a basis vector"):
-            element(p)
-    finally:
-        even_basis_permutation.cache_clear()
+    with pytest.raises(ArithmeticError, match="not a basis vector"):
+        element(p)
 
 
 def test_product_ring_axioms():
@@ -635,8 +628,7 @@ def _table_inputs(draw):
 
 def _read_cold(p, gmax, t):
     # the cell readers from cold caches, deepest genus first and then in order
-    fusion._power_table.cache_clear()
-    fusion._eigenvalue_power.cache_clear()
+    clear_caches()
     for g in [*range(gmax, -1, -1), *range(gmax + 1)]:
         _check_readers(p, g, t)
 
@@ -650,7 +642,7 @@ def test_fusion_tables_match_recursion_property(inputs):
     t = dim_table(p, gmax)
     signs = [(-1) ** c for c in range(t.d)]
     unit = (1,) + (0,) * (t.d - 1)
-    fusion._power_table.cache_clear()
+    clear_caches()
     alt = fusion._power_table(p, gmax, False)
     cnt = fusion._power_table(p, gmax, True)
     assert alt[0] == cnt[0] == unit
@@ -661,21 +653,18 @@ def test_fusion_tables_match_recursion_property(inputs):
 
 
 @pytest.mark.parametrize("p,gmax", [(11, 7), (5, 67)])
-def test_power_ladder_cold_order(p, gmax):
+def test_power_ladder_cold_order(cold, p, gmax):
     # cold reads in either genus order agree with dim_table, and the last
     # read leaves just the two gmax tables of gmax + 1 rows cached
     t = dim_table(p, gmax)
-    try:
-        _read_cold(p, gmax, t)
-        assert fusion._power_table.cache_info().currsize == 2
-        for counting in (False, True):
-            assert len(fusion._power_table(p, gmax, counting)) == gmax + 1
-        assert fusion._power_table.cache_info().misses == 4 * gmax + 2
-    finally:
-        fusion._power_table.cache_clear()
+    _read_cold(p, gmax, t)
+    assert fusion._power_table.cache_info().currsize == 2
+    for counting in (False, True):
+        assert len(fusion._power_table(p, gmax, counting)) == gmax + 1
+    assert fusion._power_table.cache_info().misses == 4 * gmax + 2
 
 
-def test_trunk_color_sweep_builds_once(monkeypatch):
+def test_trunk_color_sweep_builds_once(cold, monkeypatch):
     # every trunk color at one (p, g) costs one matrix and g mat-vecs per
     # route, and one eigenvalue power per Galois route
     p, g = 13, 5
@@ -693,21 +682,15 @@ def test_trunk_color_sweep_builds_once(monkeypatch):
 
     monkeypatch.setattr(FusionMatrix, "apply", counted_apply)
     monkeypatch.setattr(fusion, "mul_matrix_even", counted_build)
-    fusion._power_table.cache_clear()
-    fusion._eigenvalue_power.cache_clear()
-    try:
-        for n, route in enumerate((delta_via_matrix, total_via_matrix), start=1):
-            for c in range(d):
-                route(p, g, c)
-            assert calls == {"apply": n * g, "build": n}
-        for route in (galois_sum_delta, galois_sum_total):
-            for c in range(d):
-                route(p, g, c)
-        info = fusion._eigenvalue_power.cache_info()
-        assert (info.misses, info.hits) == (2, 2 * (d - 1))
-    finally:
-        fusion._power_table.cache_clear()
-        fusion._eigenvalue_power.cache_clear()
+    for n, route in enumerate((delta_via_matrix, total_via_matrix), start=1):
+        for c in range(d):
+            route(p, g, c)
+        assert calls == {"apply": n * g, "build": n}
+    for route in (galois_sum_delta, galois_sum_total):
+        for c in range(d):
+            route(p, g, c)
+    info = fusion._eigenvalue_power.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * (d - 1))
 
 
 @st.composite
@@ -864,18 +847,6 @@ def test_trace_read_sweep_matches_recursion_at_p211():
 # -- planted faults ------------------------------------------------------------
 
 
-def _clear_fusion_caches():
-    fusion._eigenvalue_power.cache_clear()
-
-
-@pytest.fixture
-def cold_fusion():
-    # request it before monkeypatch, so that it clears the real caches
-    _clear_fusion_caches()
-    yield
-    _clear_fusion_caches()
-
-
 @pytest.mark.parametrize(
     "planted,message",
     [
@@ -883,7 +854,7 @@ def cold_fusion():
         (lambda p: cyclotomic.run(p, 2, 1, 1), "integer"),  # odd read, reality check bypassed
     ],
 )
-def test_galois_entry_refuses_planted_power(cold_fusion, monkeypatch, capsys, planted, message):
+def test_galois_entry_refuses_planted_power(cold, monkeypatch, capsys, planted, message):
     monkeypatch.setattr(fusion, "alternating_eigenvalue", planted)
     monkeypatch.setattr(fusion, "counting_eigenvalue", planted)
     if message == "integer":
@@ -1144,13 +1115,6 @@ PLANTED_FAULTS = {
 }
 
 
-def _clear_package_caches():
-    for module in (census, cyclotomic, fusion, polylab, recursion):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-
-
 def _claims_run_by(suite):
     """The public functions of claims that SUITES[suite] calls at p = 7, gmax = 2."""
     codes = {
@@ -1173,7 +1137,7 @@ def _claims_run_by(suite):
 
 
 @pytest.mark.parametrize("suite", claims.SUITES)
-def test_every_claim_fails_on_its_planted_fault(monkeypatch, suite):
+def test_every_claim_fails_on_its_planted_fault(cold, monkeypatch, suite):
     # No claim can only pass: under its fault each prints FAIL, and one that
     # raises instead fails this test
     run = _claims_run_by(suite)
@@ -1182,14 +1146,11 @@ def test_every_claim_fails_on_its_planted_fault(monkeypatch, suite):
         assert claim in PLANTED_FAULTS, f"{claim.__name__} has no planted fault"
         args, plant = PLANTED_FAULTS[claim]
         assert claim(*args)[1] is True, claim.__name__
-        _clear_package_caches()
-        try:
-            with monkeypatch.context() as planted:
-                plant(planted, 7)
-                assert claim(*args)[1] is False, claim.__name__
-        finally:
-            # a planted fault may have reached a cache
-            _clear_package_caches()
+        cold()
+        with monkeypatch.context() as planted:
+            plant(planted, 7)
+            assert claim(*args)[1] is False, claim.__name__
+        cold()  # a planted fault may have reached a cache
 
 
 def test_hopf_suite_prints_fail_for_a_repeated_twist(monkeypatch, capsys):
@@ -1224,17 +1185,14 @@ def test_every_per_prime_claim_refuses_a_bad_p_first(claim, rest, bad):
     assert str(exc.value) == f"p must be a prime >= 5, got {bad}"
 
 
-def test_leading_term_report_gives_false_verdicts_under_a_fault(monkeypatch):
+def test_leading_term_report_gives_false_verdicts_under_a_fault(cold, monkeypatch):
     # a false claim is a False verdict, not an exception, and every claim
     # still has its verdict
     clean = polylab.leading_term_report(2)
-    _clear_package_caches()
-    try:
-        with monkeypatch.context() as planted:
-            _bump_bernoulli(planted, 7)
-            report = polylab.leading_term_report(2)
-    finally:
-        _clear_package_caches()
+    cold()
+    with monkeypatch.context() as planted:
+        _bump_bernoulli(planted, 7)
+        report = polylab.leading_term_report(2)
     assert report.keys() == clean.keys() and all(clean.values())
     assert False in report.values()
 
@@ -1285,7 +1243,7 @@ def test_unit_checks_pack_no_coordinate_list(monkeypatch, p):
 # -- work counts -----------------------------------------------------------------
 
 
-def test_cold_galois_cell_applies_one_conjugation(cold_fusion, monkeypatch):
+def test_cold_galois_cell_applies_one_conjugation(cold, monkeypatch):
     calls = []
     true_galois = cyclotomic.galois
 
@@ -1296,7 +1254,7 @@ def test_cold_galois_cell_applies_one_conjugation(cold_fusion, monkeypatch):
     monkeypatch.setattr(cyclotomic, "galois", counted)
     monkeypatch.setattr(fusion, "galois", counted)
     for route in (galois_sum_delta, galois_sum_total):
-        _clear_fusion_caches()
+        cold()
         calls.clear()
         route(61, 8, 7)
         assert len(calls) <= 1
@@ -1359,9 +1317,7 @@ def test_quantum_integer_units_claim_computes_no_norm(monkeypatch):
     assert not claims.quantum_integer_units(5)[1]
 
 
-def test_eigenvalue_claim_and_counting_eigenvalue_run_no_bareiss_or_inverse(
-    cold_fusion, monkeypatch
-):
+def test_eigenvalue_claim_and_counting_eigenvalue_run_no_bareiss_or_inverse(cold, monkeypatch):
     def refuse(*args):
         raise AssertionError("built an adjugate norm")
 
@@ -1372,7 +1328,7 @@ def test_eigenvalue_claim_and_counting_eigenvalue_run_no_bareiss_or_inverse(
         counting_eigenvalue(p)
 
 
-def test_eigenvalue_claim_applies_no_galois_map(cold_fusion, monkeypatch):
+def test_eigenvalue_claim_applies_no_galois_map(cold, monkeypatch):
     # M is integral, so one eigenvector at lambda decides every conjugate:
     # the claim applies no Galois map at all
     def refuse(*args):
@@ -1385,7 +1341,7 @@ def test_eigenvalue_claim_applies_no_galois_map(cold_fusion, monkeypatch):
         assert claims.alternating_eigenvalues(p)[1]
 
 
-def test_alternating_eigenvalue_multiplies_nothing(cold_fusion, monkeypatch):
+def test_alternating_eigenvalue_multiplies_nothing(cold, monkeypatch):
     products = []
     true_mul = CycNum.__mul__
 

@@ -12,7 +12,6 @@ import importlib.util
 import inspect
 import io
 import os
-import pkgutil
 import re
 import shlex
 import subprocess
@@ -21,15 +20,12 @@ import types
 from pathlib import Path
 
 import pytest
+from conftest import CACHES, MODULES, package_caches
 
 import tqftdims
 from tqftdims import cli, fusion, polylab, recursion
 from tqftdims.polylab import BiPoly
 from tqftdims.recursion import DimTable
-
-MODULES = sorted(
-    info.name for info in pkgutil.iter_modules(tqftdims.__path__) if info.name != "__main__"
-)
 
 
 @pytest.mark.parametrize("name", ["", *MODULES])
@@ -274,21 +270,6 @@ def test_record_fields_are_read_only_and_shown_by_repr(record):
             delattr(record, name)
 
 
-def _module_caches() -> dict:
-    """Every functools cache defined at module or class level, by name."""
-    found = {}
-    for name in MODULES:
-        module = importlib.import_module(f"tqftdims.{name}")
-        for attr, obj in vars(module).items():
-            candidates = [(attr, obj)]
-            if isinstance(obj, type) and obj.__module__ == module.__name__:
-                candidates += [(f"{attr}.{m}", v) for m, v in vars(obj).items()]
-            for qual, cand in candidates:
-                if hasattr(cand, "cache_parameters") and cand.__module__ == module.__name__:
-                    found[f"{name}.{qual}"] = cand
-    return found
-
-
 def _cache_decorators() -> int:
     """Functions decorated with lru_cache or cache anywhere in the sources."""
     count = 0
@@ -304,7 +285,7 @@ def _cache_decorators() -> int:
 
 
 def test_no_new_unbounded_cache():
-    caches = _module_caches()
+    caches = package_caches()
     # the walk sees every decorated cache, so none hides inside a function
     assert len(caches) == _cache_decorators()
     # every cache declares a maxsize sized by its callers' measured reuse
@@ -312,13 +293,22 @@ def test_no_new_unbounded_cache():
     assert unbounded == set()
 
 
+def test_only_conftest_clears_a_cache():
+    # which functions are cached is known in one place, tests/conftest.py: a
+    # test that needs cold caches takes its `cold` fixture or clear_caches()
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(__file__).parent.glob("test_*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "cache_clear"
+    ]
+    assert sites == []
+
+
 def _cold_misses(run) -> dict[str, int]:
-    """Misses of every cache over one run that starts with all caches empty."""
-    caches = _module_caches()
-    for cache in caches.values():
-        cache.cache_clear()
+    """Misses of every cache over one run from the cold fixture's empty caches."""
     run()
-    return {name: cache.cache_info().misses for name, cache in caches.items()}
+    return {name: cache.cache_info().misses for name, cache in CACHES.items()}
 
 
 # Misses of the default verify with every cache unbounded: a bound that drops
@@ -335,7 +325,7 @@ VERIFY_MISSES = {
 }
 
 
-def test_cache_bounds_hold_verify_reuse():
+def test_cache_bounds_hold_verify_reuse(cold):
     def verify():
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify"]) == 0
@@ -343,7 +333,7 @@ def test_cache_bounds_hold_verify_reuse():
     assert _cold_misses(verify) == VERIFY_MISSES
 
 
-def test_interpolation_cache_holds_both_fits_of_a_genus():
+def test_interpolation_cache_holds_both_fits_of_a_genus(cold):
     def leading_terms():
         polylab.interpolate_delta(3)
         polylab.interpolate_total(3)
@@ -456,7 +446,7 @@ def door_message(param: str, value) -> str:
 
 
 def cache_counts() -> dict:
-    return {name: cache.cache_info() for name, cache in _module_caches().items()}
+    return {name: cache.cache_info() for name, cache in CACHES.items()}
 
 
 def caches_moved(before: dict, after: dict, qual: str) -> set[str]:
@@ -607,12 +597,10 @@ def _defined_functions(bodies) -> dict:
     return found
 
 
-def test_every_src_function_is_reached(monkeypatch):
+def test_every_src_function_is_reached(cold, monkeypatch):
     # a function that no command, script or benchmark op runs, and that is
     # not public API the tests drive, is dead code.  Every cache starts
     # empty, so a function behind one is called, not read from it.
-    for cache in _module_caches().values():
-        cache.cache_clear()
     bodies = [compile(path.read_text(), str(path), "exec") for path in sorted(SRC.glob("*.py"))]
     codes = set()
 

@@ -567,7 +567,7 @@ def test_genus_step_on_polynomials_is_the_fit():
     "fit,primes",
     [(interpolate_delta, [11, 13, 17, 19, 23]), (interpolate_total, [11, 13, 17, 19, 23, 29])],
 )
-def test_interpolation_reads_one_table_per_prime(monkeypatch, fit, primes):
+def test_interpolation_reads_one_table_per_prime(cold, monkeypatch, fit, primes):
     # At g = 2, one read per fit prime and one for the held-out prime (the
     # last); the held-out colors at the largest fit prime reuse its table.
     reads = []
@@ -578,11 +578,7 @@ def test_interpolation_reads_one_table_per_prime(monkeypatch, fit, primes):
         return real(p, gmax)
 
     monkeypatch.setattr(polylab, "dim_table", counting)
-    polylab._interpolate.cache_clear()
-    try:
-        fit(2)
-    finally:
-        polylab._interpolate.cache_clear()
+    fit(2)
     assert reads == [(p, 2) for p in primes]
 
 
@@ -593,7 +589,7 @@ def test_interpolation_rejects_bad_grids():
         interpolate_total(-1)
 
 
-def test_held_out_check_catches_a_wrong_count(monkeypatch):
+def test_held_out_check_catches_a_wrong_count(cold, monkeypatch):
     # For g = 2 the delta fit uses p = 11, 13, 17, 19; p = 23 is held out.
     real = polylab.dim_table
 
@@ -606,18 +602,14 @@ def test_held_out_check_catches_a_wrong_count(monkeypatch):
         return DimTable(t.p, t.gmax, totals, deltas)
 
     monkeypatch.setattr(polylab, "dim_table", corrupted)
-    polylab._interpolate.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="held-out"):
-            interpolate_delta(2)
-    finally:
-        polylab._interpolate.cache_clear()
+    with pytest.raises(ArithmeticError, match="held-out"):
+        interpolate_delta(2)
 
 
 @pytest.mark.parametrize(
     "argv", [["poly", "--g", "2", "--emit", "D"], ["verify", "--suite", "poly", "--gmax", "2"]]
 )
-def test_held_out_miss_is_a_verification_failure(monkeypatch, capsys, argv):
+def test_held_out_miss_is_a_verification_failure(cold, monkeypatch, capsys, argv):
     # For g = 2 the total fit uses p = 11..23; p = 29 is held out.  A miss
     # there is a failed check, exit 1 with nothing on stdout, not bad input.
     real = polylab.dim_table
@@ -631,11 +623,7 @@ def test_held_out_miss_is_a_verification_failure(monkeypatch, capsys, argv):
         return DimTable(t.p, t.gmax, totals, deltas)
 
     monkeypatch.setattr(polylab, "dim_table", corrupted)
-    polylab._interpolate.cache_clear()
-    try:
-        assert main(argv) == 1
-    finally:
-        polylab._interpolate.cache_clear()
+    assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     total = dim_table(29, 2).total(2, 0)
@@ -692,14 +680,10 @@ def test_residue_route_builds_one_bipoly_by_no_arithmetic(monkeypatch):
 
 
 @pytest.mark.parametrize("g,deg,kind", [(3, 5, "delta"), (3, 7, "total")])
-def test_interpolation_builds_one_bipoly_by_no_arithmetic(monkeypatch, g, deg, kind):
+def test_interpolation_builds_one_bipoly_by_no_arithmetic(cold, monkeypatch, g, deg, kind):
     # The fit hands its integer numerators over W_c W_p to one BiPoly.
     built = _count_builds(monkeypatch)
-    polylab._interpolate.cache_clear()
-    try:
-        polylab._interpolate(g, deg, kind)
-    finally:
-        polylab._interpolate.cache_clear()
+    polylab._interpolate(g, deg, kind)
     assert len(built) == 1
 
 

@@ -3,6 +3,7 @@ collapsed forms; the integer door's float probes; and the total kernel
 modulo p."""
 
 import pytest
+from conftest import clear_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_package import (
@@ -95,7 +96,7 @@ def test_halves_split_into_whole_counts_property(p, gmax):
 
 
 @pytest.mark.parametrize("p", [5, 13, 101])
-def test_table_reads_each_kernel_factor_once(monkeypatch, p):
+def test_table_reads_each_kernel_factor_once(cold, monkeypatch, p):
     # The ladder reads its factors once per prime, 2d kernel calls, and a
     # longer table grows the same ladder; the dense loop would make d^2 per
     # genus.
@@ -107,17 +108,11 @@ def test_table_reads_each_kernel_factor_once(monkeypatch, p):
 
     monkeypatch.setattr(recursion, "beta_eta_closed", counting)
     d = (p - 1) // 2
-    recursion.dim_table.cache_clear()
-    recursion._ladder.cache_clear()
-    try:
-        per_table = []
-        for gmax in (2, 30):
-            calls.clear()
-            recursion.dim_table(p, gmax)
-            per_table.append(len(calls))
-    finally:
-        recursion.dim_table.cache_clear()
-        recursion._ladder.cache_clear()
+    per_table = []
+    for gmax in (2, 30):
+        calls.clear()
+        recursion.dim_table(p, gmax)
+        per_table.append(len(calls))
     assert per_table == [2 * d, 0]
 
 
@@ -129,8 +124,7 @@ def test_table_reads_each_kernel_factor_once(monkeypatch, p):
 def test_ladder_views_match_dense_oracle_property(p, gmaxes):
     # Each request either grows p's ladder or cuts a view from it; a view
     # cut from a longer ladder still refuses the genus past its gmax.
-    recursion.dim_table.cache_clear()
-    recursion._ladder.cache_clear()
+    clear_caches()
     for gmax in gmaxes:
         t = dim_table(p, gmax)
         _assert_matches_dense(t, p, gmax)
@@ -252,17 +246,13 @@ def test_bounds_checked():
 
 
 @pytest.mark.parametrize("args,error", [((13.0, 2), ValueError), ((13, 2.0), ValueError)])
-def test_bad_table_request_raises_the_same_cold_and_warm(args, error):
+def test_bad_table_request_raises_the_same_cold_and_warm(cold, args, error):
     # the cache is typed: a cached (13, 2) must not answer (13.0, 2) or (13, 2.0)
-    recursion.dim_table.cache_clear()
-    try:
-        with pytest.raises(error):
-            dim_table(*args)
-        dim_table(13, 2)
-        with pytest.raises(error):
-            dim_table(*args)
-    finally:
-        recursion.dim_table.cache_clear()
+    with pytest.raises(error):
+        dim_table(*args)
+    dim_table(13, 2)
+    with pytest.raises(error):
+        dim_table(*args)
 
 
 @pytest.mark.parametrize("value", [3.0, 2.5])
